@@ -75,14 +75,15 @@ def _triangle(f: FamilySpec, n: int) -> list[list[QPoly]]:
     rows: list[list[QPoly]] = [[ONE]]
     for m in range(1, n + 1):
         prev = rows[-1]
-
-        def at(k: int) -> QPoly:
-            return prev[k] if 0 <= k < len(prev) else ZERO
-
-        row = [
-            f.r(k - 1) * at(k - 1) + f.s(k) * at(k) + f.t(k + 1) * at(k + 1)
-            for k in range(m + 1)
-        ]
+        row = []
+        for k in range(m + 1):
+            # a parameter is looked up only when its neighbour in row m-1 exists
+            value = f.r(k - 1) * prev[k - 1] if k else ZERO
+            if k < m:
+                value = value + f.s(k) * prev[k]
+            if k + 1 < m:
+                value = value + f.t(k + 1) * prev[k + 1]
+            row.append(value)
         rows.append(row)
     return rows
 

@@ -50,4 +50,4 @@ class NotAPermutation(Exception):
 
 
 class SizeCapExceeded(Exception):
-    """A matrix exceeds the configured size cap for permutation sums."""
+    """A matrix exceeds the configured size cap for immanant computations."""

@@ -1,10 +1,24 @@
-"""Character-weighted permutation sums, exact determinants, and positivity sweeps.
+"""Immanants by subset dynamic programming, exact determinants, positivity sweeps.
 
-``immanant(m, lam)`` computes sum over permutations of
-chi^lam(cycle type) times the diagonal product.  The permutation products
-are accumulated into one sum per cycle type, so every shape lam of the same
-size is then a cheap integer combination; ``positivity_sweep`` exploits
-this to report all shapes of every selected submatrix.
+``immanant(m, lam)`` is the sum over permutations sigma of
+chi^lam(cycle type of sigma) times the product of m[i][sigma(i)].  The
+permutations are never walked one by one.  Two dynamic programs over index
+subsets give, for each cycle type, the sum of the products of all
+permutations of that type (the class sums):
+
+* cycle sums: for every index set S, the products of all cycles on exactly
+  S, walked from min(S) and built Held-Karp style from path sums; about
+  2^n * n^2 multiplies;
+* set partitions: the state is (used-index mask, partial cycle type) and
+  each step adds the cycle through the lowest unused index, so every
+  permutation is built exactly once; about 3^n steps, each times the
+  partial cycle types of its state.
+
+Every shape lam of size n is then the integer combination of the class sums
+given by the character row of lam.  ``positivity_sweep`` applies every row
+of a size, cached with its degree, to the same class sums, and takes each
+dominance gap from the same coefficient vectors.  The inner arithmetic runs
+on coefficient lists; each result becomes a ``QPoly`` once.
 
 ``determinant`` is implemented independently by fraction-free (Bareiss)
 elimination with exact polynomial division, so the two routes to the
@@ -17,18 +31,22 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
+from operator import mul
 
 from .csmatrix import CSMatrix
 from .errors import ShapeError, SizeCapExceeded
-from .qpoly import ONE, QPoly, ZERO
+from .qpoly import ONE, QPoly, ZERO, _convolve
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
 SIZE_CAP_ENV = "QCATALAN_SIZE_CAP"
 DEFAULT_SIZE_CAP = 9
 
 Grid = tuple[tuple[QPoly, ...], ...]
+CoeffGrid = list[list[tuple[int, ...]]]
+
+_RAISE_CAP = f"raise it with {SIZE_CAP_ENV}=<n> or size_cap=<n>"
 
 
 def _size_cap(override: int | None) -> int:
@@ -56,6 +74,10 @@ def _as_entries(m: CSMatrix | list | tuple) -> Grid:
     return grid
 
 
+def _coefficients(grid: Grid) -> CoeffGrid:
+    return [[cell.coeffs for cell in row] for row in grid]
+
+
 def _require_square(grid: Grid) -> int:
     n = len(grid)
     if n and len(grid[0]) != n:
@@ -63,57 +85,118 @@ def _require_square(grid: Grid) -> int:
     return n
 
 
-def _cycle_type0(perm: tuple[int, ...]) -> Partition:
-    """Cycle type of a permutation of 0..n-1 given as an image tuple."""
-    n = len(perm)
-    seen = [False] * n
-    lengths: list[int] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+def _accumulate(table: dict, key: int, poly: list[int]) -> None:
+    """Add the coefficient list ``poly`` into ``table[key]`` in place."""
+    acc = table.get(key)
+    if acc is None:
+        table[key] = poly
+        return
+    if len(acc) < len(poly):
+        acc.extend([0] * (len(poly) - len(acc)))
+    for k, c in enumerate(poly):
+        acc[k] += c
+
+
+def _cycle_sums(cells: CoeffGrid) -> dict[int, list[int]]:
+    """For each index set S (a bit mask), the summed products of all cycles on S.
+
+    A cycle on S is walked from min(S); ``paths[S][v]`` sums the products
+    of the paths from min(S) through exactly S that end at v (Held-Karp).
+    Sets whose every cycle has a zero entry are left out.
+    """
+    n = len(cells)
+    cycles: dict[int, list[int]] = {}
+    for m in range(n):
+        bit = 1 << m
+        if cells[m][m]:
+            cycles[bit] = list(cells[m][m])
+        paths: dict[int, dict[int, list[int]]] = {}
+        for w in range(m + 1, n):
+            if cells[m][w]:
+                paths[bit | 1 << w] = {w: list(cells[m][w])}
+        for high in range(1, 1 << (n - m - 1)):
+            mask = bit | high << (m + 1)
+            ends = paths.pop(mask, None)
+            if ends is None:
+                continue
+            for v, path in ends.items():
+                row = cells[v]
+                if row[m]:
+                    _accumulate(cycles, mask, _convolve(path, row[m]))
+                for w in range(m + 1, n):
+                    if row[w] and not mask >> w & 1:
+                        longer = paths.setdefault(mask | 1 << w, {})
+                        _accumulate(longer, w, _convolve(path, row[w]))
+    return cycles
 
 
 @cache
-def _perms_with_types(n: int) -> tuple[tuple[tuple[int, ...], Partition], ...]:
-    return tuple((perm, _cycle_type0(perm)) for perm in permutations(range(n)))
+def _class_positions(n: int) -> dict[int, int]:
+    """Cycle-type key -> position in ``partitions_of(n)``.
+
+    A cycle type's key is the sum of (n+1)**(length-1) over its cycles, so
+    adding a cycle of length k to a partial type adds (n+1)**(k-1).
+    """
+    return {
+        sum((n + 1) ** (part - 1) for part in mu): pos
+        for pos, mu in enumerate(partitions_of(n))
+    }
 
 
-def _type_sums(grid: Grid) -> dict[Partition, QPoly]:
-    """Per-cycle-type sums of permutation diagonal products."""
-    n = len(grid)
-    sums = {mu: ZERO for mu in partitions_of(n)}
-    if n <= 7:
-        pairs = _perms_with_types(n)
-    else:
-        pairs = ((perm, _cycle_type0(perm)) for perm in permutations(range(n)))
-    for perm, mu in pairs:
-        prod = ONE
-        for i, j in enumerate(perm):
-            cell = grid[i][j]
-            if not cell:
+def _class_sums(cells: CoeffGrid) -> list[list[int]]:
+    """Per-cycle-type sums of the permutation diagonal products.
+
+    A permutation is a set partition of the indices into cycles.  The DP
+    state is (used-index mask, partial cycle type); each step adds the
+    cycle through the lowest unused index, so every permutation is built
+    exactly once.  Returns coefficient lists indexed like partitions_of(n).
+    """
+    n = len(cells)
+    cycles = _cycle_sums(cells)
+    steps = [0] + [(n + 1) ** (k - 1) for k in range(1, n + 1)]
+    full = (1 << n) - 1
+    states: dict[int, dict[int, list[int]]] = {0: {0: [1]}}
+    for mask in range(full):
+        here = states.pop(mask, None)
+        if here is None:
+            continue
+        rest = full ^ mask
+        low = rest & -rest
+        others = rest ^ low
+        sub = others
+        while True:
+            cycle = cycles.get(sub | low)
+            if cycle is not None:
+                step = steps[sub.bit_count() + 1]
+                target = states.setdefault(mask | sub | low, {})
+                for key, value in here.items():
+                    _accumulate(target, key + step, _convolve(value, cycle))
+            if not sub:
                 break
-            prod = prod * cell
-        else:
-            sums[mu] = sums[mu] + prod
+            sub = (sub - 1) & others
+    sums: list[list[int]] = [[] for _ in partitions_of(n)]
+    positions = _class_positions(n)
+    for key, value in states.get(full, {}).items():
+        sums[positions[key]] = value
     return sums
 
 
-def _combine(sums: dict[Partition, QPoly], lam: Partition, n: int) -> QPoly:
+def _columns(sums: list[list[int]]) -> list[tuple[int, ...]]:
+    """Coefficient k of every class sum, one tuple per k."""
+    width = max(map(len, sums))
+    return list(zip(*(c + [0] * (width - len(c)) for c in sums)))
+
+
+def _apply(row: tuple[int, ...], columns: list[tuple[int, ...]]) -> list[int]:
+    """Coefficients of the class-function combination ``row`` of the class sums."""
+    return [sum(map(mul, row, col)) for col in columns]
+
+
+@cache
+def _shapes(n: int) -> tuple[tuple[Partition, tuple[int, ...], int], ...]:
+    """(lam, character row of lam, degree(lam)) for every shape of size n."""
     table = character_table(n)
-    total = ZERO
-    for mu in partitions_of(n):
-        value = sums[mu]
-        if value:
-            total = total + table.value(lam, mu) * value
-    return total
+    return tuple((lam, table.row(lam), degree(lam)) for lam in table.shapes)
 
 
 def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None = None) -> QPoly:
@@ -126,10 +209,9 @@ def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None
         raise ShapeError(f"shape {lam} does not partition the matrix size {n}")
     cap = _size_cap(size_cap)
     if n > cap:
-        raise SizeCapExceeded(f"matrix size {n} exceeds the size cap {cap}")
-    if n == 0:
-        return ONE
-    return _combine(_type_sums(grid), lam, n)
+        raise SizeCapExceeded(f"matrix size {n} exceeds the size cap {cap}; {_RAISE_CAP}")
+    columns = _columns(_class_sums(_coefficients(grid)))
+    return QPoly(_apply(character_table(n).row(lam), columns))
 
 
 def determinant(m: CSMatrix | list | tuple) -> QPoly:
@@ -251,7 +333,7 @@ def positivity_sweep(
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size!r}")
     if max_size > cap:
-        raise SizeCapExceeded(f"max_size {max_size} exceeds the size cap {cap}")
+        raise SizeCapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
     top = min(max_size, n)
     sizes = range(1, top + 1)
     per_size = {s: comb(n, s) ** 2 for s in sizes}
@@ -275,32 +357,45 @@ def positivity_sweep(
             cols = tuple(sorted(rng.sample(range(n), s)))
             selections.append((rows, cols))
 
+    cells = _coefficients(grid)
+    done: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
     reports: list[ImmanantReport] = []
     for rows, cols in selections:
-        s = len(rows)
-        sub = tuple(tuple(grid[i][j] for j in cols) for i in rows)
-        sums = _type_sums(sub)
-        det = _combine(sums, (1,) * s, s)
-        provenance = MatrixProvenance(
-            m.family.name,
-            m.kind,
-            tuple(m.row_indices[i] for i in rows),
-            tuple(m.col_indices[j] for j in cols),
-        )
-        for lam in partitions_of(s):
-            value = _combine(sums, lam, s)
-            gap = value - degree(lam) * det
-            reports.append(
-                ImmanantReport(
-                    lam=lam,
-                    value=value,
-                    q_nonnegative=value.is_q_nonnegative(),
-                    dominance_gap=gap,
-                    gap_nonnegative=gap.is_q_nonnegative(),
-                    provenance=provenance,
-                )
+        found = done.get((rows, cols))
+        if found is None:
+            sub = [[cells[i][j] for j in cols] for i in rows]
+            provenance = MatrixProvenance(
+                m.family.name,
+                m.kind,
+                tuple(m.row_indices[i] for i in rows),
+                tuple(m.col_indices[j] for j in cols),
             )
+            found = done[rows, cols] = _reports(sub, provenance)
+        reports.extend(found)
     return SweepResult(tuple(reports), exhaustive, seed, total)
+
+
+def _reports(cells: CoeffGrid, provenance: MatrixProvenance) -> list[ImmanantReport]:
+    """Every shape's immanant and dominance gap of one submatrix."""
+    columns = _columns(_class_sums(cells))
+    shapes = _shapes(len(cells))
+    det = _apply(shapes[-1][1], columns)  # shape (1,...,1): the sign character
+    out = []
+    for lam, row, deg in shapes:
+        coeffs = _apply(row, columns)
+        value = QPoly(coeffs)
+        gap = QPoly([c - deg * d for c, d in zip(coeffs, det)])
+        out.append(
+            ImmanantReport(
+                lam=lam,
+                value=value,
+                q_nonnegative=value.is_q_nonnegative(),
+                dominance_gap=gap,
+                gap_nonnegative=gap.is_q_nonnegative(),
+                provenance=provenance,
+            )
+        )
+    return out
 
 
 # -- cubic Hankel inequalities ---------------------------------------

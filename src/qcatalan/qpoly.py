@@ -12,7 +12,7 @@ partial order "p dominates r" used throughout the package is expressed as
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 class QPoly:
@@ -126,13 +126,7 @@ class QPoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return QPoly(out)
+        return QPoly(_convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -210,6 +204,20 @@ class QPoly:
             else:
                 out += ("-" if c < 0 else "+") + body
         return out
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two nonempty ascending coefficient sequences.
+
+    The ring multiply of ``QPoly`` and the immanant engine's tuple
+    arithmetic both go through here.
+    """
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for k, cb in enumerate(b, i):
+                out[k] += ca * cb
+    return out
 
 
 ZERO = QPoly()

@@ -83,6 +83,38 @@ def permanent(grid) -> QPoly:
     return total
 
 
+def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle type of a permutation of 0..n-1 given as an image tuple."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def class_sums_by_permutation(grid) -> dict[tuple[int, ...], QPoly]:
+    """Per-cycle-type sums of diagonal products, walking all n! permutations.
+
+    Only cycle types that occur get a key; a type whose products cancel
+    maps to the zero polynomial.
+    """
+    sums: dict[tuple[int, ...], QPoly] = {}
+    for perm in permutations(range(len(grid))):
+        prod = ONE
+        for i, j in enumerate(perm):
+            prod = prod * grid[i][j]
+        mu = _cycle_type(perm)
+        sums[mu] = sums.get(mu, ZERO) + prod
+    return sums
+
+
 _PERM3_TYPES = {
     (0, 1, 2): (1, 1, 1),
     (0, 2, 1): (2, 1),

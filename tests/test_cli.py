@@ -146,6 +146,26 @@ def test_family_document_negative_coefficient(tmp_path, capsys):
     assert rc == 3
 
 
+def test_family_with_exactly_the_needed_terms(tmp_path, capsys):
+    # row 3 needs r_0..r_2, s_0..s_2 and t_1..t_2 only
+    doc = {
+        "name": "three-terms",
+        "r": {"prefix": [[1], [1, 1], [2]]},
+        "s": {"prefix": [[0, 1], [1], [1, 2]]},
+        "t": {"prefix": [[1], [0, 1], [3]]},
+    }
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(
+        capsys, "matrix", "--family", str(path), "--n", "3", "--format", "csv"
+    )
+    assert rc == 0, err
+    assert out.splitlines()[3] == "1+2q+q^3,2+2q+2q^2,2+5q+3q^2,2+2q"
+    rc, _, err = run(capsys, "matrix", "--family", str(path), "--n", "4")
+    assert rc == 3
+    assert "index 3 unavailable" in err
+
+
 # -- network -----------------------------------------------------------
 
 
@@ -308,6 +328,25 @@ def test_verify_json_clean(capsys):
     assert doc["violations"] == []
     assert doc["report_count"] == len(doc["reports"]) == 136
     assert doc["total_candidates"] == 68
+
+
+def test_verify_size_cap_error_names_the_setting(capsys, monkeypatch):
+    monkeypatch.setenv("QCATALAN_SIZE_CAP", "3")
+    rc, out, err = run(
+        capsys,
+        "verify",
+        "--family",
+        "narayana",
+        "--matrix",
+        "C",
+        "--n",
+        "4",
+        "--max-size",
+        "4",
+    )
+    assert rc == 2
+    assert out == ""
+    assert "QCATALAN_SIZE_CAP" in err
 
 
 def test_verify_runs_are_byte_identical(capsys):

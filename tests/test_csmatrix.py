@@ -12,8 +12,8 @@ from qcatalan.csmatrix import (
     hankel,
     submatrix,
 )
-from qcatalan.errors import ShapeError
-from qcatalan.families import builtin
+from qcatalan.errors import SequenceExhausted, ShapeError
+from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
 from oracles import (
@@ -72,6 +72,23 @@ def test_triangle_matches_path_enumeration(f):
     for n in range(7):
         for k in range(7):
             assert m[n, k] == weighted_path_poly(f, n, k)
+
+
+def test_triangle_needs_only_the_terms_of_earlier_rows():
+    # three explicit terms of r, s and t, no tails: rows 0..3 are defined
+    prefix = (QPoly([1]), QPoly([0, 1]), QPoly([1, 2]))
+    f = FamilySpec(
+        name="three-terms",
+        r_seq=ParamSeq(0, prefix),
+        s_seq=ParamSeq(0, prefix[::-1]),
+        t_seq=ParamSeq(1, prefix),
+    )
+    m = catalan_stieltjes(f, 3)
+    for n in range(4):
+        for k in range(n + 1):
+            assert m[n, k] == weighted_path_poly(f, n, k)
+    with pytest.raises(SequenceExhausted):
+        catalan_stieltjes(f, 4)
 
 
 def test_recurrence_residuals_vanish_on_random_families():

@@ -1,6 +1,7 @@
 """Unit tests for immanants, determinants, sweeps, and cubic inequalities."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -10,6 +11,8 @@ from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
+    _class_sums,
+    _coefficients,
     determinant,
     immanant,
     inequality_331,
@@ -19,7 +22,13 @@ from qcatalan.immanant import (
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 from qcatalan.symchar import degree, partitions_of
 
-from oracles import matmul, permanent, random_grid, s3_immanant
+from oracles import (
+    class_sums_by_permutation,
+    matmul,
+    permanent,
+    random_grid,
+    s3_immanant,
+)
 
 
 def control_family() -> FamilySpec:
@@ -139,6 +148,53 @@ def test_immanant_validation():
         immanant(((ONE, 1), (ZERO, ONE)), (2,))
 
 
+# -- subset DP against the permutation oracle -----------------------------
+
+
+def assert_class_sums_match_oracle(grid):
+    n = len(grid)
+    expected = class_sums_by_permutation(grid)
+    got = _class_sums(_coefficients(grid))
+    assert len(got) == len(partitions_of(n))
+    for mu, coeffs in zip(partitions_of(n), got):
+        assert QPoly(coeffs) == expected.get(mu, ZERO), (n, mu)
+
+
+def test_class_sums_match_permutation_oracle_on_random_grids():
+    rng = random.Random(31)
+    for n in range(8):
+        for trial in range(2 if n == 7 else 12):
+            grid = random_grid(rng, n, allow_negative=True)
+            for row in grid:
+                for j in range(n):
+                    if rng.random() < 0.3:
+                        row[j] = ZERO
+            assert_class_sums_match_oracle(grid)
+
+
+@pytest.mark.parametrize("name", ["eulerian", "schroder", "narayana"])
+def test_class_sums_match_permutation_oracle_on_builtin_corners(name):
+    f = builtin(name)
+    for m in (catalan_stieltjes(f, 6), hankel(f, 6)):
+        for k in range(1, 8):
+            corner = submatrix(m, tuple(range(k)), tuple(range(k)))
+            assert_class_sums_match_oracle(corner.entries)
+
+
+def test_eight_by_eight_identities():
+    rng = random.Random(32)
+    grid = random_grid(rng, 8, max_deg=1, max_coeff=2, allow_negative=True)
+    assert immanant(grid, (1,) * 8) == determinant(grid)
+    assert immanant(grid, (8,)) == permanent(grid)
+    combo = ZERO
+    for lam in partitions_of(8):
+        combo = combo + degree(lam) * immanant(grid, lam)
+    diag = ONE
+    for i in range(8):
+        diag = diag * grid[i][i]
+    assert combo == factorial(8) * diag
+
+
 def test_size_cap(monkeypatch):
     big = tuple(tuple(ZERO for _ in range(10)) for _ in range(10))
     with pytest.raises(SizeCapExceeded):
@@ -147,7 +203,7 @@ def test_size_cap(monkeypatch):
     with pytest.raises(SizeCapExceeded):
         immanant(small, (3,), size_cap=2)
     monkeypatch.setenv(SIZE_CAP_ENV, "2")
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=f"{SIZE_CAP_ENV}.*size_cap="):
         immanant(small, (3,))
     assert immanant(small, (3,), size_cap=3) == ONE
     monkeypatch.setenv(SIZE_CAP_ENV, "not-a-number")
@@ -221,6 +277,27 @@ def test_sweep_sampling_is_seed_deterministic():
     assert first.reports != other.reports
 
 
+def test_sampled_sweep_reuses_repeats_with_exhaustive_reports():
+    m = hankel(builtin("narayana"), 4)
+    exhaustive = positivity_sweep(m, 3)
+    by_selection: dict = {}
+    for report in exhaustive:
+        key = (report.provenance.rows, report.provenance.cols)
+        by_selection.setdefault(key, []).append(report)
+    sampled = positivity_sweep(m, 3, seed=3, exhaustive_limit=150)
+    assert not sampled.exhaustive
+    drawn = []
+    reports = list(sampled)
+    while reports:
+        p = reports[0].provenance
+        expected = by_selection[(p.rows, p.cols)]
+        assert reports[: len(expected)] == expected
+        drawn.append((p.rows, p.cols))
+        reports = reports[len(expected):]
+    assert len(drawn) == 150
+    assert len(set(drawn)) < len(drawn)
+
+
 def test_sweep_size_is_clamped_to_matrix():
     m = hankel(builtin("narayana"), 1)
     result = positivity_sweep(m, 5)
@@ -233,7 +310,7 @@ def test_sweep_validation():
     m = hankel(builtin("narayana"), 1)
     with pytest.raises(ValueError):
         positivity_sweep(m, 0)
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded, match=f"{SIZE_CAP_ENV}.*size_cap="):
         positivity_sweep(m, 3, size_cap=2)
 
 
