@@ -43,13 +43,9 @@ from .network import (
     build_hankel_factored,
     build_hankel_network,
     build_layer,
-    count_paths,
-    enumerate_paths,
     export_dot,
-    gf_matrix,
     glue,
     mirror,
-    path_gf,
 )
 from .qpoly import QPoly
 from .symchar import (
@@ -92,14 +88,11 @@ __all__ = [
     "character_table",
     "check_condition",
     "conjugate",
-    "count_paths",
     "cycle_type",
     "degree",
     "determinant",
-    "enumerate_paths",
     "errors",
     "export_dot",
-    "gf_matrix",
     "glue",
     "hankel",
     "immanant",
@@ -108,7 +101,6 @@ __all__ = [
     "load_family",
     "mirror",
     "partitions_of",
-    "path_gf",
     "positivity_sweep",
     "submatrix",
 ]

@@ -19,13 +19,11 @@ from .errors import (
     OutOfRange,
     RequiresUnitGamma,
     ShapeError,
-    SizeCapExceeded,
     UnknownFamily,
 )
-from .families import BUILTIN_NAMES, FamilySpec, builtin, load_family
+from .families import BUILTIN_NAMES, WEIGHT_CASES, FamilySpec, builtin, load_family
 from .immanant import inequality_331, inequality_332, positivity_sweep
 from .network import (
-    WEIGHT_CASES,
     build_cs_network,
     build_hankel_factored,
     build_hankel_network,
@@ -117,15 +115,10 @@ def _maybe_submatrix(m: CSMatrix, args) -> CSMatrix:
 
 
 def cmd_matrix(args) -> int:
+    """The ``matrix`` (C_n) and ``hankel`` (H_n) subcommands."""
     f = _resolve_family(args.family)
-    m = _maybe_submatrix(catalan_stieltjes(f, args.n), args)
-    sys.stdout.write(_render_matrix(m, args.format))
-    return EXIT_OK
-
-
-def cmd_hankel(args) -> int:
-    f = _resolve_family(args.family)
-    m = _maybe_submatrix(hankel(f, args.n), args)
+    m = catalan_stieltjes(f, args.n) if args.command == "matrix" else hankel(f, args.n)
+    m = _maybe_submatrix(m, args)
     sys.stdout.write(_render_matrix(m, args.format))
     return EXIT_OK
 
@@ -351,23 +344,17 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"builtin name ({', '.join(BUILTIN_NAMES)}) or path to a JSON document",
         )
 
-    def add_selection(p):
+    for name, what in (
+        ("matrix", "the triangular recurrence matrix C_n"),
+        ("hankel", "the Hankel matrix H_n of the first column"),
+    ):
+        p = sub.add_parser(name, help=f"print {what}")
+        add_family(p)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--rows", help="comma-separated row indices for a submatrix")
         p.add_argument("--cols", help="comma-separated column indices for a submatrix")
-
-    p = sub.add_parser("matrix", help="print the triangular recurrence matrix C_n")
-    add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    add_selection(p)
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("hankel", help="print the Hankel matrix H_n of the first column")
-    add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    add_selection(p)
-    p.set_defaults(func=cmd_hankel)
+        p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("network", help="build a planar network and optionally check it")
     add_family(p)
@@ -438,7 +425,6 @@ def main(argv=None) -> int:
     except (
         ShapeError,
         RequiresUnitGamma,
-        SizeCapExceeded,
         OutOfRange,
         CapExceeded,
         ValueError,

@@ -72,17 +72,21 @@ class CSMatrix:
 
 def _triangle(f: FamilySpec, n: int) -> list[list[QPoly]]:
     """Rows 0..n of the recurrence triangle; row m holds c_{m,0}..c_{m,m}."""
+    # Rows 1..n read exactly r_0..r_{n-1}, s_0..s_{n-1} and t_1..t_{n-1}:
+    # a term is needed only where its neighbour in the row above exists.
+    r = [f.r(k) for k in range(n)]
+    s = [f.s(k) for k in range(n)]
+    t = [ZERO] + [f.t(k) for k in range(1, n)]
     rows: list[list[QPoly]] = [[ONE]]
     for m in range(1, n + 1):
         prev = rows[-1]
         row = []
         for k in range(m + 1):
-            # a parameter is looked up only when its neighbour in row m-1 exists
-            value = f.r(k - 1) * prev[k - 1] if k else ZERO
+            value = r[k - 1] * prev[k - 1] if k else ZERO
             if k < m:
-                value = value + f.s(k) * prev[k]
+                value = value + s[k] * prev[k]
             if k + 1 < m:
-                value = value + f.t(k + 1) * prev[k + 1]
+                value = value + t[k + 1] * prev[k + 1]
             row.append(value)
         rows.append(row)
     return rows

@@ -38,7 +38,7 @@ class RequiresUnitGamma(Exception):
 
 
 class CapExceeded(Exception):
-    """Path enumeration would produce more paths than the requested cap."""
+    """A request exceeds a cap: paths to enumerate, or an immanant's matrix size."""
 
 
 class OutOfRange(Exception):
@@ -47,7 +47,3 @@ class OutOfRange(Exception):
 
 class NotAPermutation(Exception):
     """The given image list is not a bijection on {1, ..., n}."""
-
-
-class SizeCapExceeded(Exception):
-    """A matrix exceeds the configured size cap for immanant computations."""

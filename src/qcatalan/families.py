@@ -27,7 +27,8 @@ from .qpoly import ONE, Q, QPoly, ZERO
 
 BUILTIN_NAMES = ("eulerian", "schroder", "narayana")
 
-CONDITION_INDICES = (1, 2, 3, 4, 5)
+# Positivity condition i goes with weight case i of a network layer.
+WEIGHT_CASES = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -129,14 +130,34 @@ class ConditionReport:
     first_violation: tuple[int, QPoly] | None = None
 
 
+# Lower bound that condition i (1-4) puts on s_k.
+_LOWER_BOUNDS = {
+    1: lambda f, k: f.r(k) + f.t(k),
+    2: lambda f, k: f.r(k - 1) + f.t(k + 1),
+    3: lambda f, k: f.r(k - 1) * f.t(k) + ONE,
+    4: lambda f, k: f.r(k) * f.t(k + 1) + (ONE if k else ZERO),
+}
+
+
+def condition_difference(f: FamilySpec, which: int, k: int) -> QPoly:
+    """Condition ``which``'s difference at index k, for conditions 1-4.
+
+    It is s_k minus the condition's lower bound; the condition holds at k
+    when it is q-nonnegative.  Weight case ``which`` of a network layer puts
+    exactly this polynomial on its super-diagonal arc at index k.
+    """
+    return f.s(k) - _LOWER_BOUNDS[which](f, k)
+
+
 def check_condition(f: FamilySpec, which: int, up_to: int) -> ConditionReport:
     """Check one of the five sufficient positivity conditions for k <= up_to.
 
     Conditions 1-4 compare s_k against combinations of neighbouring r/t
-    terms; condition 5 verifies the witness factorization r_k = 1,
-    s_k = b_k + c_k, t_{k+1} = b_{k+1} c_k with q-nonnegative witnesses.
+    terms (see ``condition_difference``); condition 5 verifies the witness
+    factorization r_k = 1, s_k = b_k + c_k, t_{k+1} = b_{k+1} c_k with
+    q-nonnegative witnesses.
     """
-    if which not in CONDITION_INDICES:
+    if which not in WEIGHT_CASES:
         raise ValueError(f"condition index must be 1..5, got {which!r}")
     if up_to < 0:
         raise ValueError(f"up_to must be >= 0, got {up_to!r}")
@@ -167,14 +188,7 @@ def check_condition(f: FamilySpec, which: int, up_to: int) -> ConditionReport:
         return ConditionReport(which, True)
 
     for k in range(up_to + 1):
-        if which == 1:
-            diff = f.s(k) - (f.r(k) + f.t(k))
-        elif which == 2:
-            diff = f.s(k) - (f.r(k - 1) + f.t(k + 1))
-        elif which == 3:
-            diff = f.s(k) - (f.r(k - 1) * f.t(k) + ONE)
-        else:  # which == 4
-            diff = f.s(k) - (f.r(k) * f.t(k + 1) + (ONE if k >= 1 else ZERO))
+        diff = condition_difference(f, which, k)
         if not diff.is_q_nonnegative():
             return fail(k, diff)
     return ConditionReport(which, True)

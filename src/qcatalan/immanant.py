@@ -36,7 +36,7 @@ from math import comb
 from operator import mul
 
 from .csmatrix import CSMatrix
-from .errors import ShapeError, SizeCapExceeded
+from .errors import CapExceeded, ShapeError
 from .qpoly import ONE, QPoly, ZERO, _convolve
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
@@ -209,7 +209,7 @@ def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None
         raise ShapeError(f"shape {lam} does not partition the matrix size {n}")
     cap = _size_cap(size_cap)
     if n > cap:
-        raise SizeCapExceeded(f"matrix size {n} exceeds the size cap {cap}; {_RAISE_CAP}")
+        raise CapExceeded(f"matrix size {n} exceeds the size cap {cap}; {_RAISE_CAP}")
     columns = _columns(_class_sums(_coefficients(grid)))
     return QPoly(_apply(character_table(n).row(lam), columns))
 
@@ -333,7 +333,7 @@ def positivity_sweep(
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size!r}")
     if max_size > cap:
-        raise SizeCapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
+        raise CapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
     top = min(max_size, n)
     sizes = range(1, top + 1)
     per_size = {s: comb(n, s) ** 2 for s in sizes}

@@ -3,9 +3,11 @@
 Vertices live on a grid: ``P`` vertices at even columns (one column per
 level), ``Q`` vertices between them, and barred kinds (``Pbar``/``Qbar``)
 for mirrored copies.  A one-level layer network carries the transfer
-matrix L_n as its path generating functions; gluing the layers (with
-identity padding rows) yields a network for the full triangular matrix,
-and two further constructions yield networks for the Hankel matrix.
+matrix L_n as its path generating functions.  The network for the full
+triangular matrix is assembled directly: the arcs of every layer plus
+identity padding rows, in one graph.  Two further constructions yield
+networks for the Hankel matrix, one of them glued from the triangular
+network, a diagonal bridge, and its mirror image.
 
 The generating function GF(u, v) is the sum over all directed u -> v paths
 of the product of arc weights, with GF(u, u) = 1.
@@ -14,19 +16,11 @@ of the product of arc weights, with GF(u, u) = 1.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import (
-    CapExceeded,
-    MissingWitness,
-    NegativeWeight,
-    RequiresUnitGamma,
-    ShapeError,
-)
-from .families import FamilySpec
+from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
+from .families import FamilySpec, check_condition, condition_difference
 from .qpoly import ONE, QPoly, ZERO
-
-WEIGHT_CASES = (1, 2, 3, 4, 5)
 
 _KIND_ORDER = {"P": 0, "Q": 1, "Pbar": 2, "Qbar": 3}
 _MIRROR_KIND = {"P": "Pbar", "Q": "Qbar", "Pbar": "P", "Qbar": "Q"}
@@ -266,88 +260,80 @@ def factored_sinks(n: int) -> tuple[Vertex, ...]:
 # -- layer construction ----------------------------------------------
 
 
+class _Split(NamedTuple):
+    """How a weight case spreads L_n over the arcs of one layer.
+
+    ``r_half`` is the half (0: P -> Q, 1: Q -> P) of the horizontal step at
+    index j that carries r_j, or None when both halves weigh 1;
+    ``diagonal(f, j)`` gives the two halves of the diagonal step at index j.
+    The super-diagonal arc at index j carries condition i's difference at j
+    (0 under case 5, whose diagonal halves b_j + c_j already make up s_j).
+    """
+
+    r_half: int | None
+    diagonal: Callable[[FamilySpec, int], tuple[QPoly, QPoly]]
+
+
+_SPLITS = {
+    1: _Split(0, lambda f, j: (f.t(j), ONE)),
+    2: _Split(1, lambda f, j: (ONE if j else ZERO, f.t(j + 1))),
+    3: _Split(1, lambda f, j: (f.t(j), ONE)),
+    4: _Split(0, lambda f, j: (ONE if j else ZERO, f.t(j + 1))),
+    5: _Split(None, lambda f, j: (f.b(j), f.c(j))),
+}
+
+
+def _require_condition(f: FamilySpec, n: int, case: int) -> None:
+    """Raise NegativeWeight unless layer n's weights under ``case`` are q-nonnegative.
+
+    Every r/t/b/c half and every super-diagonal difference of layers 0..n
+    is q-nonnegative exactly when the matching condition holds for k <= n.
+    """
+    report = check_condition(f, case, n)
+    if not report.holds:
+        k, diff = report.first_violation
+        raise NegativeWeight(
+            f"family {f.name!r} fails condition {case} at index {k} "
+            f"(difference {diff}), so weight case {case} would give a layer "
+            "a negative arc weight"
+        )
+
+
+def _layer_arcs(f: FamilySpec, n: int, case: int) -> list[Arc]:
+    """Arcs of the level-n layer under a weight case (validated by the caller)."""
+    split = _SPLITS[case]
+    arcs: list[Arc] = []
+    for k in range(n + 2):  # horizontal steps at height k
+        j = n - k
+        halves = [ONE, ONE]
+        if split.r_half is not None and j >= 0:
+            halves[split.r_half] = f.r(j)
+        arcs.append(Arc(P(n, k), Q(n, k), halves[0]))
+        arcs.append(Arc(Q(n, k), P(n + 1, k), halves[1]))
+    for k in range(n + 1):  # diagonal steps from height k to k+1
+        first, second = split.diagonal(f, n - k)
+        arcs.append(Arc(P(n, k), Q(n, k + 1), first))
+        arcs.append(Arc(Q(n, k), P(n + 1, k + 1), second))
+    for k in range(n + 1):  # super-diagonal arcs from height k to k+1
+        weight = ZERO if case == 5 else condition_difference(f, case, n - k)
+        arcs.append(Arc(P(n, k), P(n + 1, k + 1), weight))
+    return arcs
+
+
 def build_layer(f: FamilySpec, n: int, case: int) -> PlanarNetwork:
     """The one-level network between levels n and n+1 under a weight case.
 
     Every case distributes r/s/t (or the witnesses b/c, for case 5) over
     the horizontal, diagonal, and super-diagonal arcs so that the path
     generating functions equal the transfer matrix L_n.  All remaining
-    arcs carry weight 1.  Computed weights must be q-nonnegative; a family
-    violating the matching condition raises NegativeWeight.
+    arcs carry weight 1.  The layer is built only when condition ``case``
+    holds for k <= n, which is when every weight is q-nonnegative;
+    otherwise NegativeWeight names the failing index and difference.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    if case not in WEIGHT_CASES:
-        raise ValueError(f"weight case must be one of {WEIGHT_CASES}, got {case!r}")
-    if case == 5 and not f.has_witnesses:
-        raise MissingWitness(
-            f"family {f.name!r} carries no witness sequences for weight case 5"
-        )
-
-    arcs: list[Arc] = []
-
-    def add(tail: Vertex, head: Vertex, weight: QPoly) -> None:
-        if not weight.is_q_nonnegative():
-            raise NegativeWeight(
-                f"arc {tail} -> {head} would get weight {weight} "
-                f"(family {f.name!r}, case {case})"
-            )
-        arcs.append(Arc(tail, head, weight))
-
-    for k in range(n + 2):  # horizontal arcs at height k
-        j = n - k
-        if case == 1:
-            first = f.r(j) if k <= n else ONE
-            second = ONE
-        elif case in (2, 3):
-            first = ONE
-            second = f.r(j) if k <= n else ONE
-        elif case == 4:
-            first = f.r(j) if k <= n else ONE
-            second = ONE
-        else:
-            first = second = ONE
-        add(P(n, k), Q(n, k), first)
-        add(Q(n, k), P(n + 1, k), second)
-
-    for k in range(n + 1):  # diagonal arcs from height k to k+1
-        j = n - k
-        if case == 1:
-            first = f.t(j)
-            second = ONE
-        elif case == 2:
-            first = ZERO if k == n else ONE
-            second = f.t(j + 1)
-        elif case == 3:
-            first = f.t(j)
-            second = ONE
-        elif case == 4:
-            first = ZERO if k == n else ONE
-            second = f.t(j + 1)
-        else:
-            first = f.b(j)
-            second = f.c(j)
-        add(P(n, k), Q(n, k + 1), first)
-        add(Q(n, k), P(n + 1, k + 1), second)
-
-    for k in range(n + 1):  # super-diagonal arcs from height k to k+1
-        j = n - k
-        if case == 1:
-            weight = f.s(j) - f.r(j) - f.t(j)
-        elif case == 2:
-            weight = f.s(j) - f.r(j - 1) - f.t(j + 1)
-        elif case == 3:
-            weight = f.s(j) - f.r(j - 1) * f.t(j) - ONE
-        elif case == 4:
-            if k == n:
-                weight = f.s(0) - f.r(0) * f.t(1)
-            else:
-                weight = f.s(j) - f.r(j) * f.t(j + 1) - ONE
-        else:
-            weight = ZERO
-        add(P(n, k), P(n + 1, k + 1), weight)
-
-    return PlanarNetwork(arcs, layer_sources(n), layer_sinks(n))
+    _require_condition(f, n, case)
+    return PlanarNetwork(_layer_arcs(f, n, case), layer_sources(n), layer_sinks(n))
 
 
 # -- composition -----------------------------------------------------
@@ -406,27 +392,35 @@ def mirror(net: PlanarNetwork) -> PlanarNetwork:
     )
 
 
-def _bar_extend(net: PlanarNetwork, n: int) -> PlanarNetwork:
-    """Add the identity padding row at height n+1 across levels 0..n."""
-    arcs = net.arcs + tuple(
-        Arc(P(l, n + 1), P(l + 1, n + 1), ONE) for l in range(n)
-    )
-    return PlanarNetwork(
-        arcs,
-        (P(0, n + 1),) + net.sources,
-        (P(n, n + 1),) + net.sinks,
-        extra_vertices=net.vertices,
-    )
+def _layered_network(
+    f: FamilySpec, n: int, cases: Sequence[int]
+) -> PlanarNetwork:
+    """The n-level network for C_n, assembled in one pass (n = 0: one vertex).
 
-
-def _point_network(v: Vertex) -> PlanarNetwork:
-    return PlanarNetwork((), (v,), (v,))
+    Gluing layer i onto the levels below it identifies the layer's sources
+    with the padded sinks at level i, which are the same vertices; so the
+    glued network is the union of the layers' arcs and the identity padding
+    arcs P(l, i+1) -> P(l+1, i+1), l < i, that extend each layer's top row
+    back to level 0.  Layer i needs its condition for k <= i, so each case
+    is checked once, up to the last layer that uses it.
+    """
+    cases = tuple(cases)
+    if len(cases) != n:
+        raise ShapeError(f"need exactly {n} weight cases, got {len(cases)}")
+    last_layer = {case: i for i, case in enumerate(cases)}
+    for case, i in last_layer.items():
+        _require_condition(f, i, case)
+    arcs: list[Arc] = []
+    for i, case in enumerate(cases):
+        arcs += _layer_arcs(f, i, case)
+        arcs += (Arc(P(l, i + 1), P(l + 1, i + 1), ONE) for l in range(i))
+    return PlanarNetwork(arcs, cs_sources(n), cs_sinks(n))
 
 
 def build_cs_network(
     f: FamilySpec, n: int, cases: Sequence[int]
 ) -> PlanarNetwork:
-    """Glued layer networks whose GF matrix is the n-th triangular matrix.
+    """The layered network whose GF matrix is the n-th triangular matrix.
 
     ``cases`` picks the weight case per layer (length n), so mixed-case
     networks are allowed whenever the family satisfies each layer's
@@ -434,19 +428,7 @@ def build_cs_network(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    cases = tuple(cases)
-    if len(cases) != n:
-        raise ShapeError(f"need exactly {n} weight cases, got {len(cases)}")
-    net = build_layer(f, 0, cases[0])
-    for i in range(1, n):
-        net = glue(_bar_extend(net, i), build_layer(f, i, cases[i]))
-    return net
-
-
-def _cs_or_point(f: FamilySpec, n: int, cases: Sequence[int]) -> PlanarNetwork:
-    if n == 0:
-        return _point_network(P(0, 0))
-    return build_cs_network(f, n, cases)
+    return _layered_network(f, n, cases)
 
 
 def build_hankel_network(
@@ -461,14 +443,7 @@ def build_hankel_network(
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got n={n!r}, k={k!r}")
     total = 2 * n + k
-    cases = tuple(cases)
-    if total > 0 and len(cases) != total:
-        raise ShapeError(f"need exactly {total} weight cases, got {len(cases)}")
-    sources = hankel_sources(n, k)
-    sinks = hankel_sinks(n, k)
-    if total == 0:
-        return PlanarNetwork((), sources, sinks)
-    cs = build_cs_network(f, total, cases)
+    cs = _layered_network(f, total, cases)
     start, end = P(k, k), P(total, total)
 
     adj: dict[Vertex, list[Vertex]] = {}
@@ -491,7 +466,7 @@ def build_hankel_network(
     forward = sweep(start, adj)
     backward = sweep(end, radj)
     arcs = tuple(a for a in cs.arcs if a.tail in forward and a.head in backward)
-    return PlanarNetwork(arcs, sources, sinks)
+    return PlanarNetwork(arcs, hankel_sources(n, k), hankel_sinks(n, k))
 
 
 def _t_network(f: FamilySpec, n: int) -> PlanarNetwork:
@@ -520,29 +495,8 @@ def build_hankel_factored(
                 f"family {f.name!r} has r_{k} = {f.r(k)}; the factored "
                 "construction needs r_k = 1"
             )
-    cs = _cs_or_point(f, n, cases)
+    cs = _layered_network(f, n, cases)
     return glue(glue(cs, _t_network(f, n)), mirror(cs))
-
-
-# -- module-level conveniences ---------------------------------------
-
-
-def path_gf(net: PlanarNetwork, u: Vertex, v: Vertex) -> QPoly:
-    return net.path_gf(u, v)
-
-
-def count_paths(net: PlanarNetwork, u: Vertex, v: Vertex) -> int:
-    return net.count_paths(u, v)
-
-
-def enumerate_paths(
-    net: PlanarNetwork, u: Vertex, v: Vertex, cap: int = 100000
-) -> list[tuple[tuple[Vertex, ...], QPoly]]:
-    return net.enumerate_paths(u, v, cap)
-
-
-def gf_matrix(net: PlanarNetwork) -> list[list[QPoly]]:
-    return net.gf_matrix()
 
 
 # -- DOT export ------------------------------------------------------

@@ -34,22 +34,6 @@ class QPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "QPoly":
-        return ZERO
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return ONE
-
-    @classmethod
-    def q(cls) -> "QPoly":
-        return Q
-
-    @classmethod
-    def constant(cls, c: int) -> "QPoly":
-        return cls((c,))
-
-    @classmethod
     def from_json(cls, data: object) -> "QPoly":
         """Build from the JSON encoding: a list of ascending int coefficients."""
         if not isinstance(data, list):

@@ -13,6 +13,7 @@ from itertools import permutations
 from math import comb
 
 from qcatalan.families import FamilySpec, ParamSeq
+from qcatalan.network import Arc, P, PlanarNetwork, build_layer, glue
 from qcatalan.qpoly import ONE, QPoly, ZERO
 
 
@@ -238,6 +239,30 @@ def weighted_path_poly(f: FamilySpec, n: int, k: int) -> QPoly:
 
     walk(0, 0, ONE)
     return total
+
+
+# -- networks built another way ----------------------------------------
+
+
+def glued_cs_network(f: FamilySpec, n: int, cases) -> PlanarNetwork:
+    """The n-level network for C_n glued one layer at a time.
+
+    Each round pads the network so far with the identity row at height i+1
+    across levels 0..i, then glues the one-level network of layer i onto its
+    sinks: n - 1 glues of separately built and validated networks, where
+    ``build_cs_network`` assembles every arc into one graph.
+    """
+    net = build_layer(f, 0, cases[0])
+    for i in range(1, n):
+        padding = tuple(Arc(P(l, i + 1), P(l + 1, i + 1), ONE) for l in range(i))
+        padded = PlanarNetwork(
+            net.arcs + padding,
+            (P(0, i + 1),) + net.sources,
+            (P(i, i + 1),) + net.sinks,
+            extra_vertices=net.vertices,
+        )
+        net = glue(padded, build_layer(f, i, cases[i]))
+    return net
 
 
 # -- combinatorial counts --------------------------------------------

@@ -1,8 +1,10 @@
 """Unit tests for the command-line interface and its exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +266,26 @@ def test_network_weight_case_mismatch_is_family_error(capsys):
     )
     assert rc == 3
     assert "error:" in err
+
+
+def test_network_case_5_rejects_witnesses_that_do_not_factor(tmp_path, capsys):
+    # every term is q-nonnegative, but r_0 = 2 and s_0 = 5 != b_0 + c_0
+    doc = {
+        "name": "unfactored",
+        "r": {"tail": {"constant": [2]}},
+        "s": {"tail": {"constant": [5]}},
+        "t": {"tail": {"constant": [1]}},
+        "witness_b": {"tail": {"constant": [1]}},
+        "witness_c": {"tail": {"constant": [1]}},
+    }
+    path = tmp_path / "unfactored.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(
+        capsys, "network", "--family", str(path), "--n", "2", "--case", "5"
+    )
+    assert rc == 3
+    assert out == ""
+    assert "condition 5 at index 0" in err
 
 
 def test_network_factored_needs_unit_up_weights(capsys):
@@ -580,10 +602,14 @@ def test_console_script_runs():
 
 
 def test_module_invocation_runs():
+    # the child runs the package this suite imports, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qcatalan.cli", "chars", "--n", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "shape\\class" in proc.stdout

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from qcatalan.csmatrix import catalan_like, catalan_stieltjes, hankel, submatrix
-from qcatalan.errors import ShapeError, SizeCapExceeded
+from qcatalan.errors import CapExceeded, ShapeError
 from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
@@ -197,13 +197,13 @@ def test_eight_by_eight_identities():
 
 def test_size_cap(monkeypatch):
     big = tuple(tuple(ZERO for _ in range(10)) for _ in range(10))
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(CapExceeded):
         immanant(big, (10,))
     small = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(CapExceeded):
         immanant(small, (3,), size_cap=2)
     monkeypatch.setenv(SIZE_CAP_ENV, "2")
-    with pytest.raises(SizeCapExceeded, match=f"{SIZE_CAP_ENV}.*size_cap="):
+    with pytest.raises(CapExceeded, match=f"{SIZE_CAP_ENV}.*size_cap="):
         immanant(small, (3,))
     assert immanant(small, (3,), size_cap=3) == ONE
     monkeypatch.setenv(SIZE_CAP_ENV, "not-a-number")
@@ -310,7 +310,7 @@ def test_sweep_validation():
     m = hankel(builtin("narayana"), 1)
     with pytest.raises(ValueError):
         positivity_sweep(m, 0)
-    with pytest.raises(SizeCapExceeded, match=f"{SIZE_CAP_ENV}.*size_cap="):
+    with pytest.raises(CapExceeded, match=f"{SIZE_CAP_ENV}.*size_cap="):
         positivity_sweep(m, 3, size_cap=2)
 
 

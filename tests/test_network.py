@@ -1,5 +1,6 @@
 """Unit tests for planar networks, gluing, and the matrix-valued path sums."""
 
+import dataclasses
 import json
 import random
 
@@ -13,7 +14,13 @@ from qcatalan.errors import (
     RequiresUnitGamma,
     ShapeError,
 )
-from qcatalan.families import builtin
+from qcatalan.families import (
+    WEIGHT_CASES,
+    FamilySpec,
+    ParamSeq,
+    builtin,
+    check_condition,
+)
 from qcatalan.network import (
     Arc,
     P,
@@ -26,7 +33,6 @@ from qcatalan.network import (
     build_layer,
     cs_sinks,
     cs_sources,
-    enumerate_paths,
     export_dot,
     factored_sinks,
     glue,
@@ -39,7 +45,13 @@ from qcatalan.network import (
 )
 from qcatalan.qpoly import ONE, Q as QVAR, ZERO, QPoly
 
-from oracles import conforming_random_family, matmul
+from oracles import (
+    conforming_random_family,
+    glued_cs_network,
+    matmul,
+    random_family,
+    random_qpoly,
+)
 
 NAR = builtin("narayana")
 SCH = builtin("schroder")
@@ -47,6 +59,28 @@ EUL = builtin("eulerian")
 
 # weight cases compatible with each builtin family
 FAMILY_CASES = [(EUL, 1), (SCH, 5), (NAR, 2), (NAR, 4), (NAR, 5)]
+
+# r_k = 1, s_0 = 1+q, s_k = 2+q, t_k = 1+q with witnesses b_0 = 0, b_k = 1,
+# c_k = 1+q: meets all five conditions, so any case list is allowed.
+FIVE = FamilySpec(
+    name="fivecase",
+    r_seq=ParamSeq(0, constant=ONE),
+    s_seq=ParamSeq(0, prefix=(QPoly([1, 1]),), constant=QPoly([2, 1])),
+    t_seq=ParamSeq(1, constant=QPoly([1, 1])),
+    witness_b=ParamSeq(0, prefix=(ZERO,), constant=ONE),
+    witness_c=ParamSeq(0, constant=QPoly([1, 1])),
+)
+
+# r = 2, s = 5, t = 1, b = c = 1: q-nonnegative but b + c != s and r != 1,
+# so condition 5 fails at index 0 although every witness is q-nonnegative.
+UNFACTORED = FamilySpec(
+    name="unfactored",
+    r_seq=ParamSeq(0, constant=QPoly([2])),
+    s_seq=ParamSeq(0, constant=QPoly([5])),
+    t_seq=ParamSeq(1, constant=ONE),
+    witness_b=ParamSeq(0, constant=ONE),
+    witness_c=ParamSeq(0, constant=ONE),
+)
 
 
 # -- core graph machinery ---------------------------------------------
@@ -110,7 +144,7 @@ def test_enumerate_paths_matches_gf_and_counts():
     net = build_cs_network(NAR, 3, [2, 2, 2])
     for u in net.sources:
         for v in net.sinks:
-            paths = enumerate_paths(net, u, v)
+            paths = net.enumerate_paths(u, v)
             assert len(paths) == net.count_paths(u, v)
             total = ZERO
             for vertices, weight in paths:
@@ -204,6 +238,56 @@ def test_layer_weight_case_mismatches_raise():
 def test_layer_case_5_needs_witnesses():
     with pytest.raises(MissingWitness):
         build_layer(EUL, 0, 5)
+
+
+def test_layer_case_5_rejects_witnesses_that_do_not_factor():
+    assert not check_condition(UNFACTORED, 5, 0).holds
+    with pytest.raises(NegativeWeight, match="condition 5 at index 0"):
+        build_layer(UNFACTORED, 0, 5)
+    with pytest.raises(NegativeWeight):
+        build_cs_network(UNFACTORED, 2, [5, 5])
+
+
+def _witnessed(rng, f, allow_negative):
+    """``f`` with random witness sequences attached."""
+    b, c = (
+        ParamSeq(0, tuple(random_qpoly(rng, allow_negative=allow_negative) for _ in range(8)))
+        for _ in range(2)
+    )
+    return dataclasses.replace(f, witness_b=b, witness_c=c)
+
+
+def _broken_at(f, index):
+    """``f`` with t_index raised by 1, so condition 5 fails at index - 1."""
+    terms = list(f.t_seq.prefix)
+    terms[index - 1] = terms[index - 1] + ONE
+    return dataclasses.replace(f, t_seq=ParamSeq(1, tuple(terms)))
+
+
+@pytest.mark.parametrize("case", WEIGHT_CASES)
+def test_layer_raises_exactly_when_condition_fails(case):
+    rng = random.Random(300 + case)
+    families = [random_family(rng) for _ in range(6)]
+    families += [conforming_random_family(rng, c) for c in WEIGHT_CASES for _ in range(2)]
+    families += [_witnessed(rng, random_family(rng), neg) for neg in (False, True)]
+    families += [_broken_at(conforming_random_family(rng, 5), i) for i in (2, 4)]
+    outcomes = set()
+    for f in families:
+        for n in range(5):
+            try:
+                holds = check_condition(f, case, n).holds
+            except MissingWitness:
+                with pytest.raises(MissingWitness):
+                    build_layer(f, n, case)
+                continue
+            outcomes.add(holds)
+            if holds:
+                layer = build_layer(f, n, case)
+                assert all(a.weight.is_q_nonnegative() for a in layer.arcs)
+            else:
+                with pytest.raises(NegativeWeight):
+                    build_layer(f, n, case)
+    assert outcomes == {True, False}
 
 
 def test_layer_argument_validation():
@@ -343,6 +427,48 @@ def test_cs_network_census():
     net = build_cs_network(NAR, 1, [2])
     assert len(net.vertices) == 6
     assert len(net.arcs) == 7
+
+
+@pytest.mark.parametrize("f,case", FAMILY_CASES, ids=lambda p: str(p))
+def test_cs_network_matches_glued_layers(f, case):
+    for n in range(1, 9):
+        direct = build_cs_network(f, n, [case] * n)
+        glued = glued_cs_network(f, n, [case] * n)
+        assert export_dot(direct) == export_dot(glued), n
+        assert json.dumps(direct.to_json_dict()) == json.dumps(glued.to_json_dict()), n
+
+
+def test_cs_network_mixed_cases_match_glued_layers():
+    rng = random.Random(404)
+    for _ in range(12):
+        n = rng.randint(1, 8)
+        cases = [rng.choice(WEIGHT_CASES) for _ in range(n)]
+        direct = build_cs_network(FIVE, n, cases)
+        glued = glued_cs_network(FIVE, n, cases)
+        assert export_dot(direct) == export_dot(glued), cases
+        assert json.dumps(direct.to_json_dict()) == json.dumps(glued.to_json_dict())
+        assert direct.gf_matrix() == [list(r) for r in catalan_stieltjes(FIVE, n).entries]
+
+
+def test_cs_network_raises_exactly_when_a_layer_condition_fails():
+    rng = random.Random(505)
+    outcomes = set()
+    for _ in range(40):
+        f = conforming_random_family(rng, rng.choice((1, 2, 3, 4)))
+        n = rng.randint(1, 6)
+        cases = [rng.choice((1, 2, 3, 4)) for _ in range(n)]
+        fails = any(not check_condition(f, c, i).holds for i, c in enumerate(cases))
+        outcomes.add(fails)
+        if fails:
+            with pytest.raises(NegativeWeight):
+                build_cs_network(f, n, cases)
+            with pytest.raises(NegativeWeight):
+                glued_cs_network(f, n, cases)
+        else:
+            assert export_dot(build_cs_network(f, n, cases)) == export_dot(
+                glued_cs_network(f, n, cases)
+            )
+    assert outcomes == {True, False}
 
 
 def test_cs_network_validation():

@@ -34,10 +34,10 @@ def test_rejects_non_int_coefficients():
 
 
 def test_constructors():
-    assert QPoly.zero() == ZERO == QPoly([])
-    assert QPoly.one() == ONE == QPoly([1])
-    assert QPoly.q() == Q == QPoly([0, 1])
-    assert QPoly.constant(-7) == QPoly([-7])
+    assert ZERO == QPoly([]) == QPoly([0, 0])
+    assert ONE == QPoly([1])
+    assert Q == QPoly([0, 1])
+    assert QPoly((-7,)) == QPoly([-7])
 
 
 def test_addition_and_subtraction():
