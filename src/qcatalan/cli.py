@@ -275,11 +275,11 @@ def cmd_inequality(args) -> int:
     for i in range(top + 1):
         for j in range(i + 1, top + 1):
             for k in range(j + 1, top + 1):
+                # inequality_331 at rows = cols = (i, j, k) equals 2 * inequality_332
                 v332 = inequality_332(a, i, j, k)
-                v331 = inequality_331(a, (i, j, k), (i, j, k))
-                ok = v332.is_q_nonnegative() and v331.is_q_nonnegative()
+                ok = v332.is_q_nonnegative()
                 all_ok = all_ok and ok
-                entries.append(((i, j, k), v332, v331, ok))
+                entries.append(((i, j, k), v332, 2 * v332, ok))
     if args.format == "json":
         payload = {
             "family": f.name,
@@ -318,12 +318,8 @@ def cmd_chars(args) -> int:
         sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
         return EXIT_OK
     header = ["shape\\class"] + [_format_partition(mu) for mu in table.classes]
-    grid = [header]
-    for lam in table.shapes:
-        grid.append([_format_partition(lam)] + [str(v) for v in table.row(lam)])
-    widths = [max(len(row[j]) for row in grid) for j in range(len(header))]
-    for row in grid:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    rows = [[_format_partition(lam), *table.row(lam)] for lam in table.shapes]
+    sys.stdout.write(_text_grid([header] + rows))
     return EXIT_OK
 
 

@@ -20,9 +20,6 @@ from .errors import ShapeError
 from .families import FamilySpec
 from .qpoly import ONE, QPoly, ZERO
 
-KINDS = ("catalan_stieltjes", "hankel", "submatrix")
-
-
 @dataclass(frozen=True, eq=False)
 class CSMatrix:
     """An exact polynomial matrix with provenance.
@@ -70,10 +67,15 @@ class CSMatrix:
         return "\n".join(",".join(str(p) for p in row) for row in self.entries) + "\n"
 
 
-def _triangle(f: FamilySpec, n: int) -> list[list[QPoly]]:
-    """Rows 0..n of the recurrence triangle; row m holds c_{m,0}..c_{m,m}."""
-    # Rows 1..n read exactly r_0..r_{n-1}, s_0..s_{n-1} and t_1..t_{n-1}:
-    # a term is needed only where its neighbour in the row above exists.
+def _triangle(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
+    """Rows 0..n of the recurrence triangle, cut to what row ``top`` needs.
+
+    Row m holds c_{m,0}..c_{m,h} with h = min(m, top - m); the entries
+    above height top - m feed only entries of row top above height 0.
+    """
+    # Rows 1..n read at most r_0..r_{n-1}, s_0..s_{n-1} and t_1..t_{n-1} (a
+    # term is needed only where its neighbour in the row above exists); all
+    # are looked up, so a family too short fails alike at every cut.
     r = [f.r(k) for k in range(n)]
     s = [f.s(k) for k in range(n)]
     t = [ZERO] + [f.t(k) for k in range(1, n)]
@@ -81,11 +83,11 @@ def _triangle(f: FamilySpec, n: int) -> list[list[QPoly]]:
     for m in range(1, n + 1):
         prev = rows[-1]
         row = []
-        for k in range(m + 1):
+        for k in range(min(m, top - m) + 1):
             value = r[k - 1] * prev[k - 1] if k else ZERO
-            if k < m:
+            if k < len(prev):
                 value = value + s[k] * prev[k]
-            if k + 1 < m:
+            if k + 1 < len(prev):
                 value = value + t[k + 1] * prev[k + 1]
             row.append(value)
         rows.append(row)
@@ -96,7 +98,7 @@ def catalan_stieltjes(f: FamilySpec, n: int) -> CSMatrix:
     """The (n+1) x (n+1) leading corner of the recurrence triangle."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    tri = _triangle(f, n)
+    tri = _triangle(f, n, 2 * n)
     entries = tuple(
         tuple(tri[i][j] if j <= i else ZERO for j in range(n + 1))
         for i in range(n + 1)
@@ -109,7 +111,7 @@ def catalan_like(f: FamilySpec, up_to: int) -> list[QPoly]:
     """The first-column sequence a_0..a_{up_to} with a_k = c_{k,0}."""
     if up_to < 0:
         raise ValueError(f"up_to must be >= 0, got {up_to!r}")
-    return [row[0] for row in _triangle(f, up_to)]
+    return [row[0] for row in _triangle(f, up_to, up_to)]
 
 
 def hankel(f: FamilySpec, n: int) -> CSMatrix:

@@ -3,11 +3,11 @@
 Vertices live on a grid: ``P`` vertices at even columns (one column per
 level), ``Q`` vertices between them, and barred kinds (``Pbar``/``Qbar``)
 for mirrored copies.  A one-level layer network carries the transfer
-matrix L_n as its path generating functions.  The network for the full
-triangular matrix is assembled directly: the arcs of every layer plus
-identity padding rows, in one graph.  Two further constructions yield
-networks for the Hankel matrix, one of them glued from the triangular
-network, a diagonal bridge, and its mirror image.
+matrix L_n as its path generating functions.  Each construction is one
+arc list in one graph: the triangular network holds every layer's arcs
+plus identity padding rows, and the two Hankel networks hold either the
+corner-to-corner arcs of a taller one, or its arcs, a diagonal bridge and
+their mirror image (the network ``glue`` and ``mirror`` compose from them).
 
 The generating function GF(u, v) is the sum over all directed u -> v paths
 of the product of arc weights, with GF(u, u) = 1.
@@ -53,6 +53,26 @@ def mirror_vertex(v: Vertex) -> Vertex:
 
 def _vkey(v: Vertex) -> tuple[int, int, int]:
     return (v.level, _KIND_ORDER[v.kind], v.height)
+
+
+def _mirror_arc(a: Arc) -> Arc:
+    return Arc(mirror_vertex(a.head), mirror_vertex(a.tail), a.weight)
+
+
+def _reachable(arcs: Iterable[Arc], origin: Vertex, backward: bool = False) -> set[Vertex]:
+    """Vertices reachable from ``origin`` along ``arcs``, or against them."""
+    step: dict[Vertex, list[Vertex]] = {}
+    for arc in arcs:
+        tail, head = (arc.head, arc.tail) if backward else (arc.tail, arc.head)
+        step.setdefault(tail, []).append(head)
+    seen = {origin}
+    stack = [origin]
+    while stack:
+        for w in step.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 class PlanarNetwork:
@@ -167,18 +187,7 @@ class PlanarNetwork:
         total = self.count_paths(u, v)
         if total > cap:
             raise CapExceeded(f"{total} paths from {u} to {v} exceed cap {cap}")
-        toward: set[Vertex] = {v}
-        stack = [v]
-        radj: dict[Vertex, list[Vertex]] = {}
-        for arc in self.arcs:
-            radj.setdefault(arc.head, []).append(arc.tail)
-        while stack:
-            w = stack.pop()
-            for tail in radj.get(w, ()):
-                if tail not in toward:
-                    toward.add(tail)
-                    stack.append(tail)
-
+        toward = _reachable(self.arcs, v, backward=True)
         results: list[tuple[tuple[Vertex, ...], QPoly]] = []
         path: list[Vertex] = [u]
 
@@ -381,21 +390,16 @@ def glue(x: PlanarNetwork, y: PlanarNetwork) -> PlanarNetwork:
 
 def mirror(net: PlanarNetwork) -> PlanarNetwork:
     """Reverse every arc and bar every vertex; sources and sinks swap."""
-    arcs = tuple(
-        Arc(mirror_vertex(a.head), mirror_vertex(a.tail), a.weight) for a in net.arcs
-    )
     return PlanarNetwork(
-        arcs,
+        map(_mirror_arc, net.arcs),
         tuple(mirror_vertex(v) for v in net.sinks),
         tuple(mirror_vertex(v) for v in net.sources),
         extra_vertices={mirror_vertex(v) for v in net.vertices},
     )
 
 
-def _layered_network(
-    f: FamilySpec, n: int, cases: Sequence[int]
-) -> PlanarNetwork:
-    """The n-level network for C_n, assembled in one pass (n = 0: one vertex).
+def _layered_arcs(f: FamilySpec, n: int, cases: Sequence[int]) -> list[Arc]:
+    """Arcs of the n-level network for C_n (n = 0: none).
 
     Gluing layer i onto the levels below it identifies the layer's sources
     with the padded sinks at level i, which are the same vertices; so the
@@ -414,7 +418,7 @@ def _layered_network(
     for i, case in enumerate(cases):
         arcs += _layer_arcs(f, i, case)
         arcs += (Arc(P(l, i + 1), P(l + 1, i + 1), ONE) for l in range(i))
-    return PlanarNetwork(arcs, cs_sources(n), cs_sinks(n))
+    return arcs
 
 
 def build_cs_network(
@@ -428,7 +432,7 @@ def build_cs_network(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    return _layered_network(f, n, cases)
+    return PlanarNetwork(_layered_arcs(f, n, cases), cs_sources(n), cs_sinks(n))
 
 
 def build_hankel_network(
@@ -443,50 +447,20 @@ def build_hankel_network(
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got n={n!r}, k={k!r}")
     total = 2 * n + k
-    cs = _layered_network(f, total, cases)
-    start, end = P(k, k), P(total, total)
-
-    adj: dict[Vertex, list[Vertex]] = {}
-    radj: dict[Vertex, list[Vertex]] = {}
-    for arc in cs.arcs:
-        adj.setdefault(arc.tail, []).append(arc.head)
-        radj.setdefault(arc.head, []).append(arc.tail)
-
-    def sweep(origin: Vertex, neighbours: dict[Vertex, list[Vertex]]) -> set[Vertex]:
-        seen = {origin}
-        stack = [origin]
-        while stack:
-            v = stack.pop()
-            for w in neighbours.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    forward = sweep(start, adj)
-    backward = sweep(end, radj)
-    arcs = tuple(a for a in cs.arcs if a.tail in forward and a.head in backward)
-    return PlanarNetwork(arcs, hankel_sources(n, k), hankel_sinks(n, k))
-
-
-def _t_network(f: FamilySpec, n: int) -> PlanarNetwork:
-    """Diagonal bridge P(n, i) -> Pbar(n, i) weighted t_1 ... t_{n-i}."""
-    arcs = []
-    for i in range(n + 1):
-        weight = ONE
-        for m in range(1, n - i + 1):
-            weight = weight * f.t(m)
-        arcs.append(Arc(P(n, i), Vertex("Pbar", n, i), weight))
-    sources = tuple(P(n, h) for h in range(n, -1, -1))
-    sinks = tuple(Vertex("Pbar", n, h) for h in range(n, -1, -1))
-    return PlanarNetwork(arcs, sources, sinks)
+    arcs = _layered_arcs(f, total, cases)
+    forward = _reachable(arcs, P(k, k))
+    backward = _reachable(arcs, P(total, total), backward=True)
+    kept = [a for a in arcs if a.tail in forward and a.head in backward]
+    return PlanarNetwork(kept, hankel_sources(n, k), hankel_sinks(n, k))
 
 
 def build_hankel_factored(
     f: FamilySpec, n: int, cases: Sequence[int]
 ) -> PlanarNetwork:
-    """Network for the Hankel matrix glued from C, a diagonal bridge, and
-    the mirror of C; requires r_k = 1 for all k <= n."""
+    """Network for the Hankel matrix from C, a diagonal bridge, and the
+    mirror of C; requires r_k = 1 for all k <= n.  Bridge arc P(n, i) ->
+    Pbar(n, i) weighs t_1 ... t_{n-i}; the parts share their boundary
+    vertices, so their arcs form ``glue(glue(C, bridge), mirror(C))``."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     for k in range(n + 1):
@@ -495,8 +469,13 @@ def build_hankel_factored(
                 f"family {f.name!r} has r_{k} = {f.r(k)}; the factored "
                 "construction needs r_k = 1"
             )
-    cs = _layered_network(f, n, cases)
-    return glue(glue(cs, _t_network(f, n)), mirror(cs))
+    layered = _layered_arcs(f, n, cases)
+    products = [ONE]
+    for m in range(1, n + 1):
+        products.append(products[-1] * f.t(m))
+    bridge = [Arc(P(n, i), Vertex("Pbar", n, i), products[n - i]) for i in range(n + 1)]
+    arcs = layered + bridge + [_mirror_arc(a) for a in layered]
+    return PlanarNetwork(arcs, cs_sources(n), factored_sinks(n))
 
 
 # -- DOT export ------------------------------------------------------

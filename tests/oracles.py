@@ -13,7 +13,19 @@ from itertools import permutations
 from math import comb
 
 from qcatalan.families import FamilySpec, ParamSeq
-from qcatalan.network import Arc, P, PlanarNetwork, build_layer, glue
+from qcatalan.network import (
+    Arc,
+    P,
+    PlanarNetwork,
+    Vertex,
+    build_cs_network,
+    build_layer,
+    cs_sinks,
+    glue,
+    hankel_sinks,
+    hankel_sources,
+    mirror,
+)
 from qcatalan.qpoly import ONE, QPoly, ZERO
 
 
@@ -263,6 +275,51 @@ def glued_cs_network(f: FamilySpec, n: int, cases) -> PlanarNetwork:
         )
         net = glue(padded, build_layer(f, i, cases[i]))
     return net
+
+
+def _cs_or_point(f: FamilySpec, n: int, cases) -> PlanarNetwork:
+    """``build_cs_network``, or the one-vertex network P(0, 0) at n = 0."""
+    if n == 0:
+        return PlanarNetwork((), (P(0, 0),), (P(0, 0),))
+    return build_cs_network(f, n, cases)
+
+
+def glued_factored_network(f: FamilySpec, n: int, cases) -> PlanarNetwork:
+    """The factored Hankel network as three networks glued together.
+
+    C_n's network, the bridge P(n, i) -> Pbar(n, i) weighted t_1 ... t_{n-i}
+    (each product formed afresh), and the mirror of C_n's network, joined by
+    two ``glue`` calls; the caller checks r_k = 1.
+    """
+    cs = _cs_or_point(f, n, cases)
+    bridge_arcs = []
+    for i in range(n + 1):
+        weight = ONE
+        for m in range(1, n - i + 1):
+            weight = weight * f.t(m)
+        bridge_arcs.append(Arc(P(n, i), Vertex("Pbar", n, i), weight))
+    bridge = PlanarNetwork(
+        bridge_arcs, cs_sinks(n), tuple(Vertex("Pbar", n, h) for h in range(n, -1, -1))
+    )
+    return glue(glue(cs, bridge), mirror(cs))
+
+
+def pruned_hankel_network(f: FamilySpec, n: int, k: int, cases) -> PlanarNetwork:
+    """The induced Hankel network cut out of the whole (2n+k)-level network.
+
+    Builds the whole network, then keeps each arc u -> w with at least one
+    path from P(k, k) to u and one from w to P(2n+k, 2n+k), counted by
+    ``count_paths`` rather than found by a reachability sweep.
+    """
+    total = 2 * n + k
+    whole = _cs_or_point(f, total, cases)
+    start, end = P(k, k), P(total, total)
+    kept = [
+        a
+        for a in whole.arcs
+        if whole.count_paths(start, a.tail) and whole.count_paths(a.head, end)
+    ]
+    return PlanarNetwork(kept, hankel_sources(n, k), hankel_sinks(n, k))
 
 
 # -- combinatorial counts --------------------------------------------

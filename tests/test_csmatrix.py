@@ -174,6 +174,16 @@ def test_hankel_layout():
         assert h[0, 0] == ONE
 
 
+def test_first_column_of_cut_triangle_matches_full_corner():
+    # catalan_like builds only the heights its last row needs
+    rng = random.Random(808)
+    for _ in range(6):
+        f = random_family(rng, terms=14)
+        for up_to in (0, 1, 2, 7, 12):
+            full = catalan_stieltjes(f, up_to)
+            assert catalan_like(f, up_to) == [full[m, 0] for m in range(up_to + 1)]
+
+
 def test_first_column_prefix_stability():
     f = builtin("schroder")
     assert catalan_like(f, 8)[:5] == catalan_like(f, 4)

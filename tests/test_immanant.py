@@ -27,6 +27,7 @@ from oracles import (
     matmul,
     permanent,
     random_grid,
+    random_qpoly,
     s3_immanant,
 )
 
@@ -364,8 +365,16 @@ def test_331_equals_immanant_minus_twice_determinant():
 
 
 def test_331_diagonal_is_twice_332():
-    for name in ("eulerian", "schroder", "narayana"):
-        a = catalan_like(builtin(name), 10)
+    # an identity of the cubic forms, so it holds for any sequence, including
+    # ones with negative coefficients; the inequality sweep relies on it
+    rng = random.Random(331)
+    names = ("eulerian", "schroder", "narayana")
+    sequences = [catalan_like(builtin(name), 10) for name in names]
+    sequences += [
+        [random_qpoly(rng, max_deg=3, allow_negative=True) for _ in range(11)]
+        for _ in range(8)
+    ]
+    for a in sequences:
         for i, j, k in _triples(5):
             assert inequality_331(a, (i, j, k), (i, j, k)) == 2 * inequality_332(
                 a, i, j, k

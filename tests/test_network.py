@@ -48,7 +48,9 @@ from qcatalan.qpoly import ONE, Q as QVAR, ZERO, QPoly
 from oracles import (
     conforming_random_family,
     glued_cs_network,
+    glued_factored_network,
     matmul,
+    pruned_hankel_network,
     random_family,
     random_qpoly,
 )
@@ -59,6 +61,8 @@ EUL = builtin("eulerian")
 
 # weight cases compatible with each builtin family
 FAMILY_CASES = [(EUL, 1), (SCH, 5), (NAR, 2), (NAR, 4), (NAR, 5)]
+# the pairs whose family has r_k = 1, as the factored Hankel network needs
+UNIT_R_CASES = [(SCH, 5), (NAR, 2), (NAR, 4), (NAR, 5)]
 
 # r_k = 1, s_0 = 1+q, s_k = 2+q, t_k = 1+q with witnesses b_0 = 0, b_k = 1,
 # c_k = 1+q: meets all five conditions, so any case list is allowed.
@@ -542,7 +546,7 @@ def test_induced_hankel_validation():
 # -- factored Hankel networks -----------------------------------------
 
 
-@pytest.mark.parametrize("f,case", [(SCH, 5), (NAR, 2), (NAR, 4), (NAR, 5)])
+@pytest.mark.parametrize("f,case", UNIT_R_CASES)
 def test_factored_hankel_builtin(f, case):
     for n in range(4):
         net = build_hankel_factored(f, n, [case] * n)
@@ -576,6 +580,45 @@ def test_factored_hankel_random_conforming():
     for n in range(3):
         net = build_hankel_factored(f, n, [5] * n)
         assert net.gf_matrix() == hankel_entries(f, n)
+
+
+# -- Hankel networks against their composed routes --------------------
+
+
+def assert_same_exports(direct, oracle, label):
+    assert export_dot(direct) == export_dot(oracle), label
+    assert json.dumps(direct.to_json_dict()) == json.dumps(oracle.to_json_dict()), label
+
+
+@pytest.mark.parametrize("f,case", FAMILY_CASES, ids=lambda p: str(p))
+def test_induced_hankel_matches_pruned_whole_network(f, case):
+    for n in range(5):
+        for k in range(3):
+            cases = [case] * (2 * n + k)
+            direct = build_hankel_network(f, n, k, cases)
+            assert_same_exports(direct, pruned_hankel_network(f, n, k, cases), (n, k))
+
+
+@pytest.mark.parametrize("f,case", UNIT_R_CASES, ids=lambda p: str(p))
+def test_factored_hankel_matches_glued_composition(f, case):
+    for n in range(9):
+        direct = build_hankel_factored(f, n, [case] * n)
+        assert_same_exports(direct, glued_factored_network(f, n, [case] * n), n)
+
+
+def test_hankel_networks_mixed_cases_match_composed_routes():
+    rng = random.Random(606)
+    for _ in range(10):
+        n = rng.randint(0, 6)
+        cases = [rng.choice(WEIGHT_CASES) for _ in range(n)]
+        direct = build_hankel_factored(FIVE, n, cases)
+        assert_same_exports(direct, glued_factored_network(FIVE, n, cases), cases)
+        assert direct.gf_matrix() == hankel_entries(FIVE, n)
+        n, k = rng.randint(0, 3), rng.randint(0, 2)
+        cases = [rng.choice(WEIGHT_CASES) for _ in range(2 * n + k)]
+        direct = build_hankel_network(FIVE, n, k, cases)
+        assert_same_exports(direct, pruned_hankel_network(FIVE, n, k, cases), cases)
+        assert direct.gf_matrix() == hankel_entries(FIVE, n)
 
 
 # -- DOT export -------------------------------------------------------
