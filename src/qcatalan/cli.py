@@ -178,7 +178,29 @@ def cmd_network(args) -> int:
     return rc
 
 
+def _per_report(render, result):
+    """``render`` for the reports of ``result``, once per report object.
+
+    A sampled sweep hands repeated draws the same report object, so those
+    renderings are cached by identity (every report outlives the cache, so
+    no identity is reused); an exhaustive sweep's reports are all distinct,
+    so there the cache would only cost time and memory.
+    """
+    if result.exhaustive:
+        return render
+    cache: dict[int, object] = {}
+
+    def rendered(report):
+        key = id(report)
+        if key not in cache:
+            cache[key] = render(report)
+        return cache[key]
+
+    return rendered
+
+
 def _sweep_json(args, f: FamilySpec, result) -> dict:
+    as_json = _per_report(lambda r: r.to_json_dict(), result)
     return {
         "family": f.name,
         "matrix": args.matrix,
@@ -189,32 +211,33 @@ def _sweep_json(args, f: FamilySpec, result) -> dict:
         "total_candidates": result.total_candidates,
         "report_count": len(result),
         "ok": result.ok,
-        "violations": [r.to_json_dict() for r in result.violations()],
-        "reports": [r.to_json_dict() for r in result.reports],
+        "violations": [as_json(r) for r in result.violations()],
+        "reports": [as_json(r) for r in result.reports],
     }
+
+
+def _csv_line(r) -> str:
+    p = r.provenance
+    return ",".join(
+        [
+            p.family,
+            p.kind,
+            "|".join(map(str, p.rows)),
+            "|".join(map(str, p.cols)),
+            "|".join(map(str, r.lam)),
+            str(r.value),
+            str(r.q_nonnegative).lower(),
+            str(r.dominance_gap),
+            str(r.gap_nonnegative).lower(),
+        ]
+    )
 
 
 def _sweep_csv(result) -> str:
     lines = [
         "family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative"
     ]
-    for r in result.reports:
-        p = r.provenance
-        lines.append(
-            ",".join(
-                [
-                    p.family,
-                    p.kind,
-                    "|".join(map(str, p.rows)),
-                    "|".join(map(str, p.cols)),
-                    "|".join(map(str, r.lam)),
-                    str(r.value),
-                    str(r.q_nonnegative).lower(),
-                    str(r.dominance_gap),
-                    str(r.gap_nonnegative).lower(),
-                ]
-            )
-        )
+    lines += map(_per_report(_csv_line, result), result.reports)
     return "\n".join(lines) + "\n"
 
 

@@ -73,12 +73,16 @@ def _triangle(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
     Row m holds c_{m,0}..c_{m,h} with h = min(m, top - m); the entries
     above height top - m feed only entries of row top above height 0.
     """
-    # Rows 1..n read at most r_0..r_{n-1}, s_0..s_{n-1} and t_1..t_{n-1} (a
-    # term is needed only where its neighbour in the row above exists); all
-    # are looked up, so a family too short fails alike at every cut.
-    r = [f.r(k) for k in range(n)]
-    s = [f.s(k) for k in range(n)]
-    t = [ZERO] + [f.t(k) for k in range(1, n)]
+    # Entry (m, k) reads r_{k-1}, s_k when k <= h_{m-1} and t_{k+1} when
+    # k + 1 <= h_{m-1}, with h_m = min(m, top - m); only the terms some
+    # entry reads are looked up, so a family with finitely many terms
+    # serves every cut its rows fit in.
+    cut = [min(m, top - m) for m in range(n + 1)]
+    steps = list(zip(cut, cut[1:]))  # (h_{m-1}, h_m) for m = 1..n
+    r = [f.r(k) for k in range(max((h for _, h in steps), default=0))]
+    s = [f.s(k) for k in range(max((min(g, h) + 1 for g, h in steps), default=0))]
+    t_top = max((min(g, h + 1) for g, h in steps), default=0)
+    t = [ZERO] + [f.t(k) for k in range(1, t_top + 1)]
     rows: list[list[QPoly]] = [[ONE]]
     for m in range(1, n + 1):
         prev = rows[-1]

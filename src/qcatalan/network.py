@@ -10,7 +10,11 @@ corner-to-corner arcs of a taller one, or its arcs, a diagonal bridge and
 their mirror image (the network ``glue`` and ``mirror`` compose from them).
 
 The generating function GF(u, v) is the sum over all directed u -> v paths
-of the product of arc weights, with GF(u, u) = 1.
+of the product of arc weights, with GF(u, u) = 1.  The whole GF matrix
+comes from one pass in topological order that carries, at each vertex, the
+path sums from every source with each polynomial packed into the integer
+p(2**B) (Kronecker substitution); a first pass at q = 1 over absolute
+coefficient sums bounds the coefficients and so fixes B.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
 from .families import FamilySpec, check_condition, condition_difference
-from .qpoly import ONE, QPoly, ZERO
+from .qpoly import ONE, QPoly, ZERO, _pack, _unpack
 
 _KIND_ORDER = {"P": 0, "Q": 1, "Pbar": 2, "Qbar": 3}
 _MIRROR_KIND = {"P": "Pbar", "Q": "Qbar", "Pbar": "P", "Qbar": "Q"}
@@ -139,29 +143,81 @@ class PlanarNetwork:
         if v not in self.vertices:
             raise ValueError(f"{v} is not a vertex of this network")
 
-    def _forward_gf(self, u: Vertex) -> dict[Vertex, QPoly]:
-        acc: dict[Vertex, QPoly] = {u: ONE}
-        for v in self._topo[self._order[u]:]:
-            value = acc.get(v)
-            if value is None or value.is_zero():
+    def _sweep(
+        self,
+        starts: Sequence[Vertex],
+        ends: Sequence[Vertex],
+        weigh: Callable[[QPoly], int],
+    ) -> dict[Vertex, dict[int, int]]:
+        """Every start's path sums at every end, in one topological pass.
+
+        Each arc weight is mapped to an integer by ``weigh`` (once per
+        distinct weight); the value at v maps start index i to the sum,
+        over starts[i] -> v paths, of the products of those integers.  A
+        vertex's map is dropped once its out-arcs are done unless it is an
+        end; arcs weighing 0 are skipped and arcs weighing 1 add without a
+        multiply.
+        """
+        keep = set(ends)
+        acc: dict[Vertex, dict[int, int]] = {}
+        for i, u in enumerate(starts):
+            acc.setdefault(u, {})[i] = 1
+        first = min((self._order[u] for u in starts), default=len(self._topo))
+        weights: dict[QPoly, int] = {}
+        for v in self._topo[first:]:
+            value = acc.get(v) if v in keep else acc.pop(v, None)
+            if not value:
                 continue
             for head, weight in self._adj[v]:
-                acc[head] = acc.get(head, ZERO) + value * weight
+                w = weights.get(weight)
+                if w is None:
+                    w = weights[weight] = weigh(weight)
+                if not w:
+                    continue
+                target = acc.get(head)
+                if target is None:
+                    acc[head] = (
+                        dict(value) if w == 1 else {i: x * w for i, x in value.items()}
+                    )
+                elif w == 1:
+                    for i, x in value.items():
+                        target[i] = target.get(i, 0) + x
+                else:
+                    for i, x in value.items():
+                        target[i] = target.get(i, 0) + x * w
         return acc
+
+    def _gf_rows(
+        self, starts: Sequence[Vertex], ends: Sequence[Vertex]
+    ) -> list[list[QPoly]]:
+        """GF(u, v) for u in ``starts`` (rows) and v in ``ends`` (columns).
+
+        One pass at q = 1 with every weight replaced by the sum of its
+        absolute coefficients bounds every coefficient of every GF(u, v);
+        that bound fixes the digit width, and a second pass carries each
+        weight packed as p(2**bits) (Kronecker substitution), so each arc
+        costs one big-integer multiply-add.  Only the end values are
+        unpacked.
+        """
+        bound = self._sweep(starts, ends, lambda p: sum(map(abs, p.coeffs)))
+        top = max((x for v in ends for x in bound.get(v, {}).values()), default=0)
+        bits = 8 * (top.bit_length() // 8 + 1)  # so that top < 2**(bits - 1)
+        packed = self._sweep(starts, ends, lambda p: _pack(p.coeffs, bits))
+        columns = [packed.get(v, {}) for v in ends]
+        return [
+            [QPoly(_unpack(column.get(i, 0), bits)) for column in columns]
+            for i in range(len(starts))
+        ]
 
     def path_gf(self, u: Vertex, v: Vertex) -> QPoly:
         """Sum of weight products over all directed u -> v paths."""
         self._require_vertex(u)
         self._require_vertex(v)
-        return self._forward_gf(u).get(v, ZERO)
+        return self._gf_rows((u,), (v,))[0][0]
 
     def gf_matrix(self) -> list[list[QPoly]]:
         """GF(source_i, sink_j) over the ordered boundary sequences."""
-        rows = []
-        for u in self.sources:
-            acc = self._forward_gf(u)
-            rows.append([acc.get(v, ZERO) for v in self.sinks])
-        return rows
+        return self._gf_rows(self.sources, self.sinks)
 
     def count_paths(self, u: Vertex, v: Vertex) -> int:
         """Number of directed u -> v paths (1 when u = v)."""

@@ -204,6 +204,45 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _pack(coeffs: Sequence[int], bits: int) -> int:
+    """The integer p(2**bits) for the polynomial with ascending ``coeffs``.
+
+    Exact for any integer coefficients: evaluation at 2**bits is a ring
+    homomorphism, so sums and products of packed values pack the sums and
+    products of the polynomials (Kronecker substitution).  ``_unpack``
+    recovers the coefficients once each one is below 2**(bits - 1) in
+    absolute value.
+    """
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
+
+
+def _unpack(value: int, bits: int) -> list[int]:
+    """Signed base-2**bits digits of ``value``, ascending, no trailing zeros.
+
+    The inverse of ``_pack`` for coefficients below 2**(bits - 1) in
+    absolute value; ``bits`` must be a positive multiple of 8.  Adding
+    2**(bits - 1) to every digit makes them all lie in [1, 2**bits), so the
+    digits are the byte slices of one shifted integer: linear in the size
+    of ``value``, with no repeated shifts of a large integer.
+    """
+    width = bits // 8
+    half = 1 << (bits - 1)
+    # a degree-d value has at least bits*d bits, so this many digits suffice
+    count = (abs(value).bit_length() + bits) // bits
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    data = (value + offset).to_bytes(width * count, "little")
+    digits = [
+        int.from_bytes(data[i : i + width], "little") - half
+        for i in range(0, len(data), width)
+    ]
+    while digits and digits[-1] == 0:
+        digits.pop()
+    return digits
+
+
 ZERO = QPoly()
 ONE = QPoly((1,))
 Q = QPoly((0, 1))

@@ -322,6 +322,25 @@ def pruned_hankel_network(f: FamilySpec, n: int, k: int, cases) -> PlanarNetwork
     return PlanarNetwork(kept, hankel_sources(n, k), hankel_sinks(n, k))
 
 
+def gf_matrix_by_source(net: PlanarNetwork) -> list[list[QPoly]]:
+    """GF(source_i, sink_j) by one topological sweep per source on QPoly values.
+
+    Each sweep starts from one source and adds value * weight along every
+    arc, with coefficient lists throughout: no packing, no shared pass.
+    """
+    rows = []
+    for u in net.sources:
+        acc: dict[Vertex, QPoly] = {u: ONE}
+        for v in net._topo[net._order[u]:]:
+            value = acc.get(v)
+            if value is None or value.is_zero():
+                continue
+            for head, weight in net._adj[v]:
+                acc[head] = acc.get(head, ZERO) + value * weight
+        rows.append([acc.get(v, ZERO) for v in net.sinks])
+    return rows
+
+
 # -- combinatorial counts --------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface and its exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,13 @@ from pathlib import Path
 import pytest
 
 from qcatalan import cli
+from qcatalan.csmatrix import catalan_stieltjes
+from qcatalan.families import builtin, load_family
+from qcatalan.immanant import positivity_sweep
 from qcatalan.network import Arc, PlanarNetwork, build_cs_network
 from qcatalan.qpoly import ONE
+
+from oracles import weighted_path_poly
 
 CONTROL_FAMILY = {
     "name": "control",
@@ -164,6 +170,34 @@ def test_family_with_exactly_the_needed_terms(tmp_path, capsys):
     assert rc == 0, err
     assert out.splitlines()[3] == "1+2q+q^3,2+2q+2q^2,2+5q+3q^2,2+2q"
     rc, _, err = run(capsys, "matrix", "--family", str(path), "--n", "4")
+    assert rc == 3
+    assert "index 3 unavailable" in err
+
+
+def test_hankel_of_a_family_with_exactly_the_needed_terms(tmp_path, capsys):
+    # a_{2n} reads r_0..r_{n-1}, s_0..s_{n-1} and t_1..t_n only, so three
+    # explicit terms of each serve the Hankel matrix up to n = 3
+    doc = {
+        "name": "three-terms",
+        "r": {"prefix": [[1], [1, 1], [2]]},
+        "s": {"prefix": [[0, 1], [1], [1, 2]]},
+        "t": {"prefix": [[1], [0, 1], [3]]},
+    }
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc))
+    # the oracle also walks paths that never return to height 0, so it gets
+    # tails; no path counted in a_0..a_6 reaches them
+    tail = {"tail": {"constant": [5, 7]}}
+    padded = {"name": "padded", **{key: {**doc[key], **tail} for key in "rst"}}
+    a = [weighted_path_poly(load_family(padded), k, 0) for k in range(7)]
+    for n in (2, 3):
+        rc, out, err = run(
+            capsys, "hankel", "--family", str(path), "--n", str(n), "--format", "csv"
+        )
+        assert rc == 0, err
+        rows = [",".join(str(a[i + j]) for j in range(n + 1)) for i in range(n + 1)]
+        assert out == "\n".join(rows) + "\n"
+    rc, _, err = run(capsys, "hankel", "--family", str(path), "--n", "4")
     assert rc == 3
     assert "index 3 unavailable" in err
 
@@ -422,6 +456,36 @@ def test_verify_csv_and_text_formats(capsys):
     )
     assert rc == 0
     assert "all immanants and dominance gaps are q-nonnegative" in out
+
+
+@pytest.mark.parametrize("limit", [150, 20000], ids=["sampled", "exhaustive"])
+def test_sweep_renders_like_one_report_at_a_time(limit):
+    control = load_family(CONTROL_FAMILY)
+    for f in (builtin("narayana"), control):
+        m = catalan_stieltjes(f, 4)
+        result = positivity_sweep(m, 3, seed=3, exhaustive_limit=limit)
+        shared = len({id(r) for r in result.reports}) < len(result.reports)
+        assert shared != result.exhaustive
+        lines = [
+            "family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative"
+        ]
+        for r in result.reports:
+            p = r.provenance
+            fields = [p.family, p.kind] + ["|".join(map(str, x)) for x in (p.rows, p.cols)]
+            fields += ["|".join(map(str, r.lam)), str(r.value)]
+            fields += [str(r.q_nonnegative).lower(), str(r.dominance_gap)]
+            fields.append(str(r.gap_nonnegative).lower())
+            lines.append(",".join(fields))
+        assert cli._sweep_csv(result) == "\n".join(lines) + "\n"
+        args = argparse.Namespace(matrix="C", n=4, max_size=3)
+        doc = cli._sweep_json(args, f, result)
+        fresh = dict(
+            doc,
+            violations=[r.to_json_dict() for r in result.violations()],
+            reports=[r.to_json_dict() for r in result.reports],
+        )
+        assert json.dumps(doc, indent=2) == json.dumps(fresh, indent=2)
+        assert bool(doc["violations"]) == (f is control)
 
 
 def test_verify_detects_violation(tmp_path, capsys):

@@ -47,6 +47,7 @@ from qcatalan.qpoly import ONE, Q as QVAR, ZERO, QPoly
 
 from oracles import (
     conforming_random_family,
+    gf_matrix_by_source,
     glued_cs_network,
     glued_factored_network,
     matmul,
@@ -619,6 +620,99 @@ def test_hankel_networks_mixed_cases_match_composed_routes():
         direct = build_hankel_network(FIVE, n, k, cases)
         assert_same_exports(direct, pruned_hankel_network(FIVE, n, k, cases), cases)
         assert direct.gf_matrix() == hankel_entries(FIVE, n)
+
+
+# -- the packed GF sweep against the per-source oracle -------------------
+
+
+def assert_gf_matches_oracle(net, label):
+    want = gf_matrix_by_source(net)
+    assert net.gf_matrix() == want, label
+    for i, u in enumerate(net.sources):
+        for j, v in enumerate(net.sinks):
+            assert net.path_gf(u, v) == want[i][j], (label, u, v)
+
+
+@pytest.mark.parametrize("f,case", FAMILY_CASES, ids=lambda p: str(p))
+def test_packed_gf_matches_oracle_on_layered_networks(f, case):
+    for n in range(1, 9):
+        assert_gf_matches_oracle(build_cs_network(f, n, [case] * n), n)
+
+
+@pytest.mark.parametrize("f,case", FAMILY_CASES, ids=lambda p: str(p))
+def test_packed_gf_matches_oracle_on_induced_hankel_networks(f, case):
+    for n in range(4):
+        for k in range(2):
+            net = build_hankel_network(f, n, k, [case] * (2 * n + k))
+            assert_gf_matches_oracle(net, (n, k))
+
+
+@pytest.mark.parametrize("f,case", UNIT_R_CASES, ids=lambda p: str(p))
+def test_packed_gf_matches_oracle_on_factored_hankel_networks(f, case):
+    for n in range(5):
+        assert_gf_matches_oracle(build_hankel_factored(f, n, [case] * n), n)
+
+
+def _random_network(rng):
+    """A random acyclic grid network with signed, zero and large weights.
+
+    Arcs run from a lower level to a higher one.  The boundary always has a
+    source that is also a sink, a source that another source reaches, and a
+    sink that nothing reaches.
+    """
+    levels, heights = rng.randint(2, 5), rng.randint(1, 3)
+    grid = [P(l, h) for l in range(levels) for h in range(heights)]
+    weights = {}
+    for tail in grid:
+        for head in grid:
+            if head.level > tail.level and rng.random() < 0.4:
+                weight = random_qpoly(rng, max_deg=3, allow_negative=True)
+                if rng.random() < 0.1:
+                    weight = weight * (10**12 + 1)
+                weights[tail, head] = weight
+    start, loop = P(0, 0), P(levels - 1, heights - 1)
+    weights[start, P(1, 0)] = QPoly([-1, 2])
+    arcs = [Arc(tail, head, w) for (tail, head), w in weights.items()]
+    lonely = Vertex("Q", levels, 0)
+    sources = [start, P(1, 0), loop] + rng.sample(grid, 2)
+    sinks = [loop, lonely, P(1, 0)] + rng.sample(grid, 2)
+    rng.shuffle(sources)
+    rng.shuffle(sinks)
+    return PlanarNetwork(arcs, sources, sinks)
+
+
+def test_packed_gf_matches_oracle_on_random_signed_networks():
+    rng = random.Random(6060)
+    for trial in range(200):
+        assert_gf_matches_oracle(_random_network(rng), trial)
+
+
+def test_packed_path_gf_matches_oracle_between_every_vertex_pair():
+    rng = random.Random(6061)
+    for trial in range(20):
+        net = _random_network(rng)
+        every = sorted(net.vertices)
+        assert_gf_matches_oracle(PlanarNetwork(net.arcs, every, every), trial)
+
+
+def test_packed_gf_on_arcless_networks():
+    a, b = P(0, 0), P(1, 0)
+    net = PlanarNetwork((), (a, b), (b, a), extra_vertices={P(2, 0)})
+    assert net.gf_matrix() == [[ZERO, ONE], [ONE, ZERO]]
+    assert net.gf_matrix() == gf_matrix_by_source(net)
+    empty = PlanarNetwork((), (), ())
+    assert empty.gf_matrix() == [] == gf_matrix_by_source(empty)
+
+
+def test_packed_gf_cancels_to_zero_exactly():
+    a, b, c, d = P(0, 0), P(1, 1), P(1, 0), P(2, 0)
+    big = QPoly([10**30, -(10**30)])
+    net = PlanarNetwork(
+        [Arc(a, b, big), Arc(a, c, -big), Arc(b, d, ONE), Arc(c, d, ONE)],
+        (a,),
+        (d, b),
+    )
+    assert net.gf_matrix() == [[ZERO, big]] == gf_matrix_by_source(net)
 
 
 # -- DOT export -------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcatalan.qpoly import ONE, Q, ZERO, QPoly
+from qcatalan.qpoly import ONE, Q, ZERO, QPoly, _convolve, _pack, _unpack
 
 from oracles import random_qpoly
 
@@ -170,3 +170,29 @@ def test_hash_and_equality():
     assert {QPoly([1]): "a"}[QPoly([1, 0])] == "a"
     assert QPoly([1]) != QPoly([2])
     assert bool(QPoly([1])) and not bool(ZERO)
+
+
+def test_pack_unpack_round_trip_at_the_digit_edges():
+    for bits in (8, 16, 64, 136):
+        edge = (1 << (bits - 1)) - 1
+        for coeffs in (
+            [],
+            [0],
+            [edge],
+            [-edge],
+            [edge, -edge, 0, edge],
+            [-edge, 0, 0, -1],
+            [1, -1] * 20 + [edge],
+            [0, 0, -edge],
+        ):
+            packed = _pack(coeffs, bits)
+            assert packed == QPoly(coeffs).eval_int(1 << bits)
+            stripped = list(QPoly(coeffs).coeffs)
+            assert _unpack(packed, bits) == stripped, (bits, coeffs)
+
+
+def test_packed_product_unpacks_to_the_convolution():
+    a, b = [7, -3, 0, 255], [-128, 1, 127]
+    bound = sum(map(abs, a)) * sum(map(abs, b))
+    bits = 8 * (bound.bit_length() // 8 + 1)
+    assert _unpack(_pack(a, bits) * _pack(b, bits), bits) == _convolve(a, b)
