@@ -18,6 +18,7 @@ from .errors import (
     NegativeWeight,
     OutOfRange,
     RequiresUnitGamma,
+    SchemaError,
     ShapeError,
     UnknownFamily,
 )
@@ -46,7 +47,11 @@ def _resolve_family(value: str) -> FamilySpec:
         return builtin(value)
     path = Path(value)
     if path.exists():
-        return load_family(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"family file {value!r} is not UTF-8 text: {exc}") from None
+        return load_family(text)
     raise UnknownFamily(
         f"{value!r} is neither a builtin family ({', '.join(BUILTIN_NAMES)}) "
         "nor an existing file"

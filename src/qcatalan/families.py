@@ -308,6 +308,10 @@ def load_family(document: str | dict) -> FamilySpec:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"family document is not valid JSON: {exc}") from None
+        except ValueError:  # an int literal past the interpreter's digit limit
+            raise SchemaError("family document has an integer too long to read") from None
+        except RecursionError:
+            raise SchemaError("family document is nested too deeply to read") from None
     if not isinstance(document, dict):
         raise SchemaError(f"family document must be an object, got {document!r}")
     extra = set(document) - _DOC_KEYS

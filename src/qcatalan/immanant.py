@@ -20,6 +20,14 @@ of a size, cached with its degree, to the same class sums, and takes each
 dominance gap from the same coefficient vectors.  The inner arithmetic runs
 on coefficient lists; each result becomes a ``QPoly`` once.
 
+A sweep computes each distinct submatrix once, up to transpose: selections
+are keyed by their entries, and a submatrix and its transpose share a key,
+since chi(sigma) = chi(sigma^-1).  Hankel selections repeat often
+(H[rows+d, cols-d] = H[rows, cols], and H is symmetric); later selections
+with a known key get their own reports holding the first one's values.  A
+submatrix with no permutation whose entries are all nonzero has every class
+sum empty, so all its values and gaps are 0 without character arithmetic.
+
 ``determinant`` is implemented independently by fraction-free (Bareiss)
 elimination with exact polynomial division, so the two routes to the
 alternating sum can be checked against each other.
@@ -358,27 +366,59 @@ def positivity_sweep(
             selections.append((rows, cols))
 
     cells = _coefficients(grid)
-    done: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
+    labels: dict[tuple[int, ...], int] = {}
+    ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in cells]
+    by_selection: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
+    by_content: dict[tuple[int, ...], list[ImmanantReport]] = {}
     reports: list[ImmanantReport] = []
     for rows, cols in selections:
-        found = done.get((rows, cols))
+        found = by_selection.get((rows, cols))
         if found is None:
-            sub = [[cells[i][j] for j in cols] for i in rows]
             provenance = MatrixProvenance(
                 m.family.name,
                 m.kind,
                 tuple(m.row_indices[i] for i in rows),
                 tuple(m.col_indices[j] for j in cols),
             )
-            found = done[rows, cols] = _reports(sub, provenance)
+            # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
+            # have the same immanants, determinant and gaps.
+            key = min(
+                tuple(ids[i][j] for i in rows for j in cols),
+                tuple(ids[i][j] for j in cols for i in rows),
+            )
+            first = by_content.get(key)
+            if first is None:
+                sub = [[cells[i][j] for j in cols] for i in rows]
+                found = by_content[key] = _reports(sub, provenance)
+            else:
+                found = [
+                    ImmanantReport(
+                        r.lam,
+                        r.value,
+                        r.q_nonnegative,
+                        r.dominance_gap,
+                        r.gap_nonnegative,
+                        provenance,
+                    )
+                    for r in first
+                ]
+            if not exhaustive:  # only sampled draws repeat a selection
+                by_selection[rows, cols] = found
         reports.extend(found)
     return SweepResult(tuple(reports), exhaustive, seed, total)
 
 
 def _reports(cells: CoeffGrid, provenance: MatrixProvenance) -> list[ImmanantReport]:
     """Every shape's immanant and dominance gap of one submatrix."""
-    columns = _columns(_class_sums(cells))
+    sums = _class_sums(cells)
     shapes = _shapes(len(cells))
+    if not any(sums):
+        # No permutation has all its entries nonzero: every value and gap is 0.
+        return [
+            ImmanantReport(lam, ZERO, True, ZERO, True, provenance)
+            for lam, _, _ in shapes
+        ]
+    columns = _columns(sums)
     det = _apply(shapes[-1][1], columns)  # shape (1,...,1): the sign character
     out = []
     for lam, row, deg in shapes:

@@ -9,10 +9,26 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
+from qcatalan.csmatrix import CSMatrix
+from qcatalan.errors import CapExceeded
 from qcatalan.families import FamilySpec, ParamSeq
+from qcatalan.immanant import (
+    ImmanantReport,
+    MatrixProvenance,
+    SweepResult,
+    _RAISE_CAP,
+    _apply,
+    _as_entries,
+    _class_sums,
+    _coefficients,
+    _columns,
+    _require_square,
+    _shapes,
+    _size_cap,
+)
 from qcatalan.network import (
     Arc,
     P,
@@ -339,6 +355,89 @@ def gf_matrix_by_source(net: PlanarNetwork) -> list[list[QPoly]]:
                 acc[head] = acc.get(head, ZERO) + value * weight
         rows.append([acc.get(v, ZERO) for v in net.sinks])
     return rows
+
+
+# -- positivity sweeps -------------------------------------------------
+
+
+def sweep_by_selection(
+    m: CSMatrix, max_size: int, seed: int = 0, exhaustive_limit: int = 20000
+) -> SweepResult:
+    """``positivity_sweep`` computed afresh for every distinct selection.
+
+    Nothing is keyed by content: every (rows, cols) pair runs the class-sum
+    DP and the full character combination (``reports_by_class_sums``), even
+    when its submatrix repeats another or has no nonzero permutation.
+    """
+    grid = _as_entries(m)
+    n = _require_square(grid)
+    cap = _size_cap(None)
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size!r}")
+    if max_size > cap:
+        raise CapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
+    top = min(max_size, n)
+    sizes = range(1, top + 1)
+    per_size = {s: comb(n, s) ** 2 for s in sizes}
+    total = sum(per_size.values())
+    exhaustive = total <= exhaustive_limit
+
+    if exhaustive:
+        selections = [
+            (rows, cols)
+            for s in sizes
+            for rows in combinations(range(n), s)
+            for cols in combinations(range(n), s)
+        ]
+    else:
+        rng = random.Random(seed)
+        weights = [per_size[s] for s in sizes]
+        selections = []
+        for _ in range(exhaustive_limit):
+            s = rng.choices(list(sizes), weights=weights)[0]
+            rows = tuple(sorted(rng.sample(range(n), s)))
+            cols = tuple(sorted(rng.sample(range(n), s)))
+            selections.append((rows, cols))
+
+    cells = _coefficients(grid)
+    done: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
+    reports: list[ImmanantReport] = []
+    for rows, cols in selections:
+        found = done.get((rows, cols))
+        if found is None:
+            sub = [[cells[i][j] for j in cols] for i in rows]
+            provenance = MatrixProvenance(
+                m.family.name,
+                m.kind,
+                tuple(m.row_indices[i] for i in rows),
+                tuple(m.col_indices[j] for j in cols),
+            )
+            found = done[rows, cols] = reports_by_class_sums(sub, provenance)
+        reports.extend(found)
+    return SweepResult(tuple(reports), exhaustive, seed, total)
+
+
+def reports_by_class_sums(cells, provenance: MatrixProvenance) -> list[ImmanantReport]:
+    """Every shape's immanant and gap of one submatrix, always by the full route."""
+    columns = _columns(_class_sums(cells))
+    shapes = _shapes(len(cells))
+    det = _apply(shapes[-1][1], columns)  # shape (1,...,1): the sign character
+    out = []
+    for lam, row, deg in shapes:
+        coeffs = _apply(row, columns)
+        value = QPoly(coeffs)
+        gap = QPoly([c - deg * d for c, d in zip(coeffs, det)])
+        out.append(
+            ImmanantReport(
+                lam=lam,
+                value=value,
+                q_nonnegative=value.is_q_nonnegative(),
+                dominance_gap=gap,
+                gap_nonnegative=gap.is_q_nonnegative(),
+                provenance=provenance,
+            )
+        )
+    return out
 
 
 # -- combinatorial counts --------------------------------------------

@@ -141,6 +141,28 @@ def test_family_document_schema_error(tmp_path, capsys):
     assert "error:" in err
 
 
+MALFORMED_FAMILY_FILES = {
+    "deeply-nested": b"[" * 100000 + b"]" * 100000,
+    "long-integer": (
+        '{"name": "x", "r": {"prefix": [[1%s]]}, "s": {"prefix": [[0]]}, '
+        '"t": {"prefix": [[1]]}}' % ("0" * 5000)
+    ).encode(),
+    "not-utf8": b'{"name": "\xff\xfe"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FAMILY_FILES))
+def test_malformed_family_file_is_schema_error(tmp_path, capsys, case):
+    path = tmp_path / "family.json"
+    path.write_bytes(MALFORMED_FAMILY_FILES[case])
+    rc, out, err = run(capsys, "matrix", "--family", str(path), "--n", "2")
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("error: family ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_family_document_negative_coefficient(tmp_path, capsys):
     doc = {
         "name": "neg",

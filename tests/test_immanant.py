@@ -1,18 +1,23 @@
 """Unit tests for immanants, determinants, sweeps, and cubic inequalities."""
 
+import argparse
+import json
 import random
 from math import factorial
 
 import pytest
 
-from qcatalan.csmatrix import catalan_like, catalan_stieltjes, hankel, submatrix
+from qcatalan.cli import _sweep_csv, _sweep_json
+from qcatalan.csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
 from qcatalan.errors import CapExceeded, ShapeError
 from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
+    MatrixProvenance,
     _class_sums,
     _coefficients,
+    _reports,
     determinant,
     immanant,
     inequality_331,
@@ -20,7 +25,7 @@ from qcatalan.immanant import (
     positivity_sweep,
 )
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
-from qcatalan.symchar import degree, partitions_of
+from qcatalan.symchar import character_table, degree, partitions_of
 
 from oracles import (
     class_sums_by_permutation,
@@ -28,7 +33,9 @@ from oracles import (
     permanent,
     random_grid,
     random_qpoly,
+    reports_by_class_sums,
     s3_immanant,
+    sweep_by_selection,
 )
 
 
@@ -338,6 +345,128 @@ def test_report_json_shape():
         "provenance",
     }
     assert set(doc["provenance"]) == {"family", "kind", "rows", "cols"}
+
+
+# -- content-keyed sweeps against the per-selection oracle ------------
+
+
+def assert_sweep_matches_oracle(m, max_size, **kwargs):
+    got = positivity_sweep(m, max_size, **kwargs)
+    want = sweep_by_selection(m, max_size, **kwargs)
+    assert got.exhaustive == want.exhaustive
+    assert got.seed == want.seed
+    assert got.total_candidates == want.total_candidates
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.lam == w.lam
+        assert g.value == w.value
+        assert g.q_nonnegative == w.q_nonnegative
+        assert g.dominance_gap == w.dominance_gap
+        assert g.gap_nonnegative == w.gap_nonnegative
+        assert g.provenance == w.provenance
+    args = argparse.Namespace(matrix=m.kind, n=m.size, max_size=max_size)
+    assert _sweep_csv(got) == _sweep_csv(want)
+    assert json.dumps(_sweep_json(args, m.family, got)) == json.dumps(
+        _sweep_json(args, m.family, want)
+    )
+    return got
+
+
+@pytest.mark.parametrize("name", ["eulerian", "schroder", "narayana"])
+def test_sweep_matches_per_selection_oracle_on_builtins(name):
+    f = builtin(name)
+    for n in range(7):
+        assert_sweep_matches_oracle(catalan_stieltjes(f, n), n + 1)
+    for n in range(6):
+        assert_sweep_matches_oracle(hankel(f, n), n + 1)
+    assert_sweep_matches_oracle(hankel(f, 6), 2)
+
+
+def test_sampled_sweep_matches_per_selection_oracle():
+    m = hankel(builtin("schroder"), 6)
+    got = assert_sweep_matches_oracle(m, 4, seed=11, exhaustive_limit=400)
+    assert not got.exhaustive
+    drawn = {(r.provenance.rows, r.provenance.cols) for r in got}
+    assert len(drawn) < 400
+
+
+POOL = (ZERO, ZERO, ONE, -ONE, Q, ONE + Q, 2 - Q, Q * Q - 3)
+
+
+def _pool_matrix(rng, n, symmetric=False):
+    entries = [[rng.choice(POOL) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        for i in range(n):
+            for j in range(i):
+                entries[i][j] = entries[j][i]
+    offset = rng.randrange(3)
+    return CSMatrix(
+        tuple(map(tuple, entries)),
+        "pool",
+        builtin("narayana"),
+        tuple(range(offset, offset + n)),
+        tuple(range(2 * offset, 2 * offset + n)),
+    )
+
+
+def test_sweep_matches_per_selection_oracle_on_colliding_contents():
+    rng = random.Random(71)
+    for n in range(1, 6):
+        for _ in range(3):
+            assert_sweep_matches_oracle(_pool_matrix(rng, n), n)
+    symmetric = _pool_matrix(rng, 5, symmetric=True)
+    assert any(not r.q_nonnegative for r in assert_sweep_matches_oracle(symmetric, 5))
+    sampled = _pool_matrix(rng, 6)
+    assert_sweep_matches_oracle(sampled, 6, seed=4, exhaustive_limit=300)
+
+
+def _transpose(grid):
+    return [list(col) for col in zip(*grid)]
+
+
+def _combine(sums, lam):
+    """The lam-immanant as the character combination of permutation class sums."""
+    table = character_table(sum(lam))
+    total = ZERO
+    for mu, value in sums.items():
+        total = total + table.value(lam, mu) * value
+    return total
+
+
+def test_transpose_keeps_every_immanant_and_the_determinant():
+    rng = random.Random(72)
+    for n in range(7):
+        for _ in range(1 if n == 6 else 4):
+            grid = random_grid(rng, n, allow_negative=True)
+            flipped = _transpose(grid)
+            sums = class_sums_by_permutation(grid)
+            assert class_sums_by_permutation(flipped) == sums
+            for lam in partitions_of(n):
+                want = _combine(sums, lam)
+                assert immanant(grid, lam) == want
+                assert immanant(flipped, lam) == want
+            assert determinant(flipped) == determinant(grid)
+            assert determinant(grid) == _combine(sums, (1,) * n)
+
+
+def test_support_without_a_permutation_gives_zero_reports():
+    # Rows 2 and 3 are nonzero only in column 1: no permutation avoids a zero.
+    grid = [
+        [ONE + Q, 2 - Q, Q],
+        [-ONE, ZERO, ZERO],
+        [Q * Q, ZERO, ZERO],
+    ]
+    cells = _coefficients(grid)
+    assert not any(_class_sums(cells))
+    provenance = MatrixProvenance("pool", "pool", (0, 1, 2), (0, 1, 2))
+    got = _reports(cells, provenance)
+    assert got == reports_by_class_sums(cells, provenance)
+    assert [r.lam for r in got] == list(partitions_of(3))
+    for report in got:
+        assert report.value == ZERO == immanant(grid, report.lam)
+        assert report.dominance_gap == ZERO
+        assert report.q_nonnegative and report.gap_nonnegative
+    assert determinant(grid) == ZERO
 
 
 # -- cubic inequalities ------------------------------------------------
