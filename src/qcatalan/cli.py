@@ -30,7 +30,6 @@ from .network import (
     build_hankel_network,
     export_dot,
 )
-from .qpoly import QPoly
 from .symchar import character_table
 
 EXIT_OK = 0

@@ -15,10 +15,20 @@ C_{n+1} = diag(1, C_n) . L_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ShapeError
 from .families import FamilySpec
 from .qpoly import ONE, QPoly, ZERO
+
+
+def _require_square(rows) -> int:
+    """The side length of a grid given as its rows; ShapeError if not square."""
+    n = len(rows)
+    if n and len(rows[0]) != n:
+        raise ShapeError(f"matrix is {n}x{len(rows[0])}, not square")
+    return n
+
 
 @dataclass(frozen=True, eq=False)
 class CSMatrix:
@@ -45,9 +55,7 @@ class CSMatrix:
 
     @property
     def size(self) -> int:
-        if self.nrows != self.ncols:
-            raise ShapeError(f"matrix is {self.nrows}x{self.ncols}, not square")
-        return self.nrows
+        return _require_square(self.entries)
 
     def __getitem__(self, ij: tuple[int, int]) -> QPoly:
         i, j = ij
@@ -72,27 +80,22 @@ def _triangle(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
 
     Row m holds c_{m,0}..c_{m,h} with h = min(m, top - m); the entries
     above height top - m feed only entries of row top above height 0.
+    A term r_k, s_k or t_k is looked up only when an entry reads it, and at
+    most once per call, so a family with finitely many terms serves every
+    cut its rows fit in, and a missing or negative term is reported as the
+    first one the recurrence reads, in row order.
     """
-    # Entry (m, k) reads r_{k-1}, s_k when k <= h_{m-1} and t_{k+1} when
-    # k + 1 <= h_{m-1}, with h_m = min(m, top - m); only the terms some
-    # entry reads are looked up, so a family with finitely many terms
-    # serves every cut its rows fit in.
-    cut = [min(m, top - m) for m in range(n + 1)]
-    steps = list(zip(cut, cut[1:]))  # (h_{m-1}, h_m) for m = 1..n
-    r = [f.r(k) for k in range(max((h for _, h in steps), default=0))]
-    s = [f.s(k) for k in range(max((min(g, h) + 1 for g, h in steps), default=0))]
-    t_top = max((min(g, h + 1) for g, h in steps), default=0)
-    t = [ZERO] + [f.t(k) for k in range(1, t_top + 1)]
+    r, s, t = cache(f.r), cache(f.s), cache(f.t)
     rows: list[list[QPoly]] = [[ONE]]
     for m in range(1, n + 1):
         prev = rows[-1]
         row = []
         for k in range(min(m, top - m) + 1):
-            value = r[k - 1] * prev[k - 1] if k else ZERO
+            value = r(k - 1) * prev[k - 1] if k else ZERO
             if k < len(prev):
-                value = value + s[k] * prev[k]
+                value = value + s(k) * prev[k]
             if k + 1 < len(prev):
-                value = value + t[k + 1] * prev[k + 1]
+                value = value + t(k + 1) * prev[k + 1]
             row.append(value)
         rows.append(row)
     return rows

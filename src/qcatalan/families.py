@@ -25,8 +25,6 @@ from .errors import (
 )
 from .qpoly import ONE, Q, QPoly, ZERO
 
-BUILTIN_NAMES = ("eulerian", "schroder", "narayana")
-
 # Positivity condition i goes with weight case i of a network layer.
 WEIGHT_CASES = (1, 2, 3, 4, 5)
 
@@ -237,6 +235,7 @@ _BUILTIN_FACTORIES = {
     "schroder": _schroder,
     "narayana": _narayana,
 }
+BUILTIN_NAMES = tuple(_BUILTIN_FACTORIES)
 
 
 def builtin(name: str) -> FamilySpec:
@@ -255,6 +254,7 @@ def builtin(name: str) -> FamilySpec:
 _SEQ_KEYS = {"prefix", "tail"}
 _TAIL_KEYS = {"linear", "constant"}
 _DOC_KEYS = {"name", "r", "s", "t", "witness_b", "witness_c"}
+_NAME_FORBIDDEN = ',"\n\r'  # CSV output writes family names unquoted
 
 
 def _parse_poly(obj: object, where: str) -> QPoly:
@@ -301,7 +301,8 @@ def load_family(document: str | dict) -> FamilySpec:
     The document shape is ``{name, r, s, t, witness_b?, witness_c?}`` where
     each sequence is ``{prefix?: [poly...], tail?: {linear?: poly,
     constant?: poly}}`` and a polynomial is its ascending coefficient list.
-    Declared r/s/t prefix terms must be q-nonnegative.
+    Declared r/s/t prefix terms must be q-nonnegative, and the name may not
+    hold a comma, a double quote or a line break.
     """
     if isinstance(document, str):
         try:
@@ -320,6 +321,12 @@ def load_family(document: str | dict) -> FamilySpec:
     name = document.get("name")
     if not isinstance(name, str) or not name:
         raise SchemaError("family document needs a nonempty string 'name'")
+    bad = next((ch for ch in name if ch in _NAME_FORBIDDEN), None)
+    if bad is not None:
+        raise SchemaError(
+            f"family name {name!r} contains {bad!r}; a name may not hold "
+            "a comma, a double quote or a line break"
+        )
     for key in ("r", "s", "t"):
         if key not in document:
             raise SchemaError(f"family document is missing the {key!r} sequence")
@@ -340,11 +347,7 @@ def load_family(document: str | dict) -> FamilySpec:
         witness_c=witness_c,
     )
     # Validate the declared prefixes eagerly; tails stay lazy.
-    for label, seq in (("r", r_seq), ("s", s_seq), ("t", t_seq)):
-        for i, value in enumerate(seq.prefix):
-            if not value.is_q_nonnegative():
-                raise NonNonnegativeParameter(
-                    f"{label}_{seq.start + i} = {value} of family {name!r} "
-                    "has a negative coefficient"
-                )
+    for term, seq in ((spec.r, r_seq), (spec.s, s_seq), (spec.t, t_seq)):
+        for k in range(seq.start, seq.start + len(seq.prefix)):
+            term(k)
     return spec

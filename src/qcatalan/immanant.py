@@ -43,7 +43,7 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .csmatrix import CSMatrix
+from .csmatrix import CSMatrix, _require_square
 from .errors import CapExceeded, ShapeError
 from .qpoly import ONE, QPoly, ZERO, _convolve
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
@@ -84,13 +84,6 @@ def _as_entries(m: CSMatrix | list | tuple) -> Grid:
 
 def _coefficients(grid: Grid) -> CoeffGrid:
     return [[cell.coeffs for cell in row] for row in grid]
-
-
-def _require_square(grid: Grid) -> int:
-    n = len(grid)
-    if n and len(grid[0]) != n:
-        raise ShapeError(f"matrix is {n}x{len(grid[0])}, not square")
-    return n
 
 
 def _accumulate(table: dict, key: int, poly: list[int]) -> None:
@@ -321,6 +314,42 @@ class SweepResult:
         )
 
 
+def _selections(
+    n: int, max_size: int, seed: int, exhaustive_limit: int, size_cap: int | None
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], bool, int]:
+    """A sweep's (rows, cols) selections of an n x n matrix, in sweep order.
+
+    Returns (selections, exhaustive, total): every selection of each size
+    1..min(max_size, n) when their ``total`` count is at most
+    ``exhaustive_limit``, else that many draws seeded by ``seed``.
+    """
+    cap = _size_cap(size_cap)
+    if max_size < 1:
+        raise ValueError(f"max_size must be >= 1, got {max_size!r}")
+    if max_size > cap:
+        raise CapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
+    sizes = range(1, min(max_size, n) + 1)
+    per_size = {s: comb(n, s) ** 2 for s in sizes}
+    total = sum(per_size.values())
+    if total <= exhaustive_limit:
+        selections = [
+            (rows, cols)
+            for s in sizes
+            for rows in combinations(range(n), s)
+            for cols in combinations(range(n), s)
+        ]
+        return selections, True, total
+    rng = random.Random(seed)
+    weights = [per_size[s] for s in sizes]
+    selections = []
+    for _ in range(exhaustive_limit):
+        s = rng.choices(list(sizes), weights=weights)[0]
+        rows = tuple(sorted(rng.sample(range(n), s)))
+        cols = tuple(sorted(rng.sample(range(n), s)))
+        selections.append((rows, cols))
+    return selections, False, total
+
+
 def positivity_sweep(
     m: CSMatrix,
     max_size: int,
@@ -336,35 +365,9 @@ def positivity_sweep(
     selections are sampled deterministically from ``seed``.
     """
     grid = _as_entries(m)
-    n = _require_square(grid)
-    cap = _size_cap(size_cap)
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size!r}")
-    if max_size > cap:
-        raise CapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
-    top = min(max_size, n)
-    sizes = range(1, top + 1)
-    per_size = {s: comb(n, s) ** 2 for s in sizes}
-    total = sum(per_size.values())
-    exhaustive = total <= exhaustive_limit
-
-    if exhaustive:
-        selections = [
-            (rows, cols)
-            for s in sizes
-            for rows in combinations(range(n), s)
-            for cols in combinations(range(n), s)
-        ]
-    else:
-        rng = random.Random(seed)
-        weights = [per_size[s] for s in sizes]
-        selections = []
-        for _ in range(exhaustive_limit):
-            s = rng.choices(list(sizes), weights=weights)[0]
-            rows = tuple(sorted(rng.sample(range(n), s)))
-            cols = tuple(sorted(rng.sample(range(n), s)))
-            selections.append((rows, cols))
-
+    selections, exhaustive, total = _selections(
+        _require_square(grid), max_size, seed, exhaustive_limit, size_cap
+    )
     cells = _coefficients(grid)
     labels: dict[tuple[int, ...], int] = {}
     ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in cells]

@@ -223,14 +223,7 @@ class PlanarNetwork:
         """Number of directed u -> v paths (1 when u = v)."""
         self._require_vertex(u)
         self._require_vertex(v)
-        counts: dict[Vertex, int] = {u: 1}
-        for w in self._topo[self._order[u]:]:
-            value = counts.get(w)
-            if not value:
-                continue
-            for head, _ in self._adj[w]:
-                counts[head] = counts.get(head, 0) + value
-        return counts.get(v, 0)
+        return self._sweep((u,), (v,), lambda p: 1).get(v, {}).get(0, 0)
 
     def enumerate_paths(
         self, u: Vertex, v: Vertex, cap: int = 100000

@@ -175,18 +175,13 @@ class CharacterTable:
     def __init__(self, n: int) -> None:
         self.n = n
         self.shapes = partitions_of(n)
-        self.classes = partitions_of(n)
-        self._values = {
-            (lam, mu): character(lam, mu)
-            for lam in self.shapes
-            for mu in self.classes
+        self.classes = self.shapes
+        self._rows = {
+            lam: tuple(character(lam, mu) for mu in self.classes) for lam in self.shapes
         }
 
-    def value(self, lam: Partition, mu: Partition) -> int:
-        return self._values[(lam, mu)]
-
     def row(self, lam: Partition) -> tuple[int, ...]:
-        return tuple(self._values[(lam, mu)] for mu in self.classes)
+        return self._rows[lam]
 
     def to_json_dict(self) -> dict:
         return {

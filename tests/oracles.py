@@ -9,25 +9,22 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
 
-from qcatalan.csmatrix import CSMatrix
-from qcatalan.errors import CapExceeded
+from qcatalan.csmatrix import CSMatrix, _require_square
 from qcatalan.families import FamilySpec, ParamSeq
 from qcatalan.immanant import (
     ImmanantReport,
     MatrixProvenance,
     SweepResult,
-    _RAISE_CAP,
     _apply,
     _as_entries,
     _class_sums,
     _coefficients,
     _columns,
-    _require_square,
+    _selections,
     _shapes,
-    _size_cap,
 )
 from qcatalan.network import (
     Arc,
@@ -43,6 +40,7 @@ from qcatalan.network import (
     mirror,
 )
 from qcatalan.qpoly import ONE, QPoly, ZERO
+from qcatalan.symchar import cycle_type
 
 
 # -- closed forms for the builtin first columns -----------------------
@@ -112,22 +110,6 @@ def permanent(grid) -> QPoly:
     return total
 
 
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle type of a permutation of 0..n-1 given as an image tuple."""
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def class_sums_by_permutation(grid) -> dict[tuple[int, ...], QPoly]:
     """Per-cycle-type sums of diagonal products, walking all n! permutations.
 
@@ -139,7 +121,7 @@ def class_sums_by_permutation(grid) -> dict[tuple[int, ...], QPoly]:
         prod = ONE
         for i, j in enumerate(perm):
             prod = prod * grid[i][j]
-        mu = _cycle_type(perm)
+        mu = cycle_type([j + 1 for j in perm])
         sums[mu] = sums.get(mu, ZERO) + prod
     return sums
 
@@ -370,35 +352,9 @@ def sweep_by_selection(
     when its submatrix repeats another or has no nonzero permutation.
     """
     grid = _as_entries(m)
-    n = _require_square(grid)
-    cap = _size_cap(None)
-    if max_size < 1:
-        raise ValueError(f"max_size must be >= 1, got {max_size!r}")
-    if max_size > cap:
-        raise CapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
-    top = min(max_size, n)
-    sizes = range(1, top + 1)
-    per_size = {s: comb(n, s) ** 2 for s in sizes}
-    total = sum(per_size.values())
-    exhaustive = total <= exhaustive_limit
-
-    if exhaustive:
-        selections = [
-            (rows, cols)
-            for s in sizes
-            for rows in combinations(range(n), s)
-            for cols in combinations(range(n), s)
-        ]
-    else:
-        rng = random.Random(seed)
-        weights = [per_size[s] for s in sizes]
-        selections = []
-        for _ in range(exhaustive_limit):
-            s = rng.choices(list(sizes), weights=weights)[0]
-            rows = tuple(sorted(rng.sample(range(n), s)))
-            cols = tuple(sorted(rng.sample(range(n), s)))
-            selections.append((rows, cols))
-
+    selections, exhaustive, total = _selections(
+        _require_square(grid), max_size, seed, exhaustive_limit, None
+    )
     cells = _coefficients(grid)
     done: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
     reports: list[ImmanantReport] = []

@@ -176,6 +176,23 @@ def test_family_document_negative_coefficient(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "name,bad", [("a,b\nc", ","), ("a,b", ","), ('say "hi"', '"'), ("two\nlines", "\n"),
+                 ("a\rb", "\r")],
+)
+def test_family_name_that_would_break_csv_is_family_error(tmp_path, capsys, name, bad):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(dict(CONTROL_FAMILY, name=name)))
+    rc, out, err = run(
+        capsys, "verify", "--family", str(path), "--n", "2", "--max-size", "1",
+        "--format", "csv",
+    )
+    assert rc == 3
+    assert out == ""
+    assert err.startswith(f"error: family name {name!r} contains {bad!r}; ")
+    assert err.count("\n") == 1
+
+
 def test_family_with_exactly_the_needed_terms(tmp_path, capsys):
     # row 3 needs r_0..r_2, s_0..s_2 and t_1..t_2 only
     doc = {

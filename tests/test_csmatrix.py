@@ -1,6 +1,8 @@
 """Unit tests for the triangular recurrence matrices and Hankel companions."""
 
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +14,7 @@ from qcatalan.csmatrix import (
     hankel,
     submatrix,
 )
-from qcatalan.errors import SequenceExhausted, ShapeError
+from qcatalan.errors import NonNonnegativeParameter, SequenceExhausted, ShapeError
 from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
@@ -89,6 +91,50 @@ def test_triangle_needs_only_the_terms_of_earlier_rows():
             assert m[n, k] == weighted_path_poly(f, n, k)
     with pytest.raises(SequenceExhausted):
         catalan_stieltjes(f, 4)
+
+
+def _counting(f: FamilySpec):
+    """A stand-in for ``f`` whose r/s/t lookups are tallied by (label, index)."""
+    reads = Counter()
+
+    def tally(label, term):
+        def read(k):
+            reads[label, k] += 1
+            return term(k)
+
+        return read
+
+    return SimpleNamespace(r=tally("r", f.r), s=tally("s", f.s), t=tally("t", f.t)), reads
+
+
+def test_triangle_reads_each_term_at_most_once():
+    rng = random.Random(31)
+    for f in FAMILIES + [random_family(rng, terms=12) for _ in range(3)]:
+        for n in range(7):
+            for build in (catalan_stieltjes, hankel):
+                spy, reads = _counting(f)
+                assert build(spy, n).entries == build(f, n).entries
+                assert set(reads.values()) <= {1}
+
+
+def test_triangle_names_the_first_defective_term_in_row_order():
+    # entry (2, 1) reads s_1 before entry (3, 3) reads r_2
+    short = FamilySpec(
+        name="short",
+        r_seq=ParamSeq(0, (ONE, ONE)),
+        s_seq=ParamSeq(0, (ONE,)),
+        t_seq=ParamSeq(1, constant=ONE),
+    )
+    with pytest.raises(SequenceExhausted, match="only 1 explicit terms .* index 1 unavailable"):
+        catalan_stieltjes(short, 3)
+    negative = FamilySpec(
+        name="negative",
+        r_seq=ParamSeq(0, (ONE, ONE), constant=-ONE),
+        s_seq=ParamSeq(0, (ONE,), constant=-ONE),
+        t_seq=ParamSeq(1, constant=ONE),
+    )
+    with pytest.raises(NonNonnegativeParameter, match=r"^s_1 = -1 of family 'negative'"):
+        catalan_stieltjes(negative, 3)
 
 
 def test_recurrence_residuals_vanish_on_random_families():

@@ -288,6 +288,30 @@ def test_load_family_rejects_negative_prefix_terms():
         load_family(doc)
 
 
+def test_load_family_names_the_first_negative_prefix_term():
+    doc = {
+        "name": "neg",
+        "r": {"prefix": [[1], [1, -1]]},
+        "s": {"prefix": [[0, -2]]},
+        "t": {"prefix": [[1], [-1]]},
+    }
+    for fixed, message in (
+        ("r", "r_1 = 1-q of family 'neg' has a negative coefficient"),
+        ("s", "s_0 = -2q of family 'neg' has a negative coefficient"),
+        ("t", "t_2 = -1 of family 'neg' has a negative coefficient"),
+    ):
+        with pytest.raises(NonNonnegativeParameter) as exc:
+            load_family(doc)
+        assert str(exc.value) == message
+        doc[fixed] = {"prefix": [[1]], "tail": {"constant": [-1]}}  # tails stay lazy
+    assert load_family(doc).r(0) == ONE
+
+
+def test_load_family_keeps_other_punctuation_in_names():
+    name = "q-Narayana (shifted); v2 'x'|y"
+    assert load_family(dict(NARAYANA_DOC, name=name)).name == name
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -25,7 +25,7 @@ from qcatalan.immanant import (
     positivity_sweep,
 )
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
-from qcatalan.symchar import character_table, degree, partitions_of
+from qcatalan.symchar import character, degree, partitions_of
 
 from oracles import (
     class_sums_by_permutation,
@@ -426,10 +426,9 @@ def _transpose(grid):
 
 def _combine(sums, lam):
     """The lam-immanant as the character combination of permutation class sums."""
-    table = character_table(sum(lam))
     total = ZERO
     for mu, value in sums.items():
-        total = total + table.value(lam, mu) * value
+        total = total + character(lam, mu) * value
     return total
 
 

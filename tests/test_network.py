@@ -695,6 +695,19 @@ def test_packed_path_gf_matches_oracle_between_every_vertex_pair():
         assert_gf_matches_oracle(PlanarNetwork(net.arcs, every, every), trial)
 
 
+def test_count_paths_matches_enumeration_between_every_vertex_pair():
+    # zero-weight arcs still carry paths; the lonely vertex reaches nothing
+    rng = random.Random(6062)
+    for _ in range(20):
+        net = _random_network(rng)
+        arcs = [a._replace(weight=ZERO) if rng.random() < 0.3 else a for a in net.arcs]
+        arcs[0] = arcs[0]._replace(weight=ZERO)
+        net = PlanarNetwork(arcs, net.sources, net.sinks)
+        for u in net.vertices:
+            for v in net.vertices:
+                assert net.count_paths(u, v) == len(net.enumerate_paths(u, v))
+
+
 def test_packed_gf_on_arcless_networks():
     a, b = P(0, 0), P(1, 0)
     net = PlanarNetwork((), (a, b), (b, a), extra_vertices={P(2, 0)})

@@ -82,8 +82,7 @@ def test_three_letter_table_matches_hand_values():
     table = character_table(3)
     assert table.shapes == ((3,), (2, 1), (1, 1, 1))
     for lam in table.shapes:
-        for mu in table.classes:
-            assert table.value(lam, mu) == CHI3[lam][mu]
+        assert table.row(lam) == tuple(CHI3[lam][mu] for mu in table.classes)
     assert table.row((2, 1)) == (-1, 0, 2)
 
 
