@@ -130,11 +130,7 @@ def cmd_matrix(args) -> int:
 def cmd_network(args) -> int:
     f = _resolve_family(args.family)
     n, k = args.n, args.k
-    if args.hankel_induced:
-        layers = 2 * n + k
-    else:
-        layers = n
-    cases = _parse_cases(args.case, layers)
+    cases = _parse_cases(args.case, 2 * n + k if args.hankel_induced else n)
     if args.hankel_factored:
         net = build_hankel_factored(f, n, cases)
         expected = hankel(f, n)
@@ -156,13 +152,12 @@ def cmd_network(args) -> int:
         if got == want:
             check_line = f"check: pass ({what} matches the matrix for {f.name}, n={n})"
         else:
-            bad = next(
+            i, j = next(
                 (i, j)
                 for i in range(len(want))
                 for j in range(len(want[0]))
                 if got[i][j] != want[i][j]
             )
-            i, j = bad
             check_line = (
                 f"check: fail ({what} entry ({i},{j}) is {got[i][j]}, "
                 f"matrix has {want[i][j]})"
@@ -213,7 +208,7 @@ def _sweep_json(args, f: FamilySpec, result) -> dict:
         "seed": result.seed,
         "exhaustive": result.exhaustive,
         "total_candidates": result.total_candidates,
-        "report_count": len(result),
+        "report_count": len(result.reports),
         "ok": result.ok,
         "violations": [as_json(r) for r in result.violations()],
         "reports": [as_json(r) for r in result.reports],
@@ -256,7 +251,7 @@ def cmd_verify(args) -> int:
     else:
         mode = "exhaustive" if result.exhaustive else f"sampled (seed {result.seed})"
         print(
-            f"swept {len(result)} immanant reports over "
+            f"swept {len(result.reports)} immanant reports over "
             f"{result.total_candidates} candidate submatrices ({mode})"
         )
         if result.ok:
@@ -279,7 +274,8 @@ def cmd_inequality(args) -> int:
     if args.rows is not None:
         rows = tuple(args.rows)
         cols = tuple(args.cols)
-        a = catalan_like(f, rows[-1] + cols[-1])
+        # clamped so that a negative index reaches the triple check below
+        a = catalan_like(f, max(rows[-1], 0) + max(cols[-1], 0))
         value = inequality_331(a, rows, cols)
         ok = value.is_q_nonnegative()
         print(f"rows={list(rows)} cols={list(cols)} value={value} q_nonnegative={ok}")
@@ -287,7 +283,7 @@ def cmd_inequality(args) -> int:
 
     if args.triple is not None:
         i, j, k = args.triple
-        a = catalan_like(f, 2 * k)
+        a = catalan_like(f, 2 * max(k, 0))  # a negative k fails the triple check
         value = inequality_332(a, i, j, k)
         ok = value.is_q_nonnegative()
         print(f"triple=({i},{j},{k}) value={value} q_nonnegative={ok}")
@@ -344,7 +340,7 @@ def cmd_chars(args) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
         return EXIT_OK
-    header = ["shape\\class"] + [_format_partition(mu) for mu in table.classes]
+    header = ["shape\\class"] + [_format_partition(mu) for mu in table.shapes]
     rows = [[_format_partition(lam), *table.row(lam)] for lam in table.shapes]
     sys.stdout.write(_text_grid([header] + rows))
     return EXIT_OK

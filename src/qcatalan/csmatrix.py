@@ -22,14 +22,6 @@ from .families import FamilySpec
 from .qpoly import ONE, QPoly, ZERO
 
 
-def _require_square(rows) -> int:
-    """The side length of a grid given as its rows; ShapeError if not square."""
-    n = len(rows)
-    if n and len(rows[0]) != n:
-        raise ShapeError(f"matrix is {n}x{len(rows[0])}, not square")
-    return n
-
-
 @dataclass(frozen=True, eq=False)
 class CSMatrix:
     """An exact polynomial matrix with provenance.
@@ -52,14 +44,6 @@ class CSMatrix:
     @property
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
-
-    @property
-    def size(self) -> int:
-        return _require_square(self.entries)
-
-    def __getitem__(self, ij: tuple[int, int]) -> QPoly:
-        i, j = ij
-        return self.entries[i][j]
 
     def to_json_dict(self) -> dict:
         return {

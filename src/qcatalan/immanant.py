@@ -43,7 +43,7 @@ from itertools import combinations
 from math import comb
 from operator import mul
 
-from .csmatrix import CSMatrix, _require_square
+from .csmatrix import CSMatrix
 from .errors import CapExceeded, ShapeError
 from .qpoly import ONE, QPoly, ZERO, _convolve
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
@@ -70,6 +70,7 @@ def _size_cap(override: int | None) -> int:
 
 
 def _as_entries(m: CSMatrix | list | tuple) -> Grid:
+    """``m``'s entries as a square grid of QPoly rows (else ShapeError or TypeError)."""
     rows = m.entries if isinstance(m, CSMatrix) else m
     grid = tuple(tuple(row) for row in rows)
     widths = {len(row) for row in grid}
@@ -79,6 +80,8 @@ def _as_entries(m: CSMatrix | list | tuple) -> Grid:
         for cell in row:
             if not isinstance(cell, QPoly):
                 raise TypeError(f"matrix entry {cell!r} is not a QPoly")
+    if grid and len(grid[0]) != len(grid):
+        raise ShapeError(f"matrix is {len(grid)}x{len(grid[0])}, not square")
     return grid
 
 
@@ -203,7 +206,7 @@ def _shapes(n: int) -> tuple[tuple[Partition, tuple[int, ...], int], ...]:
 def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None = None) -> QPoly:
     """The lam-immanant: sum over permutations of chi^lam times the product."""
     grid = _as_entries(m)
-    n = _require_square(grid)
+    n = len(grid)
     if not is_partition(lam):
         raise ValueError(f"{lam!r} is not a partition")
     if sum(lam) != n:
@@ -218,7 +221,7 @@ def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None
 def determinant(m: CSMatrix | list | tuple) -> QPoly:
     """Exact determinant by fraction-free elimination (no permutation sums)."""
     grid = _as_entries(m)
-    n = _require_square(grid)
+    n = len(grid)
     if n == 0:
         return ONE
     work = [list(row) for row in grid]
@@ -298,12 +301,6 @@ class SweepResult:
     seed: int
     total_candidates: int
 
-    def __iter__(self):
-        return iter(self.reports)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
     @property
     def ok(self) -> bool:
         return all(r.q_nonnegative and r.gap_nonnegative for r in self.reports)
@@ -366,7 +363,7 @@ def positivity_sweep(
     """
     grid = _as_entries(m)
     selections, exhaustive, total = _selections(
-        _require_square(grid), max_size, seed, exhaustive_limit, size_cap
+        len(grid), max_size, seed, exhaustive_limit, size_cap
     )
     cells = _coefficients(grid)
     labels: dict[tuple[int, ...], int] = {}

@@ -26,9 +26,21 @@ from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
 from .families import FamilySpec, check_condition, condition_difference
 from .qpoly import ONE, QPoly, ZERO, _pack, _unpack
 
-_KIND_ORDER = {"P": 0, "Q": 1, "Pbar": 2, "Qbar": 3}
-_MIRROR_KIND = {"P": "Pbar", "Q": "Qbar", "Pbar": "P", "Qbar": "Q"}
-_DOT_KIND = {"P": "P", "Q": "Q", "Pbar": "Pb", "Qbar": "Qb"}
+
+class _Kind(NamedTuple):
+    rank: int  # sort rank among the kinds of one level
+    mirror: str  # kind of the mirror image
+    dot: str  # DOT name prefix
+    column: int  # x = 2 * level + column, or 4 * max_level + 1 minus that if barred
+    barred: bool
+
+
+_KINDS = {
+    "P": _Kind(0, "Pbar", "P", 0, False),
+    "Q": _Kind(1, "Qbar", "Q", 1, False),
+    "Pbar": _Kind(2, "P", "Pb", 0, True),
+    "Qbar": _Kind(3, "Q", "Qb", 1, True),
+}
 
 
 class Vertex(NamedTuple):
@@ -52,11 +64,11 @@ def Q(level: int, height: int) -> Vertex:
 
 
 def mirror_vertex(v: Vertex) -> Vertex:
-    return Vertex(_MIRROR_KIND[v.kind], v.level, v.height)
+    return Vertex(_KINDS[v.kind].mirror, v.level, v.height)
 
 
 def _vkey(v: Vertex) -> tuple[int, int, int]:
-    return (v.level, _KIND_ORDER[v.kind], v.height)
+    return (v.level, _KINDS[v.kind].rank, v.height)
 
 
 def _mirror_arc(a: Arc) -> Arc:
@@ -82,8 +94,9 @@ def _reachable(arcs: Iterable[Arc], origin: Vertex, backward: bool = False) -> s
 class PlanarNetwork:
     """An acyclic weighted digraph with ordered source and sink sequences.
 
-    Zero-weight arcs are stored like any other arc; acyclicity is verified
-    by topological sort at construction and the sorted order is cached for
+    Its vertices are the arc endpoints, sources and sinks.  Zero-weight
+    arcs are stored like any other arc; acyclicity is verified by
+    topological sort at construction and the sorted order is cached for
     the generating-function sweeps.
     """
 
@@ -92,7 +105,6 @@ class PlanarNetwork:
         arcs: Iterable[Arc | tuple],
         sources: Sequence[Vertex],
         sinks: Sequence[Vertex],
-        extra_vertices: Iterable[Vertex] = (),
     ) -> None:
         self.arcs: tuple[Arc, ...] = tuple(Arc(*a) for a in arcs)
         seen_pairs: set[tuple[Vertex, Vertex]] = set()
@@ -105,8 +117,7 @@ class PlanarNetwork:
             seen_pairs.add(pair)
         self.sources: tuple[Vertex, ...] = tuple(sources)
         self.sinks: tuple[Vertex, ...] = tuple(sinks)
-        verts: set[Vertex] = set(extra_vertices)
-        verts.update(self.sources)
+        verts: set[Vertex] = set(self.sources)
         verts.update(self.sinks)
         for arc in self.arcs:
             verts.add(arc.tail)
@@ -428,13 +439,7 @@ def glue(x: PlanarNetwork, y: PlanarNetwork) -> PlanarNetwork:
         return mapping.get(v, v)
 
     arcs = x.arcs + tuple(Arc(ren(a.tail), ren(a.head), a.weight) for a in y.arcs)
-    vertices = set(x.vertices) | {ren(v) for v in y.vertices}
-    return PlanarNetwork(
-        arcs,
-        x.sources,
-        tuple(ren(v) for v in y.sinks),
-        extra_vertices=vertices,
-    )
+    return PlanarNetwork(arcs, x.sources, tuple(ren(v) for v in y.sinks))
 
 
 def mirror(net: PlanarNetwork) -> PlanarNetwork:
@@ -443,7 +448,6 @@ def mirror(net: PlanarNetwork) -> PlanarNetwork:
         map(_mirror_arc, net.arcs),
         tuple(mirror_vertex(v) for v in net.sinks),
         tuple(mirror_vertex(v) for v in net.sources),
-        extra_vertices={mirror_vertex(v) for v in net.vertices},
     )
 
 
@@ -477,10 +481,10 @@ def build_cs_network(
 
     ``cases`` picks the weight case per layer (length n), so mixed-case
     networks are allowed whenever the family satisfies each layer's
-    condition.
+    condition.  At n = 0 it is the one-vertex network P(0, 0).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
     return PlanarNetwork(_layered_arcs(f, n, cases), cs_sources(n), cs_sinks(n))
 
 
@@ -531,25 +535,17 @@ def build_hankel_factored(
 
 
 def _positions(net: PlanarNetwork) -> dict[Vertex, tuple[int, int]]:
-    if not net.vertices:
-        return {}
-    max_level = max(v.level for v in net.vertices)
+    max_level = max((v.level for v in net.vertices), default=0)
     pos: dict[Vertex, tuple[int, int]] = {}
     for v in net.vertices:
-        if v.kind == "P":
-            x = 2 * v.level
-        elif v.kind == "Q":
-            x = 2 * v.level + 1
-        elif v.kind == "Pbar":
-            x = 4 * max_level + 1 - 2 * v.level
-        else:  # Qbar
-            x = 4 * max_level - 2 * v.level
-        pos[v] = (x, v.height)
+        kind = _KINDS[v.kind]
+        x = 2 * v.level + kind.column
+        pos[v] = (4 * max_level + 1 - x if kind.barred else x, v.height)
     return pos
 
 
 def _dot_name(v: Vertex) -> str:
-    return f"{_DOT_KIND[v.kind]}_{v.height}_{v.level}"
+    return f"{_KINDS[v.kind].dot}_{v.height}_{v.level}"
 
 
 def export_dot(net: PlanarNetwork) -> str:

@@ -31,15 +31,6 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_json(cls, data: object) -> "QPoly":
-        """Build from the JSON encoding: a list of ascending int coefficients."""
-        if not isinstance(data, list):
-            raise TypeError(f"expected a list of ints, got {data!r}")
-        return cls(data)
-
     # -- basic queries ------------------------------------------------
 
     @property

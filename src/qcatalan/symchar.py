@@ -175,9 +175,8 @@ class CharacterTable:
     def __init__(self, n: int) -> None:
         self.n = n
         self.shapes = partitions_of(n)
-        self.classes = self.shapes
         self._rows = {
-            lam: tuple(character(lam, mu) for mu in self.classes) for lam in self.shapes
+            lam: tuple(character(lam, mu) for mu in self.shapes) for lam in self.shapes
         }
 
     def row(self, lam: Partition) -> tuple[int, ...]:
@@ -186,7 +185,7 @@ class CharacterTable:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "classes": [list(mu) for mu in self.classes],
+            "classes": [list(mu) for mu in self.shapes],
             "characters": [
                 {"shape": list(lam), "values": list(self.row(lam))}
                 for lam in self.shapes

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from qcatalan.csmatrix import CSMatrix, _require_square
+from qcatalan.csmatrix import CSMatrix
 from qcatalan.families import FamilySpec, ParamSeq
 from qcatalan.immanant import (
     ImmanantReport,
@@ -269,17 +269,9 @@ def glued_cs_network(f: FamilySpec, n: int, cases) -> PlanarNetwork:
             net.arcs + padding,
             (P(0, i + 1),) + net.sources,
             (P(i, i + 1),) + net.sinks,
-            extra_vertices=net.vertices,
         )
         net = glue(padded, build_layer(f, i, cases[i]))
     return net
-
-
-def _cs_or_point(f: FamilySpec, n: int, cases) -> PlanarNetwork:
-    """``build_cs_network``, or the one-vertex network P(0, 0) at n = 0."""
-    if n == 0:
-        return PlanarNetwork((), (P(0, 0),), (P(0, 0),))
-    return build_cs_network(f, n, cases)
 
 
 def glued_factored_network(f: FamilySpec, n: int, cases) -> PlanarNetwork:
@@ -289,7 +281,7 @@ def glued_factored_network(f: FamilySpec, n: int, cases) -> PlanarNetwork:
     (each product formed afresh), and the mirror of C_n's network, joined by
     two ``glue`` calls; the caller checks r_k = 1.
     """
-    cs = _cs_or_point(f, n, cases)
+    cs = build_cs_network(f, n, cases)
     bridge_arcs = []
     for i in range(n + 1):
         weight = ONE
@@ -310,7 +302,7 @@ def pruned_hankel_network(f: FamilySpec, n: int, k: int, cases) -> PlanarNetwork
     ``count_paths`` rather than found by a reachability sweep.
     """
     total = 2 * n + k
-    whole = _cs_or_point(f, total, cases)
+    whole = build_cs_network(f, total, cases)
     start, end = P(k, k), P(total, total)
     kept = [
         a
@@ -353,7 +345,7 @@ def sweep_by_selection(
     """
     grid = _as_entries(m)
     selections, exhaustive, total = _selections(
-        _require_square(grid), max_size, seed, exhaustive_limit, None
+        len(grid), max_size, seed, exhaustive_limit, None
     )
     cells = _coefficients(grid)
     done: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}

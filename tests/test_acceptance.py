@@ -200,8 +200,8 @@ def test_criterion_07_immanants_of_submatrices_are_q_nonnegative(criterion):
     for (name, kind), result in results.items():
         assert result.exhaustive, (name, kind)
         expected = 2811 if kind == "C" else 136
-        assert len(result) == expected, (name, kind)
-        for report in result:
+        assert len(result.reports) == expected, (name, kind)
+        for report in result.reports:
             assert report.q_nonnegative, (name, kind, report)
     assert time.perf_counter() - start < 120.0
 
@@ -210,7 +210,7 @@ def test_criterion_08_dominance_gaps_are_q_nonnegative(criterion):
     criterion(8, "immanant minus degree-times-determinant stays q-nonnegative")
     results = CACHE.get("sweeps") or _run_sweeps()
     for (name, kind), result in results.items():
-        for report in result:
+        for report in result.reports:
             assert report.gap_nonnegative, (name, kind, report)
         assert result.ok
         assert result.violations() == ()

@@ -263,6 +263,17 @@ def test_network_check_passes_for_all_constructions(capsys):
         assert err == ""
 
 
+def test_network_check_passes_at_n_0_for_every_builtin_and_construction(capsys):
+    for family in ("narayana", "schroder", "eulerian"):
+        for extra in ([], ["--hankel-induced"], ["--hankel-factored"]):
+            rc, out, err = run(
+                capsys, "network", "--family", family, "--n", "0", "--check", *extra
+            )
+            assert rc == 0, (family, extra)
+            assert out.startswith("check: pass") and out.endswith(f"{family}, n=0)\n")
+            assert err == ""
+
+
 def test_network_dot_output_with_check_on_stderr(capsys):
     rc, out, err = run(
         capsys,
@@ -648,6 +659,33 @@ def test_inequality_argument_errors(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "inequality", "--family", "narayana", "--max-index", "1")
     assert rc == 2
+
+
+def test_inequality_negative_triple_index_names_the_triple(capsys):
+    rc, out, err = run(
+        capsys, "inequality", "--family", "narayana", "--triple", "0", "1", "-1"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: index indices must satisfy 0 <= i < j < k, got (0, 1, -1)\n"
+
+
+def test_inequality_negative_row_or_col_index_names_the_triple(capsys):
+    for rows, cols, label, bad in (
+        ("0 1 2", "0 1 -5", "col", "(0, 1, -5)"),
+        ("0 1 -2", "0 1 5", "row", "(0, 1, -2)"),
+    ):
+        rc, out, err = run(
+            capsys,
+            "inequality",
+            "--family",
+            "narayana",
+            "--rows",
+            *rows.split(),
+            "--cols",
+            *cols.split(),
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: {label} indices must satisfy 0 <= i < j < k, got {bad}\n"
 
 
 # -- chars -------------------------------------------------------------

@@ -16,6 +16,7 @@ from qcatalan.csmatrix import (
 )
 from qcatalan.errors import NonNonnegativeParameter, SequenceExhausted, ShapeError
 from qcatalan.families import FamilySpec, ParamSeq, builtin
+from qcatalan.immanant import determinant, immanant, positivity_sweep
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
 from oracles import (
@@ -39,8 +40,8 @@ def test_narayana_corner_frozen():
         (QPoly([0, 1, 1]), QPoly([1, 2]), ONE),
     )
     assert m.kind == "catalan_stieltjes"
-    assert m.size == 3
-    assert m[2, 1] == QPoly([1, 2])
+    assert m.nrows == m.ncols == 3
+    assert m.entries[2][1] == QPoly([1, 2])
 
 
 def test_eulerian_row_three_frozen():
@@ -73,7 +74,7 @@ def test_triangle_matches_path_enumeration(f):
     m = catalan_stieltjes(f, 6)
     for n in range(7):
         for k in range(7):
-            assert m[n, k] == weighted_path_poly(f, n, k)
+            assert m.entries[n][k] == weighted_path_poly(f, n, k)
 
 
 def test_triangle_needs_only_the_terms_of_earlier_rows():
@@ -88,7 +89,7 @@ def test_triangle_needs_only_the_terms_of_earlier_rows():
     m = catalan_stieltjes(f, 3)
     for n in range(4):
         for k in range(n + 1):
-            assert m[n, k] == weighted_path_poly(f, n, k)
+            assert m.entries[n][k] == weighted_path_poly(f, n, k)
     with pytest.raises(SequenceExhausted):
         catalan_stieltjes(f, 4)
 
@@ -142,15 +143,15 @@ def test_recurrence_residuals_vanish_on_random_families():
     for trial in range(3):
         f = random_family(rng, terms=12)
         m = catalan_stieltjes(f, 8)
-        assert m[0, 0] == ONE
+        assert m.entries[0][0] == ONE
         for n in range(1, 9):
             for k in range(9):
                 expected = (
-                    f.r(k - 1) * (m[n - 1, k - 1] if k >= 1 else ZERO)
-                    + f.s(k) * m[n - 1, k]
-                    + (f.t(k + 1) * m[n - 1, k + 1] if k + 1 < 9 else ZERO)
+                    f.r(k - 1) * (m.entries[n - 1][k - 1] if k >= 1 else ZERO)
+                    + f.s(k) * m.entries[n - 1][k]
+                    + (f.t(k + 1) * m.entries[n - 1][k + 1] if k + 1 < 9 else ZERO)
                 )
-                assert m[n, k] == expected, (trial, n, k)
+                assert m.entries[n][k] == expected, (trial, n, k)
 
 
 def test_triangle_is_lower_with_running_r_product_diagonal():
@@ -158,12 +159,12 @@ def test_triangle_is_lower_with_running_r_product_diagonal():
         m = catalan_stieltjes(f, 5)
         diag = ONE
         for n in range(6):
-            assert m[n, n] == diag
+            assert m.entries[n][n] == diag
             diag = diag * f.r(n)
             for k in range(n + 1, 6):
-                assert m[n, k] == ZERO
+                assert m.entries[n][k] == ZERO
     eulerian = catalan_stieltjes(builtin("eulerian"), 5)
-    assert [eulerian[n, n] for n in range(6)] == [
+    assert [eulerian.entries[n][n] for n in range(6)] == [
         QPoly([1]),
         QPoly([1]),
         QPoly([2]),
@@ -187,7 +188,7 @@ def test_one_step_transfer_identity():
             ]
             for i in range(n + 1):
                 for j in range(n + 1):
-                    padded[i + 1][j + 1] = corner[i, j]
+                    padded[i + 1][j + 1] = corner.entries[i][j]
             product = matmul(padded, build_ln(f, n))
             bigger = catalan_stieltjes(f, n + 1)
             assert product == [list(row) for row in bigger.entries]
@@ -215,9 +216,9 @@ def test_hankel_layout():
         h = hankel(f, 3)
         for i in range(4):
             for j in range(4):
-                assert h[i, j] == seq[i + j]
-                assert h[i, j] == h[j, i]
-        assert h[0, 0] == ONE
+                assert h.entries[i][j] == seq[i + j]
+                assert h.entries[i][j] == h.entries[j][i]
+        assert h.entries[0][0] == ONE
 
 
 def test_first_column_of_cut_triangle_matches_full_corner():
@@ -227,7 +228,7 @@ def test_first_column_of_cut_triangle_matches_full_corner():
         f = random_family(rng, terms=14)
         for up_to in (0, 1, 2, 7, 12):
             full = catalan_stieltjes(f, up_to)
-            assert catalan_like(f, up_to) == [full[m, 0] for m in range(up_to + 1)]
+            assert catalan_like(f, up_to) == [full.entries[m][0] for m in range(up_to + 1)]
 
 
 def test_first_column_prefix_stability():
@@ -241,12 +242,13 @@ def test_submatrix_entries_and_provenance():
     assert sub.kind == "submatrix"
     assert sub.row_indices == (1, 3)
     assert sub.col_indices == (0, 2)
-    assert sub.entries == ((h[1, 0], h[1, 2]), (h[3, 0], h[3, 2]))
+    e = h.entries
+    assert sub.entries == ((e[1][0], e[1][2]), (e[3][0], e[3][2]))
     # A submatrix of a submatrix points back at the original coordinates.
     nested = submatrix(sub, (1,), (1,))
     assert nested.row_indices == (3,)
     assert nested.col_indices == (2,)
-    assert nested[0, 0] == h[3, 2]
+    assert nested.entries[0][0] == h.entries[3][2]
 
 
 def test_submatrix_errors():
@@ -279,12 +281,15 @@ def test_to_json_dict_shape():
     }
 
 
-def test_size_requires_square():
+def test_non_square_matrix_is_a_shape_error():
     f = builtin("narayana")
-    ragged = CSMatrix(((ONE, ZERO),), "submatrix", f, (0,), (0, 1))
-    assert ragged.nrows == 1 and ragged.ncols == 2
-    with pytest.raises(ShapeError):
-        ragged.size
+    wide = CSMatrix(((ONE, ZERO, Q), (ZERO, ONE, Q)), "submatrix", f, (0, 1), (0, 1, 2))
+    assert wide.nrows == 2 and wide.ncols == 3
+    for route in (determinant, lambda m: immanant(m, (2,)), lambda m: positivity_sweep(m, 2)):
+        with pytest.raises(ShapeError, match="matrix is 2x3, not square"):
+            route(wide)
+        with pytest.raises(ShapeError, match="matrix is 2x3, not square"):
+            route(wide.entries)
 
 
 def test_negative_arguments_rejected():

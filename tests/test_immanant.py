@@ -230,10 +230,10 @@ def test_exhaustive_sweep_on_clean_corner():
     result = positivity_sweep(m, 3)
     assert result.exhaustive
     assert result.total_candidates == 16 + 36 + 16
-    assert len(result) == 16 * 1 + 36 * 2 + 16 * 3
+    assert len(result.reports) == 16 * 1 + 36 * 2 + 16 * 3
     assert result.ok
     assert result.violations() == ()
-    for report in result:
+    for report in result.reports:
         assert report.q_nonnegative and report.gap_nonnegative
         assert report.provenance.family == "narayana"
         assert report.provenance.kind == "catalan_stieltjes"
@@ -244,7 +244,7 @@ def test_exhaustive_sweep_on_clean_corner():
 def test_sweep_reports_are_consistent_with_direct_calls():
     m = hankel(builtin("schroder"), 2)
     result = positivity_sweep(m, 3)
-    for report in result:
+    for report in result.reports:
         rows = report.provenance.rows
         cols = report.provenance.cols
         sub = submatrix(m, rows, cols)
@@ -289,13 +289,13 @@ def test_sampled_sweep_reuses_repeats_with_exhaustive_reports():
     m = hankel(builtin("narayana"), 4)
     exhaustive = positivity_sweep(m, 3)
     by_selection: dict = {}
-    for report in exhaustive:
+    for report in exhaustive.reports:
         key = (report.provenance.rows, report.provenance.cols)
         by_selection.setdefault(key, []).append(report)
     sampled = positivity_sweep(m, 3, seed=3, exhaustive_limit=150)
     assert not sampled.exhaustive
     drawn = []
-    reports = list(sampled)
+    reports = list(sampled.reports)
     while reports:
         p = reports[0].provenance
         expected = by_selection[(p.rows, p.cols)]
@@ -311,7 +311,7 @@ def test_sweep_size_is_clamped_to_matrix():
     result = positivity_sweep(m, 5)
     # sizes 1 and 2 only: 4 + 1 selections, 4*1 + 1*2 reports
     assert result.total_candidates == 5
-    assert len(result) == 6
+    assert len(result.reports) == 6
 
 
 def test_sweep_validation():
@@ -326,9 +326,9 @@ def test_sweep_provenance_composes_through_submatrices():
     h = hankel(builtin("narayana"), 3)
     sub = submatrix(h, (1, 2, 3), (0, 2, 3))
     result = positivity_sweep(sub, 1)
-    assert {r.provenance.rows for r in result} <= {(1,), (2,), (3,)}
-    assert {r.provenance.cols for r in result} <= {(0,), (2,), (3,)}
-    for report in result:
+    assert {r.provenance.rows for r in result.reports} <= {(1,), (2,), (3,)}
+    assert {r.provenance.cols for r in result.reports} <= {(0,), (2,), (3,)}
+    for report in result.reports:
         assert report.provenance.kind == "submatrix"
 
 
@@ -356,15 +356,15 @@ def assert_sweep_matches_oracle(m, max_size, **kwargs):
     assert got.exhaustive == want.exhaustive
     assert got.seed == want.seed
     assert got.total_candidates == want.total_candidates
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    assert len(got.reports) == len(want.reports)
+    for g, w in zip(got.reports, want.reports):
         assert g.lam == w.lam
         assert g.value == w.value
         assert g.q_nonnegative == w.q_nonnegative
         assert g.dominance_gap == w.dominance_gap
         assert g.gap_nonnegative == w.gap_nonnegative
         assert g.provenance == w.provenance
-    args = argparse.Namespace(matrix=m.kind, n=m.size, max_size=max_size)
+    args = argparse.Namespace(matrix=m.kind, n=m.nrows, max_size=max_size)
     assert _sweep_csv(got) == _sweep_csv(want)
     assert json.dumps(_sweep_json(args, m.family, got)) == json.dumps(
         _sweep_json(args, m.family, want)
@@ -386,7 +386,7 @@ def test_sampled_sweep_matches_per_selection_oracle():
     m = hankel(builtin("schroder"), 6)
     got = assert_sweep_matches_oracle(m, 4, seed=11, exhaustive_limit=400)
     assert not got.exhaustive
-    drawn = {(r.provenance.rows, r.provenance.cols) for r in got}
+    drawn = {(r.provenance.rows, r.provenance.cols) for r in got.reports}
     assert len(drawn) < 400
 
 
@@ -415,7 +415,7 @@ def test_sweep_matches_per_selection_oracle_on_colliding_contents():
         for _ in range(3):
             assert_sweep_matches_oracle(_pool_matrix(rng, n), n)
     symmetric = _pool_matrix(rng, 5, symmetric=True)
-    assert any(not r.q_nonnegative for r in assert_sweep_matches_oracle(symmetric, 5))
+    assert any(not r.q_nonnegative for r in assert_sweep_matches_oracle(symmetric, 5).reports)
     sampled = _pool_matrix(rng, 6)
     assert_sweep_matches_oracle(sampled, 6, seed=4, exhaustive_limit=300)
 

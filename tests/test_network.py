@@ -399,6 +399,46 @@ def test_mirror_is_an_involution_and_transposes_gf():
             assert mgf[i][j] == gf[j][i]
 
 
+# -- vertex sets --------------------------------------------------------
+
+
+def _arc_ends_and_boundary(net):
+    ends = {v for a in net.arcs for v in (a.tail, a.head)}
+    return ends | set(net.sources) | set(net.sinks)
+
+
+def _built_networks():
+    for f, case in FAMILY_CASES:
+        for n in range(9):
+            yield build_cs_network(f, n, [case] * n)
+        for n in range(4):
+            for k in range(2):
+                yield build_hankel_network(f, n, k, [case] * (2 * n + k))
+    for f, case in UNIT_R_CASES:
+        for n in range(5):
+            yield build_hankel_factored(f, n, [case] * n)
+            yield glued_factored_network(f, n, [case] * n)
+
+
+def test_vertices_are_arc_ends_and_boundary():
+    for net in _built_networks():
+        assert net.vertices == _arc_ends_and_boundary(net)
+        mirrored = mirror(net)
+        assert mirrored.vertices == {mirror_vertex(v) for v in net.vertices}
+        assert mirrored.vertices == _arc_ends_and_boundary(mirrored)
+
+
+@pytest.mark.parametrize("f,case", FAMILY_CASES, ids=lambda p: str(p))
+def test_glue_keeps_every_vertex_of_both_parts(f, case):
+    for n in range(9):
+        net = build_cs_network(f, n, [case] * n)
+        mirrored = mirror(net)
+        glued = glue(net, mirrored)
+        renamed = {mirror_vertex(v): v for v in net.sinks}
+        assert glued.vertices == net.vertices | {renamed.get(v, v) for v in mirrored.vertices}
+        assert glued.vertices == _arc_ends_and_boundary(glued)
+
+
 # -- triangular-matrix networks ---------------------------------------
 
 
@@ -426,6 +466,14 @@ def test_cs_network_random_conforming(case):
         net = build_cs_network(f, n, [case] * n)
         expected = [list(row) for row in catalan_stieltjes(f, n).entries]
         assert net.gf_matrix() == expected
+
+
+@pytest.mark.parametrize("f", [NAR, SCH, EUL, FIVE], ids=lambda f: f.name)
+def test_cs_network_at_n_0_is_the_point_network(f):
+    net = build_cs_network(f, 0, [])
+    assert net.vertices == {P(0, 0)} and net.arcs == ()
+    assert net.sources == net.sinks == (P(0, 0),)
+    assert net.gf_matrix() == [list(row) for row in catalan_stieltjes(f, 0).entries]
 
 
 def test_cs_network_census():
@@ -477,8 +525,8 @@ def test_cs_network_raises_exactly_when_a_layer_condition_fails():
 
 
 def test_cs_network_validation():
-    with pytest.raises(ValueError):
-        build_cs_network(NAR, 0, [])
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        build_cs_network(NAR, -1, [])
     with pytest.raises(ShapeError):
         build_cs_network(NAR, 2, [2])
 
@@ -710,7 +758,8 @@ def test_count_paths_matches_enumeration_between_every_vertex_pair():
 
 def test_packed_gf_on_arcless_networks():
     a, b = P(0, 0), P(1, 0)
-    net = PlanarNetwork((), (a, b), (b, a), extra_vertices={P(2, 0)})
+    net = PlanarNetwork((), (a, b), (b, a))
+    assert net.vertices == {a, b}
     assert net.gf_matrix() == [[ZERO, ONE], [ONE, ZERO]]
     assert net.gf_matrix() == gf_matrix_by_source(net)
     empty = PlanarNetwork((), (), ())
@@ -751,6 +800,45 @@ EXPECTED_DOT = """digraph {
 def test_export_dot_frozen_small_network():
     net = build_cs_network(NAR, 1, [2])
     assert export_dot(net) == EXPECTED_DOT
+
+
+EXPECTED_FACTORED_DOT = """digraph {
+  P_0_0 [pos="0,0!"];
+  P_1_0 [pos="0,1!"];
+  Q_0_0 [pos="1,0!"];
+  Q_1_0 [pos="1,1!"];
+  P_0_1 [pos="2,0!"];
+  P_1_1 [pos="2,1!"];
+  Pb_0_1 [pos="3,0!"];
+  Pb_1_1 [pos="3,1!"];
+  Qb_0_0 [pos="4,0!"];
+  Qb_1_0 [pos="4,1!"];
+  Pb_0_0 [pos="5,0!"];
+  Pb_1_0 [pos="5,1!"];
+  P_0_0 -> Q_0_0 [label="1"];
+  P_0_0 -> Q_1_0 [label="0"];
+  P_0_0 -> P_1_1 [label="0"];
+  P_1_0 -> Q_1_0 [label="1"];
+  Q_0_0 -> P_0_1 [label="1"];
+  Q_0_0 -> P_1_1 [label="q"];
+  Q_1_0 -> P_1_1 [label="1"];
+  P_0_1 -> Pb_0_1 [label="q"];
+  P_1_1 -> Pb_1_1 [label="1"];
+  Pb_0_1 -> Qb_0_0 [label="1"];
+  Pb_1_1 -> Qb_0_0 [label="q"];
+  Pb_1_1 -> Qb_1_0 [label="1"];
+  Pb_1_1 -> Pb_0_0 [label="0"];
+  Qb_0_0 -> Pb_0_0 [label="1"];
+  Qb_1_0 -> Pb_0_0 [label="0"];
+  Qb_1_0 -> Pb_1_0 [label="1"];
+}
+"""
+
+
+def test_export_dot_frozen_barred_network():
+    # the barred kinds: Pb_/Qb_ names, drawn mirrored right of the bridge
+    net = build_hankel_factored(NAR, 1, [2])
+    assert export_dot(net) == EXPECTED_FACTORED_DOT
 
 
 def test_export_dot_is_deterministic_and_total():

@@ -82,7 +82,7 @@ def test_three_letter_table_matches_hand_values():
     table = character_table(3)
     assert table.shapes == ((3,), (2, 1), (1, 1, 1))
     for lam in table.shapes:
-        assert table.row(lam) == tuple(CHI3[lam][mu] for mu in table.classes)
+        assert table.row(lam) == tuple(CHI3[lam][mu] for mu in table.shapes)
     assert table.row((2, 1)) == (-1, 0, 2)
 
 
