@@ -1,7 +1,9 @@
 """Command-line driver for matrices, networks, sweeps, characters, inequalities.
 
 Exit codes: 0 success, 2 configuration error, 3 family error, 4 network
-check failure, 5 positivity violation.
+check failure, 5 positivity violation. An error's class decides between 2
+and 3: a ``FamilyError`` exits 3; a ``ValueError`` (every other error in
+``qcatalan.errors``), an ``IndexError`` or an ``OSError`` exits 2.
 """
 
 from __future__ import annotations
@@ -12,16 +14,7 @@ import sys
 from pathlib import Path
 
 from .csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
-from .errors import (
-    CapExceeded,
-    FamilyError,
-    NegativeWeight,
-    OutOfRange,
-    RequiresUnitGamma,
-    SchemaError,
-    ShapeError,
-    UnknownFamily,
-)
+from .errors import FamilyError, OutOfRange, SchemaError, UnknownFamily
 from .families import BUILTIN_NAMES, WEIGHT_CASES, FamilySpec, builtin, load_family
 from .immanant import inequality_331, inequality_332, positivity_sweep
 from .network import (
@@ -98,11 +91,15 @@ def _text_grid(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _render_matrix(m: CSMatrix, fmt: str) -> str:
     if fmt == "csv":
         return m.to_csv()
     if fmt == "json":
-        return json.dumps(m.to_json_dict(), indent=2) + "\n"
+        return _json_text(m.to_json_dict())
     return _text_grid(m.entries)
 
 
@@ -130,6 +127,8 @@ def cmd_matrix(args) -> int:
 def cmd_network(args) -> int:
     f = _resolve_family(args.family)
     n, k = args.n, args.k
+    if k and not args.hankel_induced:
+        raise ValueError(f"--k applies only to --hankel-induced, got --k {k}")
     cases = _parse_cases(args.case, 2 * n + k if args.hankel_induced else n)
     if args.hankel_factored:
         net = build_hankel_factored(f, n, cases)
@@ -169,7 +168,7 @@ def cmd_network(args) -> int:
         return rc
     fmt = args.format or "dot"
     if fmt == "json":
-        sys.stdout.write(json.dumps(net.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(_json_text(net.to_json_dict()))
     else:
         sys.stdout.write(export_dot(net))
     if check_line is not None:
@@ -245,7 +244,7 @@ def cmd_verify(args) -> int:
     m = catalan_stieltjes(f, args.n) if args.matrix == "C" else hankel(f, args.n)
     result = positivity_sweep(m, args.max_size, seed=args.seed)
     if args.format == "json":
-        sys.stdout.write(json.dumps(_sweep_json(args, f, result), indent=2) + "\n")
+        sys.stdout.write(_json_text(_sweep_json(args, f, result)))
     elif args.format == "csv":
         sys.stdout.write(_sweep_csv(result))
     else:
@@ -270,6 +269,8 @@ def cmd_inequality(args) -> int:
     f = _resolve_family(args.family)
     if (args.rows is None) != (args.cols is None):
         raise ValueError("--rows and --cols must be given together")
+    if args.format == "json" and (args.rows is not None or args.triple is not None):
+        raise ValueError("--format json applies only to the --max-index sweep")
 
     if args.rows is not None:
         rows = tuple(args.rows)
@@ -289,7 +290,7 @@ def cmd_inequality(args) -> int:
         print(f"triple=({i},{j},{k}) value={value} q_nonnegative={ok}")
         return EXIT_OK if ok else EXIT_POSITIVITY
 
-    top = args.max_index
+    top = 5 if args.max_index is None else args.max_index
     if top < 2:
         raise ValueError(f"--max-index must be >= 2, got {top}")
     a = catalan_like(f, 2 * top)
@@ -318,7 +319,7 @@ def cmd_inequality(args) -> int:
                 for t, v332, v331, ok in entries
             ],
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json_text(payload))
     else:
         for t, v332, v331, ok in entries:
             line = f"triple=({t[0]},{t[1]},{t[2]}) q_nonnegative={ok}"
@@ -338,7 +339,7 @@ def cmd_chars(args) -> int:
         raise OutOfRange(f"--n must be between 0 and {MAX_CHARS_N}, got {args.n}")
     table = character_table(args.n)
     if args.format == "json":
-        sys.stdout.write(json.dumps(table.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(_json_text(table.to_json_dict()))
         return EXIT_OK
     header = ["shape\\class"] + [_format_partition(mu) for mu in table.shapes]
     rows = [[_format_partition(lam), *table.row(lam)] for lam in table.shapes]
@@ -414,9 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inequality", help="evaluate the cubic Hankel inequalities")
     add_family(p)
-    p.add_argument("--max-index", type=int, default=5)
-    p.add_argument("--triple", type=int, nargs=3, metavar=("I", "J", "K"))
-    p.add_argument("--rows", type=int, nargs=3, metavar=("I1", "I2", "I3"))
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--max-index", type=int, metavar="M", help="sweep all triples up to M (default 5)"
+    )
+    mode.add_argument("--triple", type=int, nargs=3, metavar=("I", "J", "K"))
+    mode.add_argument("--rows", type=int, nargs=3, metavar=("I1", "I2", "I3"))
     p.add_argument("--cols", type=int, nargs=3, metavar=("J1", "J2", "J3"))
     p.add_argument("--show", action="store_true", help="print the difference polynomials")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -438,18 +442,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         return args.func(args)
-    except (FamilyError, NegativeWeight) as exc:
+    except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAMILY
-    except (
-        ShapeError,
-        RequiresUnitGamma,
-        OutOfRange,
-        CapExceeded,
-        ValueError,
-        IndexError,
-        OSError,
-    ) as exc:
+    except (ValueError, IndexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

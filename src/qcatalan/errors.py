@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error's base class decides its command-line exit code: a ``FamilyError``
+exits 3, and every other error here is a ``ValueError`` and exits 2.
+``FamilyError`` is not a ``ValueError``.
+"""
 
 
 class FamilyError(Exception):
@@ -25,25 +30,25 @@ class MissingWitness(FamilyError):
     """An operation needed witness sequences the family does not carry."""
 
 
-class ShapeError(Exception):
-    """Dimensions or index selections do not line up."""
-
-
-class NegativeWeight(Exception):
+class NegativeWeight(FamilyError):
     """A computed arc weight has a negative coefficient."""
 
 
-class RequiresUnitGamma(Exception):
+class ShapeError(ValueError):
+    """Dimensions or index selections do not line up."""
+
+
+class RequiresUnitGamma(ValueError):
     """The factored Hankel construction needs r_k = 1 for all relevant k."""
 
 
-class CapExceeded(Exception):
+class CapExceeded(ValueError):
     """A request exceeds a cap: paths to enumerate, or an immanant's matrix size."""
 
 
-class OutOfRange(Exception):
+class OutOfRange(ValueError):
     """An integer argument lies outside the supported range."""
 
 
-class NotAPermutation(Exception):
+class NotAPermutation(ValueError):
     """The given image list is not a bijection on {1, ..., n}."""

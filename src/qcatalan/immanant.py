@@ -323,6 +323,8 @@ def _selections(
     cap = _size_cap(size_cap)
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size!r}")
+    if exhaustive_limit < 1:
+        raise ValueError(f"exhaustive_limit must be >= 1, got {exhaustive_limit!r}")
     if max_size > cap:
         raise CapExceeded(f"max_size {max_size} exceeds the size cap {cap}; {_RAISE_CAP}")
     sizes = range(1, min(max_size, n) + 1)
@@ -361,6 +363,10 @@ def positivity_sweep(
     their total count is at most ``exhaustive_limit``; otherwise that many
     selections are sampled deterministically from ``seed``.
     """
+    if not isinstance(m, CSMatrix):
+        raise TypeError(
+            f"positivity_sweep needs a CSMatrix for provenance, got {type(m).__name__}"
+        )
     grid = _as_entries(m)
     selections, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, size_cap

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qcatalan import cli
+from qcatalan import cli, errors
 from qcatalan.csmatrix import catalan_stieltjes
 from qcatalan.families import builtin, load_family
 from qcatalan.immanant import positivity_sweep
@@ -261,6 +261,26 @@ def test_network_check_passes_for_all_constructions(capsys):
         assert rc == 0, extra
         assert out.startswith("check: pass")
         assert err == ""
+
+
+@pytest.mark.parametrize("kind", [[], ["--hankel-factored"]], ids=["layered", "factored"])
+def test_network_k_without_hankel_induced_is_config_error(capsys, kind):
+    rc, out, err = run(
+        capsys,
+        "network",
+        "--family",
+        "narayana",
+        "--n",
+        "2",
+        "--case",
+        "4",
+        "--k",
+        "3",
+        "--check",
+        *kind,
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: --k applies only to --hankel-induced, got --k 3\n"
 
 
 def test_network_check_passes_at_n_0_for_every_builtin_and_construction(capsys):
@@ -688,6 +708,40 @@ def test_inequality_negative_row_or_col_index_names_the_triple(capsys):
         assert err == f"error: {label} indices must satisfy 0 <= i < j < k, got {bad}\n"
 
 
+@pytest.mark.parametrize(
+    "mode",
+    [["--triple", "0", "1", "2"], ["--rows", "0", "1", "2", "--cols", "0", "1", "3"]],
+    ids=["triple", "rows-cols"],
+)
+def test_inequality_json_outside_the_sweep_is_config_error(capsys, mode):
+    rc, out, err = run(
+        capsys, "inequality", "--family", "narayana", *mode, "--format", "json"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: --format json applies only to the --max-index sweep\n"
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--triple", "0", "1", "2", "--rows", "0", "1", "2", "--cols", "0", "1", "3"],
+        ["--max-index", "3", "--triple", "0", "1", "2"],
+        ["--max-index", "3", "--rows", "0", "1", "2", "--cols", "0", "1", "3"],
+    ],
+    ids=["triple-rows", "max-index-triple", "max-index-rows"],
+)
+def test_inequality_modes_are_mutually_exclusive(capsys, modes):
+    rc, out, err = run(capsys, "inequality", "--family", "narayana", *modes)
+    assert (rc, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+def test_inequality_without_a_mode_sweeps_to_index_5(capsys):
+    rc, out, _ = run(capsys, "inequality", "--family", "narayana")
+    assert rc == 0
+    assert out.splitlines()[-1] == "checked 20 triples: all q-nonnegative"
+
+
 # -- chars -------------------------------------------------------------
 
 
@@ -730,6 +784,36 @@ def test_unknown_subcommand_exits_with_argparse_code(capsys):
 def test_missing_required_option(capsys):
     assert cli.main(["matrix", "--n", "1"]) == 2
     capsys.readouterr()
+
+
+# -- exit codes --------------------------------------------------------
+
+
+def _error_classes():
+    return [
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__ == errors.__name__
+    ]
+
+
+def test_every_error_class_is_a_family_error_or_a_value_error():
+    assert not issubclass(errors.FamilyError, ValueError)
+    for cls in _error_classes():
+        assert issubclass(cls, (errors.FamilyError, ValueError)), cls.__name__
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_error_class_decides_the_exit_code(capsys, monkeypatch, cls):
+    def fail(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_chars", fail)
+    rc, out, err = run(capsys, "chars", "--n", "1")
+    assert rc == (3 if issubclass(cls, errors.FamilyError) else 2)
+    assert (out, err) == ("", "error: boom\n")
 
 
 def test_console_script_runs():

@@ -288,6 +288,7 @@ def test_non_square_matrix_is_a_shape_error():
     for route in (determinant, lambda m: immanant(m, (2,)), lambda m: positivity_sweep(m, 2)):
         with pytest.raises(ShapeError, match="matrix is 2x3, not square"):
             route(wide)
+    for route in (determinant, lambda m: immanant(m, (2,))):
         with pytest.raises(ShapeError, match="matrix is 2x3, not square"):
             route(wide.entries)
 

@@ -322,6 +322,21 @@ def test_sweep_validation():
         positivity_sweep(m, 3, size_cap=2)
 
 
+def test_sweep_rejects_a_plain_grid():
+    # the reports' provenance comes from the CSMatrix; a grid has none
+    grid = [list(row) for row in hankel(builtin("narayana"), 1).entries]
+    with pytest.raises(TypeError, match="CSMatrix"):
+        positivity_sweep(grid, 1)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_sweep_rejects_an_exhaustive_limit_below_1(limit):
+    # a limit of 0 would sample nothing and report ok
+    m = hankel(builtin("narayana"), 3)
+    with pytest.raises(ValueError, match="exhaustive_limit must be >= 1"):
+        positivity_sweep(m, 2, exhaustive_limit=limit)
+
+
 def test_sweep_provenance_composes_through_submatrices():
     h = hankel(builtin("narayana"), 3)
     sub = submatrix(h, (1, 2, 3), (0, 2, 3))
