@@ -9,8 +9,8 @@ and 3: a ``FamilyError`` exits 3; a ``ValueError`` (every other error in
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
@@ -91,16 +91,70 @@ def _text_grid(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+_FLUSH_PARTS = 4096
+_INT_ONLY = {int}
 
 
-def _render_matrix(m: CSMatrix, fmt: str) -> str:
-    if fmt == "csv":
-        return m.to_csv()
-    if fmt == "json":
-        return _json_text(m.to_json_dict())
-    return _text_grid(m.entries)
+def _write_json(doc) -> None:
+    """Write ``doc`` to stdout exactly as ``json.dumps(doc, indent=2) + "\\n"``.
+
+    A document holds dicts with str keys, lists, str, int, bool and None;
+    anything else (a float, a non-str key) raises TypeError. The text goes
+    out in chunks of ``_FLUSH_PARTS`` parts, so the whole of it is never held
+    (and a document that fails part way has already written its first chunks).
+    """
+    write = sys.stdout.write
+    parts: list[str] = []
+    append = parts.append
+
+    def emit(v, nl: str) -> None:
+        t = type(v)
+        if t is list:
+            if not v:
+                append("[]")
+                return
+            inner = nl + "  "
+            # exact types: a bool is an int but renders as true/false
+            if {*map(type, v)} == _INT_ONLY:
+                append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
+                return
+            append("[" + inner)
+            comma = "," + inner
+            for i, x in enumerate(v):
+                if i:
+                    append(comma)
+                emit(x, inner)
+                if len(parts) >= _FLUSH_PARTS:
+                    write("".join(parts))
+                    parts.clear()
+            append(nl + "]")
+        elif t is str:
+            append(_quote(v))
+        elif t is int:
+            append(int.__repr__(v))
+        elif t is dict:
+            if not v:
+                append("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for k, x in v.items():
+                if type(k) is not str:
+                    raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+                append(sep + _quote(k) + ": ")
+                sep = "," + inner
+                emit(x, inner)
+            append(nl + "}")
+        elif t is bool:
+            append("true" if v else "false")
+        elif v is None:
+            append("null")
+        else:
+            raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+    emit(doc, "\n")
+    append("\n")
+    write("".join(parts))
 
 
 def _maybe_submatrix(m: CSMatrix, args) -> CSMatrix:
@@ -120,7 +174,12 @@ def cmd_matrix(args) -> int:
     f = _resolve_family(args.family)
     m = catalan_stieltjes(f, args.n) if args.command == "matrix" else hankel(f, args.n)
     m = _maybe_submatrix(m, args)
-    sys.stdout.write(_render_matrix(m, args.format))
+    if args.format == "json":
+        _write_json(m.to_json_dict())
+    elif args.format == "csv":
+        sys.stdout.write(m.to_csv())
+    else:
+        sys.stdout.write(_text_grid(m.entries))
     return EXIT_OK
 
 
@@ -168,7 +227,7 @@ def cmd_network(args) -> int:
         return rc
     fmt = args.format or "dot"
     if fmt == "json":
-        sys.stdout.write(_json_text(net.to_json_dict()))
+        _write_json(net.to_json_dict())
     else:
         sys.stdout.write(export_dot(net))
     if check_line is not None:
@@ -244,7 +303,7 @@ def cmd_verify(args) -> int:
     m = catalan_stieltjes(f, args.n) if args.matrix == "C" else hankel(f, args.n)
     result = positivity_sweep(m, args.max_size, seed=args.seed)
     if args.format == "json":
-        sys.stdout.write(_json_text(_sweep_json(args, f, result)))
+        _write_json(_sweep_json(args, f, result))
     elif args.format == "csv":
         sys.stdout.write(_sweep_csv(result))
     else:
@@ -269,8 +328,11 @@ def cmd_inequality(args) -> int:
     f = _resolve_family(args.family)
     if (args.rows is None) != (args.cols is None):
         raise ValueError("--rows and --cols must be given together")
-    if args.format == "json" and (args.rows is not None or args.triple is not None):
+    single = args.rows is not None or args.triple is not None
+    if args.format == "json" and single:
         raise ValueError("--format json applies only to the --max-index sweep")
+    if args.show and single:
+        raise ValueError("--show applies only to the --max-index sweep")
 
     if args.rows is not None:
         rows = tuple(args.rows)
@@ -319,7 +381,7 @@ def cmd_inequality(args) -> int:
                 for t, v332, v331, ok in entries
             ],
         }
-        sys.stdout.write(_json_text(payload))
+        _write_json(payload)
     else:
         for t, v332, v331, ok in entries:
             line = f"triple=({t[0]},{t[1]},{t[2]}) q_nonnegative={ok}"
@@ -339,7 +401,7 @@ def cmd_chars(args) -> int:
         raise OutOfRange(f"--n must be between 0 and {MAX_CHARS_N}, got {args.n}")
     table = character_table(args.n)
     if args.format == "json":
-        sys.stdout.write(_json_text(table.to_json_dict()))
+        _write_json(table.to_json_dict())
         return EXIT_OK
     header = ["shape\\class"] + [_format_partition(mu) for mu in table.shapes]
     rows = [[_format_partition(lam), *table.row(lam)] for lam in table.shapes]

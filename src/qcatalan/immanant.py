@@ -39,7 +39,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from operator import mul
 
@@ -339,10 +339,11 @@ def _selections(
         ]
         return selections, True, total
     rng = random.Random(seed)
-    weights = [per_size[s] for s in sizes]
+    sizes = list(sizes)
+    cum = list(accumulate(per_size[s] for s in sizes))
     selections = []
     for _ in range(exhaustive_limit):
-        s = rng.choices(list(sizes), weights=weights)[0]
+        s = rng.choices(sizes, cum_weights=cum)[0]
         rows = tuple(sorted(rng.sample(range(n), s)))
         cols = tuple(sorted(rng.sample(range(n), s)))
         selections.append((rows, cols))

@@ -722,6 +722,17 @@ def test_inequality_json_outside_the_sweep_is_config_error(capsys, mode):
 
 
 @pytest.mark.parametrize(
+    "mode",
+    [["--triple", "0", "1", "2"], ["--rows", "0", "1", "2", "--cols", "0", "1", "3"]],
+    ids=["triple", "rows-cols"],
+)
+def test_inequality_show_outside_the_sweep_is_config_error(capsys, mode):
+    rc, out, err = run(capsys, "inequality", "--family", "narayana", *mode, "--show")
+    assert (rc, out) == (2, "")
+    assert err == "error: --show applies only to the --max-index sweep\n"
+
+
+@pytest.mark.parametrize(
     "modes",
     [
         ["--triple", "0", "1", "2", "--rows", "0", "1", "2", "--cols", "0", "1", "3"],
@@ -771,6 +782,48 @@ def test_chars_out_of_range(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "chars", "--n", "-1")
     assert rc == 2
+
+
+# -- JSON writer -------------------------------------------------------
+
+
+def test_json_writer_matches_indented_json_dumps(capsys):
+    doc = {
+        "empty": [[], {}],
+        "mixed": [1, True, 0, False, None, -(2**70)],
+        "text": "Schr\u00f6der \U0001d52e\t\"\\\x00",
+        "nested": {"ints": [2**64, -3], "bools": [True], "": {"a": "b"}},
+    }
+    cli._write_json(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"x": [1, 2.0]}, 0.5, {1: "one"}, {"k": (1, 2)}],
+    ids=["float-in-list", "float", "int-key", "tuple"],
+)
+def test_json_writer_rejects_what_no_document_holds(doc):
+    with pytest.raises(TypeError):
+        cli._write_json(doc)
+
+
+def test_json_writer_flushes_in_chunks(monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.chunks = []
+
+        def write(self, text):
+            self.chunks.append(text)
+
+    doc = {"arcs": [{"tail": [i], "weight": [i, 1]} for i in range(5000)]}
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    cli._write_json(doc)
+    text = json.dumps(doc, indent=2) + "\n"
+    assert "".join(recorder.chunks) == text
+    assert len(recorder.chunks) > 1
+    assert max(map(len, recorder.chunks)) < len(text) // 2
 
 
 # -- parser-level behavior ---------------------------------------------

@@ -1,0 +1,120 @@
+"""Golden bytes for every JSON command: sha256 of stdout and the exit code.
+
+The hashes in ``golden/json_sha256.json`` pin the exact bytes each command
+prints, so a change to rendering that moves one byte fails here. After a
+deliberate output change, rewrite the file with
+``PYTHONPATH=src python tests/test_golden_json.py`` and review the diff.
+"""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from qcatalan import cli
+
+from test_cli import CONTROL_FAMILY
+
+GOLDEN = Path(__file__).parent / "golden" / "json_sha256.json"
+
+# Family documents written to a file; "@name" in an argv stands for its path.
+FAMILY_DOCS = {
+    # its C_2 has a negative 2x2 minor, so a sweep over it reports violations
+    "control": CONTROL_FAMILY,
+    # a name that needs \uXXXX escapes, a surrogate pair and control escapes
+    "unicode": {
+        "name": "Schröder–Łukasiewicz 𝔮\t\\é",
+        "r": {"tail": {"constant": [1]}},
+        "s": {"tail": {"constant": [0, 1]}},
+        "t": {"tail": {"constant": [1]}},
+    },
+}
+
+CASES = {
+    "verify-narayana-C6-s3": [
+        "verify", "--family", "narayana", "--matrix", "C", "--n", "6",
+        "--max-size", "3", "--format", "json",
+    ],
+    "verify-schroder-C6-s3": [
+        "verify", "--family", "schroder", "--matrix", "C", "--n", "6",
+        "--max-size", "3", "--format", "json",
+    ],
+    "verify-eulerian-C6-s3": [
+        "verify", "--family", "eulerian", "--matrix", "C", "--n", "6",
+        "--max-size", "3", "--format", "json",
+    ],
+    "verify-narayana-H5-s3": [
+        "verify", "--family", "narayana", "--matrix", "H", "--n", "5",
+        "--max-size", "3", "--format", "json",
+    ],
+    "network-schroder-40-case5-check": [
+        "network", "--family", "schroder", "--n", "40", "--case", "5",
+        "--check", "--format", "json",
+    ],
+    "hankel-schroder-40": [
+        "hankel", "--family", "schroder", "--n", "40", "--format", "json",
+    ],
+    "inequality-narayana-16": [
+        "inequality", "--family", "narayana", "--max-index", "16", "--format", "json",
+    ],
+    "chars-6": ["chars", "--n", "6", "--format", "json"],
+    "verify-control-violations": [
+        "verify", "--family", "@control", "--matrix", "C", "--n", "2",
+        "--max-size", "2", "--format", "json",
+    ],
+    "verify-unicode-name": [
+        "verify", "--family", "@unicode", "--matrix", "C", "--n", "3",
+        "--max-size", "2", "--format", "json",
+    ],
+    "matrix-unicode-name": [
+        "matrix", "--family", "@unicode", "--n", "3", "--format", "json",
+    ],
+}
+
+
+def _argv(name: str, family_dir: Path) -> list[str]:
+    out = []
+    for arg in CASES[name]:
+        if arg.startswith("@"):
+            path = family_dir / f"{arg[1:]}.json"
+            path.write_text(json.dumps(FAMILY_DOCS[arg[1:]]), encoding="utf-8")
+            arg = str(path)
+        out.append(arg)
+    return out
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_golden()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_command_bytes(name, tmp_path, capsys):
+    rc = cli.main(_argv(name, tmp_path))
+    out = capsys.readouterr().out.encode("utf-8")
+    want = _golden()[name]
+    assert {"exit": rc, "sha256": hashlib.sha256(out).hexdigest()} == want
+
+
+def _regenerate() -> None:
+    golden = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                rc = cli.main(_argv(name, Path(tmp)))
+            digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+            golden[name] = {"exit": rc, "sha256": digest}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()

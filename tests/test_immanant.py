@@ -3,7 +3,7 @@
 import argparse
 import json
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -18,6 +18,7 @@ from qcatalan.immanant import (
     _class_sums,
     _coefficients,
     _reports,
+    _selections,
     determinant,
     immanant,
     inequality_331,
@@ -283,6 +284,31 @@ def test_sweep_sampling_is_seed_deterministic():
     assert first.reports == second.reports
     other = positivity_sweep(m, 3, seed=6, exhaustive_limit=10)
     assert first.reports != other.reports
+
+
+def _draws_by_weights(n, max_size, seed, count):
+    """Sampled selections drawn with a per-draw ``weights=`` list."""
+    sizes = range(1, min(max_size, n) + 1)
+    weights = [comb(n, s) ** 2 for s in sizes]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        s = rng.choices(list(sizes), weights=weights)[0]
+        rows = tuple(sorted(rng.sample(range(n), s)))
+        cols = tuple(sorted(rng.sample(range(n), s)))
+        out.append((rows, cols))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, max_size, seed, limit",
+    [(18, 2, 1234567, 20000), (9, 4, 3, 500), (6, 6, 0, 300), (12, 3, 99, 2000)],
+)
+def test_sampled_selections_match_per_draw_weights(n, max_size, seed, limit):
+    selections, exhaustive, total = _selections(n, max_size, seed, limit, None)
+    assert not exhaustive
+    assert total == sum(comb(n, s) ** 2 for s in range(1, min(max_size, n) + 1))
+    assert selections == _draws_by_weights(n, max_size, seed, limit)
 
 
 def test_sampled_sweep_reuses_repeats_with_exhaustive_reports():
