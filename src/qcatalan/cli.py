@@ -16,7 +16,7 @@ from pathlib import Path
 from .csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
 from .errors import FamilyError, OutOfRange, SchemaError, UnknownFamily
 from .families import BUILTIN_NAMES, WEIGHT_CASES, FamilySpec, builtin, load_family
-from .immanant import inequality_331, inequality_332, positivity_sweep
+from .immanant import _inequality_sweep, inequality_331, inequality_332, positivity_sweep
 from .network import (
     build_cs_network,
     build_hankel_factored,
@@ -333,6 +333,11 @@ def cmd_inequality(args) -> int:
         raise ValueError("--format json applies only to the --max-index sweep")
     if args.show and single:
         raise ValueError("--show applies only to the --max-index sweep")
+    if args.show and args.format == "json":
+        raise ValueError(
+            "--show applies only to the text --max-index sweep; "
+            "JSON entries always carry both values"
+        )
 
     if args.rows is not None:
         rows = tuple(args.rows)
@@ -356,16 +361,9 @@ def cmd_inequality(args) -> int:
     if top < 2:
         raise ValueError(f"--max-index must be >= 2, got {top}")
     a = catalan_like(f, 2 * top)
-    entries = []
-    all_ok = True
-    for i in range(top + 1):
-        for j in range(i + 1, top + 1):
-            for k in range(j + 1, top + 1):
-                # inequality_331 at rows = cols = (i, j, k) equals 2 * inequality_332
-                v332 = inequality_332(a, i, j, k)
-                ok = v332.is_q_nonnegative()
-                all_ok = all_ok and ok
-                entries.append(((i, j, k), v332, 2 * v332, ok))
+    # inequality_331 at rows = cols = (i, j, k) equals 2 * inequality_332
+    entries = [(t, v332, v332.is_q_nonnegative()) for t, v332 in _inequality_sweep(a, top)]
+    all_ok = all(ok for _, _, ok in entries)
     if args.format == "json":
         payload = {
             "family": f.name,
@@ -375,18 +373,18 @@ def cmd_inequality(args) -> int:
                 {
                     "triple": list(t),
                     "value_332": v332.to_json(),
-                    "value_331_diagonal": v331.to_json(),
+                    "value_331_diagonal": (2 * v332).to_json(),
                     "q_nonnegative": ok,
                 }
-                for t, v332, v331, ok in entries
+                for t, v332, ok in entries
             ],
         }
         _write_json(payload)
     else:
-        for t, v332, v331, ok in entries:
+        for t, v332, ok in entries:
             line = f"triple=({t[0]},{t[1]},{t[2]}) q_nonnegative={ok}"
             if args.show:
-                line += f" value_332={v332} value_331_diagonal={v331}"
+                line += f" value_332={v332} value_331_diagonal={2 * v332}"
             print(line)
         print(f"checked {len(entries)} triples: {'all' if all_ok else 'NOT all'} q-nonnegative")
     return EXIT_OK if all_ok else EXIT_POSITIVITY

@@ -45,7 +45,7 @@ from operator import mul
 
 from .csmatrix import CSMatrix
 from .errors import CapExceeded, ShapeError
-from .qpoly import ONE, QPoly, ZERO, _convolve
+from .qpoly import ONE, QPoly, ZERO, _canonical, _convolve, _pack, _unpack
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
 SIZE_CAP_ENV = "QCATALAN_SIZE_CAP"
@@ -492,3 +492,54 @@ def inequality_332(a: list[QPoly], i: int, j: int, k: int) -> QPoly:
         + a[2 * k] * a[i + j] ** 2
         - 3 * (a[i + j] * a[j + k] * a[k + i])
     )
+
+
+def _inequality_sweep(
+    a: list[QPoly], top: int
+) -> list[tuple[tuple[int, int, int], QPoly]]:
+    """``inequality_332(a, i, j, k)`` for every 0 <= i < j < k <= top.
+
+    The triples come in lexicographic order.  Each a_m is packed once as the
+    integer a_m(2**bits) (Kronecker substitution, ``qpoly._pack``), so every
+    product below is one big-integer multiply.  The squares a_m**2, the
+    terms a_{2x} a_y**2 and the products a_x a_y depend on an index pair
+    only, so each is computed once; the cubic term then costs one multiply
+    per triple.  Each value is unpacked once.
+
+    With N the largest sum of absolute coefficients of a_0..a_{2 top}, every
+    coefficient of every value is at most 6 N**3 in absolute value (three
+    terms of at most N**3, and three times one product of at most N**3),
+    which fixes the digit width.
+    """
+    seq = a[: 2 * top + 1]
+    norm = max(sum(map(abs, p.coeffs)) for p in seq)
+    bits = 8 * ((6 * norm**3).bit_length() // 8 + 1)  # so that 6 N**3 < 2**(bits - 1)
+    packed = [_pack(p.coeffs, bits) for p in seq]
+    squares: dict[int, int] = {}
+    terms: dict[tuple[int, int], int] = {}
+    pairs: dict[tuple[int, int], int] = {}
+
+    def term(x: int, y: int) -> int:  # a_{2x} a_y**2
+        key = (x, y)
+        value = terms.get(key)
+        if value is None:
+            sq = squares.get(y)
+            if sq is None:
+                sq = squares[y] = packed[y] * packed[y]
+            value = terms[key] = packed[2 * x] * sq
+        return value
+
+    out = []
+    for i in range(top + 1):
+        for j in range(i + 1, top + 1):
+            for k in range(j + 1, top + 1):
+                key = (i + j, j + k)
+                pair = pairs.get(key)
+                if pair is None:
+                    pair = pairs[key] = packed[i + j] * packed[j + k]
+                value = (
+                    term(i, j + k) + term(j, i + k) + term(k, i + j)
+                    - 3 * pair * packed[i + k]
+                )
+                out.append(((i, j, k), _canonical(tuple(_unpack(value, bits)))))
+    return out

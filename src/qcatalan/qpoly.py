@@ -4,6 +4,9 @@ The coefficient sequence is stored ascending: index i holds the coefficient
 of q**i.  The stored form is canonical -- no trailing zeros -- so the zero
 polynomial is the empty tuple and its degree is None.  Instances are
 immutable, hashable, and every operation returns a canonical result.
+``QPoly(...)`` checks every coefficient it is given; the ring operations
+build their results with ``_canonical``, which trusts them, since exact ints
+added or multiplied give exact ints.
 
 A polynomial is called q-nonnegative when every coefficient is >= 0; the
 partial order "p dominates r" used throughout the package is expressed as
@@ -12,6 +15,7 @@ partial order "p dominates r" used throughout the package is expressed as
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Iterable, Sequence, Union
 
 
@@ -75,24 +79,33 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        while out and out[-1] == 0:
+            out.pop()
+        return _canonical(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _canonical(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other: Union["QPoly", int]) -> "QPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        a, b = self.coeffs, o.coeffs
+        out = list(a)
+        out.extend([0] * (len(b) - len(a)))
+        for i, c in enumerate(b):
+            out[i] -= c
+        while out and out[-1] == 0:
+            out.pop()
+        return _canonical(tuple(out))
 
     def __rsub__(self, other: Union["QPoly", int]) -> "QPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other: Union["QPoly", int]) -> "QPoly":
         o = self._coerce(other)
@@ -101,7 +114,8 @@ class QPoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return ZERO
-        return QPoly(_convolve(a, b))
+        # the top coefficient is a product of two nonzero ints, so never 0
+        return _canonical(tuple(_convolve(a, b)))
 
     __rmul__ = __mul__
 
@@ -179,6 +193,17 @@ class QPoly:
             else:
                 out += ("-" if c < 0 else "+") + body
         return out
+
+
+def _canonical(coeffs: tuple[int, ...]) -> QPoly:
+    """A ``QPoly`` holding ``coeffs`` as given, without checking them.
+
+    For coefficients the package computed itself: a tuple of exact ints with
+    no trailing zeros.  Outside input goes through ``QPoly(...)``.
+    """
+    p = object.__new__(QPoly)
+    p.coeffs = coeffs
+    return p
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

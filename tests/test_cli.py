@@ -732,6 +732,18 @@ def test_inequality_show_outside_the_sweep_is_config_error(capsys, mode):
     assert err == "error: --show applies only to the --max-index sweep\n"
 
 
+@pytest.mark.parametrize("sweep", [[], ["--max-index", "3"]], ids=["default", "max-index"])
+def test_inequality_show_in_the_json_sweep_is_config_error(capsys, sweep):
+    rc, out, err = run(
+        capsys, "inequality", "--family", "narayana", *sweep, "--format", "json", "--show"
+    )
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: --show applies only to the text --max-index sweep; "
+        "JSON entries always carry both values\n"
+    )
+
+
 @pytest.mark.parametrize(
     "modes",
     [

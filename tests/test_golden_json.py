@@ -1,8 +1,11 @@
-"""Golden bytes for every JSON command: sha256 of stdout and the exit code.
+"""Golden bytes for CLI commands: sha256 of stdout and the exit code.
 
-The hashes in ``golden/json_sha256.json`` pin the exact bytes each command
-prints, so a change to rendering that moves one byte fails here. After a
-deliberate output change, rewrite the file with
+The corpus covers JSON, text and CSV output: every JSON command, the
+``inequality`` sweep with and without ``--show``, its single-triple modes,
+large ``matrix``/``hankel`` renderings and a family that fails the cubic
+inequality. The hashes in ``golden/json_sha256.json`` pin the exact bytes
+each command prints, so a change to arithmetic or rendering that moves one
+byte fails here. After a deliberate output change, rewrite the file with
 ``PYTHONPATH=src python tests/test_golden_json.py`` and review the diff.
 """
 
@@ -30,6 +33,13 @@ FAMILY_DOCS = {
         "name": "Schröder–Łukasiewicz 𝔮\t\\é",
         "r": {"tail": {"constant": [1]}},
         "s": {"tail": {"constant": [0, 1]}},
+        "t": {"tail": {"constant": [1]}},
+    },
+    # s_0 = 2q, s_1 = 0: the cubic inequality at triple (1,2,3) has a -4q term
+    "dip": {
+        "name": "dip",
+        "r": {"tail": {"constant": [1]}},
+        "s": {"prefix": [[0, 2], [0, 0]], "tail": {"constant": [1]}},
         "t": {"tail": {"constant": [1]}},
     },
 }
@@ -72,6 +82,34 @@ CASES = {
     ],
     "matrix-unicode-name": [
         "matrix", "--family", "@unicode", "--n", "3", "--format", "json",
+    ],
+    "inequality-eulerian-13-show": [
+        "inequality", "--family", "eulerian", "--max-index", "13", "--show",
+    ],
+    "inequality-narayana-16-text": [
+        "inequality", "--family", "narayana", "--max-index", "16",
+    ],
+    "inequality-narayana-triple": [
+        "inequality", "--family", "narayana", "--triple", "1", "3", "5",
+    ],
+    "inequality-schroder-rows-cols": [
+        "inequality", "--family", "schroder", "--rows", "0", "1", "3",
+        "--cols", "1", "2", "4",
+    ],
+    "matrix-eulerian-80-text": [
+        "matrix", "--family", "eulerian", "--n", "80", "--format", "text",
+    ],
+    "hankel-schroder-48-csv": [
+        "hankel", "--family", "schroder", "--n", "48", "--format", "csv",
+    ],
+    "inequality-dip-8-show": [
+        "inequality", "--family", "@dip", "--max-index", "8", "--show",
+    ],
+    "inequality-dip-8-json": [
+        "inequality", "--family", "@dip", "--max-index", "8", "--format", "json",
+    ],
+    "inequality-dip-triple": [
+        "inequality", "--family", "@dip", "--triple", "1", "2", "3",
     ],
 }
 

@@ -17,6 +17,7 @@ from qcatalan.immanant import (
     MatrixProvenance,
     _class_sums,
     _coefficients,
+    _inequality_sweep,
     _reports,
     _selections,
     determinant,
@@ -569,6 +570,30 @@ def test_332_anchor_value():
     )
     assert inequality_332(a, 0, 1, 2) == value
     assert value.is_q_nonnegative()
+
+
+def test_inequality_sweep_matches_332_on_every_triple():
+    rng = random.Random(332)
+    names = ("eulerian", "schroder", "narayana")
+    sequences = [catalan_like(builtin(name), 12) for name in names]
+    big = dict(max_deg=4, max_coeff=10**30, allow_negative=True)
+    sequences += [[random_qpoly(rng, **big) for _ in range(13)] for _ in range(6)]
+    for a in sequences:
+        for top in (2, 3, 6):
+            want = [(t, inequality_332(a, *t)) for t in _triples(top)]
+            assert _inequality_sweep(a, top) == want
+
+
+def test_inequality_sweep_at_its_coefficient_bound():
+    # a = (c, c, c, -c, c): at (0, 1, 2) the value is 3 c^3 + 3 c^3 = 6 c^3, the
+    # sweep's bound 6 N^3 itself, which needs the top bit of its digit width
+    for k in range(12):
+        c = 2**k
+        a = [QPoly([x]) for x in (c, c, c, -c, c)]
+        assert inequality_332(a, 0, 1, 2) == QPoly([6 * c**3])
+        assert _inequality_sweep(a, 2) == [((0, 1, 2), QPoly([6 * c**3]))]
+        a = [QPoly([0, -x]) for x in (c, c, c, -c, c)]
+        assert _inequality_sweep(a, 2) == [((0, 1, 2), QPoly([0, 0, 0, -6 * c**3]))]
 
 
 def test_inequality_index_validation():
