@@ -17,8 +17,9 @@ permutations of that type (the class sums):
 Every shape lam of size n is then the integer combination of the class sums
 given by the character row of lam.  ``positivity_sweep`` applies every row
 of a size, cached with its degree, to the same class sums, and takes each
-dominance gap from the same coefficient vectors.  The inner arithmetic runs
-on coefficient lists; each result becomes a ``QPoly`` once.
+dominance gap from the same combinations.  The arithmetic runs on entries
+packed once as the integers p(2**bits) (Kronecker substitution), at one
+width per sweep (``_packed``); each value and gap is unpacked once.
 
 A sweep computes each distinct submatrix once, up to transpose: selections
 are keyed by their entries, and a submatrix and its transpose share a key,
@@ -40,19 +41,18 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from .csmatrix import CSMatrix
 from .errors import CapExceeded, ShapeError
-from .qpoly import ONE, QPoly, ZERO, _canonical, _convolve, _pack, _unpack
+from .qpoly import ONE, QPoly, ZERO, _pack, _unpack, _width
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
 SIZE_CAP_ENV = "QCATALAN_SIZE_CAP"
 DEFAULT_SIZE_CAP = 9
 
 Grid = tuple[tuple[QPoly, ...], ...]
-CoeffGrid = list[list[tuple[int, ...]]]
 
 _RAISE_CAP = f"raise it with {SIZE_CAP_ENV}=<n> or size_cap=<n>"
 
@@ -85,23 +85,23 @@ def _as_entries(m: CSMatrix | list | tuple) -> Grid:
     return grid
 
 
-def _coefficients(grid: Grid) -> CoeffGrid:
-    return [[cell.coeffs for cell in row] for row in grid]
+def _packed(grid: Grid, size: int) -> tuple[list[list[int]], int]:
+    """Every entry of ``grid`` packed at one width, and that width in bits.
+
+    The width holds every value and gap of every submatrix of at most
+    ``size`` rows.  With P the product of the ``size`` largest row sums of
+    absolute coefficients, each taken as at least 1 (so that a zero row, or
+    fewer rows, never gives more), the products of all permutations sum to at
+    most P in that norm.  With D the largest character degree of size
+    ``size``, each value is then at most D * P and each gap at most 2 * D * P.
+    """
+    norms = [max(sum(sum(map(abs, cell.coeffs)) for cell in row), 1) for row in grid]
+    degrees = map(degree, partitions_of(size))
+    bits = _width(2 * max(degrees) * prod(sorted(norms, reverse=True)[:size]))
+    return [[_pack(cell.coeffs, bits) for cell in row] for row in grid], bits
 
 
-def _accumulate(table: dict, key: int, poly: list[int]) -> None:
-    """Add the coefficient list ``poly`` into ``table[key]`` in place."""
-    acc = table.get(key)
-    if acc is None:
-        table[key] = poly
-        return
-    if len(acc) < len(poly):
-        acc.extend([0] * (len(poly) - len(acc)))
-    for k, c in enumerate(poly):
-        acc[k] += c
-
-
-def _cycle_sums(cells: CoeffGrid) -> dict[int, list[int]]:
+def _cycle_sums(cells: list[list[int]]) -> dict[int, int]:
     """For each index set S (a bit mask), the summed products of all cycles on S.
 
     A cycle on S is walked from min(S); ``paths[S][v]`` sums the products
@@ -109,15 +109,15 @@ def _cycle_sums(cells: CoeffGrid) -> dict[int, list[int]]:
     Sets whose every cycle has a zero entry are left out.
     """
     n = len(cells)
-    cycles: dict[int, list[int]] = {}
+    cycles: dict[int, int] = {}
     for m in range(n):
         bit = 1 << m
         if cells[m][m]:
-            cycles[bit] = list(cells[m][m])
-        paths: dict[int, dict[int, list[int]]] = {}
+            cycles[bit] = cells[m][m]
+        paths: dict[int, dict[int, int]] = {}
         for w in range(m + 1, n):
             if cells[m][w]:
-                paths[bit | 1 << w] = {w: list(cells[m][w])}
+                paths[bit | 1 << w] = {w: cells[m][w]}
         for high in range(1, 1 << (n - m - 1)):
             mask = bit | high << (m + 1)
             ends = paths.pop(mask, None)
@@ -126,11 +126,11 @@ def _cycle_sums(cells: CoeffGrid) -> dict[int, list[int]]:
             for v, path in ends.items():
                 row = cells[v]
                 if row[m]:
-                    _accumulate(cycles, mask, _convolve(path, row[m]))
+                    cycles[mask] = cycles.get(mask, 0) + path * row[m]
                 for w in range(m + 1, n):
                     if row[w] and not mask >> w & 1:
                         longer = paths.setdefault(mask | 1 << w, {})
-                        _accumulate(longer, w, _convolve(path, row[w]))
+                        longer[w] = longer.get(w, 0) + path * row[w]
     return cycles
 
 
@@ -147,19 +147,20 @@ def _class_positions(n: int) -> dict[int, int]:
     }
 
 
-def _class_sums(cells: CoeffGrid) -> list[list[int]]:
+def _class_sums(cells: list[list[int]]) -> list[int]:
     """Per-cycle-type sums of the permutation diagonal products.
 
     A permutation is a set partition of the indices into cycles.  The DP
     state is (used-index mask, partial cycle type); each step adds the
     cycle through the lowest unused index, so every permutation is built
-    exactly once.  Returns coefficient lists indexed like partitions_of(n).
+    exactly once.  ``cells`` and the sums are packed polynomials (see
+    ``_packed``); the sums are indexed like partitions_of(n).
     """
     n = len(cells)
     cycles = _cycle_sums(cells)
     steps = [0] + [(n + 1) ** (k - 1) for k in range(1, n + 1)]
     full = (1 << n) - 1
-    states: dict[int, dict[int, list[int]]] = {0: {0: [1]}}
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
     for mask in range(full):
         here = states.pop(mask, None)
         if here is None:
@@ -174,26 +175,15 @@ def _class_sums(cells: CoeffGrid) -> list[list[int]]:
                 step = steps[sub.bit_count() + 1]
                 target = states.setdefault(mask | sub | low, {})
                 for key, value in here.items():
-                    _accumulate(target, key + step, _convolve(value, cycle))
+                    target[key + step] = target.get(key + step, 0) + value * cycle
             if not sub:
                 break
             sub = (sub - 1) & others
-    sums: list[list[int]] = [[] for _ in partitions_of(n)]
     positions = _class_positions(n)
+    sums = [0] * len(positions)
     for key, value in states.get(full, {}).items():
         sums[positions[key]] = value
     return sums
-
-
-def _columns(sums: list[list[int]]) -> list[tuple[int, ...]]:
-    """Coefficient k of every class sum, one tuple per k."""
-    width = max(map(len, sums))
-    return list(zip(*(c + [0] * (width - len(c)) for c in sums)))
-
-
-def _apply(row: tuple[int, ...], columns: list[tuple[int, ...]]) -> list[int]:
-    """Coefficients of the class-function combination ``row`` of the class sums."""
-    return [sum(map(mul, row, col)) for col in columns]
 
 
 @cache
@@ -214,8 +204,8 @@ def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None
     cap = _size_cap(size_cap)
     if n > cap:
         raise CapExceeded(f"matrix size {n} exceeds the size cap {cap}; {_RAISE_CAP}")
-    columns = _columns(_class_sums(_coefficients(grid)))
-    return QPoly(_apply(character_table(n).row(lam), columns))
+    cells, bits = _packed(grid, n)
+    return _unpack(sum(map(mul, character_table(n).row(lam), _class_sums(cells))), bits)
 
 
 def determinant(m: CSMatrix | list | tuple) -> QPoly:
@@ -372,9 +362,10 @@ def positivity_sweep(
     selections, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, size_cap
     )
-    cells = _coefficients(grid)
-    labels: dict[tuple[int, ...], int] = {}
-    ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in cells]
+    size = min(max_size, len(grid))
+    cells, bits = _packed(grid, size)
+    labels: dict[QPoly, int] = {}
+    ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in grid]
     by_selection: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
     by_content: dict[tuple[int, ...], list[ImmanantReport]] = {}
     reports: list[ImmanantReport] = []
@@ -396,7 +387,7 @@ def positivity_sweep(
             first = by_content.get(key)
             if first is None:
                 sub = [[cells[i][j] for j in cols] for i in rows]
-                found = by_content[key] = _reports(sub, provenance)
+                found = by_content[key] = _reports(sub, bits, provenance)
             else:
                 found = [
                     ImmanantReport(
@@ -415,23 +406,21 @@ def positivity_sweep(
     return SweepResult(tuple(reports), exhaustive, seed, total)
 
 
-def _reports(cells: CoeffGrid, provenance: MatrixProvenance) -> list[ImmanantReport]:
-    """Every shape's immanant and dominance gap of one submatrix."""
+def _reports(
+    cells: list[list[int]], bits: int, provenance: MatrixProvenance
+) -> list[ImmanantReport]:
+    """Every shape's immanant and dominance gap of one packed submatrix."""
     sums = _class_sums(cells)
     shapes = _shapes(len(cells))
     if not any(sums):
         # No permutation has all its entries nonzero: every value and gap is 0.
-        return [
-            ImmanantReport(lam, ZERO, True, ZERO, True, provenance)
-            for lam, _, _ in shapes
-        ]
-    columns = _columns(sums)
-    det = _apply(shapes[-1][1], columns)  # shape (1,...,1): the sign character
+        return [ImmanantReport(lam, ZERO, True, ZERO, True, provenance) for lam, _, _ in shapes]
+    det = sum(map(mul, shapes[-1][1], sums))  # shape (1,...,1): the sign character
     out = []
     for lam, row, deg in shapes:
-        coeffs = _apply(row, columns)
-        value = QPoly(coeffs)
-        gap = QPoly([c - deg * d for c, d in zip(coeffs, det)])
+        packed = sum(map(mul, row, sums))
+        value = _unpack(packed, bits)
+        gap = _unpack(packed - deg * det, bits)
         out.append(
             ImmanantReport(
                 lam=lam,
@@ -513,7 +502,7 @@ def _inequality_sweep(
     """
     seq = a[: 2 * top + 1]
     norm = max(sum(map(abs, p.coeffs)) for p in seq)
-    bits = 8 * ((6 * norm**3).bit_length() // 8 + 1)  # so that 6 N**3 < 2**(bits - 1)
+    bits = _width(6 * norm**3)
     packed = [_pack(p.coeffs, bits) for p in seq]
     squares: dict[int, int] = {}
     terms: dict[tuple[int, int], int] = {}
@@ -541,5 +530,5 @@ def _inequality_sweep(
                     term(i, j + k) + term(j, i + k) + term(k, i + j)
                     - 3 * pair * packed[i + k]
                 )
-                out.append(((i, j, k), _canonical(tuple(_unpack(value, bits)))))
+                out.append(((i, j, k), _unpack(value, bits)))
     return out

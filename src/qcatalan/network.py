@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
 from .families import FamilySpec, check_condition, condition_difference
-from .qpoly import ONE, QPoly, ZERO, _pack, _unpack
+from .qpoly import ONE, QPoly, ZERO, _pack, _unpack, _width
 
 
 class _Kind(NamedTuple):
@@ -212,11 +212,11 @@ class PlanarNetwork:
         """
         bound = self._sweep(starts, ends, lambda p: sum(map(abs, p.coeffs)))
         top = max((x for v in ends for x in bound.get(v, {}).values()), default=0)
-        bits = 8 * (top.bit_length() // 8 + 1)  # so that top < 2**(bits - 1)
+        bits = _width(top)
         packed = self._sweep(starts, ends, lambda p: _pack(p.coeffs, bits))
         columns = [packed.get(v, {}) for v in ends]
         return [
-            [QPoly(_unpack(column.get(i, 0), bits)) for column in columns]
+            [_unpack(column.get(i, 0), bits) for column in columns]
             for i in range(len(starts))
         ]
 

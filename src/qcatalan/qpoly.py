@@ -209,8 +209,8 @@ def _canonical(coeffs: tuple[int, ...]) -> QPoly:
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two nonempty ascending coefficient sequences.
 
-    The ring multiply of ``QPoly`` and the immanant engine's tuple
-    arithmetic both go through here.
+    The kernel of ``QPoly.__mul__``; the engines that multiply many
+    polynomials pack them instead (``_pack``).
     """
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -220,13 +220,18 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _width(bound: int) -> int:
+    """The least multiple of 8, bits, with bound < 2**(bits - 1): ``_unpack``'s width."""
+    return 8 * (bound.bit_length() // 8 + 1)
+
+
 def _pack(coeffs: Sequence[int], bits: int) -> int:
     """The integer p(2**bits) for the polynomial with ascending ``coeffs``.
 
     Exact for any integer coefficients: evaluation at 2**bits is a ring
     homomorphism, so sums and products of packed values pack the sums and
     products of the polynomials (Kronecker substitution).  ``_unpack``
-    recovers the coefficients once each one is below 2**(bits - 1) in
+    recovers the polynomial once each coefficient is below 2**(bits - 1) in
     absolute value.
     """
     value = 0
@@ -235,14 +240,14 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
     return value
 
 
-def _unpack(value: int, bits: int) -> list[int]:
-    """Signed base-2**bits digits of ``value``, ascending, no trailing zeros.
+def _unpack(value: int, bits: int) -> QPoly:
+    """The ``QPoly`` whose coefficients are the signed base-2**bits digits of ``value``.
 
     The inverse of ``_pack`` for coefficients below 2**(bits - 1) in
-    absolute value; ``bits`` must be a positive multiple of 8.  Adding
-    2**(bits - 1) to every digit makes them all lie in [1, 2**bits), so the
-    digits are the byte slices of one shifted integer: linear in the size
-    of ``value``, with no repeated shifts of a large integer.
+    absolute value, with ``bits`` from ``_width``.  Adding 2**(bits - 1) to
+    every digit makes them all lie in [1, 2**bits), so the digits are the
+    byte slices of one shifted integer: linear in the size of ``value``.
+    The digits are exact ints, so ``_canonical`` takes them unchecked.
     """
     width = bits // 8
     half = 1 << (bits - 1)
@@ -256,7 +261,7 @@ def _unpack(value: int, bits: int) -> list[int]:
     ]
     while digits and digits[-1] == 0:
         digits.pop()
-    return digits
+    return _canonical(tuple(digits))
 
 
 ZERO = QPoly()

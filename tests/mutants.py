@@ -30,9 +30,37 @@ MUTANTS = [
     {
         "name": "inequality sweep digit width one byte short",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "bits = 8 * ((6 * norm**3).bit_length() // 8 + 1)",
-        "replacement": "bits = 8 * ((6 * norm**3).bit_length() // 8)",
+        "snippet": "bits = _width(6 * norm**3)",
+        "replacement": "bits = _width(6 * norm**3) - 8",
         "tests": ["tests/test_immanant.py"],
+    },
+    {
+        "name": "class-sum width bound takes a zero row's sum as 0",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "max(sum(sum(map(abs, cell.coeffs)) for cell in row), 1)",
+        "replacement": "sum(sum(map(abs, cell.coeffs)) for cell in row)",
+        "tests": ["tests/test_immanant.py"],
+    },
+    {
+        "name": "class-sum width bound without the factor 2 that dominance gaps need",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "_width(2 * max(degrees)",
+        "replacement": "_width(max(degrees)",
+        "tests": ["tests/test_immanant.py"],
+    },
+    {
+        "name": "sweep digit width taken from one row fewer than its largest submatrices",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "cells, bits = _packed(grid, size)",
+        "replacement": "cells, bits = _packed(grid, size - 1)",
+        "tests": ["tests/test_immanant.py"],
+    },
+    {
+        "name": "class-sum DP files a cycle under the cycle type one length short",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "step = steps[sub.bit_count() + 1]",
+        "replacement": "step = steps[sub.bit_count()]",
+        "tests": ["tests/test_packing.py"],
     },
     # Swapping the two parts of a memo's key inside the memo relabels its
     # entries one to one, which changes no result; these two mutants instead
@@ -87,13 +115,8 @@ def _apply(mutant: dict, dest: Path) -> None:
 
 
 def _tests_pass(dest: Path, tests: list[str]) -> bool:
-    """True when the tests pass, False when one fails; exits 2 on any other end.
-
-    Hypothesis's pytest plugin is left out: on a failing property it imports
-    optional modules whose deprecation warnings the suite turns into errors,
-    which would end the run as an internal error instead of a failed test.
-    """
-    argv = ["-q", "-x", "-p", "no:cacheprovider", "-p", "no:hypothesispytest", *tests]
+    """True when the tests pass, False when one fails; exits 2 on any other end."""
+    argv = ["-q", "-x", "-p", "no:cacheprovider", *tests]
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", *argv],
         cwd=dest,

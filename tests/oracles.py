@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import permutations
-from math import comb
+from math import comb, prod
 
 from qcatalan.csmatrix import CSMatrix
 from qcatalan.families import FamilySpec, ParamSeq
@@ -18,11 +18,8 @@ from qcatalan.immanant import (
     ImmanantReport,
     MatrixProvenance,
     SweepResult,
-    _apply,
     _as_entries,
     _class_sums,
-    _coefficients,
-    _columns,
     _selections,
     _shapes,
 )
@@ -39,7 +36,7 @@ from qcatalan.network import (
     hankel_sources,
     mirror,
 )
-from qcatalan.qpoly import ONE, QPoly, ZERO
+from qcatalan.qpoly import ONE, QPoly, ZERO, _pack, _unpack, _width
 from qcatalan.symchar import cycle_type
 
 
@@ -341,19 +338,19 @@ def sweep_by_selection(
 
     Nothing is keyed by content: every (rows, cols) pair runs the class-sum
     DP and the full character combination (``reports_by_class_sums``), even
-    when its submatrix repeats another or has no nonzero permutation.
+    when its submatrix repeats another or has no nonzero permutation.  Each
+    submatrix is packed at its own width, not at the sweep's.
     """
     grid = _as_entries(m)
     selections, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, None
     )
-    cells = _coefficients(grid)
     done: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
     reports: list[ImmanantReport] = []
     for rows, cols in selections:
         found = done.get((rows, cols))
         if found is None:
-            sub = [[cells[i][j] for j in cols] for i in rows]
+            sub = [[grid[i][j] for j in cols] for i in rows]
             provenance = MatrixProvenance(
                 m.family.name,
                 m.kind,
@@ -365,16 +362,28 @@ def sweep_by_selection(
     return SweepResult(tuple(reports), exhaustive, seed, total)
 
 
-def reports_by_class_sums(cells, provenance: MatrixProvenance) -> list[ImmanantReport]:
-    """Every shape's immanant and gap of one submatrix, always by the full route."""
-    columns = _columns(_class_sums(cells))
-    shapes = _shapes(len(cells))
-    det = _apply(shapes[-1][1], columns)  # shape (1,...,1): the sign character
+def reports_by_class_sums(grid, provenance: MatrixProvenance) -> list[ImmanantReport]:
+    """Every shape's immanant and gap of one QPoly submatrix, always by the full route.
+
+    The class-sum DP runs on the entries packed at this submatrix's own
+    width: every class sum coefficient is at most the permanent of the
+    matrix of absolute coefficient sums, so at most the product of its row
+    sums.  Each class sum is unpacked, and the character rows combine them
+    with ``QPoly`` arithmetic, not packed.
+    """
+    bits = _width(prod(sum(sum(map(abs, cell.coeffs)) for cell in row) for row in grid))
+    packed = [[_pack(cell.coeffs, bits) for cell in row] for row in grid]
+    sums = [_unpack(value, bits) for value in _class_sums(packed)]
+    shapes = _shapes(len(grid))
+
+    def combine(row: tuple[int, ...]) -> QPoly:
+        return sum((c * p for c, p in zip(row, sums)), ZERO)
+
+    det = combine(shapes[-1][1])  # shape (1,...,1): the sign character
     out = []
     for lam, row, deg in shapes:
-        coeffs = _apply(row, columns)
-        value = QPoly(coeffs)
-        gap = QPoly([c - deg * d for c, d in zip(coeffs, det)])
+        value = combine(row)
+        gap = value - deg * det
         out.append(
             ImmanantReport(
                 lam=lam,

@@ -2,8 +2,9 @@
 
 The corpus covers JSON, text and CSV output: every JSON command, the
 ``inequality`` sweep with and without ``--show``, its single-triple modes,
-large ``matrix``/``hankel`` renderings and a family that fails the cubic
-inequality. The hashes in ``golden/json_sha256.json`` pin the exact bytes
+large ``matrix``/``hankel`` renderings, a family that fails the cubic
+inequality, and CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
+them sampled. The hashes in ``golden/json_sha256.json`` pin the exact bytes
 each command prints, so a change to arithmetic or rendering that moves one
 byte fails here. After a deliberate output change, rewrite the file with
 ``PYTHONPATH=src python tests/test_golden_json.py`` and review the diff.
@@ -110,6 +111,19 @@ CASES = {
     ],
     "inequality-dip-triple": [
         "inequality", "--family", "@dip", "--triple", "1", "2", "3",
+    ],
+    "verify-narayana-H5-s6-csv": [
+        "verify", "--family", "narayana", "--matrix", "H", "--n", "5",
+        "--max-size", "6", "--format", "csv",
+    ],
+    "verify-eulerian-C6-s7-csv": [
+        "verify", "--family", "eulerian", "--matrix", "C", "--n", "6",
+        "--max-size", "7", "--format", "csv",
+    ],
+    # 20000 sampled draws out of more than 20000 selections
+    "verify-schroder-C17-s2-sampled-csv": [
+        "verify", "--family", "schroder", "--matrix", "C", "--n", "17",
+        "--max-size", "2", "--seed", "12345", "--format", "csv",
     ],
 }
 

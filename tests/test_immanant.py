@@ -16,8 +16,8 @@ from qcatalan.immanant import (
     SIZE_CAP_ENV,
     MatrixProvenance,
     _class_sums,
-    _coefficients,
     _inequality_sweep,
+    _packed,
     _reports,
     _selections,
     determinant,
@@ -26,7 +26,7 @@ from qcatalan.immanant import (
     inequality_332,
     positivity_sweep,
 )
-from qcatalan.qpoly import ONE, Q, ZERO, QPoly
+from qcatalan.qpoly import ONE, Q, ZERO, QPoly, _unpack
 from qcatalan.symchar import character, degree, partitions_of
 
 from oracles import (
@@ -164,10 +164,11 @@ def test_immanant_validation():
 def assert_class_sums_match_oracle(grid):
     n = len(grid)
     expected = class_sums_by_permutation(grid)
-    got = _class_sums(_coefficients(grid))
+    cells, bits = _packed(grid, n)
+    got = _class_sums(cells)
     assert len(got) == len(partitions_of(n))
-    for mu, coeffs in zip(partitions_of(n), got):
-        assert QPoly(coeffs) == expected.get(mu, ZERO), (n, mu)
+    for mu, value in zip(partitions_of(n), got):
+        assert _unpack(value, bits) == expected.get(mu, ZERO), (n, mu)
 
 
 def test_class_sums_match_permutation_oracle_on_random_grids():
@@ -462,6 +463,71 @@ def test_sweep_matches_per_selection_oracle_on_colliding_contents():
     assert_sweep_matches_oracle(sampled, 6, seed=4, exhaustive_limit=300)
 
 
+def _plain_matrix(entries):
+    n = len(entries)
+    return CSMatrix(
+        tuple(map(tuple, entries)), "plain", builtin("narayana"), tuple(range(n)), tuple(range(n))
+    )
+
+
+def test_sweep_with_a_zero_row_packs_wide_enough_for_the_other_rows():
+    # Row 1 is zero.  Its row sum counts as 1 in the width bound: as 0 it
+    # would make the bound 0, too narrow for every entry of the other rows.
+    big = 10**6
+    entries = [
+        [QPoly([big + 3, -5]), QPoly([-big, 0, 7]), QPoly([big - 11])],
+        [ZERO, ZERO, ZERO],
+        [QPoly([big - 2, big]), QPoly([9, -big]), QPoly([-(big + 1), 1])],
+    ]
+    m = _plain_matrix(entries)
+    result = assert_sweep_matches_oracle(m, 3)
+    (a, b, _), _, (c, d, _) = entries
+    picked = ((0, 2), (0, 1))
+    values = {
+        r.lam: r.value
+        for r in result.reports
+        if (r.provenance.rows, r.provenance.cols) == picked
+    }
+    assert values == {(2,): a * d + b * c, (1, 1): a * d - b * c}
+    for r in result.reports:
+        if len(r.provenance.rows) == 3:  # holds the zero row
+            assert r.value == ZERO == r.dominance_gap
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sweep_value_meets_its_bound_on_a_diagonal_grid(sign):
+    # diag(c, ..., c) with c = +-2**k: only the identity has a nonzero product,
+    # so the widest shape's value is D * c**n, the bound D * P on every value
+    # (D the largest degree, P = 2**(k n) the product of the row sums).
+    for n in range(1, 6):
+        widest = max(partitions_of(n), key=degree)
+        top = degree(widest)
+        for k in (3, 8, 21):
+            c = sign * 2**k
+            entries = [[QPoly([c]) if i == j else ZERO for j in range(n)] for i in range(n)]
+            assert immanant(entries, widest) == QPoly([top * c**n])
+            result = assert_sweep_matches_oracle(_plain_matrix(entries), n)
+            values = [r.value for r in result.reports if r.lam == widest]
+            assert values == [QPoly([top * c**n])]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sweep_gap_meets_its_bound_on_an_antidiagonal_grid(sign):
+    # [[0, c], [sign c, 0]] with c = 2**k: the (2) immanant is sign c**2 and
+    # the determinant -sign c**2, so the gap is 2 sign c**2, the bound 2 D P
+    # on every gap (D = 1, P = c**2).  With k = 3 the gap needs the top bit
+    # of its digit width.
+    for k in (3, 8, 21):
+        c = 2**k
+        m = _plain_matrix([[ZERO, QPoly([c])], [QPoly([sign * c]), ZERO]])
+        result = assert_sweep_matches_oracle(m, 2)
+        whole = [r for r in result.reports if len(r.provenance.rows) == 2]
+        assert [(r.lam, r.value, r.dominance_gap) for r in whole] == [
+            ((2,), QPoly([sign * c**2]), QPoly([2 * sign * c**2])),
+            ((1, 1), QPoly([-sign * c**2]), ZERO),
+        ]
+
+
 def _transpose(grid):
     return [list(col) for col in zip(*grid)]
 
@@ -497,11 +563,11 @@ def test_support_without_a_permutation_gives_zero_reports():
         [-ONE, ZERO, ZERO],
         [Q * Q, ZERO, ZERO],
     ]
-    cells = _coefficients(grid)
+    cells, bits = _packed(grid, 3)
     assert not any(_class_sums(cells))
     provenance = MatrixProvenance("pool", "pool", (0, 1, 2), (0, 1, 2))
-    got = _reports(cells, provenance)
-    assert got == reports_by_class_sums(cells, provenance)
+    got = _reports(cells, bits, provenance)
+    assert got == reports_by_class_sums(grid, provenance)
     assert [r.lam for r in got] == list(partitions_of(3))
     for report in got:
         assert report.value == ZERO == immanant(grid, report.lam)

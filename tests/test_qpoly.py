@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qcatalan.qpoly import ONE, Q, ZERO, QPoly, _convolve, _pack, _unpack
+from qcatalan.qpoly import ONE, Q, ZERO, QPoly, _convolve, _pack, _unpack, _width
 
 from oracles import random_qpoly
 
@@ -187,12 +187,20 @@ def test_pack_unpack_round_trip_at_the_digit_edges():
         ):
             packed = _pack(coeffs, bits)
             assert packed == QPoly(coeffs).eval_int(1 << bits)
-            stripped = list(QPoly(coeffs).coeffs)
-            assert _unpack(packed, bits) == stripped, (bits, coeffs)
+            assert _unpack(packed, bits).coeffs == QPoly(coeffs).coeffs, (bits, coeffs)
+
+
+def test_width_is_the_smallest_byte_multiple_above_the_bound():
+    assert _width(0) == 8
+    for bits in (8, 16, 64, 136):
+        edge = (1 << (bits - 1)) - 1
+        assert _width(edge) == bits
+        assert _width(edge + 1) == bits + 8
+        assert _unpack(_pack([edge, -edge], _width(edge)), bits).coeffs == (edge, -edge)
 
 
 def test_packed_product_unpacks_to_the_convolution():
     a, b = [7, -3, 0, 255], [-128, 1, 127]
-    bound = sum(map(abs, a)) * sum(map(abs, b))
-    bits = 8 * (bound.bit_length() // 8 + 1)
-    assert _unpack(_pack(a, bits) * _pack(b, bits), bits) == _convolve(a, b)
+    bits = _width(sum(map(abs, a)) * sum(map(abs, b)))
+    product = _unpack(_pack(a, bits) * _pack(b, bits), bits)
+    assert product.coeffs == tuple(_convolve(a, b))
