@@ -11,12 +11,19 @@ from __future__ import annotations
 import argparse
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from pathlib import Path
 
 from .csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
 from .errors import FamilyError, OutOfRange, SchemaError, UnknownFamily
 from .families import BUILTIN_NAMES, WEIGHT_CASES, FamilySpec, builtin, load_family
-from .immanant import _inequality_sweep, inequality_331, inequality_332, positivity_sweep
+from .immanant import (
+    ImmanantReport,
+    _inequality_sweep,
+    inequality_331,
+    inequality_332,
+    positivity_sweep,
+)
 from .network import (
     build_cs_network,
     build_hankel_factored,
@@ -93,21 +100,40 @@ def _text_grid(entries) -> str:
 
 _FLUSH_PARTS = 4096
 _INT_ONLY = {int}
+# A report's body is all of it but its provenance; equal keys render alike.
+_body_key = attrgetter(
+    "lam", "value.coeffs", "q_nonnegative", "dominance_gap.coeffs", "gap_nonnegative"
+)
 
 
 def _write_json(doc) -> None:
     """Write ``doc`` to stdout exactly as ``json.dumps(doc, indent=2) + "\\n"``.
 
     A document holds dicts with str keys, lists, str, int, bool and None;
-    anything else (a float, a non-str key) raises TypeError. The text goes
-    out in chunks of ``_FLUSH_PARTS`` parts, so the whole of it is never held
-    (and a document that fails part way has already written its first chunks).
+    anything else (a float, a non-str key) raises TypeError. An
+    ``ImmanantReport`` stands for its ``to_json_dict()``, written from two
+    fragments: its body, rendered once per distinct body and depth, and its
+    provenance, rendered once per run of reports that share one. The text
+    goes out in chunks of ``_FLUSH_PARTS`` parts, so the whole of it is never
+    held (and a document that fails part way has already written its first
+    chunks).
     """
     write = sys.stdout.write
     parts: list[str] = []
     append = parts.append
+    bodies: dict[tuple, str] = {}
+    # the last report's provenance, its depth and its rendered fragment
+    provenance = depth = head = None
+
+    def fragment(v, nl: str) -> str:
+        start = len(parts)
+        emit(v, nl)
+        text = "".join(parts[start:])
+        del parts[start:]
+        return text
 
     def emit(v, nl: str) -> None:
+        nonlocal provenance, depth, head
         t = type(v)
         if t is list:
             if not v:
@@ -149,6 +175,20 @@ def _write_json(doc) -> None:
             append("true" if v else "false")
         elif v is None:
             append("null")
+        elif t is ImmanantReport:
+            inner = nl + "  "
+            key = (_body_key(v), nl)
+            body = bodies.get(key)
+            if body is None:
+                fields = v.to_json_dict()
+                del fields["provenance"]
+                # drop the closing brace: the provenance is the last field
+                body = fragment(fields, nl)[: -len(nl) - 1] + "," + inner + '"provenance": '
+                bodies[key] = body
+            if v.provenance is not provenance or nl != depth:
+                provenance, depth = v.provenance, nl
+                head = fragment(provenance.to_json_dict(), inner)
+            append(body + head + nl + "}")
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -235,29 +275,8 @@ def cmd_network(args) -> int:
     return rc
 
 
-def _per_report(render, result):
-    """``render`` for the reports of ``result``, once per report object.
-
-    A sampled sweep hands repeated draws the same report object, so those
-    renderings are cached by identity (every report outlives the cache, so
-    no identity is reused); an exhaustive sweep's reports are all distinct,
-    so there the cache would only cost time and memory.
-    """
-    if result.exhaustive:
-        return render
-    cache: dict[int, object] = {}
-
-    def rendered(report):
-        key = id(report)
-        if key not in cache:
-            cache[key] = render(report)
-        return cache[key]
-
-    return rendered
-
-
 def _sweep_json(args, f: FamilySpec, result) -> dict:
-    as_json = _per_report(lambda r: r.to_json_dict(), result)
+    """The ``verify --format json`` document; its reports are left for ``_write_json``."""
     return {
         "family": f.name,
         "matrix": args.matrix,
@@ -268,34 +287,46 @@ def _sweep_json(args, f: FamilySpec, result) -> dict:
         "total_candidates": result.total_candidates,
         "report_count": len(result.reports),
         "ok": result.ok,
-        "violations": [as_json(r) for r in result.violations()],
-        "reports": [as_json(r) for r in result.reports],
+        "violations": list(result.violations()),
+        "reports": list(result.reports),
     }
 
 
-def _csv_line(r) -> str:
-    p = r.provenance
-    return ",".join(
-        [
-            p.family,
-            p.kind,
-            "|".join(map(str, p.rows)),
-            "|".join(map(str, p.cols)),
-            "|".join(map(str, r.lam)),
-            str(r.value),
-            str(r.q_nonnegative).lower(),
-            str(r.dominance_gap),
-            str(r.gap_nonnegative).lower(),
-        ]
-    )
+def _sweep_csv(result) -> None:
+    """Write ``result`` to stdout as CSV, one line per report.
 
-
-def _sweep_csv(result) -> str:
-    lines = [
-        "family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative"
+    A line is its provenance's head (family, kind, rows, cols), built once
+    per run of reports that share one, then its body (lambda, value and gap
+    with their flags), built once per distinct body.
+    """
+    write = sys.stdout.write
+    parts = [
+        "family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n"
     ]
-    lines += map(_per_report(_csv_line, result), result.reports)
-    return "\n".join(lines) + "\n"
+    bodies: dict[tuple, str] = {}
+    provenance = head = None
+    for r in result.reports:
+        if r.provenance is not provenance:
+            provenance = p = r.provenance
+            rows, cols = "|".join(map(str, p.rows)), "|".join(map(str, p.cols))
+            head = f"{p.family},{p.kind},{rows},{cols},"
+        key = _body_key(r)
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = ",".join(
+                [
+                    "|".join(map(str, r.lam)),
+                    str(r.value),
+                    str(r.q_nonnegative).lower(),
+                    str(r.dominance_gap),
+                    str(r.gap_nonnegative).lower() + "\n",
+                ]
+            )
+        parts.append(head + body)
+        if len(parts) >= _FLUSH_PARTS:
+            write("".join(parts))
+            parts.clear()
+    write("".join(parts))
 
 
 def cmd_verify(args) -> int:
@@ -305,7 +336,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         _write_json(_sweep_json(args, f, result))
     elif args.format == "csv":
-        sys.stdout.write(_sweep_csv(result))
+        _sweep_csv(result)
     else:
         mode = "exhaustive" if result.exhaustive else f"sampled (seed {result.seed})"
         print(

@@ -415,9 +415,10 @@ def _reports(
     if not any(sums):
         # No permutation has all its entries nonzero: every value and gap is 0.
         return [ImmanantReport(lam, ZERO, True, ZERO, True, provenance) for lam, _, _ in shapes]
-    det = sum(map(mul, shapes[-1][1], sums))  # shape (1,...,1): the sign character
+    *others, (sign, sign_row, _) = shapes  # shape (1,...,1): the sign character
+    det = sum(map(mul, sign_row, sums))
     out = []
-    for lam, row, deg in shapes:
+    for lam, row, deg in others:
         packed = sum(map(mul, row, sums))
         value = _unpack(packed, bits)
         gap = _unpack(packed - deg * det, bits)
@@ -431,6 +432,9 @@ def _reports(
                 provenance=provenance,
             )
         )
+    # the sign shape has degree 1 and the determinant as its value: its gap is 0
+    value = _unpack(det, bits)
+    out.append(ImmanantReport(sign, value, value.is_q_nonnegative(), ZERO, True, provenance))
     return out
 
 

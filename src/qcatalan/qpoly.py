@@ -15,6 +15,8 @@ partial order "p dominates r" used throughout the package is expressed as
 
 from __future__ import annotations
 
+import struct
+import sys
 from operator import neg
 from typing import Iterable, Sequence, Union
 
@@ -221,8 +223,13 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def _width(bound: int) -> int:
-    """The least multiple of 8, bits, with bound < 2**(bits - 1): ``_unpack``'s width."""
-    return 8 * (bound.bit_length() // 8 + 1)
+    """``_unpack``'s digit width in bits for coefficients of at most ``bound``.
+
+    The least of 8, 16, 32 and 64 with bound < 2**(bits - 1), whose digits
+    ``_unpack`` decodes in C; past 64 bits, the least multiple of 8.
+    """
+    bits = 8 * (bound.bit_length() // 8 + 1)
+    return bits if bits > 64 else 1 << (bits - 1).bit_length()
 
 
 def _pack(coeffs: Sequence[int], bits: int) -> int:
@@ -240,25 +247,38 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
     return value
 
 
+# the signed machine-integer formats of ``memoryview.cast``, by size in bytes
+_MACHINE_DIGITS = {struct.calcsize(fmt): fmt for fmt in "bhiq"}
+
+
 def _unpack(value: int, bits: int) -> QPoly:
     """The ``QPoly`` whose coefficients are the signed base-2**bits digits of ``value``.
 
     The inverse of ``_pack`` for coefficients below 2**(bits - 1) in
-    absolute value, with ``bits`` from ``_width``.  Adding 2**(bits - 1) to
-    every digit makes them all lie in [1, 2**bits), so the digits are the
-    byte slices of one shifted integer: linear in the size of ``value``.
-    The digits are exact ints, so ``_canonical`` takes them unchecked.
+    absolute value, with ``bits`` a multiple of 8 (``_width``).  Adding
+    2**(bits - 1) to every digit makes them all lie in [1, 2**bits), so the
+    digits are the byte slices of one shifted integer: linear in the size of
+    ``value``.  Flipping each slice's top bit back (``^ offset``) leaves the
+    digit in two's complement, which ``memoryview.cast`` reads as a machine
+    integer at 8, 16, 32 and 64 bits; wider digits are read one
+    ``int.from_bytes`` slice at a time.  The digits are exact ints, so
+    ``_canonical`` takes them unchecked.
     """
     width = bits // 8
-    half = 1 << (bits - 1)
     # a degree-d value has at least bits*d bits, so this many digits suffice
     count = (abs(value).bit_length() + bits) // bits
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    data = (value + offset).to_bytes(width * count, "little")
-    digits = [
-        int.from_bytes(data[i : i + width], "little") - half
-        for i in range(0, len(data), width)
-    ]
+    fmt = _MACHINE_DIGITS.get(width)
+    if fmt is not None:
+        data = ((value + offset) ^ offset).to_bytes(width * count, sys.byteorder)
+        digits = memoryview(data).cast(fmt).tolist()
+    else:
+        half = 1 << (bits - 1)
+        data = (value + offset).to_bytes(width * count, "little")
+        digits = [
+            int.from_bytes(data[i : i + width], "little") - half
+            for i in range(0, len(data), width)
+        ]
     while digits and digits[-1] == 0:
         digits.pop()
     return _canonical(tuple(digits))

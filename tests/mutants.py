@@ -79,6 +79,36 @@ MUTANTS = [
         "replacement": "key = (i + j, i + k)",
         "tests": ["tests/test_immanant.py", "tests/test_packing.py"],
     },
+    # Zero contents give every shape the same ZERO value and gap, so a body
+    # key without lam hands one shape's lambda to the others.
+    {
+        "name": "sweep report bodies keyed without lam",
+        "file": "src/qcatalan/cli.py",
+        "snippet": '"lam", "value.coeffs"',
+        "replacement": '"value.coeffs"',
+        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+    },
+    {
+        "name": "CSV sweep head not rebuilt when a new provenance starts",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "if r.provenance is not provenance:",
+        "replacement": "if provenance is None:",
+        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+    },
+    {
+        "name": "JSON sweep provenance not rebuilt when a new one starts",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "if v.provenance is not provenance or nl != depth:",
+        "replacement": "if provenance is None:",
+        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+    },
+    {
+        "name": "_unpack reads machine-integer digits without flipping their top bit back",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "((value + offset) ^ offset)",
+        "replacement": "(value + offset)",
+        "tests": ["tests/test_qpoly.py", "tests/test_packing.py"],
+    },
     {
         "name": "QPoly.__add__ without its trailing-zero strip",
         "file": "src/qcatalan/qpoly.py",

@@ -2,12 +2,16 @@
 
 Everything here recomputes expected values by a route different from the
 package code: closed-form coefficient formulas, direct permutation sums,
-hand-entered small character values, and corner-removal tableau counts.
+hand-entered small character values, corner-removal tableau counts, and
+sweep output rendered one report at a time through ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from functools import lru_cache
 from itertools import permutations
 from math import comb, prod
@@ -395,6 +399,49 @@ def reports_by_class_sums(grid, provenance: MatrixProvenance) -> list[ImmanantRe
             )
         )
     return out
+
+
+# -- sweep output, one report at a time ---------------------------------
+
+
+def stdout_of(write, *args) -> str:
+    """What ``write(*args)`` prints to stdout."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        write(*args)
+    return buf.getvalue()
+
+
+def sweep_csv_by_report(result: SweepResult) -> str:
+    """``verify --format csv`` output, every line built from its own report."""
+    lines = ["family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative"]
+    for r in result.reports:
+        p = r.provenance
+        fields = [p.family, p.kind] + ["|".join(map(str, x)) for x in (p.rows, p.cols, r.lam)]
+        fields += [str(r.value), str(r.q_nonnegative).lower()]
+        fields += [str(r.dominance_gap), str(r.gap_nonnegative).lower()]
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_json_by_report(
+    family: str, matrix: str, n: int, max_size: int, result: SweepResult
+) -> str:
+    """``verify --format json`` output through ``json.dumps`` and each report's dict."""
+    doc = {
+        "family": family,
+        "matrix": matrix,
+        "n": n,
+        "max_size": max_size,
+        "seed": result.seed,
+        "exhaustive": result.exhaustive,
+        "total_candidates": result.total_candidates,
+        "report_count": len(result.reports),
+        "ok": result.ok,
+        "violations": [r.to_json_dict() for r in result.violations()],
+        "reports": [r.to_json_dict() for r in result.reports],
+    }
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # -- combinatorial counts --------------------------------------------

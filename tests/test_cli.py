@@ -16,7 +16,12 @@ from qcatalan.immanant import positivity_sweep
 from qcatalan.network import Arc, PlanarNetwork, build_cs_network
 from qcatalan.qpoly import ONE
 
-from oracles import weighted_path_poly
+from oracles import (
+    stdout_of,
+    sweep_csv_by_report,
+    sweep_json_by_report,
+    weighted_path_poly,
+)
 
 CONTROL_FAMILY = {
     "name": "control",
@@ -536,26 +541,12 @@ def test_sweep_renders_like_one_report_at_a_time(limit):
         result = positivity_sweep(m, 3, seed=3, exhaustive_limit=limit)
         shared = len({id(r) for r in result.reports}) < len(result.reports)
         assert shared != result.exhaustive
-        lines = [
-            "family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative"
-        ]
-        for r in result.reports:
-            p = r.provenance
-            fields = [p.family, p.kind] + ["|".join(map(str, x)) for x in (p.rows, p.cols)]
-            fields += ["|".join(map(str, r.lam)), str(r.value)]
-            fields += [str(r.q_nonnegative).lower(), str(r.dominance_gap)]
-            fields.append(str(r.gap_nonnegative).lower())
-            lines.append(",".join(fields))
-        assert cli._sweep_csv(result) == "\n".join(lines) + "\n"
+        assert stdout_of(cli._sweep_csv, result) == sweep_csv_by_report(result)
         args = argparse.Namespace(matrix="C", n=4, max_size=3)
         doc = cli._sweep_json(args, f, result)
-        fresh = dict(
-            doc,
-            violations=[r.to_json_dict() for r in result.violations()],
-            reports=[r.to_json_dict() for r in result.reports],
-        )
-        assert json.dumps(doc, indent=2) == json.dumps(fresh, indent=2)
         assert bool(doc["violations"]) == (f is control)
+        want = sweep_json_by_report(f.name, "C", 4, 3, result)
+        assert stdout_of(cli._write_json, doc) == want
 
 
 def test_verify_detects_violation(tmp_path, capsys):

@@ -3,8 +3,9 @@
 The corpus covers JSON, text and CSV output: every JSON command, the
 ``inequality`` sweep with and without ``--show``, its single-triple modes,
 large ``matrix``/``hankel`` renderings, a family that fails the cubic
-inequality, and CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
-them sampled. The hashes in ``golden/json_sha256.json`` pin the exact bytes
+inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
+them sampled, that sampled sweep as JSON, and violating and non-ASCII sweeps
+as CSV and text. The hashes in ``golden/json_sha256.json`` pin the exact bytes
 each command prints, so a change to arithmetic or rendering that moves one
 byte fails here. After a deliberate output change, rewrite the file with
 ``PYTHONPATH=src python tests/test_golden_json.py`` and review the diff.
@@ -124,6 +125,24 @@ CASES = {
     "verify-schroder-C17-s2-sampled-csv": [
         "verify", "--family", "schroder", "--matrix", "C", "--n", "17",
         "--max-size", "2", "--seed", "12345", "--format", "csv",
+    ],
+    # the same draws as JSON: repeated draws share one report object
+    "verify-schroder-C17-s2-sampled-json": [
+        "verify", "--family", "schroder", "--matrix", "C", "--n", "17",
+        "--max-size", "2", "--seed", "12345", "--format", "json",
+    ],
+    "verify-control-violations-csv": [
+        "verify", "--family", "@control", "--matrix", "C", "--n", "2",
+        "--max-size", "2", "--format", "csv",
+    ],
+    "verify-control-violations-text": [
+        "verify", "--family", "@control", "--matrix", "C", "--n", "2",
+        "--max-size", "2", "--format", "text",
+    ],
+    # raw UTF-8 (no escapes) in the family field of every CSV line
+    "verify-unicode-name-csv": [
+        "verify", "--family", "@unicode", "--matrix", "C", "--n", "3",
+        "--max-size", "2", "--format", "csv",
     ],
 }
 

@@ -1,13 +1,12 @@
 """Unit tests for immanants, determinants, sweeps, and cubic inequalities."""
 
 import argparse
-import json
 import random
 from math import comb, factorial
 
 import pytest
 
-from qcatalan.cli import _sweep_csv, _sweep_json
+from qcatalan.cli import _sweep_csv, _sweep_json, _write_json
 from qcatalan.csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
 from qcatalan.errors import CapExceeded, ShapeError
 from qcatalan.families import FamilySpec, ParamSeq, builtin
@@ -37,7 +36,10 @@ from oracles import (
     random_qpoly,
     reports_by_class_sums,
     s3_immanant,
+    stdout_of,
     sweep_by_selection,
+    sweep_csv_by_report,
+    sweep_json_by_report,
 )
 
 
@@ -407,10 +409,10 @@ def assert_sweep_matches_oracle(m, max_size, **kwargs):
         assert g.dominance_gap == w.dominance_gap
         assert g.gap_nonnegative == w.gap_nonnegative
         assert g.provenance == w.provenance
+    assert stdout_of(_sweep_csv, got) == sweep_csv_by_report(want)
     args = argparse.Namespace(matrix=m.kind, n=m.nrows, max_size=max_size)
-    assert _sweep_csv(got) == _sweep_csv(want)
-    assert json.dumps(_sweep_json(args, m.family, got)) == json.dumps(
-        _sweep_json(args, m.family, want)
+    assert stdout_of(_write_json, _sweep_json(args, m.family, got)) == sweep_json_by_report(
+        m.family.name, m.kind, m.nrows, max_size, want
     )
     return got
 

@@ -1,8 +1,9 @@
-"""Property test: the CLI's JSON writer matches ``json.dumps(indent=2)`` (needs hypothesis)."""
+"""Property tests: the CLI's writers match ``json.dumps(indent=2)`` and
+per-report sweep rendering (needs hypothesis)."""
 
-import io
+import argparse
+import dataclasses
 import json
-from contextlib import redirect_stdout
 
 import pytest
 
@@ -10,6 +11,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from qcatalan import cli
+from qcatalan.csmatrix import CSMatrix
+from qcatalan.families import builtin
+from qcatalan.immanant import positivity_sweep
+from qcatalan.qpoly import ONE, Q, ZERO
+
+from oracles import stdout_of, sweep_csv_by_report, sweep_json_by_report
 
 # every code point, lone surrogates and control characters included
 strings = st.text(st.characters(exclude_categories=()), max_size=12)
@@ -36,14 +43,40 @@ documents = st.recursive(
 )
 
 
-def written(doc) -> str:
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        cli._write_json(doc)
-    return buf.getvalue()
-
-
 @settings(max_examples=200)
 @given(documents)
 def test_writer_matches_indented_json_dumps(doc):
-    assert written(doc) == json.dumps(doc, indent=2) + "\n"
+    assert stdout_of(cli._write_json, doc) == json.dumps(doc, indent=2) + "\n"
+
+
+# zeros make empty contents; -1 and 2 - q make violations; few entries collide
+POOL = (ZERO, ZERO, ONE, -ONE, Q, ONE + Q, 2 - Q, Q * Q)
+
+
+@st.composite
+def sweeps(draw):
+    """A sweep of a small pool matrix, exhaustive or sampled with repeated draws."""
+    n = draw(st.integers(1, 4))
+    entries = tuple(
+        tuple(draw(st.sampled_from(POOL)) for _ in range(n)) for _ in range(n)
+    )
+    # any name, non-ASCII, escapes and CSV separators included
+    family = dataclasses.replace(builtin("narayana"), name=draw(strings))
+    offset = draw(st.integers(0, 3))
+    m = CSMatrix(entries, "pool", family, tuple(range(offset, offset + n)), tuple(range(n)))
+    max_size = draw(st.integers(1, n))
+    # a small limit samples with replacement, so draws repeat
+    limit = draw(st.sampled_from([3, 12, 40, 20000]))
+    seed = draw(st.integers(0, 9))
+    return m, max_size, positivity_sweep(m, max_size, seed=seed, exhaustive_limit=limit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweeps())
+def test_sweep_writers_match_per_report_rendering(case):
+    m, max_size, result = case
+    assert stdout_of(cli._sweep_csv, result) == sweep_csv_by_report(result)
+    args = argparse.Namespace(matrix=m.kind, n=m.nrows, max_size=max_size)
+    doc = cli._sweep_json(args, m.family, result)
+    want = sweep_json_by_report(m.family.name, m.kind, m.nrows, max_size, result)
+    assert stdout_of(cli._write_json, doc) == want

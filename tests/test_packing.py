@@ -28,6 +28,26 @@ def test_unpack_inverts_pack(case):
     assert _unpack(_pack(coeffs, bits), bits).coeffs == QPoly(coeffs).coeffs
 
 
+# bounds on both sides of 2**63, where decoding leaves machine integers
+width_bounds = st.one_of(
+    st.integers(0, 2**100),
+    st.sampled_from([2**7 - 1, 2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**71 - 1, 2**71]),
+)
+
+
+@given(width_bounds, st.data())
+def test_width_holds_every_coefficient_up_to_its_bound(bound, data):
+    bits = _width(bound)
+    assert bits % 8 == 0 and bound < 2 ** (bits - 1)
+    if bits > 64:  # past the machine widths, the least multiple of 8
+        assert bound >= 2 ** (bits - 9)
+    else:
+        assert bits in (8, 16, 32, 64)
+    digit = st.one_of(st.integers(-bound, bound), st.sampled_from([bound, -bound, 0]))
+    coeffs = data.draw(st.lists(digit, max_size=30))
+    assert _unpack(_pack(coeffs, bits), bits).coeffs == QPoly(coeffs).coeffs
+
+
 coefficient_lists = st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=25)
 
 

@@ -173,7 +173,8 @@ def test_hash_and_equality():
 
 
 def test_pack_unpack_round_trip_at_the_digit_edges():
-    for bits in (8, 16, 64, 136):
+    # 8-64 bits decode as machine integers, 24, 40, 72 and 136 bit by bit
+    for bits in (8, 16, 24, 32, 40, 64, 72, 136):
         edge = (1 << (bits - 1)) - 1
         for coeffs in (
             [],
@@ -190,13 +191,16 @@ def test_pack_unpack_round_trip_at_the_digit_edges():
             assert _unpack(packed, bits).coeffs == QPoly(coeffs).coeffs, (bits, coeffs)
 
 
-def test_width_is_the_smallest_byte_multiple_above_the_bound():
+def test_width_is_the_smallest_machine_integer_then_byte_multiple_above_the_bound():
     assert _width(0) == 8
-    for bits in (8, 16, 64, 136):
+    for bits, above in ((8, 16), (16, 32), (32, 64), (64, 72), (72, 80), (136, 144)):
         edge = (1 << (bits - 1)) - 1
         assert _width(edge) == bits
-        assert _width(edge + 1) == bits + 8
+        assert _width(edge + 1) == above
         assert _unpack(_pack([edge, -edge], _width(edge)), bits).coeffs == (edge, -edge)
+    # between the machine widths, the next one up
+    assert _width(1 << 16) == 32
+    assert _width(1 << 40) == 64
 
 
 def test_packed_product_unpacks_to_the_convolution():
