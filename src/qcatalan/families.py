@@ -50,9 +50,10 @@ class ParamSeq:
         if i < len(self.prefix):
             return self.prefix[i]
         if self.linear is None and self.constant is None:
+            n = len(self.prefix)
             raise SequenceExhausted(
-                f"sequence has only {len(self.prefix)} explicit terms "
-                f"(from index {self.start}) and no tail; index {k} unavailable"
+                f"the sequence has only {n} explicit term{'' if n == 1 else 's'} "
+                f"(from index {self.start}) and no tail"
             )
         value = ZERO
         if self.linear is not None:
@@ -73,8 +74,16 @@ class FamilySpec:
     witness_b: ParamSeq | None = None
     witness_c: ParamSeq | None = None
 
+    def _term(self, seq: ParamSeq, label: str, k: int) -> QPoly:
+        try:
+            return seq(k)
+        except SequenceExhausted as exc:
+            raise SequenceExhausted(
+                f"{label}_{k} of family {self.name!r} is unavailable: {exc}"
+            ) from None
+
     def _checked(self, seq: ParamSeq, label: str, k: int) -> QPoly:
-        value = seq(k)
+        value = self._term(seq, label, k)
         if not value.is_q_nonnegative():
             raise NonNonnegativeParameter(
                 f"{label}_{k} = {value} of family {self.name!r} has a negative coefficient"
@@ -105,13 +114,13 @@ class FamilySpec:
         """Witness b_k; unlike r/s/t its sign is reported, not an error."""
         if self.witness_b is None:
             raise MissingWitness(f"family {self.name!r} has no witness_b sequence")
-        return self.witness_b(k)
+        return self._term(self.witness_b, "witness b", k)
 
     def c(self, k: int) -> QPoly:
         """Witness c_k; unlike r/s/t its sign is reported, not an error."""
         if self.witness_c is None:
             raise MissingWitness(f"family {self.name!r} has no witness_c sequence")
-        return self.witness_c(k)
+        return self._term(self.witness_c, "witness c", k)
 
 
 @dataclass(frozen=True)

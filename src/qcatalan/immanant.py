@@ -24,8 +24,11 @@ width per sweep (``_packed``); each value and gap is unpacked once.
 A sweep computes each distinct submatrix once, up to transpose: selections
 are keyed by their entries, and a submatrix and its transpose share a key,
 since chi(sigma) = chi(sigma^-1).  Hankel selections repeat often
-(H[rows+d, cols-d] = H[rows, cols], and H is symmetric); later selections
-with a known key get their own reports holding the first one's values.  A
+(H[rows+d, cols-d] = H[rows, cols], and H is symmetric), and sampled draws
+can repeat a selection.  The first selection of a key computes each shape's
+fields (lam, value, flags and gap); every selection, first or not, gets
+its own reports from those fields and its own provenance (both slotted, so
+a report costs little to build and to hold).  A
 submatrix with no permutation whose entries are all nonzero has every class
 sum empty, so all its values and gaps are 0 without character arithmetic.
 
@@ -238,7 +241,7 @@ def determinant(m: CSMatrix | list | tuple) -> QPoly:
 # -- positivity sweeps ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatrixProvenance:
     """Where a swept submatrix came from."""
 
@@ -256,7 +259,7 @@ class MatrixProvenance:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImmanantReport:
     """One immanant of one submatrix, with its dominance gap.
 
@@ -280,6 +283,10 @@ class ImmanantReport:
             "gap_nonnegative": self.gap_nonnegative,
             "provenance": self.provenance.to_json_dict(),
         }
+
+
+# an ImmanantReport's fields but its provenance, in order
+Fields = tuple[Partition, QPoly, bool, QPoly, bool]
 
 
 @dataclass(frozen=True)
@@ -366,55 +373,36 @@ def positivity_sweep(
     cells, bits = _packed(grid, size)
     labels: dict[QPoly, int] = {}
     ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in grid]
-    by_selection: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
-    by_content: dict[tuple[int, ...], list[ImmanantReport]] = {}
+    by_content: dict[tuple[int, ...], list[Fields]] = {}
     reports: list[ImmanantReport] = []
     for rows, cols in selections:
-        found = by_selection.get((rows, cols))
+        # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
+        # have the same immanants, determinant and gaps.
+        key = min(
+            tuple(ids[i][j] for i in rows for j in cols),
+            tuple(ids[i][j] for j in cols for i in rows),
+        )
+        found = by_content.get(key)
         if found is None:
-            provenance = MatrixProvenance(
-                m.family.name,
-                m.kind,
-                tuple(m.row_indices[i] for i in rows),
-                tuple(m.col_indices[j] for j in cols),
-            )
-            # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
-            # have the same immanants, determinant and gaps.
-            key = min(
-                tuple(ids[i][j] for i in rows for j in cols),
-                tuple(ids[i][j] for j in cols for i in rows),
-            )
-            first = by_content.get(key)
-            if first is None:
-                sub = [[cells[i][j] for j in cols] for i in rows]
-                found = by_content[key] = _reports(sub, bits, provenance)
-            else:
-                found = [
-                    ImmanantReport(
-                        r.lam,
-                        r.value,
-                        r.q_nonnegative,
-                        r.dominance_gap,
-                        r.gap_nonnegative,
-                        provenance,
-                    )
-                    for r in first
-                ]
-            if not exhaustive:  # only sampled draws repeat a selection
-                by_selection[rows, cols] = found
-        reports.extend(found)
+            sub = [[cells[i][j] for j in cols] for i in rows]
+            found = by_content[key] = _reports(sub, bits)
+        provenance = MatrixProvenance(
+            m.family.name,
+            m.kind,
+            tuple(m.row_indices[i] for i in rows),
+            tuple(m.col_indices[j] for j in cols),
+        )
+        reports.extend(ImmanantReport(*fields, provenance) for fields in found)
     return SweepResult(tuple(reports), exhaustive, seed, total)
 
 
-def _reports(
-    cells: list[list[int]], bits: int, provenance: MatrixProvenance
-) -> list[ImmanantReport]:
-    """Every shape's immanant and dominance gap of one packed submatrix."""
+def _reports(cells: list[list[int]], bits: int) -> list[Fields]:
+    """Every shape's report fields but the provenance, for one packed submatrix."""
     sums = _class_sums(cells)
     shapes = _shapes(len(cells))
     if not any(sums):
         # No permutation has all its entries nonzero: every value and gap is 0.
-        return [ImmanantReport(lam, ZERO, True, ZERO, True, provenance) for lam, _, _ in shapes]
+        return [(lam, ZERO, True, ZERO, True) for lam, _, _ in shapes]
     *others, (sign, sign_row, _) = shapes  # shape (1,...,1): the sign character
     det = sum(map(mul, sign_row, sums))
     out = []
@@ -422,19 +410,10 @@ def _reports(
         packed = sum(map(mul, row, sums))
         value = _unpack(packed, bits)
         gap = _unpack(packed - deg * det, bits)
-        out.append(
-            ImmanantReport(
-                lam=lam,
-                value=value,
-                q_nonnegative=value.is_q_nonnegative(),
-                dominance_gap=gap,
-                gap_nonnegative=gap.is_q_nonnegative(),
-                provenance=provenance,
-            )
-        )
+        out.append((lam, value, value.is_q_nonnegative(), gap, gap.is_q_nonnegative()))
     # the sign shape has degree 1 and the determinant as its value: its gap is 0
     value = _unpack(det, bits)
-    out.append(ImmanantReport(sign, value, value.is_q_nonnegative(), ZERO, True, provenance))
+    out.append((sign, value, value.is_q_nonnegative(), ZERO, True))
     return out
 
 
@@ -476,7 +455,7 @@ def inequality_331(
 
 def inequality_332(a: list[QPoly], i: int, j: int, k: int) -> QPoly:
     """Symmetric cubic form a_{2i} a_{j+k}^2 + ... - 3 a_{i+j} a_{j+k} a_{k+i}."""
-    _check_triple("index", (i, j, k), len(a))
+    _check_triple("triple", (i, j, k), len(a))
     if 2 * k >= len(a):
         raise IndexError(f"need terms up to a_{2 * k} but only {len(a)} terms were given")
     return (

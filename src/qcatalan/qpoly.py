@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 import sys
+from functools import cache
 from operator import neg
 from typing import Iterable, Sequence, Union
 
@@ -251,6 +252,12 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
 _MACHINE_DIGITS = {struct.calcsize(fmt): fmt for fmt in "bhiq"}
 
 
+@cache
+def _offset(bits: int, count: int) -> int:
+    """2**(bits - 1) in each of ``count`` base-2**bits digits, ``bits`` a multiple of 8."""
+    return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * count, "little")
+
+
 def _unpack(value: int, bits: int) -> QPoly:
     """The ``QPoly`` whose coefficients are the signed base-2**bits digits of ``value``.
 
@@ -260,23 +267,21 @@ def _unpack(value: int, bits: int) -> QPoly:
     digits are the byte slices of one shifted integer: linear in the size of
     ``value``.  Flipping each slice's top bit back (``^ offset``) leaves the
     digit in two's complement, which ``memoryview.cast`` reads as a machine
-    integer at 8, 16, 32 and 64 bits; wider digits are read one
+    integer at 8, 16, 32 and 64 bits; wider digits are read one signed
     ``int.from_bytes`` slice at a time.  The digits are exact ints, so
     ``_canonical`` takes them unchecked.
     """
     width = bits // 8
     # a degree-d value has at least bits*d bits, so this many digits suffice
     count = (abs(value).bit_length() + bits) // bits
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    offset = _offset(bits, count)
+    data = ((value + offset) ^ offset).to_bytes(width * count, sys.byteorder)
     fmt = _MACHINE_DIGITS.get(width)
     if fmt is not None:
-        data = ((value + offset) ^ offset).to_bytes(width * count, sys.byteorder)
         digits = memoryview(data).cast(fmt).tolist()
     else:
-        half = 1 << (bits - 1)
-        data = (value + offset).to_bytes(width * count, "little")
         digits = [
-            int.from_bytes(data[i : i + width], "little") - half
+            int.from_bytes(data[i : i + width], sys.byteorder, signed=True)
             for i in range(0, len(data), width)
         ]
     while digits and digits[-1] == 0:

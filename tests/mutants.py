@@ -102,6 +102,22 @@ MUTANTS = [
         "replacement": "if provenance is None:",
         "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
     },
+    # Every selection builds its reports from its content key and its
+    # provenance, so a wrong key or a wrong provenance shows in every sweep.
+    {
+        "name": "sweep content key reads the row indices for the columns",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "tuple(ids[i][j] for i in rows for j in cols)",
+        "replacement": "tuple(ids[i][j] for i in rows for j in rows)",
+        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+    },
+    {
+        "name": "sweep provenance maps the columns through the row indices",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "tuple(m.col_indices[j] for j in cols)",
+        "replacement": "tuple(m.row_indices[j] for j in cols)",
+        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+    },
     {
         "name": "_unpack reads machine-integer digits without flipping their top bit back",
         "file": "src/qcatalan/qpoly.py",

@@ -126,7 +126,10 @@ def test_triangle_names_the_first_defective_term_in_row_order():
         s_seq=ParamSeq(0, (ONE,)),
         t_seq=ParamSeq(1, constant=ONE),
     )
-    with pytest.raises(SequenceExhausted, match="only 1 explicit terms .* index 1 unavailable"):
+    with pytest.raises(
+        SequenceExhausted,
+        match=r"^s_1 of family 'short' is unavailable: .* only 1 explicit term \(from index 0\)",
+    ):
         catalan_stieltjes(short, 3)
     negative = FamilySpec(
         name="negative",

@@ -1,26 +1,31 @@
-"""Golden bytes for CLI commands: sha256 of stdout and the exit code.
+"""Golden bytes for CLI commands: sha256 of stdout and stderr, and the exit code.
 
-The corpus covers JSON, text and CSV output: every JSON command, the
+The corpus covers JSON, text, CSV and DOT output: every JSON command, the
 ``inequality`` sweep with and without ``--show``, its single-triple modes,
 large ``matrix``/``hankel`` renderings, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
-them sampled, that sampled sweep as JSON, and violating and non-ASCII sweeps
-as CSV and text. The hashes in ``golden/json_sha256.json`` pin the exact bytes
-each command prints, so a change to arithmetic or rendering that moves one
-byte fails here. After a deliberate output change, rewrite the file with
+them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
+as CSV and text, a layered, an induced and a factored network as DOT, and
+error exits whose message holds no temporary path. The hashes in
+``golden/json_sha256.json`` pin the exact bytes each command prints on
+both streams (``network --check`` writes its check line to stderr), so a
+change to arithmetic, rendering or a message that moves one byte fails
+here. After a deliberate output change, rewrite the file with
 ``PYTHONPATH=src python tests/test_golden_json.py`` and review the diff.
 """
 
 import hashlib
 import io
 import json
+import os
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from qcatalan import cli
+from qcatalan.immanant import SIZE_CAP_ENV
 
 from test_cli import CONTROL_FAMILY
 
@@ -42,6 +47,13 @@ FAMILY_DOCS = {
         "name": "dip",
         "r": {"tail": {"constant": [1]}},
         "s": {"prefix": [[0, 2], [0, 0]], "tail": {"constant": [1]}},
+        "t": {"tail": {"constant": [1]}},
+    },
+    # s has one term and no tail: H_2 needs s_1
+    "short": {
+        "name": "short",
+        "r": {"prefix": [[1], [1]]},
+        "s": {"prefix": [[1]]},
         "t": {"tail": {"constant": [1]}},
     },
 }
@@ -126,7 +138,7 @@ CASES = {
         "verify", "--family", "schroder", "--matrix", "C", "--n", "17",
         "--max-size", "2", "--seed", "12345", "--format", "csv",
     ],
-    # the same draws as JSON: repeated draws share one report object
+    # the same draws as JSON, with repeated draws
     "verify-schroder-C17-s2-sampled-json": [
         "verify", "--family", "schroder", "--matrix", "C", "--n", "17",
         "--max-size", "2", "--seed", "12345", "--format", "json",
@@ -143,6 +155,34 @@ CASES = {
     "verify-unicode-name-csv": [
         "verify", "--family", "@unicode", "--matrix", "C", "--n", "3",
         "--max-size", "2", "--format", "csv",
+    ],
+    # DOT on stdout, the check line on stderr
+    "network-narayana-4-case5-check-dot": [
+        "network", "--family", "narayana", "--n", "4", "--case", "5",
+        "--check", "--format", "dot",
+    ],
+    "network-narayana-3-induced-k1-dot": [
+        "network", "--family", "narayana", "--n", "3", "--k", "1",
+        "--case", "5", "--hankel-induced",
+    ],
+    "network-schroder-3-factored-dot": [
+        "network", "--family", "schroder", "--n", "3", "--case", "5",
+        "--hankel-factored",
+    ],
+    "error-unknown-family": ["hankel", "--family", "no-such-family", "--n", "2"],
+    "error-factored-needs-unit-r": [
+        "network", "--family", "eulerian", "--n", "3", "--hankel-factored",
+    ],
+    "error-size-cap": [
+        "verify", "--family", "narayana", "--n", "12", "--max-size", "10",
+    ],
+    "error-chars-13": ["chars", "--n", "13"],
+    "error-failed-condition": [
+        "network", "--family", "eulerian", "--n", "3", "--case", "2", "--check",
+    ],
+    "error-short-family": ["hankel", "--family", "@short", "--n", "2"],
+    "error-triple-label": [
+        "inequality", "--family", "narayana", "--triple", "0", "1", "-1",
     ],
 }
 
@@ -166,23 +206,31 @@ def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
 
 
+def _entry(rc: int, out: str, err: str) -> dict:
+    return {
+        "exit": rc,
+        "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.encode("utf-8")).hexdigest(),
+    }
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_json_command_bytes(name, tmp_path, capsys):
+def test_json_command_bytes(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(SIZE_CAP_ENV, raising=False)  # the size-cap message names the cap
     rc = cli.main(_argv(name, tmp_path))
-    out = capsys.readouterr().out.encode("utf-8")
-    want = _golden()[name]
-    assert {"exit": rc, "sha256": hashlib.sha256(out).hexdigest()} == want
+    captured = capsys.readouterr()
+    assert _entry(rc, captured.out, captured.err) == _golden()[name]
 
 
 def _regenerate() -> None:
+    os.environ.pop(SIZE_CAP_ENV, None)
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            buf = io.StringIO()
-            with redirect_stdout(buf):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
                 rc = cli.main(_argv(name, Path(tmp)))
-            digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-            golden[name] = {"exit": rc, "sha256": digest}
+            golden[name] = _entry(rc, out.getvalue(), err.getvalue())
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
 

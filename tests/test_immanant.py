@@ -1,6 +1,7 @@
 """Unit tests for immanants, determinants, sweeps, and cubic inequalities."""
 
 import argparse
+import pickle
 import random
 from math import comb, factorial
 
@@ -13,6 +14,7 @@ from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
+    ImmanantReport,
     MatrixProvenance,
     _class_sums,
     _inequality_sweep,
@@ -336,6 +338,16 @@ def test_sampled_sweep_reuses_repeats_with_exhaustive_reports():
     assert len(set(drawn)) < len(drawn)
 
 
+def test_sweep_reports_are_slotted_and_survive_pickling():
+    report = positivity_sweep(hankel(builtin("narayana"), 3), 2).reports[-1]
+    assert not hasattr(report, "__dict__")
+    assert not hasattr(report.provenance, "__dict__")
+    copy = pickle.loads(pickle.dumps(report))
+    assert copy is not report
+    assert copy == report and hash(copy) == hash(report)
+    assert copy.to_json_dict() == report.to_json_dict()
+
+
 def test_sweep_size_is_clamped_to_matrix():
     m = hankel(builtin("narayana"), 1)
     result = positivity_sweep(m, 5)
@@ -568,7 +580,7 @@ def test_support_without_a_permutation_gives_zero_reports():
     cells, bits = _packed(grid, 3)
     assert not any(_class_sums(cells))
     provenance = MatrixProvenance("pool", "pool", (0, 1, 2), (0, 1, 2))
-    got = _reports(cells, bits, provenance)
+    got = [ImmanantReport(*fields, provenance) for fields in _reports(cells, bits)]
     assert got == reports_by_class_sums(grid, provenance)
     assert [r.lam for r in got] == list(partitions_of(3))
     for report in got:
