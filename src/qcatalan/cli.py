@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
@@ -84,18 +85,37 @@ def _parse_cases(text: str, layers: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _text_grid(entries) -> str:
-    cells = [[str(p) for p in row] for row in entries]
-    if not cells:
-        return ""
-    widths = [
-        max(len(cells[i][j]) for i in range(len(cells)))
-        for j in range(len(cells[0]))
-    ]
-    lines = [
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
-    ]
-    return "\n".join(lines) + "\n"
+def _write_grid(entries, sep: str, pad: bool) -> None:
+    """Write the rows of ``entries`` to stdout, one line each, cells joined by ``sep``.
+
+    Each distinct cell object is rendered once: a Hankel matrix repeats one
+    polynomial along each antidiagonal, and a triangle one zero.  The memo
+    is keyed by ``id``, which is safe because ``entries`` holds every cell
+    until the last line is written.  With ``pad`` every cell is
+    right-justified to its column's widest.  Only one line is built at a
+    time.  An empty grid prints one empty line without ``pad`` (CSV) and
+    nothing with it (text).
+    """
+    write = sys.stdout.write
+    texts: dict[int, str] = {}
+    lines = []
+    for row in entries:
+        line = []
+        for cell in row:
+            key = id(cell)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = str(cell)
+            line.append(text)
+        lines.append(line)
+    if not lines:
+        if not pad:
+            write("\n")
+        return
+    # a width of 0 leaves every cell as it is
+    widths = [max(map(len, column)) for column in zip(*lines)] if pad else repeat(0)
+    for line in lines:
+        write(sep.join(map(str.rjust, line, widths)) + "\n")
 
 
 _FLUSH_PARTS = 4096
@@ -217,9 +237,9 @@ def cmd_matrix(args) -> int:
     if args.format == "json":
         _write_json(m.to_json_dict())
     elif args.format == "csv":
-        sys.stdout.write(m.to_csv())
+        _write_grid(m.entries, ",", False)
     else:
-        sys.stdout.write(_text_grid(m.entries))
+        _write_grid(m.entries, "  ", True)
     return EXIT_OK
 
 
@@ -434,7 +454,7 @@ def cmd_chars(args) -> int:
         return EXIT_OK
     header = ["shape\\class"] + [_format_partition(mu) for mu in table.shapes]
     rows = [[_format_partition(lam), *table.row(lam)] for lam in table.shapes]
-    sys.stdout.write(_text_grid([header] + rows))
+    _write_grid([header] + rows, "  ", True)
     return EXIT_OK
 
 

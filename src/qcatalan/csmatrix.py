@@ -54,10 +54,6 @@ class CSMatrix:
             "entries": [[p.to_json() for p in row] for row in self.entries],
         }
 
-    def to_csv(self) -> str:
-        """Rows of comma-separated rendered polynomials (no header)."""
-        return "\n".join(",".join(str(p) for p in row) for row in self.entries) + "\n"
-
 
 def _triangle(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
     """Rows 0..n of the recurrence triangle, cut to what row ``top`` needs.

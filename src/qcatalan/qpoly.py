@@ -15,8 +15,8 @@ partial order "p dominates r" used throughout the package is expressed as
 
 from __future__ import annotations
 
-import struct
 import sys
+from array import array
 from functools import cache
 from operator import neg
 from typing import Iterable, Sequence, Union
@@ -179,23 +179,30 @@ class QPoly:
 
     def __str__(self) -> str:
         """Canonical ascending rendering, e.g. ``1+4q+q^2`` or ``-1+q``."""
-        if not self.coeffs:
-            return "0"
-        out = ""
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not out:
-                out = ("-" if c < 0 else "") + body
-            else:
-                out += ("-" if c < 0 else "+") + body
-        return out
+        cs = self.coeffs
+        if len(cs) < 2:
+            return str(cs[0]) if cs else "0"
+        if len(cs) > len(_LABELS):
+            _LABELS.extend([f"q^{i}" for i in range(len(_LABELS), len(cs))])
+        terms = zip(cs, _LABELS)
+        constant, _ = next(terms)
+        # every term but the constant carries its sign; a leading "+" is cut
+        text = "".join(
+            [str(constant) if constant else ""]
+            + [
+                "+" + label if c == 1 else "-" + label if c == -1
+                else f"+{c}{label}" if c > 0 else f"{c}{label}"
+                for c, label in terms
+                if c
+            ]
+        )
+        return text[1:] if text[0] == "+" else text
+
+
+# _LABELS[i] names q**i for i >= 1.  Built at import, so that labels made
+# while rendering do not pin the memory of freed polynomials; ``__str__``
+# extends it for a degree of 256 or more.
+_LABELS = ["", "q", *(f"q^{i}" for i in range(2, 256))]
 
 
 def _canonical(coeffs: tuple[int, ...]) -> QPoly:
@@ -248,8 +255,8 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
     return value
 
 
-# the signed machine-integer formats of ``memoryview.cast``, by size in bytes
-_MACHINE_DIGITS = {struct.calcsize(fmt): fmt for fmt in "bhiq"}
+# the signed machine-integer typecodes of ``array``, by size in bytes
+_MACHINE_DIGITS = {array(fmt).itemsize: fmt for fmt in "bhiq"}
 
 
 @cache
@@ -264,10 +271,11 @@ def _unpack(value: int, bits: int) -> QPoly:
     The inverse of ``_pack`` for coefficients below 2**(bits - 1) in
     absolute value, with ``bits`` a multiple of 8 (``_width``).  Adding
     2**(bits - 1) to every digit makes them all lie in [1, 2**bits), so the
-    digits are the byte slices of one shifted integer: linear in the size of
-    ``value``.  Flipping each slice's top bit back (``^ offset``) leaves the
-    digit in two's complement, which ``memoryview.cast`` reads as a machine
-    integer at 8, 16, 32 and 64 bits; wider digits are read one signed
+    digits are the byte slices of one shifted integer, written little-endian:
+    linear in the size of ``value``.  Flipping each slice's top bit back
+    (``^ offset``) leaves the digit in two's complement, which ``array``
+    reads as a machine integer at 8, 16, 32 and 64 bits, swapping each
+    digit's bytes on a big-endian host; wider digits are read one signed
     ``int.from_bytes`` slice at a time.  The digits are exact ints, so
     ``_canonical`` takes them unchecked.
     """
@@ -275,13 +283,16 @@ def _unpack(value: int, bits: int) -> QPoly:
     # a degree-d value has at least bits*d bits, so this many digits suffice
     count = (abs(value).bit_length() + bits) // bits
     offset = _offset(bits, count)
-    data = ((value + offset) ^ offset).to_bytes(width * count, sys.byteorder)
+    data = ((value + offset) ^ offset).to_bytes(width * count, "little")
     fmt = _MACHINE_DIGITS.get(width)
     if fmt is not None:
-        digits = memoryview(data).cast(fmt).tolist()
+        machine = array(fmt, data)
+        if sys.byteorder == "big":
+            machine.byteswap()
+        digits = machine.tolist()
     else:
         digits = [
-            int.from_bytes(data[i : i + width], sys.byteorder, signed=True)
+            int.from_bytes(data[i : i + width], "little", signed=True)
             for i in range(0, len(data), width)
         ]
     while digits and digits[-1] == 0:

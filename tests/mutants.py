@@ -136,6 +136,28 @@ MUTANTS = [
         "replacement": "            out[i] += c\n",
         "tests": ["tests/test_qpoly.py", "tests/test_ring_axioms.py"],
     },
+    {
+        "name": "_unpack never swaps machine-integer digits on a big-endian host",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": 'if sys.byteorder == "big":',
+        "replacement": "if False:",
+        "tests": ["tests/test_qpoly.py"],
+    },
+    {
+        "name": "QPoly.__str__ drops the sign of a -1 coefficient at q^i, i >= 1",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": '"-" + label if c == -1',
+        "replacement": '"+" + label if c == -1',
+        "tests": ["tests/test_qpoly.py", "tests/test_rendering.py"],
+    },
+    # A memo keyed by the column index hands every row its column's first cell.
+    {
+        "name": "grid writer memo keyed by the column index instead of the cell",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "key = id(cell)",
+        "replacement": "key = len(line)",
+        "tests": ["tests/test_rendering.py", "tests/test_csmatrix.py"],
+    },
 ]
 
 

@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by a route different from the
 package code: closed-form coefficient formulas, direct permutation sums,
-hand-entered small character values, corner-removal tableau counts, and
-sweep output rendered one report at a time through ``json.dumps``.
+hand-entered small character values, corner-removal tableau counts,
+polynomials rendered one term at a time, grids rendered one cell at a time,
+and sweep output rendered one report at a time through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -399,6 +400,46 @@ def reports_by_class_sums(grid, provenance: MatrixProvenance) -> list[ImmanantRe
             )
         )
     return out
+
+
+# -- polynomials and grids, one term and one cell at a time -------------
+
+
+def str_by_term(p: QPoly) -> str:
+    """``str(p)`` built term by term: a sign, then a magnitude and a power of q."""
+    if not p.coeffs:
+        return "0"
+    out = ""
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            body = var if mag == 1 else f"{mag}{var}"
+        if not out:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += ("-" if c < 0 else "+") + body
+    return out
+
+
+def grid_by_cell(entries, sep: str, pad: bool) -> str:
+    """Text (``pad``) or CSV grid output, every cell rendered on its own.
+
+    Built whole: with ``pad`` each cell is right-justified to its column's
+    widest, and an empty grid is empty; without, an empty grid is one empty
+    line.
+    """
+    cells = [[str(p) for p in row] for row in entries]
+    if pad:
+        if not cells:
+            return ""
+        widths = [max(len(row[j]) for row in cells) for j in range(len(cells[0]))]
+        cells = [[c.rjust(w) for c, w in zip(row, widths)] for row in cells]
+    return "\n".join(sep.join(row) for row in cells) + "\n"
 
 
 # -- sweep output, one report at a time ---------------------------------

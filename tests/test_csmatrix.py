@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qcatalan import cli
 from qcatalan.csmatrix import (
     CSMatrix,
     build_ln,
@@ -26,6 +27,7 @@ from oracles import (
     narayana_poly,
     random_family,
     schroder_poly,
+    stdout_of,
     weighted_path_poly,
 )
 
@@ -270,7 +272,8 @@ def test_submatrix_errors():
 
 def test_to_csv_rendering():
     m = catalan_stieltjes(builtin("narayana"), 2)
-    assert m.to_csv() == "1,0,0\nq,1,0\nq+q^2,1+2q,1\n"
+    out = stdout_of(cli._write_grid, m.entries, ",", False)
+    assert out == "1,0,0\nq,1,0\nq+q^2,1+2q,1\n"
 
 
 def test_to_json_dict_shape():

@@ -2,7 +2,9 @@
 
 The corpus covers JSON, text, CSV and DOT output: every JSON command, the
 ``inequality`` sweep with and without ``--show``, its single-triple modes,
-large ``matrix``/``hankel`` renderings, a family that fails the cubic
+large ``matrix``/``hankel`` renderings, small text and CSV grids of an empty
+selection, a submatrix, shared Hankel cells, unit and interior-zero
+coefficients and a character table, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
 them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
 as CSV and text, a layered, an induced and a factored network as DOT, and
@@ -55,6 +57,18 @@ FAMILY_DOCS = {
         "r": {"prefix": [[1], [1]]},
         "s": {"prefix": [[1]]},
         "t": {"tail": {"constant": [1]}},
+    },
+    # tails with negative, +-1 and interior-zero coefficients whose terms stay
+    # q-nonnegative up to k = 6 (s) and k = 8 (t), so C_5 renders unit and
+    # interior-zero coefficients
+    "neg": {
+        "name": "neg",
+        "r": {"tail": {"constant": [1]}},
+        "s": {
+            "prefix": [[0, 1], [1, 0, 0, 1]],
+            "tail": {"linear": [0, 0, -1], "constant": [1, 0, 6]},
+        },
+        "t": {"tail": {"linear": [-1, 1], "constant": [8, 0, 0, 1]}},
     },
 }
 
@@ -169,6 +183,29 @@ CASES = {
         "network", "--family", "schroder", "--n", "3", "--case", "5",
         "--hankel-factored",
     ],
+    # an empty selection: CSV prints one empty line, text prints nothing
+    "matrix-narayana-2-empty-csv": [
+        "matrix", "--family", "narayana", "--n", "2", "--rows", "", "--cols", "",
+        "--format", "csv",
+    ],
+    "matrix-narayana-2-empty-text": [
+        "matrix", "--family", "narayana", "--n", "2", "--rows", "", "--cols", "",
+    ],
+    # every antidiagonal holds one shared cell object, padded per column
+    "hankel-narayana-6-text": [
+        "hankel", "--family", "narayana", "--n", "6", "--format", "text",
+    ],
+    "hankel-schroder-6-submatrix-text": [
+        "hankel", "--family", "schroder", "--n", "6", "--rows", "0,2,5",
+        "--cols", "1,2,4", "--format", "text",
+    ],
+    "hankel-schroder-6-submatrix-csv": [
+        "hankel", "--family", "schroder", "--n", "6", "--rows", "0,2,5",
+        "--cols", "1,2,4", "--format", "csv",
+    ],
+    "matrix-neg-5-text": ["matrix", "--family", "@neg", "--n", "5"],
+    "matrix-neg-5-csv": ["matrix", "--family", "@neg", "--n", "5", "--format", "csv"],
+    "chars-6-text": ["chars", "--n", "6"],
     "error-unknown-family": ["hankel", "--family", "no-such-family", "--n", "2"],
     "error-factored-needs-unit-r": [
         "network", "--family", "eulerian", "--n", "3", "--hankel-factored",

@@ -1,9 +1,12 @@
 """Unit tests for the exact polynomial ring."""
 
 import random
+import sys
+from array import array
 
 import pytest
 
+from qcatalan import qpoly
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly, _convolve, _pack, _unpack, _width
 
 from oracles import random_qpoly
@@ -150,6 +153,12 @@ def test_str_rendering():
     assert str(QPoly([0, 0, -1])) == "-q^2"
     assert str(QPoly([5])) == "5"
     assert str(QPoly([0, 1, 1])) == "q+q^2"
+    assert str(QPoly([1])) == "1"
+    assert str(QPoly([-1])) == "-1"
+    assert str(QPoly([0, -1])) == "-q"
+    assert str(QPoly([-1, 0, -1])) == "-1-q^2"
+    assert str(QPoly([0, 0, 1, -1])) == "q^2-q^3"
+    assert str(QPoly([0, 10**20])) == "100000000000000000000q"
 
 
 def test_repr_is_reconstructible():
@@ -189,6 +198,28 @@ def test_pack_unpack_round_trip_at_the_digit_edges():
             packed = _pack(coeffs, bits)
             assert packed == QPoly(coeffs).eval_int(1 << bits)
             assert _unpack(packed, bits).coeffs == QPoly(coeffs).coeffs, (bits, coeffs)
+
+
+class _SwappedArray(array):
+    """An ``array`` that reads its bytes as a host of the other byte order would."""
+
+    def __new__(cls, typecode, data):
+        machine = super().__new__(cls, typecode, data)
+        machine.byteswap()
+        return machine
+
+
+@pytest.mark.parametrize("host", ["little", "big"])
+def test_unpack_on_either_byte_order(host, monkeypatch):
+    # the byte order this host lacks is simulated: its machine integers read
+    # each digit's bytes reversed
+    if host != sys.byteorder:
+        monkeypatch.setattr(qpoly, "array", _SwappedArray)
+        monkeypatch.setattr(sys, "byteorder", host)
+    for bits in (8, 16, 32, 64, 72, 136):
+        edge = (1 << (bits - 1)) - 1
+        for coeffs in ([edge, -edge, 0, 1], [-1, 2, -3, 0, 0, min(258, edge)], [0, -edge]):
+            assert _unpack(_pack(coeffs, bits), bits).coeffs == tuple(coeffs), (bits, coeffs)
 
 
 def test_width_is_the_smallest_machine_integer_then_byte_multiple_above_the_bound():
