@@ -118,7 +118,6 @@ def _write_grid(entries, sep: str, pad: bool) -> None:
         write(sep.join(map(str.rjust, line, widths)) + "\n")
 
 
-_FLUSH_PARTS = 4096
 _INT_ONLY = {int}
 # A report's body is all of it but its provenance; equal keys render alike.
 _body_key = attrgetter(
@@ -133,68 +132,65 @@ def _write_json(doc) -> None:
     anything else (a float, a non-str key) raises TypeError. An
     ``ImmanantReport`` stands for its ``to_json_dict()``, written from two
     fragments: its body, rendered once per distinct body and depth, and its
-    provenance, rendered once per run of reports that share one. The text
-    goes out in chunks of ``_FLUSH_PARTS`` parts, so the whole of it is never
-    held (and a document that fails part way has already written its first
-    chunks).
+    provenance, rendered once per run of reports that share one. Each piece
+    is written into stdout's buffer as it is rendered, so the whole text is
+    never held (and a document that fails part way has already written its
+    first pieces).
     """
     write = sys.stdout.write
-    parts: list[str] = []
-    append = parts.append
+    sink = write  # where emit puts its text: stdout, or a fragment's list
     bodies: dict[tuple, str] = {}
     # the last report's provenance, its depth and its rendered fragment
     provenance = depth = head = None
 
     def fragment(v, nl: str) -> str:
-        start = len(parts)
+        nonlocal sink
+        parts: list[str] = []
+        outer, sink = sink, parts.append
         emit(v, nl)
-        text = "".join(parts[start:])
-        del parts[start:]
-        return text
+        sink = outer
+        return "".join(parts)
 
     def emit(v, nl: str) -> None:
         nonlocal provenance, depth, head
         t = type(v)
         if t is list:
             if not v:
-                append("[]")
+                sink("[]")
                 return
             inner = nl + "  "
             # exact types: a bool is an int but renders as true/false
             if {*map(type, v)} == _INT_ONLY:
-                append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
+                sink("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
                 return
-            append("[" + inner)
+            sink("[" + inner)
             comma = "," + inner
             for i, x in enumerate(v):
                 if i:
-                    append(comma)
+                    sink(comma)
                 emit(x, inner)
-                if len(parts) >= _FLUSH_PARTS:
-                    write("".join(parts))
-                    parts.clear()
-            append(nl + "]")
+            sink(nl + "]")
         elif t is str:
-            append(_quote(v))
+            sink(_quote(v))
         elif t is int:
-            append(int.__repr__(v))
+            sink(int.__repr__(v))
         elif t is dict:
             if not v:
-                append("{}")
+                sink("{}")
                 return
             inner = nl + "  "
             sep = "{" + inner
             for k, x in v.items():
                 if type(k) is not str:
                     raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
-                append(sep + _quote(k) + ": ")
+                sink(sep + _quote(k) + ": ")
                 sep = "," + inner
                 emit(x, inner)
-            append(nl + "}")
+            sink(nl + "}")
         elif t is bool:
-            append("true" if v else "false")
+            sink("true" if v else "false")
         elif v is None:
-            append("null")
+            sink("null")
         elif t is ImmanantReport:
             inner = nl + "  "
             key = (_body_key(v), nl)
@@ -208,13 +204,12 @@ def _write_json(doc) -> None:
             if v.provenance is not provenance or nl != depth:
                 provenance, depth = v.provenance, nl
                 head = fragment(provenance.to_json_dict(), inner)
-            append(body + head + nl + "}")
+            sink(body + head + nl + "}")
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
     emit(doc, "\n")
-    append("\n")
-    write("".join(parts))
+    write("\n")
 
 
 def _maybe_submatrix(m: CSMatrix, args) -> CSMatrix:
@@ -251,22 +246,19 @@ def cmd_network(args) -> int:
     cases = _parse_cases(args.case, 2 * n + k if args.hankel_induced else n)
     if args.hankel_factored:
         net = build_hankel_factored(f, n, cases)
-        expected = hankel(f, n)
-        what = "factored Hankel network"
+        expected, what = hankel, "factored Hankel network"
     elif args.hankel_induced:
         net = build_hankel_network(f, n, k, cases)
-        expected = hankel(f, n)
-        what = "induced Hankel network"
+        expected, what = hankel, "induced Hankel network"
     else:
         net = build_cs_network(f, n, cases)
-        expected = catalan_stieltjes(f, n)
-        what = "layered network"
+        expected, what = catalan_stieltjes, "layered network"
 
     rc = EXIT_OK
     check_line = None
     if args.check:
         got = net.gf_matrix()
-        want = [list(row) for row in expected.entries]
+        want = [list(row) for row in expected(f, n).entries]
         if got == want:
             check_line = f"check: pass ({what} matches the matrix for {f.name}, n={n})"
         else:
@@ -320,9 +312,7 @@ def _sweep_csv(result) -> None:
     with their flags), built once per distinct body.
     """
     write = sys.stdout.write
-    parts = [
-        "family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n"
-    ]
+    write("family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n")
     bodies: dict[tuple, str] = {}
     provenance = head = None
     for r in result.reports:
@@ -342,11 +332,7 @@ def _sweep_csv(result) -> None:
                     str(r.gap_nonnegative).lower() + "\n",
                 ]
             )
-        parts.append(head + body)
-        if len(parts) >= _FLUSH_PARTS:
-            write("".join(parts))
-            parts.clear()
-    write("".join(parts))
+        write(head + body)
 
 
 def cmd_verify(args) -> int:

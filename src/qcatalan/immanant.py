@@ -473,10 +473,11 @@ def _inequality_sweep(
 
     The triples come in lexicographic order.  Each a_m is packed once as the
     integer a_m(2**bits) (Kronecker substitution, ``qpoly._pack``), so every
-    product below is one big-integer multiply.  The squares a_m**2, the
-    terms a_{2x} a_y**2 and the products a_x a_y depend on an index pair
-    only, so each is computed once; the cubic term then costs one multiply
-    per triple.  Each value is unpacked once.
+    product below is one big-integer multiply.  The squares a_y**2 and the
+    terms a_{2x} a_y**2 depend on an index pair only, so each is computed
+    once, as a table over x <= top and every pair sum y < 2 top; the cubic
+    term then costs two big-integer multiplies per triple.  Each value is
+    unpacked once.
 
     With N the largest sum of absolute coefficients of a_0..a_{2 top}, every
     coefficient of every value is at most 6 N**3 in absolute value (three
@@ -487,31 +488,16 @@ def _inequality_sweep(
     norm = max(sum(map(abs, p.coeffs)) for p in seq)
     bits = _width(6 * norm**3)
     packed = [_pack(p.coeffs, bits) for p in seq]
-    squares: dict[int, int] = {}
-    terms: dict[tuple[int, int], int] = {}
-    pairs: dict[tuple[int, int], int] = {}
-
-    def term(x: int, y: int) -> int:  # a_{2x} a_y**2
-        key = (x, y)
-        value = terms.get(key)
-        if value is None:
-            sq = squares.get(y)
-            if sq is None:
-                sq = squares[y] = packed[y] * packed[y]
-            value = terms[key] = packed[2 * x] * sq
-        return value
-
-    out = []
-    for i in range(top + 1):
-        for j in range(i + 1, top + 1):
-            for k in range(j + 1, top + 1):
-                key = (i + j, j + k)
-                pair = pairs.get(key)
-                if pair is None:
-                    pair = pairs[key] = packed[i + j] * packed[j + k]
-                value = (
-                    term(i, j + k) + term(j, i + k) + term(k, i + j)
-                    - 3 * pair * packed[i + k]
-                )
-                out.append(((i, j, k), _unpack(value, bits)))
-    return out
+    squares = [p * p for p in packed[: 2 * top]]
+    terms = [[packed[2 * x] * sq for sq in squares] for x in range(top + 1)]
+    return [
+        (
+            (i, j, k),
+            _unpack(
+                terms[i][j + k] + terms[j][i + k] + terms[k][i + j]
+                - 3 * packed[i + j] * packed[j + k] * packed[i + k],
+                bits,
+            ),
+        )
+        for i, j, k in combinations(range(top + 1), 3)
+    ]

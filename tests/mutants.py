@@ -62,21 +62,20 @@ MUTANTS = [
         "replacement": "step = steps[sub.bit_count()]",
         "tests": ["tests/test_packing.py"],
     },
-    # Swapping the two parts of a memo's key inside the memo relabels its
-    # entries one to one, which changes no result; these two mutants instead
+    # Each table entry depends on an ordered index pair, so these two mutants
     # make a triple use a product of the wrong terms.
     {
-        "name": "inequality sweep a_{2x} a_y^2 memo called with its index pair swapped",
+        "name": "inequality sweep a_{2x} a_y^2 table read at the wrong x",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "term(k, i + j)",
-        "replacement": "term(i + j, k)",
+        "snippet": "terms[k][i + j]",
+        "replacement": "terms[j][i + j]",
         "tests": ["tests/test_immanant.py", "tests/test_packing.py"],
     },
     {
-        "name": "inequality sweep a_x a_y memo keyed by the wrong pair of sums",
+        "name": "inequality sweep cubic term multiplies by the wrong index sum",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "key = (i + j, j + k)",
-        "replacement": "key = (i + j, i + k)",
+        "snippet": "* packed[i + k]",
+        "replacement": "* packed[i + j]",
         "tests": ["tests/test_immanant.py", "tests/test_packing.py"],
     },
     # Zero contents give every shape the same ZERO value and gap, so a body
@@ -126,6 +125,13 @@ MUTANTS = [
         "tests": ["tests/test_qpoly.py", "tests/test_packing.py"],
     },
     {
+        "name": "_unpack reads one digit short",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "(abs(value).bit_length() + bits) // bits",
+        "replacement": "(abs(value).bit_length() + bits) // bits - 1",
+        "tests": ["tests/test_qpoly.py", "tests/test_packing.py"],
+    },
+    {
         "name": "QPoly.__add__ without its trailing-zero strip",
         "file": "src/qcatalan/qpoly.py",
         "snippet": (
@@ -157,6 +163,21 @@ MUTANTS = [
         "snippet": "key = id(cell)",
         "replacement": "key = len(line)",
         "tests": ["tests/test_rendering.py", "tests/test_csmatrix.py"],
+    },
+    # The same bytes, held whole and written at once.
+    {
+        "name": "JSON writer renders the whole document before writing it",
+        "file": "src/qcatalan/cli.py",
+        "snippet": 'emit(doc, "\\n")',
+        "replacement": 'write(fragment(doc, "\\n"))',
+        "tests": ["tests/test_cli.py::test_json_writer_streams_each_hankel_entry"],
+    },
+    {
+        "name": "count_paths skips paths of zero weight",
+        "file": "src/qcatalan/network.py",
+        "snippet": "lambda p: 1)",
+        "replacement": "lambda p: 1 if p else 0)",
+        "tests": ["tests/test_network.py"],
     },
 ]
 

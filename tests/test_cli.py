@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qcatalan import cli, errors
-from qcatalan.csmatrix import catalan_stieltjes
+from qcatalan.csmatrix import catalan_stieltjes, hankel
 from qcatalan.families import builtin, load_family
 from qcatalan.immanant import positivity_sweep
 from qcatalan.network import Arc, PlanarNetwork, build_cs_network
@@ -814,22 +814,48 @@ def test_json_writer_rejects_what_no_document_holds(doc):
         cli._write_json(doc)
 
 
-def test_json_writer_flushes_in_chunks(monkeypatch):
-    class Recorder:
-        def __init__(self):
-            self.chunks = []
+class Recorder:
+    """A stdout that keeps each write apart."""
 
-        def write(self, text):
-            self.chunks.append(text)
+    def __init__(self):
+        self.chunks = []
 
-    doc = {"arcs": [{"tail": [i], "weight": [i, 1]} for i in range(5000)]}
+    def write(self, text):
+        self.chunks.append(text)
+
+
+def _recorded(monkeypatch, *argv):
     recorder = Recorder()
     monkeypatch.setattr(sys, "stdout", recorder)
-    cli._write_json(doc)
-    text = json.dumps(doc, indent=2) + "\n"
-    assert "".join(recorder.chunks) == text
-    assert len(recorder.chunks) > 1
-    assert max(map(len, recorder.chunks)) < len(text) // 2
+    assert cli.main(list(argv)) == 0
+    return recorder.chunks
+
+
+def _nested(doc, depth: int) -> str:
+    """``doc`` as ``json.dumps(indent=2)`` renders it ``depth`` levels deep."""
+    return json.dumps(doc, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def test_json_writer_streams_each_hankel_entry(monkeypatch):
+    argv = ["hankel", "--family", "eulerian", "--n", "20", "--format", "json"]
+    chunks = _recorded(monkeypatch, *argv)
+    doc = hankel(builtin("eulerian"), 20).to_json_dict()
+    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+    # an entry sits three levels deep, after a comma and a new indented line
+    entry = max(len(_nested(cell, 3)) for row in doc["entries"] for cell in row)
+    assert max(map(len, chunks)) <= entry + len(",\n" + "  " * 3)
+
+
+def test_sweep_writers_stream_each_report(monkeypatch):
+    argv = ["verify", "--family", "narayana", "--n", "5", "--max-size", "3"]
+    lines = _recorded(monkeypatch, *argv, "--format", "csv")
+    assert len(lines) > 1000
+    assert all(line.index("\n") == len(line) - 1 for line in lines)
+    chunks = _recorded(monkeypatch, *argv, "--format", "json")
+    doc = json.loads("".join(chunks))
+    # a report sits two levels deep, after a comma and a new indented line
+    report = max(len(_nested(r, 2)) for r in doc["reports"])
+    assert max(map(len, chunks)) <= report + len(",\n" + "  " * 2)
 
 
 # -- parser-level behavior ---------------------------------------------

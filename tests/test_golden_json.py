@@ -8,7 +8,8 @@ coefficients and a character table, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
 them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
 as CSV and text, a layered, an induced and a factored network as DOT, and
-error exits whose message holds no temporary path. The hashes in
+error exits, flag rejections among them, whose message holds no temporary
+path. The hashes in
 ``golden/json_sha256.json`` pin the exact bytes each command prints on
 both streams (``network --check`` writes its check line to stderr), so a
 change to arithmetic, rendering or a message that moves one byte fails
@@ -183,6 +184,9 @@ CASES = {
         "network", "--family", "schroder", "--n", "3", "--case", "5",
         "--hankel-factored",
     ],
+    "network-eulerian-4-case1-json": [
+        "network", "--family", "eulerian", "--n", "4", "--format", "json",
+    ],
     # an empty selection: CSV prints one empty line, text prints nothing
     "matrix-narayana-2-empty-csv": [
         "matrix", "--family", "narayana", "--n", "2", "--rows", "", "--cols", "",
@@ -221,6 +225,21 @@ CASES = {
     "error-triple-label": [
         "inequality", "--family", "narayana", "--triple", "0", "1", "-1",
     ],
+    # flag rejections; argparse's own usage errors are left out, as their
+    # text wraps with the terminal width
+    "error-k-without-induced": ["network", "--family", "narayana", "--n", "3", "--k", "1"],
+    "error-triple-json": [
+        "inequality", "--family", "narayana", "--triple", "0", "1", "2", "--format", "json",
+    ],
+    "error-rows-cols-show": [
+        "inequality", "--family", "narayana", "--rows", "0", "1", "2",
+        "--cols", "0", "1", "2", "--show",
+    ],
+    "error-sweep-show-json": [
+        "inequality", "--family", "narayana", "--max-index", "3", "--show",
+        "--format", "json",
+    ],
+    "error-cols-alone": ["inequality", "--family", "narayana", "--cols", "0", "1", "2"],
 }
 
 
@@ -256,6 +275,26 @@ def test_json_command_bytes(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SIZE_CAP_ENV, raising=False)  # the size-cap message names the cap
     rc = cli.main(_argv(name, tmp_path))
     captured = capsys.readouterr()
+    assert _entry(rc, captured.out, captured.err) == _golden()[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "network-eulerian-4-case1-json",
+        "network-narayana-3-induced-k1-dot",
+        "network-schroder-3-factored-dot",
+    ],
+)
+def test_network_without_check_builds_no_matrix(name, tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the expected matrix is built only under --check")
+
+    monkeypatch.setattr(cli, "catalan_stieltjes", refuse)
+    monkeypatch.setattr(cli, "hankel", refuse)
+    rc = cli.main(_argv(name, tmp_path))
+    captured = capsys.readouterr()
+    assert rc == 0
     assert _entry(rc, captured.out, captured.err) == _golden()[name]
 
 
