@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 family error, 4 network
 check failure, 5 positivity violation. An error's class decides between 2
 and 3: a ``FamilyError`` exits 3; a ``ValueError`` (every other error in
-``qcatalan.errors``), an ``IndexError`` or an ``OSError`` exits 2.
+``qcatalan.errors``) or an ``OSError`` exits 2. Any other exception, such
+as an ``IndexError`` from a bug, propagates.
 """
 
 from __future__ import annotations
@@ -542,7 +543,7 @@ def main(argv=None) -> int:
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAMILY
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

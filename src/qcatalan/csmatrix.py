@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import ShapeError
+from .errors import OutOfRange, ShapeError
 from .families import FamilySpec
 from .qpoly import ONE, QPoly, ZERO
 
@@ -144,7 +144,7 @@ def submatrix(m: CSMatrix, rows: tuple[int, ...], cols: tuple[int, ...]) -> CSMa
         if any(sel[i] >= sel[i + 1] for i in range(len(sel) - 1)):
             raise ValueError(f"{label} indices must be strictly increasing: {sel}")
         if any(i < 0 or i >= bound for i in sel):
-            raise IndexError(f"{label} indices {sel} out of range 0..{bound - 1}")
+            raise OutOfRange(f"{label} indices {sel} out of range 0..{bound - 1}")
     entries = tuple(tuple(m.entries[i][j] for j in cols) for i in rows)
     return CSMatrix(
         entries,

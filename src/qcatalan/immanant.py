@@ -48,7 +48,7 @@ from math import comb, prod
 from operator import mul
 
 from .csmatrix import CSMatrix
-from .errors import CapExceeded, ShapeError
+from .errors import CapExceeded, OutOfRange, ShapeError
 from .qpoly import ONE, QPoly, ZERO, _pack, _unpack, _width
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
@@ -300,7 +300,7 @@ class SweepResult:
 
     @property
     def ok(self) -> bool:
-        return all(r.q_nonnegative and r.gap_nonnegative for r in self.reports)
+        return not self.violations()
 
     def violations(self) -> tuple[ImmanantReport, ...]:
         return tuple(
@@ -423,9 +423,9 @@ def _reports(cells: list[list[int]], bits: int) -> list[Fields]:
 def _check_triple(label: str, triple: tuple[int, int, int], bound: int) -> None:
     a, b, c = triple
     if not (0 <= a < b < c):
-        raise IndexError(f"{label} indices must satisfy 0 <= i < j < k, got {triple}")
+        raise OutOfRange(f"{label} indices must satisfy 0 <= i < j < k, got {triple}")
     if c >= bound:
-        raise IndexError(f"{label} index {c} needs a_0..a_{bound - 1} terms")
+        raise OutOfRange(f"{label} index {c} needs a_0..a_{bound - 1} terms")
 
 
 def inequality_331(
@@ -441,7 +441,7 @@ def inequality_331(
     _check_triple("row", (i1, i2, i3), len(a))
     _check_triple("col", (j1, j2, j3), len(a))
     if i3 + j3 >= len(a):
-        raise IndexError(
+        raise OutOfRange(
             f"need terms up to a_{i3 + j3} but only {len(a)} terms were given"
         )
     pos = (
@@ -457,7 +457,7 @@ def inequality_332(a: list[QPoly], i: int, j: int, k: int) -> QPoly:
     """Symmetric cubic form a_{2i} a_{j+k}^2 + ... - 3 a_{i+j} a_{j+k} a_{k+i}."""
     _check_triple("triple", (i, j, k), len(a))
     if 2 * k >= len(a):
-        raise IndexError(f"need terms up to a_{2 * k} but only {len(a)} terms were given")
+        raise OutOfRange(f"need terms up to a_{2 * k} but only {len(a)} terms were given")
     return (
         a[2 * i] * a[j + k] ** 2
         + a[2 * j] * a[i + k] ** 2

@@ -19,7 +19,6 @@ coefficient sums bounds the coefficients and so fixes B.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
@@ -95,9 +94,11 @@ class PlanarNetwork:
     """An acyclic weighted digraph with ordered source and sink sequences.
 
     Its vertices are the arc endpoints, sources and sinks.  Zero-weight
-    arcs are stored like any other arc; acyclicity is verified by
-    topological sort at construction and the sorted order is cached for
-    the generating-function sweeps.
+    arcs are stored like any other arc.  One pass over the arcs checks
+    their weights and rejects duplicates while it fills the out-arc lists,
+    kept in arc order; Kahn's algorithm on those lists then verifies
+    acyclicity, and its topological order is kept for the
+    generating-function sweeps.
     """
 
     def __init__(
@@ -107,46 +108,34 @@ class PlanarNetwork:
         sinks: Sequence[Vertex],
     ) -> None:
         self.arcs: tuple[Arc, ...] = tuple(Arc(*a) for a in arcs)
-        seen_pairs: set[tuple[Vertex, Vertex]] = set()
-        for arc in self.arcs:
-            if not isinstance(arc.weight, QPoly):
-                raise TypeError(f"arc weight {arc.weight!r} is not a QPoly")
-            pair = (arc.tail, arc.head)
-            if pair in seen_pairs:
-                raise ValueError(f"duplicate arc {arc.tail} -> {arc.head}")
-            seen_pairs.add(pair)
         self.sources: tuple[Vertex, ...] = tuple(sources)
         self.sinks: tuple[Vertex, ...] = tuple(sinks)
-        verts: set[Vertex] = set(self.sources)
-        verts.update(self.sinks)
-        for arc in self.arcs:
-            verts.add(arc.tail)
-            verts.add(arc.head)
-        self.vertices: frozenset[Vertex] = frozenset(verts)
-
-        adj: dict[Vertex, list[tuple[Vertex, QPoly]]] = {v: [] for v in verts}
-        indegree: dict[Vertex, int] = {v: 0 for v in verts}
-        for arc in self.arcs:
-            adj[arc.tail].append((arc.head, arc.weight))
-            indegree[arc.head] += 1
-        for heads in adj.values():
-            heads.sort(key=lambda hw: _vkey(hw[0]))
+        adj: dict[Vertex, list[tuple[Vertex, QPoly]]] = {
+            v: [] for v in (*self.sources, *self.sinks)
+        }
+        indegree: dict[Vertex, int] = dict.fromkeys(adj, 0)
+        pairs: set[tuple[Vertex, Vertex]] = set()
+        for tail, head, weight in self.arcs:
+            if not isinstance(weight, QPoly):
+                raise TypeError(f"arc weight {weight!r} is not a QPoly")
+            if (tail, head) in pairs:
+                raise ValueError(f"duplicate arc {tail} -> {head}")
+            pairs.add((tail, head))
+            adj.setdefault(tail, []).append((head, weight))
+            adj.setdefault(head, [])
+            indegree[head] = indegree.get(head, 0) + 1
+        self.vertices: frozenset[Vertex] = frozenset(adj)
         self._adj = adj
 
-        ready = [v for v in verts if indegree[v] == 0]
-        heapify(ready)
-        topo: list[Vertex] = []
-        while ready:
-            v = heappop(ready)
-            topo.append(v)
+        topo = [v for v in adj if not indegree.get(v)]
+        for v in topo:  # grows while it is walked
             for head, _ in adj[v]:
                 indegree[head] -= 1
-                if indegree[head] == 0:
-                    heappush(ready, head)
-        if len(topo) != len(verts):
+                if not indegree[head]:
+                    topo.append(head)
+        if len(topo) != len(adj):
             raise ValueError("digraph contains a directed cycle")
         self._topo = tuple(topo)
-        self._order = {v: i for i, v in enumerate(topo)}
 
     # -- path generating functions ------------------------------------
 
@@ -173,9 +162,8 @@ class PlanarNetwork:
         acc: dict[Vertex, dict[int, int]] = {}
         for i, u in enumerate(starts):
             acc.setdefault(u, {})[i] = 1
-        first = min((self._order[u] for u in starts), default=len(self._topo))
         weights: dict[QPoly, int] = {}
-        for v in self._topo[first:]:
+        for v in self._topo:
             value = acc.get(v) if v in keep else acc.pop(v, None)
             if not value:
                 continue
@@ -242,7 +230,8 @@ class PlanarNetwork:
         """All directed u -> v paths as (vertex tuple, weight product) pairs.
 
         Refuses to enumerate more than ``cap`` paths.  The single-vertex
-        path is returned for u = v, with weight 1.
+        path is returned for u = v, with weight 1.  Paths come in depth-first
+        order, each vertex's out-arcs taken in the order of ``self.arcs``.
         """
         total = self.count_paths(u, v)
         if total > cap:

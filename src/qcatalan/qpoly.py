@@ -95,14 +95,7 @@ class QPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        out = list(a)
-        out.extend([0] * (len(b) - len(a)))
-        for i, c in enumerate(b):
-            out[i] -= c
-        while out and out[-1] == 0:
-            out.pop()
-        return _canonical(tuple(out))
+        return self + -o
 
     def __rsub__(self, other: Union["QPoly", int]) -> "QPoly":
         o = self._coerce(other)

@@ -179,6 +179,35 @@ MUTANTS = [
         "replacement": "lambda p: 1 if p else 0)",
         "tests": ["tests/test_network.py"],
     },
+    {
+        "name": "network constructor accepts a directed cycle",
+        "file": "src/qcatalan/network.py",
+        "snippet": "if len(topo) != len(adj):",
+        "replacement": "if False:",
+        "tests": ["tests/test_network.py"],
+    },
+    {
+        "name": "network constructor accepts a duplicate arc",
+        "file": "src/qcatalan/network.py",
+        "snippet": "if (tail, head) in pairs:",
+        "replacement": "if False:",
+        "tests": ["tests/test_network.py"],
+    },
+    {
+        "name": "GF sweep drops the sinks' maps too",
+        "file": "src/qcatalan/network.py",
+        "snippet": "acc.get(v) if v in keep else acc.pop(v, None)",
+        "replacement": "acc.pop(v, None)",
+        "tests": ["tests/test_network.py"],
+    },
+    # The vertex is then ready one in-arc early, and may be listed twice.
+    {
+        "name": "topological sort lists a vertex before its last in-arc is counted",
+        "file": "src/qcatalan/network.py",
+        "snippet": "if not indegree[head]:",
+        "replacement": "if indegree[head] <= 1:",
+        "tests": ["tests/test_network.py"],
+    },
 ]
 
 

@@ -14,7 +14,7 @@ import json
 import random
 from contextlib import redirect_stdout
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, prod
 
 from qcatalan.csmatrix import CSMatrix
@@ -323,7 +323,7 @@ def gf_matrix_by_source(net: PlanarNetwork) -> list[list[QPoly]]:
     rows = []
     for u in net.sources:
         acc: dict[Vertex, QPoly] = {u: ONE}
-        for v in net._topo[net._order[u]:]:
+        for v in net._topo:
             value = acc.get(v)
             if value is None or value.is_zero():
                 continue
@@ -331,6 +331,30 @@ def gf_matrix_by_source(net: PlanarNetwork) -> list[list[QPoly]]:
                 acc[head] = acc.get(head, ZERO) + value * weight
         rows.append([acc.get(v, ZERO) for v in net.sinks])
     return rows
+
+
+def lgv_minor(net: PlanarNetwork, rows, cols) -> QPoly:
+    """The minor of the GF matrix at ``rows`` x ``cols``, summed over path families.
+
+    For each permutation sigma, every choice of one path source[rows[i]] ->
+    sink[cols[sigma(i)]] per i from ``enumerate_paths`` whose paths share no
+    vertex adds its weight product times sign(sigma).  By the
+    Lindstrom-Gessel-Viennot lemma this equals the determinant of that
+    submatrix on any acyclic digraph.
+    """
+    paths = {
+        (i, j): net.enumerate_paths(net.sources[i], net.sinks[j]) for i in rows for j in cols
+    }
+    total = ZERO
+    for perm in permutations(range(len(cols))):
+        inversions = sum(a > b for x, a in enumerate(perm) for b in perm[x + 1 :])
+        sign = -1 if inversions % 2 else 1
+        choices = [paths[i, cols[s]] for i, s in zip(rows, perm)]
+        for family in product(*choices):
+            vertices = [v for path, _ in family for v in path]
+            if len(set(vertices)) == len(vertices):
+                total = total + sign * prod((w for _, w in family), start=ONE)
+    return total
 
 
 # -- positivity sweeps -------------------------------------------------

@@ -901,6 +901,23 @@ def test_error_class_decides_the_exit_code(capsys, monkeypatch, cls):
     assert (out, err) == ("", "error: boom\n")
 
 
+def test_bare_index_error_propagates_out_of_main(monkeypatch):
+    # only the typed errors are configuration errors; a bug must not exit 2
+    def fail(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "cmd_chars", fail)
+    with pytest.raises(IndexError, match="list index out of range"):
+        cli.main(["chars", "--n", "1"])
+
+
+def test_out_of_range_selection_is_a_configuration_error(capsys):
+    rc, out, err = run(
+        capsys, "matrix", "--family", "narayana", "--n", "2", "--rows", "0,5", "--cols", "0,1"
+    )
+    assert (rc, out, err) == (2, "", "error: row indices (0, 5) out of range 0..2\n")
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         ["qcatalan", "matrix", "--family", "narayana", "--n", "1", "--format", "csv"],

@@ -15,7 +15,12 @@ from qcatalan.csmatrix import (
     hankel,
     submatrix,
 )
-from qcatalan.errors import NonNonnegativeParameter, SequenceExhausted, ShapeError
+from qcatalan.errors import (
+    NonNonnegativeParameter,
+    OutOfRange,
+    SequenceExhausted,
+    ShapeError,
+)
 from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import determinant, immanant, positivity_sweep
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
@@ -264,9 +269,9 @@ def test_submatrix_errors():
         submatrix(h, (1, 0), (0, 1))
     with pytest.raises(ValueError):
         submatrix(h, (0, 0), (0, 1))
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         submatrix(h, (0, 3), (0, 1))
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         submatrix(h, (-1, 0), (0, 1))
 
 

@@ -7,10 +7,11 @@ selection, a submatrix, shared Hankel cells, unit and interior-zero
 coefficients and a character table, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
 them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
-as CSV and text, a layered, an induced and a factored network as DOT, and
-error exits, flag rejections among them, whose message holds no temporary
-path. The hashes in
-``golden/json_sha256.json`` pin the exact bytes each command prints on
+as CSV and text, a layered, an induced and a factored network as DOT, a
+network that mixes all five weight cases as JSON and DOT, jobs on the
+benchmark's affine and five-case families, and error exits, flag
+rejections among them, whose message holds no temporary path. The hashes
+in ``golden/json_sha256.json`` pin the exact bytes each command prints on
 both streams (``network --check`` writes its check line to stderr), so a
 change to arithmetic, rendering or a message that moves one byte fails
 here. After a deliberate output change, rewrite the file with
@@ -70,6 +71,22 @@ FAMILY_DOCS = {
             "tail": {"linear": [0, 0, -1], "constant": [1, 0, 6]},
         },
         "t": {"tail": {"linear": [-1, 1], "constant": [8, 0, 0, 1]}},
+    },
+    # the benchmark's seed-1 documents: a family meeting all five weight
+    # conditions, and one with affine tails
+    "fivecase": {
+        "name": "fivecase",
+        "r": {"tail": {"constant": [1]}},
+        "s": {"prefix": [[3, 3, 2]], "tail": {"constant": [4, 3, 2]}},
+        "t": {"tail": {"constant": [3, 3, 2]}},
+        "witness_b": {"prefix": [[]], "tail": {"constant": [1]}},
+        "witness_c": {"tail": {"constant": [3, 3, 2]}},
+    },
+    "affine": {
+        "name": "affine",
+        "r": {"tail": {"linear": [1], "constant": [1]}},
+        "s": {"prefix": [[3, 3]], "tail": {"linear": [1, 2], "constant": [2, 3]}},
+        "t": {"tail": {"linear": [0, 3]}},
     },
 }
 
@@ -186,6 +203,25 @@ CASES = {
     ],
     "network-eulerian-4-case1-json": [
         "network", "--family", "eulerian", "--n", "4", "--format", "json",
+    ],
+    "network-fivecase-25-case3-check-dot": [
+        "network", "--family", "@fivecase", "--n", "25", "--case", "3",
+        "--check", "--format", "dot",
+    ],
+    # every weight case in one network, each layer under its own
+    "network-fivecase-10-mixed-check-json": [
+        "network", "--family", "@fivecase", "--n", "10",
+        "--case", "1,2,3,4,5,5,4,3,2,1", "--check", "--format", "json",
+    ],
+    "network-fivecase-10-mixed-check-dot": [
+        "network", "--family", "@fivecase", "--n", "10",
+        "--case", "1,2,3,4,5,5,4,3,2,1", "--check", "--format", "dot",
+    ],
+    "hankel-affine-42": [
+        "hankel", "--family", "@affine", "--n", "42", "--format", "json",
+    ],
+    "matrix-affine-60-csv": [
+        "matrix", "--family", "@affine", "--n", "60", "--format", "csv",
     ],
     # an empty selection: CSV prints one empty line, text prints nothing
     "matrix-narayana-2-empty-csv": [

@@ -9,7 +9,7 @@ import pytest
 
 from qcatalan.cli import _sweep_csv, _sweep_json, _write_json
 from qcatalan.csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
-from qcatalan.errors import CapExceeded, ShapeError
+from qcatalan.errors import CapExceeded, OutOfRange, ShapeError
 from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
@@ -678,17 +678,17 @@ def test_inequality_sweep_at_its_coefficient_bound():
 
 def test_inequality_index_validation():
     a = catalan_like(builtin("narayana"), 5)
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         inequality_332(a, 1, 1, 2)
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         inequality_332(a, 2, 1, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         inequality_332(a, 0, 1, 6)
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         inequality_332(a, 0, 1, 4)  # needs a_8
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         inequality_331(a, (0, 1, 1), (0, 1, 2))
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         inequality_331(a, (0, 1, 2), (0, 1, 6))
-    with pytest.raises(IndexError):
+    with pytest.raises(OutOfRange):
         inequality_331(a, (0, 1, 3), (0, 1, 3))  # needs a_6

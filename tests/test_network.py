@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from qcatalan.families import (
     builtin,
     check_condition,
 )
+from qcatalan.immanant import determinant
 from qcatalan.network import (
     Arc,
     P,
@@ -48,6 +50,7 @@ from qcatalan.qpoly import ONE, Q as QVAR, ZERO, QPoly
 from oracles import (
     conforming_random_family,
     gf_matrix_by_source,
+    lgv_minor,
     glued_cs_network,
     glued_factored_network,
     matmul,
@@ -754,6 +757,45 @@ def test_count_paths_matches_enumeration_between_every_vertex_pair():
         for u in net.vertices:
             for v in net.vertices:
                 assert net.count_paths(u, v) == len(net.enumerate_paths(u, v))
+
+
+def _assert_minors_are_lgv_sums(net: PlanarNetwork) -> int:
+    """Every k x k minor of the GF matrix, k <= 3, against its path families."""
+    grid = net.gf_matrix()
+    checked = 0
+    for k in range(1, 4):
+        for rows in combinations(range(len(net.sources)), k):
+            for cols in combinations(range(len(net.sinks)), k):
+                minor = determinant([[grid[i][j] for j in cols] for i in rows])
+                assert minor == lgv_minor(net, rows, cols), (rows, cols)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize(
+    "f,minors",
+    [(EUL, 346), (SCH, 332), (NAR, 956)],
+    ids=["eulerian", "schroder", "narayana"],
+)
+def test_gf_minors_are_lgv_sums_on_layered_networks(f, minors):
+    # every weight case the family meets, up to the largest n <= 4 it meets
+    # it at: n = 4 gives a 5 x 5 matrix with 25 + 100 + 100 minors
+    checked = 0
+    for case in WEIGHT_CASES:
+        for n in range(5):
+            try:
+                net = build_cs_network(f, n, [case] * n)
+            except (NegativeWeight, MissingWitness):
+                break
+            checked += _assert_minors_are_lgv_sums(net)
+    assert checked == minors
+
+
+@pytest.mark.parametrize("case", [2, 4, 5])
+def test_gf_minors_are_lgv_sums_on_hankel_networks(case):
+    for n in range(3):
+        _assert_minors_are_lgv_sums(build_hankel_network(NAR, n, 1, [case] * (2 * n + 1)))
+        _assert_minors_are_lgv_sums(build_hankel_factored(NAR, n, [case] * n))
 
 
 def test_packed_gf_on_arcless_networks():
