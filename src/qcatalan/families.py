@@ -23,7 +23,7 @@ from .errors import (
     SequenceExhausted,
     UnknownFamily,
 )
-from .qpoly import ONE, Q, QPoly, ZERO
+from .qpoly import ONE, QPoly, ZERO
 
 # Positivity condition i goes with weight case i of a network layer.
 WEIGHT_CASES = (1, 2, 3, 4, 5)
@@ -204,58 +204,43 @@ def check_condition(f: FamilySpec, which: int, up_to: int) -> ConditionReport:
 # -- builtin families ------------------------------------------------
 
 
-def _eulerian() -> FamilySpec:
+# Each builtin is a family document without its name (see ``load_family``).
+_BUILTINS = {
     # r_k = k + 1, s_k = k(q+1) + 1, t_k = k q
-    return FamilySpec(
-        name="eulerian",
-        r_seq=ParamSeq(0, linear=ONE, constant=ONE),
-        s_seq=ParamSeq(0, linear=QPoly((1, 1)), constant=ONE),
-        t_seq=ParamSeq(1, linear=Q),
-    )
-
-
-def _schroder() -> FamilySpec:
+    "eulerian": {
+        "r": {"tail": {"linear": [1], "constant": [1]}},
+        "s": {"tail": {"linear": [1, 1], "constant": [1]}},
+        "t": {"tail": {"linear": [0, 1]}},
+    },
     # r_k = 1, s_0 = q + 1, s_k = 2q + 1, t_k = q^2 + q
-    q_plus_1 = QPoly((1, 1))
-    return FamilySpec(
-        name="schroder",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, prefix=(q_plus_1,), constant=QPoly((1, 2))),
-        t_seq=ParamSeq(1, constant=QPoly((0, 1, 1))),
-        witness_b=ParamSeq(0, prefix=(ZERO,), constant=Q),
-        witness_c=ParamSeq(0, constant=q_plus_1),
-    )
-
-
-def _narayana() -> FamilySpec:
+    "schroder": {
+        "r": {"tail": {"constant": [1]}},
+        "s": {"prefix": [[1, 1]], "tail": {"constant": [1, 2]}},
+        "t": {"tail": {"constant": [0, 1, 1]}},
+        "witness_b": {"prefix": [[]], "tail": {"constant": [0, 1]}},
+        "witness_c": {"tail": {"constant": [1, 1]}},
+    },
     # r_k = 1, s_0 = q, s_k = q + 1, t_k = q
-    return FamilySpec(
-        name="narayana",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, prefix=(Q,), constant=QPoly((1, 1))),
-        t_seq=ParamSeq(1, constant=Q),
-        witness_b=ParamSeq(0, prefix=(ZERO,), constant=ONE),
-        witness_c=ParamSeq(0, constant=Q),
-    )
-
-
-_BUILTIN_FACTORIES = {
-    "eulerian": _eulerian,
-    "schroder": _schroder,
-    "narayana": _narayana,
+    "narayana": {
+        "r": {"tail": {"constant": [1]}},
+        "s": {"prefix": [[0, 1]], "tail": {"constant": [1, 1]}},
+        "t": {"tail": {"constant": [0, 1]}},
+        "witness_b": {"prefix": [[]], "tail": {"constant": [1]}},
+        "witness_c": {"tail": {"constant": [0, 1]}},
+    },
 }
-BUILTIN_NAMES = tuple(_BUILTIN_FACTORIES)
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def builtin(name: str) -> FamilySpec:
     """Return one of the builtin families: eulerian, schroder, narayana."""
     try:
-        factory = _BUILTIN_FACTORIES[name]
+        document = _BUILTINS[name]
     except KeyError:
         raise UnknownFamily(
             f"unknown builtin family {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
         ) from None
-    return factory()
+    return load_family({"name": name, **document})
 
 
 # -- loading from documents ------------------------------------------

@@ -318,26 +318,18 @@ def factored_sinks(n: int) -> tuple[Vertex, ...]:
 # -- layer construction ----------------------------------------------
 
 
-class _Split(NamedTuple):
-    """How a weight case spreads L_n over the arcs of one layer.
-
-    ``r_half`` is the half (0: P -> Q, 1: Q -> P) of the horizontal step at
-    index j that carries r_j, or None when both halves weigh 1;
-    ``diagonal(f, j)`` gives the two halves of the diagonal step at index j.
-    The super-diagonal arc at index j carries condition i's difference at j
-    (0 under case 5, whose diagonal halves b_j + c_j already make up s_j).
-    """
-
-    r_half: int | None
-    diagonal: Callable[[FamilySpec, int], tuple[QPoly, QPoly]]
-
-
-_SPLITS = {
-    1: _Split(0, lambda f, j: (f.t(j), ONE)),
-    2: _Split(1, lambda f, j: (ONE if j else ZERO, f.t(j + 1))),
-    3: _Split(1, lambda f, j: (f.t(j), ONE)),
-    4: _Split(0, lambda f, j: (ONE if j else ZERO, f.t(j + 1))),
-    5: _Split(None, lambda f, j: (f.b(j), f.c(j))),
+# How each weight case spreads L_n over one layer.  The row of index j
+# weighs, at height n - j: the P -> Q and Q -> P halves of the horizontal
+# step, the two halves of the diagonal step, and the super-diagonal arc,
+# which carries condition i's difference (0 under case 5, whose diagonal
+# halves b_j + c_j already make up s_j).  The layer's top horizontal step,
+# at index -1, weighs 1 on both halves.
+_WEIGHTS = {
+    1: lambda f, j: (f.r(j), ONE, f.t(j), ONE, condition_difference(f, 1, j)),
+    2: lambda f, j: (ONE, f.r(j), ONE if j else ZERO, f.t(j + 1), condition_difference(f, 2, j)),
+    3: lambda f, j: (ONE, f.r(j), f.t(j), ONE, condition_difference(f, 3, j)),
+    4: lambda f, j: (f.r(j), ONE, ONE if j else ZERO, f.t(j + 1), condition_difference(f, 4, j)),
+    5: lambda f, j: (ONE, ONE, f.b(j), f.c(j), ZERO),
 }
 
 
@@ -357,24 +349,18 @@ def _require_condition(f: FamilySpec, n: int, case: int) -> None:
         )
 
 
-def _layer_arcs(f: FamilySpec, n: int, case: int) -> list[Arc]:
-    """Arcs of the level-n layer under a weight case (validated by the caller)."""
-    split = _SPLITS[case]
+def _layer_arcs(n: int, weights: Sequence[tuple[QPoly, ...]]) -> list[Arc]:
+    """Arcs of the level-n layer from its case's weight rows for indices 0..n."""
+    rows = weights[n::-1]  # rows[k] weighs height k, index n - k
     arcs: list[Arc] = []
-    for k in range(n + 2):  # horizontal steps at height k
-        j = n - k
-        halves = [ONE, ONE]
-        if split.r_half is not None and j >= 0:
-            halves[split.r_half] = f.r(j)
-        arcs.append(Arc(P(n, k), Q(n, k), halves[0]))
-        arcs.append(Arc(Q(n, k), P(n + 1, k), halves[1]))
-    for k in range(n + 1):  # diagonal steps from height k to k+1
-        first, second = split.diagonal(f, n - k)
+    for k, (first, second, *_) in enumerate([*rows, (ONE, ONE)]):  # horizontal steps
+        arcs.append(Arc(P(n, k), Q(n, k), first))
+        arcs.append(Arc(Q(n, k), P(n + 1, k), second))
+    for k, (_, _, first, second, _) in enumerate(rows):  # diagonal steps from height k
         arcs.append(Arc(P(n, k), Q(n, k + 1), first))
         arcs.append(Arc(Q(n, k), P(n + 1, k + 1), second))
-    for k in range(n + 1):  # super-diagonal arcs from height k to k+1
-        weight = ZERO if case == 5 else condition_difference(f, case, n - k)
-        arcs.append(Arc(P(n, k), P(n + 1, k + 1), weight))
+    for k, row in enumerate(rows):  # super-diagonal arcs from height k to k+1
+        arcs.append(Arc(P(n, k), P(n + 1, k + 1), row[4]))
     return arcs
 
 
@@ -391,7 +377,8 @@ def build_layer(f: FamilySpec, n: int, case: int) -> PlanarNetwork:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     _require_condition(f, n, case)
-    return PlanarNetwork(_layer_arcs(f, n, case), layer_sources(n), layer_sinks(n))
+    weights = [_WEIGHTS[case](f, j) for j in range(n + 1)]
+    return PlanarNetwork(_layer_arcs(n, weights), layer_sources(n), layer_sinks(n))
 
 
 # -- composition -----------------------------------------------------
@@ -447,8 +434,9 @@ def _layered_arcs(f: FamilySpec, n: int, cases: Sequence[int]) -> list[Arc]:
     with the padded sinks at level i, which are the same vertices; so the
     glued network is the union of the layers' arcs and the identity padding
     arcs P(l, i+1) -> P(l+1, i+1), l < i, that extend each layer's top row
-    back to level 0.  Layer i needs its condition for k <= i, so each case
-    is checked once, up to the last layer that uses it.
+    back to level 0.  Layer i needs its condition and its case's weight rows
+    for k <= i, so each case is checked once, and its rows are built once,
+    up to the last layer that uses it.
     """
     cases = tuple(cases)
     if len(cases) != n:
@@ -456,9 +444,12 @@ def _layered_arcs(f: FamilySpec, n: int, cases: Sequence[int]) -> list[Arc]:
     last_layer = {case: i for i, case in enumerate(cases)}
     for case, i in last_layer.items():
         _require_condition(f, i, case)
+    weights = {
+        case: [_WEIGHTS[case](f, j) for j in range(i + 1)] for case, i in last_layer.items()
+    }
     arcs: list[Arc] = []
     for i, case in enumerate(cases):
-        arcs += _layer_arcs(f, i, case)
+        arcs += _layer_arcs(i, weights[case])
         arcs += (Arc(P(l, i + 1), P(l + 1, i + 1), ONE) for l in range(i))
     return arcs
 

@@ -208,6 +208,56 @@ MUTANTS = [
         "replacement": "if indegree[head] <= 1:",
         "tests": ["tests/test_network.py"],
     },
+    {
+        "name": "layer heights read the weight rows in the wrong order",
+        "file": "src/qcatalan/network.py",
+        "snippet": "rows = weights[n::-1]",
+        "replacement": "rows = weights[: n + 1]",
+        "tests": ["tests/test_network.py"],
+    },
+    {
+        "name": "weight case 2 swaps its horizontal halves",
+        "file": "src/qcatalan/network.py",
+        "snippet": "2: lambda f, j: (ONE, f.r(j),",
+        "replacement": "2: lambda f, j: (f.r(j), ONE,",
+        "tests": ["tests/test_network.py"],
+    },
+    {
+        "name": "weight case 4's first diagonal half weighs 1 at j = 0",
+        "file": "src/qcatalan/network.py",
+        "snippet": "4: lambda f, j: (f.r(j), ONE, ONE if j else ZERO,",
+        "replacement": "4: lambda f, j: (f.r(j), ONE, ONE,",
+        "tests": ["tests/test_network.py"],
+    },
+    {
+        "name": "weight case 5's super-diagonal arc weighs s_j",
+        "file": "src/qcatalan/network.py",
+        "snippet": "f.c(j), ZERO)",
+        "replacement": "f.c(j), f.s(j))",
+        "tests": ["tests/test_network.py"],
+    },
+    # The loader also builds the builtin families from their documents.
+    {
+        "name": "family loader skips the check of the declared prefix terms",
+        "file": "src/qcatalan/families.py",
+        "snippet": "term(k)",
+        "replacement": "pass",
+        "tests": ["tests/test_families.py"],
+    },
+    {
+        "name": "family loader accepts a name that would break CSV",
+        "file": "src/qcatalan/families.py",
+        "snippet": "if bad is not None:",
+        "replacement": "if False:",
+        "tests": ["tests/test_cli.py::test_family_name_that_would_break_csv_is_family_error"],
+    },
+    {
+        "name": "family loader takes any iterable for a polynomial",
+        "file": "src/qcatalan/families.py",
+        "snippet": "if not isinstance(obj, list):",
+        "replacement": "if False:",
+        "tests": ["tests/test_families.py"],
+    },
 ]
 
 

@@ -335,6 +335,16 @@ def test_load_family_schema_errors(mutate):
         load_family(doc)
 
 
+@pytest.mark.parametrize(
+    "key,seq,place",
+    [("r", {"prefix": [5]}, "r.prefix[0]"), ("s", {"tail": {"constant": 3}}, "s.tail.constant")],
+)
+def test_load_family_polynomial_must_be_a_list(key, seq, place):
+    with pytest.raises(SchemaError) as exc:
+        load_family(dict(NARAYANA_DOC, **{key: seq}))
+    assert str(exc.value).startswith(f"{place}: polynomial must be a list of ints")
+
+
 def test_load_family_rejects_bad_json_text():
     with pytest.raises(SchemaError):
         load_family("{not json")

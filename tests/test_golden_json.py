@@ -10,12 +10,14 @@ them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
 as CSV and text, a layered, an induced and a factored network as DOT, a
 network that mixes all five weight cases as JSON and DOT, jobs on the
 benchmark's affine and five-case families, and error exits, flag
-rejections among them, whose message holds no temporary path. The hashes
-in ``golden/json_sha256.json`` pin the exact bytes each command prints on
+rejections and argparse usage errors among them. The hashes in
+``golden/json_sha256.json`` pin the exact bytes each command prints on
 both streams (``network --check`` writes its check line to stderr), so a
 change to arithmetic, rendering or a message that moves one byte fails
-here. After a deliberate output change, rewrite the file with
-``PYTHONPATH=src python tests/test_golden_json.py`` and review the diff.
+here. The temporary directory's path is replaced by ``<tmp>`` before
+hashing, and ``COLUMNS`` is fixed so that argparse's usage text wraps the
+same on every terminal. After a deliberate output change, rewrite the file
+with ``PYTHONPATH=src python tests/test_golden_json.py`` and review the diff.
 """
 
 import hashlib
@@ -34,8 +36,10 @@ from qcatalan.immanant import SIZE_CAP_ENV
 from test_cli import CONTROL_FAMILY
 
 GOLDEN = Path(__file__).parent / "golden" / "json_sha256.json"
+USAGE_COLUMNS = "80"  # argparse wraps its usage text to the terminal width
 
-# Family documents written to a file; "@name" in an argv stands for its path.
+# Family documents written to a file; "@name" in an argv stands for its path,
+# and "@" alone for the directory that holds them.  A string is written as is.
 FAMILY_DOCS = {
     # its C_2 has a negative 2x2 minor, so a sweep over it reports violations
     "control": CONTROL_FAMILY,
@@ -88,6 +92,7 @@ FAMILY_DOCS = {
         "s": {"prefix": [[3, 3]], "tail": {"linear": [1, 2], "constant": [2, 3]}},
         "t": {"tail": {"linear": [0, 3]}},
     },
+    "malformed": '{"name": "malformed", "r": ',
 }
 
 CASES = {
@@ -217,6 +222,19 @@ CASES = {
         "network", "--family", "@fivecase", "--n", "10",
         "--case", "1,2,3,4,5,5,4,3,2,1", "--check", "--format", "dot",
     ],
+    # cases 2 and 4 over narayana's s prefix, and mixed Hankel constructions
+    "network-narayana-6-cases-2-4-5-check-json": [
+        "network", "--family", "narayana", "--n", "6", "--case", "2,4,4,2,5,2",
+        "--check", "--format", "json",
+    ],
+    "network-narayana-3-induced-k1-mixed-check-dot": [
+        "network", "--family", "narayana", "--n", "3", "--k", "1", "--hankel-induced",
+        "--case", "2,4,5,2,4,5,2", "--check", "--format", "dot",
+    ],
+    "network-narayana-5-factored-mixed-check-json": [
+        "network", "--family", "narayana", "--n", "5", "--hankel-factored",
+        "--case", "4,2,5,4,2", "--check", "--format", "json",
+    ],
     "hankel-affine-42": [
         "hankel", "--family", "@affine", "--n", "42", "--format", "json",
     ],
@@ -261,8 +279,17 @@ CASES = {
     "error-triple-label": [
         "inequality", "--family", "narayana", "--triple", "0", "1", "-1",
     ],
-    # flag rejections; argparse's own usage errors are left out, as their
-    # text wraps with the terminal width
+    "error-family-is-directory": ["hankel", "--family", "@", "--n", "2"],
+    "error-malformed-family-file": ["hankel", "--family", "@malformed", "--n", "2"],
+    # argparse's mutually exclusive groups
+    "error-max-index-with-triple": [
+        "inequality", "--family", "narayana", "--max-index", "3", "--triple", "0", "1", "2",
+    ],
+    "error-induced-with-factored": [
+        "network", "--family", "narayana", "--n", "3", "--hankel-induced",
+        "--hankel-factored",
+    ],
+    # flag rejections
     "error-k-without-induced": ["network", "--family", "narayana", "--n", "3", "--k", "1"],
     "error-triple-json": [
         "inequality", "--family", "narayana", "--triple", "0", "1", "2", "--format", "json",
@@ -282,9 +309,12 @@ CASES = {
 def _argv(name: str, family_dir: Path) -> list[str]:
     out = []
     for arg in CASES[name]:
-        if arg.startswith("@"):
+        if arg == "@":
+            arg = str(family_dir)
+        elif arg.startswith("@"):
+            doc = FAMILY_DOCS[arg[1:]]
             path = family_dir / f"{arg[1:]}.json"
-            path.write_text(json.dumps(FAMILY_DOCS[arg[1:]]), encoding="utf-8")
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
             arg = str(path)
         out.append(arg)
     return out
@@ -298,7 +328,8 @@ def test_golden_file_covers_every_case():
     assert sorted(_golden()) == sorted(CASES)
 
 
-def _entry(rc: int, out: str, err: str) -> dict:
+def _entry(rc: int, out: str, err: str, family_dir: Path) -> dict:
+    out, err = (text.replace(str(family_dir), "<tmp>") for text in (out, err))
     return {
         "exit": rc,
         "stdout_sha256": hashlib.sha256(out.encode("utf-8")).hexdigest(),
@@ -309,9 +340,10 @@ def _entry(rc: int, out: str, err: str) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_json_command_bytes(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(SIZE_CAP_ENV, raising=False)  # the size-cap message names the cap
+    monkeypatch.setenv("COLUMNS", USAGE_COLUMNS)
     rc = cli.main(_argv(name, tmp_path))
     captured = capsys.readouterr()
-    assert _entry(rc, captured.out, captured.err) == _golden()[name]
+    assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]
 
 
 @pytest.mark.parametrize(
@@ -331,18 +363,19 @@ def test_network_without_check_builds_no_matrix(name, tmp_path, capsys, monkeypa
     rc = cli.main(_argv(name, tmp_path))
     captured = capsys.readouterr()
     assert rc == 0
-    assert _entry(rc, captured.out, captured.err) == _golden()[name]
+    assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]
 
 
 def _regenerate() -> None:
     os.environ.pop(SIZE_CAP_ENV, None)
+    os.environ["COLUMNS"] = USAGE_COLUMNS
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 rc = cli.main(_argv(name, Path(tmp)))
-            golden[name] = _entry(rc, out.getvalue(), err.getvalue())
+            golden[name] = _entry(rc, out.getvalue(), err.getvalue(), Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
 

@@ -527,6 +527,23 @@ def test_cs_network_raises_exactly_when_a_layer_condition_fails():
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("f,case", FAMILY_CASES, ids=[f"{f.name}-{c}" for f, c in FAMILY_CASES])
+def test_cs_network_reads_each_term_a_bounded_number_of_times(f, case, monkeypatch):
+    # each case's weights are built once per index, not once per layer
+    reads = []
+    for name in ("r", "s", "t", "b", "c"):
+        method = getattr(FamilySpec, name)
+
+        def counted(self, k, method=method):
+            reads.append(k)
+            return method(self, k)
+
+        monkeypatch.setattr(FamilySpec, name, counted)
+    n = 40
+    build_cs_network(f, n, [case] * n)
+    assert 0 < len(reads) <= 8 * (n + 1)
+
+
 def test_cs_network_validation():
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         build_cs_network(NAR, -1, [])
