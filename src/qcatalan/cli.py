@@ -75,8 +75,6 @@ def _parse_cases(text: str, layers: int) -> tuple[int, ...]:
     for v in values:
         if v not in WEIGHT_CASES:
             raise ValueError(f"weight case must be 1..5, got {v}")
-    if layers == 0:
-        return ()
     if len(values) == 1:
         return tuple(values * layers)
     if len(values) != layers:

@@ -152,7 +152,7 @@ class PlanarNetwork:
         """Every start's path sums at every end, in one topological pass.
 
         Each arc weight is mapped to an integer by ``weigh`` (once per
-        distinct weight); the value at v maps start index i to the sum,
+        walked arc); the value at v maps start index i to the sum,
         over starts[i] -> v paths, of the products of those integers.  A
         vertex's map is dropped once its out-arcs are done unless it is an
         end; arcs weighing 0 are skipped and arcs weighing 1 add without a
@@ -162,15 +162,12 @@ class PlanarNetwork:
         acc: dict[Vertex, dict[int, int]] = {}
         for i, u in enumerate(starts):
             acc.setdefault(u, {})[i] = 1
-        weights: dict[QPoly, int] = {}
         for v in self._topo:
             value = acc.get(v) if v in keep else acc.pop(v, None)
             if not value:
                 continue
             for head, weight in self._adj[v]:
-                w = weights.get(weight)
-                if w is None:
-                    w = weights[weight] = weigh(weight)
+                w = weigh(weight)
                 if not w:
                     continue
                 target = acc.get(head)
@@ -397,9 +394,8 @@ def glue(x: PlanarNetwork, y: PlanarNetwork) -> PlanarNetwork:
         )
     if len(set(x.sinks)) != len(x.sinks) or len(set(y.sources)) != len(y.sources):
         raise ShapeError("cannot glue: boundary sequences contain duplicates")
-    has_out = {a.tail for a in x.arcs}
     for v in x.sinks:
-        if v in has_out:
+        if x._adj[v]:
             raise ShapeError(f"sink {v} of the left network has outgoing arcs")
     has_in = {a.head for a in y.arcs}
     for v in y.sources:

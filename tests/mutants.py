@@ -258,6 +258,58 @@ MUTANTS = [
         "replacement": "if False:",
         "tests": ["tests/test_families.py"],
     },
+    # Two cells that share their constant term would share a content label.
+    {
+        "name": "sweep labels each cell by its constant term only",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "labels.setdefault(cell, len(labels))",
+        "replacement": "labels.setdefault(cell.coeffs[:1], len(labels))",
+        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+    },
+    {
+        "name": "empty-support shortcut flags its zero values negative",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "(lam, ZERO, True, ZERO, True) for lam, _, _ in shapes",
+        "replacement": "(lam, ZERO, False, ZERO, True) for lam, _, _ in shapes",
+        "tests": ["tests/test_immanant.py"],
+    },
+    {
+        "name": "triangle looks a term up once per entry that reads it",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "r, s, t = cache(f.r), cache(f.s), cache(f.t)",
+        "replacement": "r, s, t = f.r, f.s, f.t",
+        "tests": ["tests/test_csmatrix.py::test_triangle_reads_each_term_at_most_once"],
+    },
+    {
+        "name": "Qbar vertices drawn in the P column",
+        "file": "src/qcatalan/network.py",
+        "snippet": '"Qbar": _Kind(3, "Q", "Qb", 1, True)',
+        "replacement": '"Qbar": _Kind(3, "Q", "Qb", 0, True)',
+        "tests": ["tests/test_network.py", "tests/test_golden_json.py"],
+    },
+    # tests/test_cli.py as a whole also runs the console-script test, which
+    # needs the installed package, so the mutant names its test.
+    {
+        "name": "a network of zero layers takes a case list of any length",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "if len(values) == 1:",
+        "replacement": "if len(values) == 1 or not layers:",
+        "tests": ["tests/test_cli.py::test_network_case_list_at_zero_layers_is_config_error"],
+    },
+    {
+        "name": "glue accepts a left sink with outgoing arcs",
+        "file": "src/qcatalan/network.py",
+        "snippet": "if x._adj[v]:",
+        "replacement": "if False:",
+        "tests": ["tests/test_network.py"],
+    },
+    {
+        "name": "inequality triples may repeat an index",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "if not (0 <= a < b < c):",
+        "replacement": "if not (0 <= a <= b <= c):",
+        "tests": ["tests/test_immanant.py"],
+    },
 ]
 
 

@@ -315,21 +315,30 @@ def pruned_hankel_network(f: FamilySpec, n: int, k: int, cases) -> PlanarNetwork
 
 
 def gf_matrix_by_source(net: PlanarNetwork) -> list[list[QPoly]]:
-    """GF(source_i, sink_j) by one topological sweep per source on QPoly values.
+    """GF(source_i, sink_j) by memoized recursion over in-arcs, on QPoly values.
 
-    Each sweep starts from one source and adds value * weight along every
-    arc, with coefficient lists throughout: no packing, no shared pass.
+    GF(u, v) is 1 if v = u, else 0, plus GF(u, t) * weight over every arc
+    t -> v.  The in-arcs come from the public ``arcs`` field alone, so the
+    network's own topological order and out-arc lists are not read; there is
+    no packing and no pass shared between sources.  Acyclicity ends the
+    recursion.
     """
+    into: dict[Vertex, list[Arc]] = {}
+    for arc in net.arcs:
+        into.setdefault(arc.head, []).append(arc)
     rows = []
     for u in net.sources:
-        acc: dict[Vertex, QPoly] = {u: ONE}
-        for v in net._topo:
-            value = acc.get(v)
-            if value is None or value.is_zero():
-                continue
-            for head, weight in net._adj[v]:
-                acc[head] = acc.get(head, ZERO) + value * weight
-        rows.append([acc.get(v, ZERO) for v in net.sinks])
+        memo: dict[Vertex, QPoly] = {}
+
+        def gf(v: Vertex) -> QPoly:
+            if v not in memo:
+                total = ONE if v == u else ZERO
+                for arc in into.get(v, ()):
+                    total = total + gf(arc.tail) * arc.weight
+                memo[v] = total
+            return memo[v]
+
+        rows.append([gf(v) for v in net.sinks])
     return rows
 
 

@@ -369,6 +369,34 @@ def test_network_case_list_must_match_layers(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cases", ["1,2", "1,2,3", "5,5,5,5"])
+@pytest.mark.parametrize("layout", [[], ["--hankel-induced", "--k", "0"]])
+def test_network_case_list_at_zero_layers_is_config_error(capsys, layout, cases):
+    rc, out, err = run(
+        capsys, "network", "--family", "narayana", "--n", "0", *layout,
+        "--case", cases, "--check",
+    )
+    assert (rc, out) == (2, "")
+    count = len(cases.split(","))
+    assert err == f"error: --case needs 1 value or exactly 0 values, got {count}\n"
+
+
+@pytest.mark.parametrize(
+    "layout, cases, what",
+    [
+        ([], "4", "layered network"),
+        (["--hankel-induced", "--k", "2"], "2,4", "induced Hankel network"),
+    ],
+)
+def test_network_case_list_that_fits_zero_layers_passes(capsys, layout, cases, what):
+    rc, out, err = run(
+        capsys, "network", "--family", "narayana", "--n", "0", *layout,
+        "--case", cases, "--check",
+    )
+    assert (rc, err) == (0, "")
+    assert out == f"check: pass ({what} matches the matrix for narayana, n=0)\n"
+
+
 def test_network_weight_case_mismatch_is_family_error(capsys):
     rc, _, err = run(
         capsys, "network", "--family", "narayana", "--n", "2", "--case", "1", "--check"

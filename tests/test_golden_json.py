@@ -8,9 +8,10 @@ coefficients and a character table, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
 them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
 as CSV and text, a layered, an induced and a factored network as DOT, a
-network that mixes all five weight cases as JSON and DOT, jobs on the
-benchmark's affine and five-case families, and error exits, flag
-rejections and argparse usage errors among them. The hashes in
+network that mixes all five weight cases as JSON and DOT, zero-layer
+networks of all three constructions, jobs on the benchmark's affine and
+five-case families, and error exits, flag rejections and argparse usage
+errors among them. The hashes in
 ``golden/json_sha256.json`` pin the exact bytes each command prints on
 both streams (``network --check`` writes its check line to stderr), so a
 change to arithmetic, rendering or a message that moves one byte fails
@@ -234,6 +235,23 @@ CASES = {
     "network-narayana-5-factored-mixed-check-json": [
         "network", "--family", "narayana", "--n", "5", "--hankel-factored",
         "--case", "4,2,5,4,2", "--check", "--format", "json",
+    ],
+    # zero layers: a one-value case list, and an induced list of 2n + k values
+    "network-narayana-0-case4-check-json": [
+        "network", "--family", "narayana", "--n", "0", "--case", "4",
+        "--check", "--format", "json",
+    ],
+    "network-schroder-0-induced-check-dot": [
+        "network", "--family", "schroder", "--n", "0", "--hankel-induced",
+        "--check", "--format", "dot",
+    ],
+    "network-eulerian-0-factored-check-json": [
+        "network", "--family", "eulerian", "--n", "0", "--hankel-factored",
+        "--check", "--format", "json",
+    ],
+    "network-narayana-0-induced-k2-cases-2-4-check-json": [
+        "network", "--family", "narayana", "--n", "0", "--k", "2", "--hankel-induced",
+        "--case", "2,4", "--check", "--format", "json",
     ],
     "hankel-affine-42": [
         "hankel", "--family", "@affine", "--n", "42", "--format", "json",

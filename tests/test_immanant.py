@@ -3,6 +3,7 @@
 import argparse
 import pickle
 import random
+import re
 from math import comb, factorial
 
 import pytest
@@ -677,18 +678,25 @@ def test_inequality_sweep_at_its_coefficient_bound():
 
 
 def test_inequality_index_validation():
-    a = catalan_like(builtin("narayana"), 5)
-    with pytest.raises(OutOfRange):
-        inequality_332(a, 1, 1, 2)
-    with pytest.raises(OutOfRange):
-        inequality_332(a, 2, 1, 0)
-    with pytest.raises(OutOfRange):
-        inequality_332(a, 0, 1, 6)
-    with pytest.raises(OutOfRange):
-        inequality_332(a, 0, 1, 4)  # needs a_8
-    with pytest.raises(OutOfRange):
-        inequality_331(a, (0, 1, 1), (0, 1, 2))
-    with pytest.raises(OutOfRange):
-        inequality_331(a, (0, 1, 2), (0, 1, 6))
-    with pytest.raises(OutOfRange):
-        inequality_331(a, (0, 1, 3), (0, 1, 3))  # needs a_6
+    a = catalan_like(builtin("narayana"), 5)  # a_0..a_5: 6 terms
+    order = "indices must satisfy 0 <= i < j < k, got"
+    calls = [
+        (lambda: inequality_332(a, 1, 1, 2), f"triple {order} (1, 1, 2)"),
+        (lambda: inequality_332(a, 2, 1, 0), f"triple {order} (2, 1, 0)"),
+        (lambda: inequality_331(a, (0, 1, 1), (0, 1, 2)), f"row {order} (0, 1, 1)"),
+        (lambda: inequality_331(a, (0, 1, 2), (1, 1, 2)), f"col {order} (1, 1, 2)"),
+        # too few terms: the message names the largest term the form reads
+        (lambda: inequality_332(a, 0, 1, 6), "need terms up to a_12 but only 6 terms were given"),
+        (lambda: inequality_332(a, 0, 1, 4), "need terms up to a_8 but only 6 terms were given"),
+        (
+            lambda: inequality_331(a, (0, 1, 2), (0, 1, 6)),
+            "need terms up to a_8 but only 6 terms were given",
+        ),
+        (
+            lambda: inequality_331(a, (0, 1, 3), (0, 1, 3)),
+            "need terms up to a_6 but only 6 terms were given",
+        ),
+    ]
+    for call, message in calls:
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            call()

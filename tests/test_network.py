@@ -357,34 +357,46 @@ def test_glue_with_identity_pass_through_preserves_gf():
     assert glue(x, pass_through).gf_matrix() == x.gf_matrix()
 
 
+# Each glue test below breaks one of glue's rules and no other: with that rule
+# switched off, the glue would succeed.
+def _glue_error(x, y) -> str:
+    with pytest.raises(ShapeError) as info:
+        glue(x, y)
+    return str(info.value)
+
+
 def test_glue_boundary_length_mismatch():
-    with pytest.raises(ShapeError):
-        glue(build_layer(NAR, 0, 2), build_layer(NAR, 1, 2))
+    x = PlanarNetwork([Arc(P(0, 0), P(1, 0), ONE)], (P(0, 0),), (P(1, 0),))
+    y = PlanarNetwork([], (Q(2, 0), Q(2, 1)), (Q(2, 0), Q(2, 1)))
+    assert _glue_error(x, y) == "cannot glue: 1 sinks against 2 sources"
 
 
 def test_glue_overlapping_interiors():
-    with pytest.raises(ShapeError):
-        glue(build_layer(NAR, 0, 2), build_layer(NAR, 0, 2))
+    a, b, z, c = P(0, 0), P(1, 0), P(1, 1), Q(2, 0)
+    x = PlanarNetwork([Arc(a, b, ONE), Arc(a, z, ONE)], (a,), (b,))
+    y = PlanarNetwork([Arc(c, z, ONE)], (c,), (z,))  # z is interior to x
+    assert _glue_error(x, y) == f"vertex {z} appears on both sides away from the boundary"
 
 
 def test_glue_rejects_boundary_with_arcs():
-    a, b, c = P(0, 0), P(1, 0), P(2, 0)
+    a, b, c, d, e = P(0, 0), P(1, 0), P(2, 0), Q(3, 0), Q(4, 0)
     through = PlanarNetwork([Arc(a, b, ONE), Arc(b, c, ONE)], (a,), (b,))
-    target = PlanarNetwork([Arc(b, c, ONE)], (b,), (c,))
-    with pytest.raises(ShapeError):
-        glue(through, target)  # declared sink b has an outgoing arc
+    right = PlanarNetwork([Arc(d, e, ONE)], (d,), (e,))
+    assert _glue_error(through, right) == f"sink {b} of the left network has outgoing arcs"
     left = PlanarNetwork([Arc(a, b, ONE)], (a,), (b,))
-    bad_right = PlanarNetwork([Arc(a, b, ONE)], (b,), (b,))
-    with pytest.raises(ShapeError):
-        glue(left, bad_right)  # declared source b has an incoming arc
+    into = PlanarNetwork([Arc(d, e, ONE)], (e,), (e,))
+    assert _glue_error(left, into) == f"source {e} of the right network has incoming arcs"
 
 
 def test_glue_rejects_duplicate_boundaries():
     a, b = P(0, 0), P(1, 0)
+    message = "cannot glue: boundary sequences contain duplicates"
     x = PlanarNetwork([Arc(a, b, ONE)], (a,), (b, b))
-    y = PlanarNetwork([], (P(2, 0), P(2, 1)), (P(2, 0), P(2, 1)))
-    with pytest.raises(ShapeError):
-        glue(x, y)
+    y = PlanarNetwork([], (Q(2, 0), Q(2, 1)), (Q(2, 0), Q(2, 1)))
+    assert _glue_error(x, y) == message
+    x = PlanarNetwork([Arc(a, b, ONE), Arc(a, P(1, 1), ONE)], (a,), (b, P(1, 1)))
+    y = PlanarNetwork([], (Q(2, 0), Q(2, 0)), (Q(2, 0), Q(2, 0)))
+    assert _glue_error(x, y) == message
 
 
 def test_mirror_is_an_involution_and_transposes_gf():
