@@ -10,16 +10,25 @@ with r_{-1} = t_0 = 0.  ``catalan_stieltjes(f, n)`` returns its leading
 ``hankel(f, n)`` the matrix (a_{i+j}).  ``build_ln`` returns the
 (n+2) x (n+2) one-step transfer matrix L_n satisfying
 C_{n+1} = diag(1, C_n) . L_n.
+
+The recurrence runs on integers, as ``PlanarNetwork``'s GF sweep does: a
+pass on coefficient-sum bounds fixes one digit width, and a second pass
+carries every entry packed as p(2**bits) (``qpoly._pack``).  A row is
+unpacked once it is complete, and only in the entries its caller keeps:
+the first column for ``catalan_like`` and ``hankel``, every entry for
+``catalan_stieltjes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import mul
+from typing import Iterator
 
 from .errors import OutOfRange, ShapeError
 from .families import FamilySpec
-from .qpoly import ONE, QPoly, ZERO
+from .qpoly import ONE, QPoly, ZERO, _unpack, _width
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,37 +64,76 @@ class CSMatrix:
         }
 
 
-def _triangle(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
+def _triangle(f: FamilySpec, n: int, top: int, cols: int) -> list[list[QPoly]]:
     """Rows 0..n of the recurrence triangle, cut to what row ``top`` needs.
 
     Row m holds c_{m,0}..c_{m,h} with h = min(m, top - m); the entries
     above height top - m feed only entries of row top above height 0.
+    Only the first ``cols`` entries of each row are returned.
     A term r_k, s_k or t_k is looked up only when an entry reads it, and at
     most once per call, so a family with finitely many terms serves every
     cut its rows fit in, and a missing or negative term is reported as the
     first one the recurrence reads, in row order.
+
+    The recurrence runs twice on plain ints.  The first pass replaces each
+    term by the sum of its absolute coefficients, which bounds every
+    coefficient of the entry it computes; the largest bound over the
+    returned entries fixes one digit width.  The second pass carries each
+    entry packed as p(2**bits) and applies a term as one shifted multiple
+    per nonzero coefficient; each row is unpacked as soon as it is
+    complete, and only its first ``cols`` entries, so at most two packed
+    rows are alive at once.
     """
     r, s, t = cache(f.r), cache(f.s), cache(f.t)
-    rows: list[list[QPoly]] = [[ONE]]
+
+    def norm(term):
+        return cache(lambda k: sum(map(abs, term(k).coeffs)))
+
+    bound = 0
+    for row in _rows(n, top, norm(r), norm(s), norm(t), mul):
+        bound = max(bound, *row[:cols])
+    bits = _width(bound)
+
+    def pairs(term):
+        return cache(
+            lambda k: tuple((c, i * bits) for i, c in enumerate(term(k).coeffs) if c)
+        )
+
+    def shifted(term, x):
+        return sum((x * c) << shift for c, shift in term)
+
+    return [
+        [_unpack(x, bits) for x in row[:cols]]
+        for row in _rows(n, top, pairs(r), pairs(s), pairs(t), shifted)
+    ]
+
+
+def _rows(n: int, top: int, r, s, t, times) -> Iterator[list[int]]:
+    """Rows 0..n of the cut recurrence on ints, each yielded once complete.
+
+    ``r(k)``, ``s(k)`` and ``t(k)`` give the integer form of a term, and
+    ``times(term, x)`` applies it to an entry.
+    """
+    prev = [1]
+    yield prev
     for m in range(1, n + 1):
-        prev = rows[-1]
         row = []
         for k in range(min(m, top - m) + 1):
-            value = r(k - 1) * prev[k - 1] if k else ZERO
+            value = times(r(k - 1), prev[k - 1]) if k else 0
             if k < len(prev):
-                value = value + s(k) * prev[k]
+                value += times(s(k), prev[k])
             if k + 1 < len(prev):
-                value = value + t(k + 1) * prev[k + 1]
+                value += times(t(k + 1), prev[k + 1])
             row.append(value)
-        rows.append(row)
-    return rows
+        yield row
+        prev = row
 
 
 def catalan_stieltjes(f: FamilySpec, n: int) -> CSMatrix:
     """The (n+1) x (n+1) leading corner of the recurrence triangle."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    tri = _triangle(f, n, 2 * n)
+    tri = _triangle(f, n, 2 * n, n + 1)
     entries = tuple(
         tuple(tri[i][j] if j <= i else ZERO for j in range(n + 1))
         for i in range(n + 1)
@@ -98,7 +146,7 @@ def catalan_like(f: FamilySpec, up_to: int) -> list[QPoly]:
     """The first-column sequence a_0..a_{up_to} with a_k = c_{k,0}."""
     if up_to < 0:
         raise ValueError(f"up_to must be >= 0, got {up_to!r}")
-    return [row[0] for row in _triangle(f, up_to, up_to)]
+    return [row[0] for row in _triangle(f, up_to, up_to, 1)]
 
 
 def hankel(f: FamilySpec, n: int) -> CSMatrix:

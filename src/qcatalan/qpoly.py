@@ -270,12 +270,15 @@ def _unpack(value: int, bits: int) -> QPoly:
     reads as a machine integer at 8, 16, 32 and 64 bits, swapping each
     digit's bytes on a big-endian host; wider digits are read one signed
     ``int.from_bytes`` slice at a time.  The digits are exact ints, so
-    ``_canonical`` takes them unchecked.
+    ``_canonical`` takes them unchecked.  The offset spans the digit count
+    rounded up to a power of two, so that decodes of many degrees, as in a
+    triangle's rows, share a few cached offsets; the ``^ offset`` clears
+    its digits above the value's.
     """
     width = bits // 8
     # a degree-d value has at least bits*d bits, so this many digits suffice
     count = (abs(value).bit_length() + bits) // bits
-    offset = _offset(bits, count)
+    offset = _offset(bits, 1 << (count - 1).bit_length())
     data = ((value + offset) ^ offset).to_bytes(width * count, "little")
     fmt = _MACHINE_DIGITS.get(width)
     if fmt is not None:

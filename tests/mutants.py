@@ -9,7 +9,9 @@ there, and runs the named tests in that copy.  A mutant whose tests still
 pass has survived: the tests no longer notice that fault.  The script exits
 1 if any mutant survives, and 2 if the named tests fail on the unmutated
 copy or a snippet no longer occurs exactly once, so a refactor that moves
-the code must update its entry.
+the code must update its entry.  A surviving mutant, or a test that fails
+on the unmutated copy, prints the tail of pytest's output with its skip
+reasons.
 
 Pytest's ``pythonpath = ["src"]`` setting puts the copy's ``src/`` first on
 the import path, so the mutated code is what the tests import.
@@ -25,6 +27,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TAIL_LINES = 30  # of pytest's output, printed when an outcome is unexpected
 
 MUTANTS = [
     {
@@ -280,6 +283,29 @@ MUTANTS = [
         "replacement": "r, s, t = f.r, f.s, f.t",
         "tests": ["tests/test_csmatrix.py::test_triangle_reads_each_term_at_most_once"],
     },
+    # The packed triangle: a digit too narrow or a term applied wrongly
+    # garbles the unpacked entries, which the QPoly recurrence catches.
+    {
+        "name": "triangle digit width one byte short",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "bits = _width(bound)",
+        "replacement": "bits = _width(bound) - 8",
+        "tests": ["tests/test_csmatrix.py::test_triangle_matches_the_qpoly_oracle"],
+    },
+    {
+        "name": "triangle applies a term's coefficients without their shifts",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "(x * c) << shift",
+        "replacement": "x * c",
+        "tests": ["tests/test_csmatrix.py::test_triangle_matches_the_qpoly_oracle"],
+    },
+    {
+        "name": "triangle applies only a term's first nonzero coefficient",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "for c, shift in term)",
+        "replacement": "for c, shift in term[:1])",
+        "tests": ["tests/test_csmatrix.py::test_triangle_matches_the_qpoly_oracle"],
+    },
     {
         "name": "Qbar vertices drawn in the P column",
         "file": "src/qcatalan/network.py",
@@ -334,9 +360,14 @@ def _apply(mutant: dict, dest: Path) -> None:
     path.write_text(text.replace(mutant["snippet"], mutant["replacement"]), encoding="utf-8")
 
 
-def _tests_pass(dest: Path, tests: list[str]) -> bool:
-    """True when the tests pass, False when one fails; exits 2 on any other end."""
-    argv = ["-q", "-x", "-p", "no:cacheprovider", *tests]
+def _tests_pass(dest: Path, tests: list[str], expected: bool) -> bool:
+    """True when the tests pass, False when one fails; exits 2 on any other end.
+
+    An outcome other than ``expected`` (an unmutated copy that fails, a
+    mutant that survives) prints the tail of pytest's output, skip reasons
+    included, so that the log says why.
+    """
+    argv = ["-q", "-x", "-p", "no:cacheprovider", "-rfEs", *tests]
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", *argv],
         cwd=dest,
@@ -348,7 +379,10 @@ def _tests_pass(dest: Path, tests: list[str]) -> bool:
         print(proc.stdout, file=sys.stderr)
         print(f"error: pytest {' '.join(argv)} ended with code {proc.returncode}", file=sys.stderr)
         sys.exit(2)
-    return proc.returncode == 0
+    passed = proc.returncode == 0
+    if passed != expected:
+        print("\n".join(proc.stdout.splitlines()[-TAIL_LINES:]), file=sys.stderr)
+    return passed
 
 
 def main() -> int:
@@ -356,7 +390,7 @@ def main() -> int:
     every_test = sorted({test for mutant in MUTANTS for test in mutant["tests"]})
     with tempfile.TemporaryDirectory() as tmp:
         _copy_tree(Path(tmp))
-        if not _tests_pass(Path(tmp), every_test):
+        if not _tests_pass(Path(tmp), every_test, expected=True):
             print(f"error: {' '.join(every_test)} fail without any mutant", file=sys.stderr)
             return 2
     survivors = []
@@ -366,7 +400,7 @@ def main() -> int:
             dest = Path(tmp)
             _copy_tree(dest)
             _apply(mutant, dest)
-            survived = _tests_pass(dest, mutant["tests"])
+            survived = _tests_pass(dest, mutant["tests"], expected=False)
         verdict = "SURVIVED" if survived else "killed"
         print(f"{verdict:8}  {time.perf_counter() - start:5.1f} s  {mutant['name']}")
         if survived:

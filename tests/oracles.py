@@ -1,10 +1,11 @@
 """Independent closed-form and brute-force oracles used across the test suite.
 
 Everything here recomputes expected values by a route different from the
-package code: closed-form coefficient formulas, direct permutation sums,
-hand-entered small character values, corner-removal tableau counts,
-polynomials rendered one term at a time, grids rendered one cell at a time,
-and sweep output rendered one report at a time through ``json.dumps``.
+package code: closed-form coefficient formulas, the triangle recurrence
+run on unpacked ``QPoly`` values, direct permutation sums, hand-entered
+small character values, corner-removal tableau counts, polynomials rendered
+one term at a time, grids rendered one cell at a time, and sweep output
+rendered one report at a time through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -251,6 +252,39 @@ def weighted_path_poly(f: FamilySpec, n: int, k: int) -> QPoly:
 
     walk(0, 0, ONE)
     return total
+
+
+def triangle_by_qpoly(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
+    """Rows 0..n of the recurrence triangle, cut to what row ``top`` needs.
+
+    The recurrence run entry by entry on ``QPoly`` values, with no packing:
+    row m holds c_{m,0}..c_{m,h} with h = min(m, top - m).
+    """
+    rows: list[list[QPoly]] = [[ONE]]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(min(m, top - m) + 1):
+            value = f.r(k - 1) * prev[k - 1] if k else ZERO
+            if k < len(prev):
+                value = value + f.s(k) * prev[k]
+            if k + 1 < len(prev):
+                value = value + f.t(k + 1) * prev[k + 1]
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
+def hankel_determinant(f: FamilySpec, n: int) -> QPoly:
+    """det H_n as prod_{k=1..n} prod_{i=1..k} r_{i-1} t_i (Flajolet 1980).
+
+    Reads the family's terms only: no matrix and no recurrence.
+    """
+    value = ONE
+    for k in range(1, n + 1):
+        for i in range(1, k + 1):
+            value = value * f.r(i - 1) * f.t(i)
+    return value
 
 
 # -- networks built another way ----------------------------------------

@@ -28,11 +28,14 @@ from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 from oracles import (
     conforming_random_family,
     eulerian_poly,
+    hankel_determinant,
     matmul,
     narayana_poly,
     random_family,
+    random_qpoly,
     schroder_poly,
     stdout_of,
+    triangle_by_qpoly,
     weighted_path_poly,
 )
 
@@ -70,10 +73,54 @@ def test_eulerian_row_three_frozen():
     ],
 )
 def test_first_column_closed_forms(name, closed_form):
-    seq = catalan_like(builtin(name), 9)
-    assert len(seq) == 10
+    # eulerian's a_40 has a 157-bit coefficient
+    seq = catalan_like(builtin(name), 40)
+    assert len(seq) == 41
     for n, value in enumerate(seq):
         assert value == closed_form(n), f"{name} first-column term {n}"
+
+
+def _random_terms(rng: random.Random, zero_share: float, max_coeff: int) -> FamilySpec:
+    """31 terms each of r, s and t, enough for C_30 and a_30: each is exactly
+    zero with chance ``zero_share``, else nonzero of degree <= 2 with
+    coefficients up to ``max_coeff``."""
+
+    def terms():
+        return tuple(
+            ZERO if rng.random() < zero_share else random_qpoly(rng, max_coeff=max_coeff) or ONE
+            for _ in range(31)
+        )
+
+    return FamilySpec(
+        name=f"random-{zero_share}-{max_coeff}", r_seq=ParamSeq(0, terms()),
+        s_seq=ParamSeq(0, terms()), t_seq=ParamSeq(1, terms()),
+    )
+
+
+def test_triangle_matches_the_qpoly_oracle():
+    # digits wider than 64 bits from the first rows on, and zero terms that
+    # cut paths off
+    rng = random.Random(2021)
+    families = FAMILIES + [_random_terms(rng, share, 2**70) for share in (0, 0, 0.3, 0.6)]
+    for f in families:
+        rows = triangle_by_qpoly(f, 30, 60)
+        for n in range(31):
+            assert catalan_stieltjes(f, n).entries == tuple(
+                tuple(rows[i][j] if j <= i else ZERO for j in range(n + 1))
+                for i in range(n + 1)
+            ), (f.name, n)
+            assert catalan_like(f, n) == [row[0] for row in rows[: n + 1]], (f.name, n)
+
+
+def test_hankel_determinant_closed_form():
+    # Bareiss elimination on H_n against a product of the family's terms
+    rng = random.Random(1980)
+    families = FAMILIES + [
+        _random_terms(rng, share, top) for share, top in ((0, 3), (0, 3), (0, 2**70), (0.2, 3))
+    ]
+    for f in families:
+        for n in range(7):
+            assert determinant(hankel(f, n)) == hankel_determinant(f, n), (f.name, n)
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name)

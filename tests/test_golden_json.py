@@ -256,6 +256,15 @@ CASES = {
     "hankel-affine-42": [
         "hankel", "--family", "@affine", "--n", "42", "--format", "json",
     ],
+    # one-entry triangles: the recurrence runs no row past row 0
+    "matrix-narayana-0-text": ["matrix", "--family", "narayana", "--n", "0"],
+    "hankel-narayana-0-json": [
+        "hankel", "--family", "narayana", "--n", "0", "--format", "json",
+    ],
+    # first-column coefficients up to 157 bits
+    "hankel-eulerian-30-csv": [
+        "hankel", "--family", "eulerian", "--n", "30", "--format", "csv",
+    ],
     "matrix-affine-60-csv": [
         "matrix", "--family", "@affine", "--n", "60", "--format", "csv",
     ],

@@ -4,7 +4,7 @@ cubic-inequality sweep and the class-sum DP (needs hypothesis)."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcatalan.immanant import _class_sums, _inequality_sweep, _packed, inequality_332
 from qcatalan.qpoly import ZERO, QPoly, _convolve, _pack, _unpack, _width
@@ -109,6 +109,7 @@ def signed_grids(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(signed_grids())
+@example([[QPoly([1])]])  # the smallest grid with a cycle, checked on every run
 def test_packed_class_sums_match_the_permutation_oracle(grid):
     n = len(grid)
     cells, bits = _packed(grid, n)
