@@ -13,14 +13,13 @@ import argparse
 import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter
 from pathlib import Path
 
 from .csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
 from .errors import FamilyError, OutOfRange, SchemaError, UnknownFamily
 from .families import BUILTIN_NAMES, WEIGHT_CASES, FamilySpec, builtin, load_family
 from .immanant import (
-    ImmanantReport,
+    _fields_json,
     _inequality_sweep,
     inequality_331,
     inequality_332,
@@ -118,29 +117,28 @@ def _write_grid(entries, sep: str, pad: bool) -> None:
 
 
 _INT_ONLY = {int}
-# A report's body is all of it but its provenance; equal keys render alike.
-_body_key = attrgetter(
-    "lam", "value.coeffs", "q_nonnegative", "dominance_gap.coeffs", "gap_nonnegative"
-)
+
+
+class _Reports(list):
+    """Sweep rows, (provenance, fields) pairs, that a JSON document lists as reports."""
 
 
 def _write_json(doc) -> None:
     """Write ``doc`` to stdout exactly as ``json.dumps(doc, indent=2) + "\\n"``.
 
     A document holds dicts with str keys, lists, str, int, bool and None;
-    anything else (a float, a non-str key) raises TypeError. An
-    ``ImmanantReport`` stands for its ``to_json_dict()``, written from two
-    fragments: its body, rendered once per distinct body and depth, and its
-    provenance, rendered once per run of reports that share one. Each piece
-    is written into stdout's buffer as it is rendered, so the whole text is
-    never held (and a document that fails part way has already written its
-    first pieces).
+    anything else (a float, a non-str key) raises TypeError. A ``_Reports``
+    list stands for the list of its rows' reports, each the
+    ``to_json_dict()`` of ``ImmanantReport(*fields, provenance)``, written
+    from two fragments: its body, rendered once per shape of each distinct
+    fields tuple (keyed by the tuple's ``id``, which is safe because the
+    list holds every tuple until it is written), and its provenance,
+    rendered once per row. Each piece is written into stdout's buffer as it
+    is rendered, so the whole text is never held (and a document that fails
+    part way has already written its first pieces).
     """
     write = sys.stdout.write
     sink = write  # where emit puts its text: stdout, or a fragment's list
-    bodies: dict[tuple, str] = {}
-    # the last report's provenance, its depth and its rendered fragment
-    provenance = depth = head = None
 
     def fragment(v, nl: str) -> str:
         nonlocal sink
@@ -150,8 +148,30 @@ def _write_json(doc) -> None:
         sink = outer
         return "".join(parts)
 
+    def reports(rows: _Reports, nl: str) -> None:
+        inner = nl + "  "
+        deeper = inner + "  "
+        close = inner + "}"
+        bodies: dict[int, list[str]] = {}
+        sep = "[" + inner
+        for provenance, shapes in rows:
+            body = bodies.get(id(shapes))
+            if body is None:
+                # drop each closing brace: the provenance is the last field
+                body = bodies[id(shapes)] = [
+                    fragment(_fields_json(fields), inner)[: -len(inner) - 1]
+                    + ","
+                    + deeper
+                    + '"provenance": '
+                    for fields in shapes
+                ]
+            head = fragment(provenance.to_json_dict(), deeper) + close
+            for text in body:
+                sink(sep + text + head)
+                sep = "," + inner
+        sink(nl + "]" if rows else "[]")
+
     def emit(v, nl: str) -> None:
-        nonlocal provenance, depth, head
         t = type(v)
         if t is list:
             if not v:
@@ -190,20 +210,8 @@ def _write_json(doc) -> None:
             sink("true" if v else "false")
         elif v is None:
             sink("null")
-        elif t is ImmanantReport:
-            inner = nl + "  "
-            key = (_body_key(v), nl)
-            body = bodies.get(key)
-            if body is None:
-                fields = v.to_json_dict()
-                del fields["provenance"]
-                # drop the closing brace: the provenance is the last field
-                body = fragment(fields, nl)[: -len(nl) - 1] + "," + inner + '"provenance": '
-                bodies[key] = body
-            if v.provenance is not provenance or nl != depth:
-                provenance, depth = v.provenance, nl
-                head = fragment(provenance.to_json_dict(), inner)
-            sink(body + head + nl + "}")
+        elif t is _Reports:
+            reports(v, nl)
         else:
             raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
@@ -286,6 +294,10 @@ def cmd_network(args) -> int:
     return rc
 
 
+def _report_count(result) -> int:
+    return sum(len(shapes) for _, shapes in result.rows)
+
+
 def _sweep_json(args, f: FamilySpec, result) -> dict:
     """The ``verify --format json`` document; its reports are left for ``_write_json``."""
     return {
@@ -296,42 +308,36 @@ def _sweep_json(args, f: FamilySpec, result) -> dict:
         "seed": result.seed,
         "exhaustive": result.exhaustive,
         "total_candidates": result.total_candidates,
-        "report_count": len(result.reports),
+        "report_count": _report_count(result),
         "ok": result.ok,
-        "violations": list(result.violations()),
-        "reports": list(result.reports),
+        "violations": _Reports(result._failing_rows),
+        "reports": _Reports(result.rows),
     }
 
 
 def _sweep_csv(result) -> None:
     """Write ``result`` to stdout as CSV, one line per report.
 
-    A line is its provenance's head (family, kind, rows, cols), built once
-    per run of reports that share one, then its body (lambda, value and gap
-    with their flags), built once per distinct body.
+    A line is its selection's head (family, kind, rows, cols), built once
+    per row, then its body (lambda, value and gap with their flags), built
+    once per shape of each distinct fields tuple.  The bodies are keyed by
+    the tuple's ``id``, which is safe because ``result`` holds every tuple
+    until the last line is written.
     """
     write = sys.stdout.write
     write("family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n")
-    bodies: dict[tuple, str] = {}
-    provenance = head = None
-    for r in result.reports:
-        if r.provenance is not provenance:
-            provenance = p = r.provenance
-            rows, cols = "|".join(map(str, p.rows)), "|".join(map(str, p.cols))
-            head = f"{p.family},{p.kind},{rows},{cols},"
-        key = _body_key(r)
-        body = bodies.get(key)
+    bodies: dict[int, list[str]] = {}
+    for p, shapes in result.rows:
+        body = bodies.get(id(shapes))
         if body is None:
-            body = bodies[key] = ",".join(
-                [
-                    "|".join(map(str, r.lam)),
-                    str(r.value),
-                    str(r.q_nonnegative).lower(),
-                    str(r.dominance_gap),
-                    str(r.gap_nonnegative).lower() + "\n",
-                ]
-            )
-        write(head + body)
+            body = bodies[id(shapes)] = [
+                f"{'|'.join(map(str, lam))},{value},{str(q).lower()},{gap},{str(g).lower()}\n"
+                for lam, value, q, gap, g in shapes
+            ]
+        rows, cols = "|".join(map(str, p.rows)), "|".join(map(str, p.cols))
+        head = f"{p.family},{p.kind},{rows},{cols},"
+        for line in body:
+            write(head + line)
 
 
 def cmd_verify(args) -> int:
@@ -345,18 +351,18 @@ def cmd_verify(args) -> int:
     else:
         mode = "exhaustive" if result.exhaustive else f"sampled (seed {result.seed})"
         print(
-            f"swept {len(result.reports)} immanant reports over "
+            f"swept {_report_count(result)} immanant reports over "
             f"{result.total_candidates} candidate submatrices ({mode})"
         )
         if result.ok:
             print("all immanants and dominance gaps are q-nonnegative")
         else:
-            for r in result.violations():
-                p = r.provenance
-                print(
-                    f"violation: rows={list(p.rows)} cols={list(p.cols)} "
-                    f"lambda={list(r.lam)} value={r.value} gap={r.dominance_gap}"
-                )
+            for p, shapes in result._failing_rows:
+                for lam, value, _, gap, _ in shapes:
+                    print(
+                        f"violation: rows={list(p.rows)} cols={list(p.cols)} "
+                        f"lambda={list(lam)} value={value} gap={gap}"
+                    )
     return EXIT_OK if result.ok else EXIT_POSITIVITY
 
 

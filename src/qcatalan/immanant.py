@@ -26,11 +26,13 @@ are keyed by their entries, and a submatrix and its transpose share a key,
 since chi(sigma) = chi(sigma^-1).  Hankel selections repeat often
 (H[rows+d, cols-d] = H[rows, cols], and H is symmetric), and sampled draws
 can repeat a selection.  The first selection of a key computes each shape's
-fields (lam, value, flags and gap); every selection, first or not, gets
-its own reports from those fields and its own provenance (both slotted, so
-a report costs little to build and to hold).  A
-submatrix with no permutation whose entries are all nonzero has every class
-sum empty, so all its values and gaps are 0 without character arithmetic.
+fields (lam, value, flags and gap) as one tuple, and every later selection
+of the key shares that tuple.  The result keeps one row per selection: its
+provenance and its content's tuple; the ``ImmanantReport`` objects are
+built only when ``SweepResult.reports`` is read.  A submatrix with no
+permutation whose entries are all nonzero has every class sum empty, so
+all its values and gaps are 0 without character arithmetic; all such
+submatrices of one size share one tuple.
 
 ``determinant`` is implemented independently by fraction-free (Bareiss)
 elimination with exact polynomial division, so the two routes to the
@@ -42,7 +44,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate, combinations
 from math import comb, prod
 from operator import mul
@@ -275,36 +277,81 @@ class ImmanantReport:
     provenance: MatrixProvenance
 
     def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "value": self.value.to_json(),
-            "q_nonnegative": self.q_nonnegative,
-            "dominance_gap": self.dominance_gap.to_json(),
-            "gap_nonnegative": self.gap_nonnegative,
-            "provenance": self.provenance.to_json_dict(),
-        }
+        doc = _fields_json(
+            (self.lam, self.value, self.q_nonnegative, self.dominance_gap, self.gap_nonnegative)
+        )
+        doc["provenance"] = self.provenance.to_json_dict()
+        return doc
 
 
 # an ImmanantReport's fields but its provenance, in order
 Fields = tuple[Partition, QPoly, bool, QPoly, bool]
+# one selection of a sweep: its provenance and one Fields per shape
+Row = tuple[MatrixProvenance, tuple[Fields, ...]]
+
+
+def _fields_json(fields: Fields) -> dict:
+    """A report's JSON object but its provenance."""
+    lam, value, q_nonnegative, gap, gap_nonnegative = fields
+    return {
+        "lambda": list(lam),
+        "value": value.to_json(),
+        "q_nonnegative": q_nonnegative,
+        "dominance_gap": gap.to_json(),
+        "gap_nonnegative": gap_nonnegative,
+    }
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """All reports of a sweep plus how the submatrices were selected."""
+    """A sweep's selections plus how they were drawn.
 
-    reports: tuple[ImmanantReport, ...]
+    ``rows`` holds one (provenance, fields) row per selection, in sweep
+    order; selections with the same content share one fields tuple.  The
+    ``ImmanantReport`` objects, one per shape of each row, are built when
+    ``reports`` is first read, and ``violations()`` builds those of the
+    failing shapes only.
+    """
+
+    rows: tuple[Row, ...]
     exhaustive: bool
     seed: int
     total_candidates: int
 
+    @cached_property
+    def reports(self) -> tuple[ImmanantReport, ...]:
+        return tuple(
+            ImmanantReport(*fields, provenance)
+            for provenance, shapes in self.rows
+            for fields in shapes
+        )
+
+    @cached_property
+    def _failing_rows(self) -> tuple[Row, ...]:
+        """The rows with a failing shape, each cut to its failing shapes.
+
+        Each distinct fields tuple is filtered once, and the rows that
+        share it share the cut tuple.
+        """
+        cut: dict[int, tuple[Fields, ...]] = {}
+        out = []
+        for provenance, shapes in self.rows:
+            bad = cut.get(id(shapes))
+            if bad is None:
+                bad = cut[id(shapes)] = tuple(f for f in shapes if not (f[2] and f[4]))
+            if bad:
+                out.append((provenance, bad))
+        return tuple(out)
+
     @property
     def ok(self) -> bool:
-        return not self.violations()
+        return not self._failing_rows
 
     def violations(self) -> tuple[ImmanantReport, ...]:
         return tuple(
-            r for r in self.reports if not (r.q_nonnegative and r.gap_nonnegative)
+            ImmanantReport(*fields, provenance)
+            for provenance, shapes in self._failing_rows
+            for fields in shapes
         )
 
 
@@ -373,8 +420,8 @@ def positivity_sweep(
     cells, bits = _packed(grid, size)
     labels: dict[QPoly, int] = {}
     ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in grid]
-    by_content: dict[tuple[int, ...], list[Fields]] = {}
-    reports: list[ImmanantReport] = []
+    by_content: dict[tuple[int, ...], tuple[Fields, ...]] = {}
+    out: list[Row] = []
     for rows, cols in selections:
         # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
         # have the same immanants, determinant and gaps.
@@ -392,17 +439,23 @@ def positivity_sweep(
             tuple(m.row_indices[i] for i in rows),
             tuple(m.col_indices[j] for j in cols),
         )
-        reports.extend(ImmanantReport(*fields, provenance) for fields in found)
-    return SweepResult(tuple(reports), exhaustive, seed, total)
+        out.append((provenance, found))
+    return SweepResult(tuple(out), exhaustive, seed, total)
 
 
-def _reports(cells: list[list[int]], bits: int) -> list[Fields]:
+@cache
+def _zero_fields(n: int) -> tuple[Fields, ...]:
+    """Every shape's fields for an n x n submatrix whose values and gaps are all 0."""
+    return tuple((lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(n))
+
+
+def _reports(cells: list[list[int]], bits: int) -> tuple[Fields, ...]:
     """Every shape's report fields but the provenance, for one packed submatrix."""
     sums = _class_sums(cells)
-    shapes = _shapes(len(cells))
     if not any(sums):
         # No permutation has all its entries nonzero: every value and gap is 0.
-        return [(lam, ZERO, True, ZERO, True) for lam, _, _ in shapes]
+        return _zero_fields(len(cells))
+    shapes = _shapes(len(cells))
     *others, (sign, sign_row, _) = shapes  # shape (1,...,1): the sign character
     det = sum(map(mul, sign_row, sums))
     out = []
@@ -414,7 +467,7 @@ def _reports(cells: list[list[int]], bits: int) -> list[Fields]:
     # the sign shape has degree 1 and the determinant as its value: its gap is 0
     value = _unpack(det, bits)
     out.append((sign, value, value.is_q_nonnegative(), ZERO, True))
-    return out
+    return tuple(out)
 
 
 # -- cubic Hankel inequalities ---------------------------------------

@@ -81,28 +81,37 @@ MUTANTS = [
         "replacement": "* packed[i + j]",
         "tests": ["tests/test_immanant.py", "tests/test_packing.py"],
     },
-    # Zero contents give every shape the same ZERO value and gap, so a body
-    # key without lam hands one shape's lambda to the others.
+    # Zero contents of every size share the ZERO value object, so bodies
+    # keyed by a value, without lam, hand one size's lambdas to the next.
     {
-        "name": "sweep report bodies keyed without lam",
+        "name": "JSON sweep bodies keyed by the first shape's value, without lam",
         "file": "src/qcatalan/cli.py",
-        "snippet": '"lam", "value.coeffs"',
-        "replacement": '"value.coeffs"',
-        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+        "snippet": (
+            "body = bodies.get(id(shapes))\n"
+            "            if body is None:\n"
+            "                # drop each closing brace: the provenance is the last field\n"
+            "                body = bodies[id(shapes)]"
+        ),
+        "replacement": (
+            "body = bodies.get(id(shapes[0][1]))\n"
+            "            if body is None:\n"
+            "                body = bodies[id(shapes[0][1])]"
+        ),
+        "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
     },
     {
-        "name": "CSV sweep head not rebuilt when a new provenance starts",
+        "name": "CSV sweep head not rebuilt when a new selection starts",
         "file": "src/qcatalan/cli.py",
-        "snippet": "if r.provenance is not provenance:",
-        "replacement": "if provenance is None:",
-        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+        "snippet": "for p, shapes in result.rows:",
+        "replacement": "for _, shapes in result.rows:\n        p = result.rows[0][0]",
+        "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
     },
     {
-        "name": "JSON sweep provenance not rebuilt when a new one starts",
+        "name": "JSON sweep provenance not rebuilt when a new selection starts",
         "file": "src/qcatalan/cli.py",
-        "snippet": "if v.provenance is not provenance or nl != depth:",
-        "replacement": "if provenance is None:",
-        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+        "snippet": "for provenance, shapes in rows:",
+        "replacement": "for _, shapes in rows:\n            provenance = rows[0][0]",
+        "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
     },
     # Every selection builds its reports from its content key and its
     # provenance, so a wrong key or a wrong provenance shows in every sweep.
@@ -272,9 +281,20 @@ MUTANTS = [
     {
         "name": "empty-support shortcut flags its zero values negative",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "(lam, ZERO, True, ZERO, True) for lam, _, _ in shapes",
-        "replacement": "(lam, ZERO, False, ZERO, True) for lam, _, _ in shapes",
-        "tests": ["tests/test_immanant.py"],
+        "snippet": "(lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(n)",
+        "replacement": "(lam, ZERO, False, ZERO, True) for lam, _, _ in _shapes(n)",
+        "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
+    },
+    # A memo that ignores its argument hands every size the first size's shapes.
+    {
+        "name": "zero-field cache ignores the size",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "@cache\ndef _zero_fields(n: int)",
+        "replacement": (
+            "@lambda f: lambda n, memo=[]: memo[0] if memo else memo.append(f(n)) or memo[0]\n"
+            "def _zero_fields(n: int)"
+        ),
+        "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
     },
     {
         "name": "triangle looks a term up once per entry that reads it",

@@ -23,6 +23,7 @@ from qcatalan.families import FamilySpec, ParamSeq
 from qcatalan.immanant import (
     ImmanantReport,
     MatrixProvenance,
+    Row,
     SweepResult,
     _as_entries,
     _class_sums,
@@ -411,14 +412,16 @@ def sweep_by_selection(
     Nothing is keyed by content: every (rows, cols) pair runs the class-sum
     DP and the full character combination (``reports_by_class_sums``), even
     when its submatrix repeats another or has no nonzero permutation.  Each
-    submatrix is packed at its own width, not at the sweep's.
+    submatrix is packed at its own width, not at the sweep's.  The result
+    has one row per selection, like the sweep's, but no two distinct
+    selections share a fields tuple.
     """
     grid = _as_entries(m)
     selections, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, None
     )
-    done: dict[tuple[tuple[int, ...], tuple[int, ...]], list[ImmanantReport]] = {}
-    reports: list[ImmanantReport] = []
+    done: dict[tuple[tuple[int, ...], tuple[int, ...]], Row] = {}
+    out: list[Row] = []
     for rows, cols in selections:
         found = done.get((rows, cols))
         if found is None:
@@ -429,9 +432,16 @@ def sweep_by_selection(
                 tuple(m.row_indices[i] for i in rows),
                 tuple(m.col_indices[j] for j in cols),
             )
-            found = done[rows, cols] = reports_by_class_sums(sub, provenance)
-        reports.extend(found)
-    return SweepResult(tuple(reports), exhaustive, seed, total)
+            reports = reports_by_class_sums(sub, provenance)
+            found = done[rows, cols] = (
+                provenance,
+                tuple(
+                    (r.lam, r.value, r.q_nonnegative, r.dominance_gap, r.gap_nonnegative)
+                    for r in reports
+                ),
+            )
+        out.append(found)
+    return SweepResult(tuple(out), exhaustive, seed, total)
 
 
 def reports_by_class_sums(grid, provenance: MatrixProvenance) -> list[ImmanantReport]:

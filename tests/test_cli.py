@@ -12,7 +12,7 @@ import pytest
 from qcatalan import cli, errors
 from qcatalan.csmatrix import catalan_stieltjes, hankel
 from qcatalan.families import builtin, load_family
-from qcatalan.immanant import positivity_sweep
+from qcatalan.immanant import ImmanantReport, positivity_sweep
 from qcatalan.network import Arc, PlanarNetwork, build_cs_network
 from qcatalan.qpoly import ONE
 
@@ -578,6 +578,30 @@ def test_sweep_renders_like_one_report_at_a_time(limit):
         assert bool(doc["violations"]) == (f is control)
         want = sweep_json_by_report(f.name, "C", 4, 3, result)
         assert stdout_of(cli._write_json, doc) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("family", ["narayana", "control"])
+def test_verify_builds_no_report_objects(family, fmt, tmp_path, capsys, monkeypatch):
+    built = []
+    init = ImmanantReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImmanantReport, "__init__", counting)
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(CONTROL_FAMILY))
+    name = family if family == "narayana" else str(path)
+    argv = ["verify", "--family", name, "--n", "4", "--max-size", "3"]
+    rc, out, _ = run(capsys, *argv, "--format", fmt)
+    assert rc == (0 if family == "narayana" else 5)
+    assert out
+    assert built == []
+    # the count sees every construction
+    reports = positivity_sweep(catalan_stieltjes(builtin("narayana"), 4), 3).reports
+    assert len(built) == len(reports) > 0
 
 
 def test_verify_detects_violation(tmp_path, capsys):

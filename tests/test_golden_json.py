@@ -7,9 +7,10 @@ selection, a submatrix, shared Hankel cells, unit and interior-zero
 coefficients and a character table, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
 them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
-as CSV and text, a layered, an induced and a factored network as DOT, a
-network that mixes all five weight cases as JSON and DOT, zero-layer
-networks of all three constructions, jobs on the benchmark's affine and
+as CSV and text, a violating sweep whose selections mix passing and
+failing shapes as JSON and CSV, a layered, an induced and a factored
+network as DOT, a network that mixes all five weight cases as JSON and
+DOT, zero-layer networks of all three constructions, jobs on the benchmark's affine and
 five-case families, and error exits, flag rejections and argparse usage
 errors among them. The hashes in
 ``golden/json_sha256.json`` pin the exact bytes each command prints on
@@ -188,6 +189,16 @@ CASES = {
     "verify-control-violations-text": [
         "verify", "--family", "@control", "--matrix", "C", "--n", "2",
         "--max-size", "2", "--format", "text",
+    ],
+    # 15 selections mix passing and failing shapes, so the violations are a
+    # filtered subset of each selection's reports
+    "verify-control-C4-s3": [
+        "verify", "--family", "@control", "--matrix", "C", "--n", "4",
+        "--max-size", "3", "--format", "json",
+    ],
+    "verify-control-C4-s3-csv": [
+        "verify", "--family", "@control", "--matrix", "C", "--n", "4",
+        "--max-size", "3", "--format", "csv",
     ],
     # raw UTF-8 (no escapes) in the family field of every CSV line
     "verify-unicode-name-csv": [

@@ -422,6 +422,8 @@ def assert_sweep_matches_oracle(m, max_size, **kwargs):
         assert g.dominance_gap == w.dominance_gap
         assert g.gap_nonnegative == w.gap_nonnegative
         assert g.provenance == w.provenance
+    assert got.ok == want.ok
+    assert got.violations() == want.violations()
     assert stdout_of(_sweep_csv, got) == sweep_csv_by_report(want)
     args = argparse.Namespace(matrix=m.kind, n=m.nrows, max_size=max_size)
     assert stdout_of(_write_json, _sweep_json(args, m.family, got)) == sweep_json_by_report(
@@ -589,6 +591,23 @@ def test_support_without_a_permutation_gives_zero_reports():
         assert report.dominance_gap == ZERO
         assert report.q_nonnegative and report.gap_nonnegative
     assert determinant(grid) == ZERO
+
+
+def test_zero_contents_of_one_size_share_one_fields_tuple():
+    m = catalan_stieltjes(builtin("narayana"), 5)
+    zeros: dict[int, dict[tuple, tuple]] = {}  # size -> content -> fields
+    for provenance, shapes in positivity_sweep(m, 4).rows:
+        if all(value.is_zero() for _, value, _, _, _ in shapes):
+            content = tuple(m.entries[i][j] for i in provenance.rows for j in provenance.cols)
+            zeros.setdefault(len(provenance.rows), {})[content] = shapes
+    assert sorted(zeros) == [1, 2, 3, 4]
+    for size, by_content in zeros.items():
+        shared = {id(shapes) for shapes in by_content.values()}
+        assert len(shared) == 1, size
+        assert len(by_content) >= 2 or size == 1, size
+        shapes = next(iter(by_content.values()))
+        assert [lam for lam, _, _, _, _ in shapes] == list(partitions_of(size))
+        assert all(q and g and gap.is_zero() for _, _, q, gap, g in shapes)
 
 
 # -- cubic inequalities ------------------------------------------------
