@@ -26,6 +26,7 @@ from .immanant import (
     positivity_sweep,
 )
 from .network import (
+    _json_order,
     build_cs_network,
     build_hankel_factored,
     build_hankel_network,
@@ -219,6 +220,55 @@ def _write_json(doc) -> None:
     write("\n")
 
 
+def _write_network_json(net) -> None:
+    """Write ``json.dumps(net.to_json_dict(), indent=2) + "\\n"`` without building the dict.
+
+    Each vertex's object is rendered once at each of its two depths, in
+    the top-level lists and inside an arc, and each distinct weight's
+    coefficient list once. Each list item, an arc included, goes out in one
+    write, so the whole text is never held.
+    """
+    vertices, arcs = _json_order(net)
+    write = sys.stdout.write
+
+    def objects(nl: str) -> dict:
+        inner = nl + "  "
+        return {
+            v: f'{{{inner}"kind": {_quote(v.kind)},{inner}"level": {int.__repr__(v.level)},'
+            f'{inner}"height": {int.__repr__(v.height)}{nl}}}'
+            for v in vertices
+        }
+
+    top, nested = objects("\n    "), objects("\n      ")
+    weights: dict[tuple, str] = {}
+
+    def arc_texts():
+        for tail, head, weight in arcs:
+            coeffs = weight.coeffs
+            text = weights.get(coeffs)
+            if text is None:
+                items = ",\n        ".join(map(int.__repr__, coeffs))
+                text = weights[coeffs] = f"[\n        {items}\n      ]" if coeffs else "[]"
+            yield (
+                f'{{\n      "tail": {nested[tail]},\n      "head": {nested[head]},'
+                f'\n      "weight": {text}\n    }}'
+            )
+
+    def listing(head: str, texts) -> None:
+        write(head)
+        sep = first = "[\n    "
+        for text in texts:
+            write(sep + text)
+            sep = ",\n    "
+        write("[]" if sep == first else "\n  ]")
+
+    listing('{\n  "vertices": ', map(top.__getitem__, vertices))
+    listing(',\n  "arcs": ', arc_texts())
+    listing(',\n  "sources": ', map(top.__getitem__, net.sources))
+    listing(',\n  "sinks": ', map(top.__getitem__, net.sinks))
+    write("\n}\n")
+
+
 def _maybe_submatrix(m: CSMatrix, args) -> CSMatrix:
     if args.rows is None and args.cols is None:
         return m
@@ -286,7 +336,7 @@ def cmd_network(args) -> int:
         return rc
     fmt = args.format or "dot"
     if fmt == "json":
-        _write_json(net.to_json_dict())
+        _write_network_json(net)
     else:
         sys.stdout.write(export_dot(net))
     if check_line is not None:

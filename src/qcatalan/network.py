@@ -256,19 +256,32 @@ class PlanarNetwork:
         def vjson(v: Vertex) -> dict:
             return {"kind": v.kind, "level": v.level, "height": v.height}
 
+        vertices, arcs = _json_order(self)
         return {
-            "vertices": [vjson(v) for v in sorted(self.vertices, key=_vkey)],
+            "vertices": [vjson(v) for v in vertices],
             "arcs": [
                 {
                     "tail": vjson(a.tail),
                     "head": vjson(a.head),
                     "weight": a.weight.to_json(),
                 }
-                for a in sorted(self.arcs, key=lambda a: (_vkey(a.tail), _vkey(a.head)))
+                for a in arcs
             ],
             "sources": [vjson(v) for v in self.sources],
             "sinks": [vjson(v) for v in self.sinks],
         }
+
+
+def _json_order(net: PlanarNetwork) -> tuple[list[Vertex], list[Arc]]:
+    """The vertices and arcs of ``net`` in the order its JSON document lists them.
+
+    Vertices sort by ``_vkey`` and arcs by the ``_vkey``s of their tail, then
+    head.  ``_vkey`` is one-to-one, so an arc is keyed by its ends' ranks in
+    the sorted vertex list: ``_vkey`` runs once per vertex, not per arc.
+    """
+    vertices = sorted(net.vertices, key=_vkey)
+    rank = {v: i for i, v in enumerate(vertices)}
+    return vertices, sorted(net.arcs, key=lambda a: (rank[a.tail], rank[a.head]))
 
 
 # -- boundary conventions --------------------------------------------
@@ -527,13 +540,16 @@ def _dot_name(v: Vertex) -> str:
 def export_dot(net: PlanarNetwork) -> str:
     """Deterministic Graphviz text with pinned grid positions."""
     pos = _positions(net)
+    names = {v: _dot_name(v) for v in net.vertices}
+    labels: dict[tuple[int, ...], str] = {}  # weight coefficients -> label
     lines = ["digraph {"]
-    for v in sorted(net.vertices, key=lambda v: (pos[v], _dot_name(v))):
+    for v in sorted(net.vertices, key=lambda v: (pos[v], names[v])):
         x, y = pos[v]
-        lines.append(f'  {_dot_name(v)} [pos="{x},{y}!"];')
-    for arc in sorted(net.arcs, key=lambda a: (pos[a.tail], pos[a.head])):
-        lines.append(
-            f'  {_dot_name(arc.tail)} -> {_dot_name(arc.head)} [label="{arc.weight}"];'
-        )
+        lines.append(f'  {names[v]} [pos="{x},{y}!"];')
+    for tail, head, weight in sorted(net.arcs, key=lambda a: (pos[a.tail], pos[a.head])):
+        label = labels.get(weight.coeffs)
+        if label is None:
+            label = labels[weight.coeffs] = str(weight)
+        lines.append(f'  {names[tail]} -> {names[head]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

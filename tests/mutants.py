@@ -350,6 +350,24 @@ MUTANTS = [
         "tests": ["tests/test_network.py"],
     },
     {
+        "name": "network JSON vertex memo keyed without its indentation",
+        "file": "src/qcatalan/cli.py",
+        "snippet": 'top, nested = objects("\\n    "), objects("\\n      ")',
+        "replacement": 'top = nested = objects("\\n    ")',
+        "tests": [
+            "tests/test_cli.py::test_network_writer_matches_json_dumps_on_hand_built_networks"
+        ],
+    },
+    {
+        "name": "network JSON renders a zero weight as an open list, not []",
+        "file": "src/qcatalan/cli.py",
+        "snippet": 'if coeffs else "[]"',
+        "replacement": 'if True else "[]"',
+        "tests": [
+            "tests/test_cli.py::test_network_writer_matches_json_dumps_on_hand_built_networks"
+        ],
+    },
+    {
         "name": "inequality triples may repeat an index",
         "file": "src/qcatalan/immanant.py",
         "snippet": "if not (0 <= a < b < c):",

@@ -11,10 +11,18 @@ import pytest
 
 from qcatalan import cli, errors
 from qcatalan.csmatrix import catalan_stieltjes, hankel
-from qcatalan.families import builtin, load_family
+from qcatalan.errors import MissingWitness, NegativeWeight, RequiresUnitGamma
+from qcatalan.families import BUILTIN_NAMES, WEIGHT_CASES, builtin, load_family
 from qcatalan.immanant import ImmanantReport, positivity_sweep
-from qcatalan.network import Arc, PlanarNetwork, build_cs_network
-from qcatalan.qpoly import ONE
+from qcatalan.network import (
+    Arc,
+    PlanarNetwork,
+    Vertex,
+    build_cs_network,
+    build_hankel_factored,
+    build_hankel_network,
+)
+from qcatalan.qpoly import ONE, QPoly, ZERO
 
 from oracles import (
     stdout_of,
@@ -896,6 +904,87 @@ def test_json_writer_streams_each_hankel_entry(monkeypatch):
     # an entry sits three levels deep, after a comma and a new indented line
     entry = max(len(_nested(cell, 3)) for row in doc["entries"] for cell in row)
     assert max(map(len, chunks)) <= entry + len(",\n" + "  " * 3)
+
+
+def test_network_json_streams_each_arc(monkeypatch):
+    argv = ["network", "--family", "schroder", "--n", "40", "--case", "5", "--format", "json"]
+    chunks = _recorded(monkeypatch, *argv)
+    doc = build_cs_network(builtin("schroder"), 40, [5] * 40).to_json_dict()
+    assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
+    # an arc sits two levels deep, after a comma and a new indented line
+    arc = max(len(_nested(a, 2)) for a in doc["arcs"])
+    assert max(map(len, chunks)) <= arc + len(",\n" + "  " * 2)
+
+
+HAND_BUILT_NETWORKS = {
+    "empty": PlanarNetwork([], [], []),
+    "boundary-only": PlanarNetwork(
+        [], [Vertex("P", 0, 0)], [Vertex("Q", 0, 0), Vertex("Pbar", 0, 0)]
+    ),
+    "zero-weight": PlanarNetwork([Arc(Vertex("P", 0, 0), Vertex("Q", 0, 0), ZERO)], [], []),
+    "signed-and-huge": PlanarNetwork(
+        [
+            Arc(Vertex("P", 1, 0), Vertex("P", 1, 1), QPoly([-1, 0, 2**64 + 1, -(2**70)])),
+            Arc(Vertex("P", 0, 0), Vertex("P", 1, 0), QPoly([0, 2**64])),
+            Arc(Vertex("P", 0, 0), Vertex("Q", 0, 2), -ONE),
+        ],
+        [Vertex("P", 0, 0)],
+        [Vertex("P", 1, 1)],
+    ),
+    # barred kinds, a shared weight and a zero weight among nonzero ones
+    "barred": PlanarNetwork(
+        [
+            Arc(Vertex("Qbar", 2, 1), Vertex("Pbar", 1, 1), QPoly([0, 3])),
+            Arc(Vertex("P", 2, 1), Vertex("Qbar", 2, 1), ONE),
+            Arc(Vertex("Pbar", 1, 1), Vertex("Pbar", 1, 0), ZERO),
+            Arc(Vertex("Q", 1, 1), Vertex("P", 2, 1), QPoly([0, 3])),
+        ],
+        [Vertex("Q", 1, 1)],
+        [Vertex("Pbar", 1, 0), Vertex("Qbar", 2, 1)],
+    ),
+}
+
+
+def _dumped(net) -> str:
+    return json.dumps(net.to_json_dict(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_NETWORKS))
+def test_network_writer_matches_json_dumps_on_hand_built_networks(name):
+    net = HAND_BUILT_NETWORKS[name]
+    assert stdout_of(cli._write_network_json, net) == _dumped(net)
+
+
+def _every_construction():
+    """Each builtin's layered, induced (k = 1) and factored networks at n = 0, 1, 3,
+    under every weight case that it meets and one list that mixes them."""
+    builds = (
+        (build_cs_network, lambda n: n),
+        (lambda f, n, cases: build_hankel_network(f, n, 1, cases), lambda n: 2 * n + 1),
+        (build_hankel_factored, lambda n: n),
+    )
+    for name in BUILTIN_NAMES:
+        f = builtin(name)
+        for build, layers in builds:
+            for n in (0, 1, 3):
+                met = []
+                for case in WEIGHT_CASES:
+                    try:
+                        net = build(f, n, [case] * layers(n))
+                    except (MissingWitness, NegativeWeight, RequiresUnitGamma):
+                        continue
+                    met.append(case)
+                    yield net
+                if len(met) > 1:
+                    yield build(f, n, [met[i % len(met)] for i in range(layers(n))])
+
+
+def test_network_writer_matches_json_dumps_on_every_construction():
+    nets = list(_every_construction())
+    assert len(nets) == 89
+    assert any(a.weight == ZERO for net in nets for a in net.arcs)
+    for net in nets:
+        assert stdout_of(cli._write_network_json, net) == _dumped(net)
 
 
 def test_sweep_writers_stream_each_report(monkeypatch):

@@ -10,10 +10,10 @@ them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
 as CSV and text, a violating sweep whose selections mix passing and
 failing shapes as JSON and CSV, a layered, an induced and a factored
 network as DOT, a network that mixes all five weight cases as JSON and
-DOT, zero-layer networks of all three constructions, jobs on the benchmark's affine and
-five-case families, and error exits, flag rejections and argparse usage
-errors among them. The hashes in
-``golden/json_sha256.json`` pin the exact bytes each command prints on
+DOT, zero-layer networks of all three constructions, the benchmark's two
+largest network JSON jobs, jobs on its affine and five-case families, and
+error exits, flag rejections and argparse usage errors among them. The
+hashes in ``golden/json_sha256.json`` pin the exact bytes each command prints on
 both streams (``network --check`` writes its check line to stderr), so a
 change to arithmetic, rendering or a message that moves one byte fails
 here. The temporary directory's path is replaced by ``<tmp>`` before
@@ -34,6 +34,7 @@ import pytest
 
 from qcatalan import cli
 from qcatalan.immanant import SIZE_CAP_ENV
+from qcatalan.network import PlanarNetwork
 
 from test_cli import CONTROL_FAMILY
 
@@ -247,6 +248,11 @@ CASES = {
         "network", "--family", "narayana", "--n", "5", "--hankel-factored",
         "--case", "4,2,5,4,2", "--check", "--format", "json",
     ],
+    # the benchmark's factored JSON job at full size (1888 arcs)
+    "network-narayana-17-factored-case4-check-json": [
+        "network", "--family", "narayana", "--n", "17", "--case", "4",
+        "--hankel-factored", "--check", "--format", "json",
+    ],
     # zero layers: a one-value case list, and an induced list of 2n + k values
     "network-narayana-0-case4-check-json": [
         "network", "--family", "narayana", "--n", "0", "--case", "4",
@@ -401,6 +407,19 @@ def test_network_without_check_builds_no_matrix(name, tmp_path, capsys, monkeypa
     rc = cli.main(_argv(name, tmp_path))
     captured = capsys.readouterr()
     assert rc == 0
+    assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, argv in CASES.items() if argv[0] == "network" and "json" in argv)
+)
+def test_network_json_builds_no_dict_document(name, tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("network JSON is written without to_json_dict")
+
+    monkeypatch.setattr(PlanarNetwork, "to_json_dict", refuse)
+    rc = cli.main(_argv(name, tmp_path))
+    captured = capsys.readouterr()
     assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]
 
 
