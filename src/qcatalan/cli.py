@@ -132,11 +132,15 @@ def _write_json(doc) -> None:
     list stands for the list of its rows' reports, each the
     ``to_json_dict()`` of ``ImmanantReport(*fields, provenance)``, written
     from two fragments: its body, rendered once per shape of each distinct
-    fields tuple (keyed by the tuple's ``id``, which is safe because the
-    list holds every tuple until it is written), and its provenance,
-    rendered once per row. Each piece is written into stdout's buffer as it
-    is rendered, so the whole text is never held (and a document that fails
-    part way has already written its first pieces).
+    fields tuple, and its provenance, joined once per row from three
+    parts: the family and kind, rendered once per distinct pair, and the
+    rows and the cols lists, each rendered once per index tuple (a sweep
+    shares one tuple among the selections of a row set or column set).
+    Bodies and lists are keyed by the tuple's ``id``, which is safe because
+    the list holds every tuple until it is written. Each piece is written
+    into stdout's buffer as it is rendered, so the whole text is never held
+    (and a document that fails part way has already written its first
+    pieces).
     """
     write = sys.stdout.write
     sink = write  # where emit puts its text: stdout, or a fragment's list
@@ -152,8 +156,12 @@ def _write_json(doc) -> None:
     def reports(rows: _Reports, nl: str) -> None:
         inner = nl + "  "
         deeper = inner + "  "
-        close = inner + "}"
+        field = deeper + "  "  # a provenance's fields
+        mid = "," + field + '"cols": '
+        close = deeper + "}" + inner + "}"
         bodies: dict[int, list[str]] = {}
+        prefixes: dict[tuple[str, str], str] = {}
+        indices: dict[int, str] = {}
         sep = "[" + inner
         for provenance, shapes in rows:
             body = bodies.get(id(shapes))
@@ -166,7 +174,23 @@ def _write_json(doc) -> None:
                     + '"provenance": '
                     for fields in shapes
                 ]
-            head = fragment(provenance.to_json_dict(), deeper) + close
+            family, kind = provenance.family, provenance.kind
+            prefix = prefixes.get((family, kind))
+            if prefix is None:
+                # drop the closing brace: rows and cols follow
+                prefix = prefixes[family, kind] = (
+                    fragment({"family": family, "kind": kind}, deeper)[: -len(deeper) - 1]
+                    + ","
+                    + field
+                    + '"rows": '
+                )
+            row_text = indices.get(id(provenance.rows))
+            if row_text is None:
+                row_text = indices[id(provenance.rows)] = fragment(list(provenance.rows), field)
+            col_text = indices.get(id(provenance.cols))
+            if col_text is None:
+                col_text = indices[id(provenance.cols)] = fragment(list(provenance.cols), field)
+            head = prefix + row_text + mid + col_text + close
             for text in body:
                 sink(sep + text + head)
                 sep = "," + inner
@@ -370,13 +394,16 @@ def _sweep_csv(result) -> None:
 
     A line is its selection's head (family, kind, rows, cols), built once
     per row, then its body (lambda, value and gap with their flags), built
-    once per shape of each distinct fields tuple.  The bodies are keyed by
-    the tuple's ``id``, which is safe because ``result`` holds every tuple
-    until the last line is written.
+    once per shape of each distinct fields tuple.  The head's rows and cols
+    texts are rendered once per index tuple (a sweep shares one tuple among
+    the selections of a row set or column set).  Bodies and index texts are
+    keyed by the tuple's ``id``, which is safe because ``result`` holds
+    every tuple until the last line is written.
     """
     write = sys.stdout.write
     write("family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n")
     bodies: dict[int, list[str]] = {}
+    indices: dict[int, str] = {}
     for p, shapes in result.rows:
         body = bodies.get(id(shapes))
         if body is None:
@@ -384,7 +411,12 @@ def _sweep_csv(result) -> None:
                 f"{'|'.join(map(str, lam))},{value},{str(q).lower()},{gap},{str(g).lower()}\n"
                 for lam, value, q, gap, g in shapes
             ]
-        rows, cols = "|".join(map(str, p.rows)), "|".join(map(str, p.cols))
+        rows = indices.get(id(p.rows))
+        if rows is None:
+            rows = indices[id(p.rows)] = "|".join(map(str, p.rows))
+        cols = indices.get(id(p.cols))
+        if cols is None:
+            cols = indices[id(p.cols)] = "|".join(map(str, p.cols))
         head = f"{p.family},{p.kind},{rows},{cols},"
         for line in body:
             write(head + line)

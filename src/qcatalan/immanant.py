@@ -29,7 +29,10 @@ can repeat a selection.  The first selection of a key computes each shape's
 fields (lam, value, flags and gap) as one tuple, and every later selection
 of the key shares that tuple.  The result keeps one row per selection: its
 provenance and its content's tuple; the ``ImmanantReport`` objects are
-built only when ``SweepResult.reports`` is read.  A submatrix with no
+built only when ``SweepResult.reports`` is read.  Each selection has its
+own provenance, but the provenances of one row set share one tuple of
+mapped row indices, and those of one column set one tuple of mapped
+column indices, so a writer can render each set once.  A submatrix with no
 permutation whose entries are all nonzero has every class sum empty, so
 all its values and gaps are 0 without character arithmetic; all such
 submatrices of one size share one tuple.
@@ -421,25 +424,30 @@ def positivity_sweep(
     labels: dict[QPoly, int] = {}
     ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in grid]
     by_content: dict[tuple[int, ...], tuple[Fields, ...]] = {}
+    # each row set and column set of the sweep, mapped to m's parent indices
+    row_map, col_map = m.row_indices, m.col_indices
+    mapped_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    mapped_cols: dict[tuple[int, ...], tuple[int, ...]] = {}
+    family, kind = m.family.name, m.kind
     out: list[Row] = []
     for rows, cols in selections:
         # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
         # have the same immanants, determinant and gaps.
         key = min(
-            tuple(ids[i][j] for i in rows for j in cols),
-            tuple(ids[i][j] for j in cols for i in rows),
+            tuple([ids[i][j] for i in rows for j in cols]),
+            tuple([ids[i][j] for j in cols for i in rows]),
         )
         found = by_content.get(key)
         if found is None:
             sub = [[cells[i][j] for j in cols] for i in rows]
             found = by_content[key] = _reports(sub, bits)
-        provenance = MatrixProvenance(
-            m.family.name,
-            m.kind,
-            tuple(m.row_indices[i] for i in rows),
-            tuple(m.col_indices[j] for j in cols),
-        )
-        out.append((provenance, found))
+        parent_rows = mapped_rows.get(rows)
+        if parent_rows is None:
+            parent_rows = mapped_rows[rows] = tuple(row_map[i] for i in rows)
+        parent_cols = mapped_cols.get(cols)
+        if parent_cols is None:
+            parent_cols = mapped_cols[cols] = tuple(col_map[j] for j in cols)
+        out.append((MatrixProvenance(family, kind, parent_rows, parent_cols), found))
     return SweepResult(tuple(out), exhaustive, seed, total)
 
 

@@ -15,6 +15,7 @@ partial order "p dominates r" used throughout the package is expressed as
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from functools import cache
@@ -227,7 +228,8 @@ def _width(bound: int) -> int:
     """``_unpack``'s digit width in bits for coefficients of at most ``bound``.
 
     The least of 8, 16, 32 and 64 with bound < 2**(bits - 1), whose digits
-    ``_unpack`` decodes in C; past 64 bits, the least multiple of 8.
+    ``_unpack`` decodes in C; past 64 bits, the least multiple of 8 (also
+    decoded in C at 72, 80, 96 and 128 bits).
     """
     bits = 8 * (bound.bit_length() // 8 + 1)
     return bits if bits > 64 else 1 << (bits - 1).bit_length()
@@ -250,6 +252,9 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
 
 # the signed machine-integer typecodes of ``array``, by size in bytes
 _MACHINE_DIGITS = {array(fmt).itemsize: fmt for fmt in "bhiq"}
+# by digit width in bytes, a little-endian digit of 9, 10, 12 or 16 bytes as
+# its unsigned low 8 bytes and its signed high part
+_WIDE_DIGITS = {8 + struct.calcsize("<" + code): struct.Struct("<Q" + code) for code in "bhiq"}
 
 
 @cache
@@ -268,7 +273,10 @@ def _unpack(value: int, bits: int) -> QPoly:
     linear in the size of ``value``.  Flipping each slice's top bit back
     (``^ offset``) leaves the digit in two's complement, which ``array``
     reads as a machine integer at 8, 16, 32 and 64 bits, swapping each
-    digit's bytes on a big-endian host; wider digits are read one signed
+    digit's bytes on a big-endian host.  A digit of 72, 80, 96 or 128 bits
+    is read by one little-endian ``struct`` format per width, as an
+    unsigned low 64 bits and a signed high part, and is
+    ``high << 64 | low``; other widths are read one signed
     ``int.from_bytes`` slice at a time.  The digits are exact ints, so
     ``_canonical`` takes them unchecked.  The offset spans the digit count
     rounded up to a power of two, so that decodes of many degrees, as in a
@@ -281,11 +289,14 @@ def _unpack(value: int, bits: int) -> QPoly:
     offset = _offset(bits, 1 << (count - 1).bit_length())
     data = ((value + offset) ^ offset).to_bytes(width * count, "little")
     fmt = _MACHINE_DIGITS.get(width)
+    wide = _WIDE_DIGITS.get(width)
     if fmt is not None:
         machine = array(fmt, data)
         if sys.byteorder == "big":
             machine.byteswap()
         digits = machine.tolist()
+    elif wide is not None:
+        digits = [high << 64 | low for low, high in wide.iter_unpack(data)]
     else:
         digits = [
             int.from_bytes(data[i : i + width], "little", signed=True)

@@ -2,16 +2,16 @@
 
 Run from anywhere with ``python tests/mutants.py``; it needs only the
 standard library and pytest.  Each entry names a file under ``src/``, an
-exact snippet in it, the snippet's replacement and the test files to run.
-For each entry the script copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory, applies the replacement
-there, and runs the named tests in that copy.  A mutant whose tests still
-pass has survived: the tests no longer notice that fault.  The script exits
-1 if any mutant survives, and 2 if the named tests fail on the unmutated
-copy or a snippet no longer occurs exactly once, so a refactor that moves
-the code must update its entry.  A surviving mutant, or a test that fails
-on the unmutated copy, prints the tail of pytest's output with its skip
-reasons.
+exact snippet in it, the snippet's replacement and the tests to run (files,
+or the test nodes that kill the mutant).  For each entry the script copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+applies the replacement there, and runs the named tests in that copy.  A
+mutant whose tests still pass has survived: the tests no longer notice that
+fault.  The script exits 1 if any mutant survives, and 2 if the named tests
+fail on the unmutated copy or a snippet no longer occurs exactly once, so a
+refactor that moves the code must update its entry.  A surviving mutant, or
+a test that fails on the unmutated copy, prints the tail of pytest's output
+with its skip reasons.
 
 Pytest's ``pythonpath = ["src"]`` setting puts the copy's ``src/`` first on
 the import path, so the mutated code is what the tests import.
@@ -35,28 +35,34 @@ MUTANTS = [
         "file": "src/qcatalan/immanant.py",
         "snippet": "bits = _width(6 * norm**3)",
         "replacement": "bits = _width(6 * norm**3) - 8",
-        "tests": ["tests/test_immanant.py"],
+        "tests": ["tests/test_immanant.py::test_inequality_sweep_at_its_coefficient_bound"],
     },
     {
         "name": "class-sum width bound takes a zero row's sum as 0",
         "file": "src/qcatalan/immanant.py",
         "snippet": "max(sum(sum(map(abs, cell.coeffs)) for cell in row), 1)",
         "replacement": "sum(sum(map(abs, cell.coeffs)) for cell in row)",
-        "tests": ["tests/test_immanant.py"],
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_with_a_zero_row_packs_wide_enough_for_the_other_rows"
+        ],
     },
     {
         "name": "class-sum width bound without the factor 2 that dominance gaps need",
         "file": "src/qcatalan/immanant.py",
         "snippet": "_width(2 * max(degrees)",
         "replacement": "_width(max(degrees)",
-        "tests": ["tests/test_immanant.py"],
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_gap_meets_its_bound_on_an_antidiagonal_grid"
+        ],
     },
     {
         "name": "sweep digit width taken from one row fewer than its largest submatrices",
         "file": "src/qcatalan/immanant.py",
         "snippet": "cells, bits = _packed(grid, size)",
         "replacement": "cells, bits = _packed(grid, size - 1)",
-        "tests": ["tests/test_immanant.py"],
+        "tests": ["tests/test_immanant.py::test_sweep_value_meets_its_bound_on_a_diagonal_grid"],
     },
     {
         "name": "class-sum DP files a cycle under the cycle type one length short",
@@ -72,14 +78,14 @@ MUTANTS = [
         "file": "src/qcatalan/immanant.py",
         "snippet": "terms[k][i + j]",
         "replacement": "terms[j][i + j]",
-        "tests": ["tests/test_immanant.py", "tests/test_packing.py"],
+        "tests": ["tests/test_immanant.py::test_inequality_sweep_matches_332_on_every_triple"],
     },
     {
         "name": "inequality sweep cubic term multiplies by the wrong index sum",
         "file": "src/qcatalan/immanant.py",
         "snippet": "* packed[i + k]",
         "replacement": "* packed[i + j]",
-        "tests": ["tests/test_immanant.py", "tests/test_packing.py"],
+        "tests": ["tests/test_immanant.py::test_inequality_sweep_matches_332_on_every_triple"],
     },
     # Zero contents of every size share the ZERO value object, so bodies
     # keyed by a value, without lam, hand one size's lambdas to the next.
@@ -118,16 +124,51 @@ MUTANTS = [
     {
         "name": "sweep content key reads the row indices for the columns",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "tuple(ids[i][j] for i in rows for j in cols)",
-        "replacement": "tuple(ids[i][j] for i in rows for j in rows)",
-        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+        "snippet": "tuple([ids[i][j] for i in rows for j in cols])",
+        "replacement": "tuple([ids[i][j] for i in rows for j in rows])",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_matches_per_selection_oracle_on_colliding_contents"
+        ],
     },
     {
         "name": "sweep provenance maps the columns through the row indices",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "tuple(m.col_indices[j] for j in cols)",
-        "replacement": "tuple(m.row_indices[j] for j in cols)",
-        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+        "snippet": "tuple(col_map[j] for j in cols)",
+        "replacement": "tuple(row_map[j] for j in cols)",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
+        ],
+    },
+    # A sweep's row sets and column sets are mapped through different index
+    # maps, so a cols text taken from the rows shows in every line.
+    {
+        "name": "CSV sweep cols text memoised under the rows tuple's id",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "cols = indices.get(id(p.cols))",
+        "replacement": "cols = indices.get(id(p.rows))",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
+        ],
+    },
+    {
+        "name": "JSON sweep provenance reuses the rows fragment for the cols",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "head = prefix + row_text + mid + col_text + close",
+        "replacement": "head = prefix + row_text + mid + row_text + close",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
+        ],
+    },
+    {
+        "name": "_unpack reads the low 64 bits of a wide digit as signed",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": 'struct.Struct("<Q" + code)',
+        "replacement": 'struct.Struct("<q" + code)',
+        "tests": ["tests/test_qpoly.py::test_pack_unpack_round_trip_at_the_digit_edges"],
     },
     {
         "name": "_unpack reads machine-integer digits without flipping their top bit back",
@@ -276,7 +317,10 @@ MUTANTS = [
         "file": "src/qcatalan/immanant.py",
         "snippet": "labels.setdefault(cell, len(labels))",
         "replacement": "labels.setdefault(cell.coeffs[:1], len(labels))",
-        "tests": ["tests/test_immanant.py", "tests/test_json_writer.py"],
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_matches_per_selection_oracle_on_colliding_contents"
+        ],
     },
     {
         "name": "empty-support shortcut flags its zero values negative",
@@ -372,7 +416,7 @@ MUTANTS = [
         "file": "src/qcatalan/immanant.py",
         "snippet": "if not (0 <= a < b < c):",
         "replacement": "if not (0 <= a <= b <= c):",
-        "tests": ["tests/test_immanant.py"],
+        "tests": ["tests/test_immanant.py::test_inequality_index_validation"],
     },
 ]
 

@@ -6,8 +6,8 @@ large ``matrix``/``hankel`` renderings, small text and CSV grids of an empty
 selection, a submatrix, shared Hankel cells, unit and interior-zero
 coefficients and a character table, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
-them sampled, that sampled sweep as JSON, violating and non-ASCII sweeps
-as CSV and text, a violating sweep whose selections mix passing and
+them at 96-bit digits and one sampled, that sampled sweep and the 7x7
+sweep as JSON, violating and non-ASCII sweeps as CSV and text, a violating sweep whose selections mix passing and
 failing shapes as JSON and CSV, a layered, an induced and a factored
 network as DOT, a network that mixes all five weight cases as JSON and
 DOT, zero-layer networks of all three constructions, the benchmark's two
@@ -172,6 +172,16 @@ CASES = {
     "verify-eulerian-C6-s7-csv": [
         "verify", "--family", "eulerian", "--matrix", "C", "--n", "6",
         "--max-size", "7", "--format", "csv",
+    ],
+    # every selection up to 7x7 as JSON: 127 row sets and 127 column sets
+    "verify-eulerian-C6-s7-json": [
+        "verify", "--family", "eulerian", "--matrix", "C", "--n", "6",
+        "--max-size", "7", "--format", "json",
+    ],
+    # packed at 96-bit digits
+    "verify-narayana-H6-s6-csv": [
+        "verify", "--family", "narayana", "--matrix", "H", "--n", "6",
+        "--max-size", "6", "--format", "csv",
     ],
     # 20000 sampled draws out of more than 20000 selections
     "verify-schroder-C17-s2-sampled-csv": [

@@ -480,6 +480,27 @@ def test_sweep_matches_per_selection_oracle_on_colliding_contents():
     assert_sweep_matches_oracle(sampled, 6, seed=4, exhaustive_limit=300)
 
 
+def test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices():
+    # rows and cols come from different, non-identity index maps, so a
+    # column set mapped or rendered as a row set shows in the output
+    h = hankel(builtin("narayana"), 8)
+    m = submatrix(h, (0, 2, 3, 5, 8), (1, 2, 4, 6, 7))
+    assert m.row_indices != m.col_indices
+    assert_sweep_matches_oracle(m, 5)
+    sampled = assert_sweep_matches_oracle(m, 3, seed=5, exhaustive_limit=150)
+    drawn = [(p.rows, p.cols) for p, _ in sampled.rows]
+    assert not sampled.exhaustive and len(set(drawn)) < len(drawn)
+
+
+def test_sweep_shares_one_index_tuple_per_row_set_and_column_set():
+    result = positivity_sweep(catalan_stieltjes(builtin("eulerian"), 6), 7)
+    assert result.exhaustive and len(result.rows) == 3431
+    provenances = [p for p, _ in result.rows]
+    # 2**7 - 1 nonempty index sets of a 7x7 matrix, each one tuple object
+    for sets in ([p.rows for p in provenances], [p.cols for p in provenances]):
+        assert len({id(t) for t in sets}) == len(set(sets)) == 127
+
+
 def _plain_matrix(entries):
     n = len(entries)
     return CSMatrix(

@@ -28,6 +28,20 @@ def test_unpack_inverts_pack(case):
     assert _unpack(_pack(coeffs, bits), bits).coeffs == QPoly(coeffs).coeffs
 
 
+@pytest.mark.parametrize("bits", [72, 80, 96, 128])
+@given(st.data())
+def test_wide_digits_round_trip(bits, data):
+    # digits past 64 bits are read as an unsigned low 64 bits and a signed
+    # high part: these values sit at the edges of both halves
+    edge = (1 << (bits - 1)) - 1
+    halves = [1, -1, 2**63 - 1, 2**63, -(2**63), 2**64 - 1, 2**64, -(2**64)]
+    digit = st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, 0, *halves]))
+    coeffs = data.draw(st.lists(digit, max_size=40))
+    top_zeros = [0] * data.draw(st.integers(0, 3))
+    for value in (coeffs, coeffs + top_zeros, []):
+        assert _unpack(_pack(value, bits), bits).coeffs == QPoly(value).coeffs
+
+
 # bounds on both sides of 2**63, where decoding leaves machine integers
 width_bounds = st.one_of(
     st.integers(0, 2**100),

@@ -182,18 +182,21 @@ def test_hash_and_equality():
 
 
 def test_pack_unpack_round_trip_at_the_digit_edges():
-    # 8-64 bits decode as machine integers, 24, 40, 72 and 136 bit by bit
-    for bits in (8, 16, 24, 32, 40, 64, 72, 136):
+    # 8-64 bits decode as machine integers, 72, 80, 96 and 128 as struct
+    # pairs, 24, 40, 88 and 136 slice by slice
+    for bits in (8, 16, 24, 32, 40, 64, 72, 80, 88, 96, 128, 136):
         edge = (1 << (bits - 1)) - 1
         for coeffs in (
             [],
             [0],
+            [0, 0],
             [edge],
             [-edge],
             [edge, -edge, 0, edge],
             [-edge, 0, 0, -1],
             [1, -1] * 20 + [edge],
             [0, 0, -edge],
+            [-edge, edge, 0, 0],
         ):
             packed = _pack(coeffs, bits)
             assert packed == QPoly(coeffs).eval_int(1 << bits)
