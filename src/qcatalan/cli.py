@@ -32,6 +32,7 @@ from .network import (
     build_hankel_network,
     export_dot,
 )
+from .qpoly import _canonical
 from .symchar import character_table
 
 EXIT_OK = 0
@@ -497,7 +498,7 @@ def cmd_inequality(args) -> int:
                 {
                     "triple": list(t),
                     "value_332": v332.to_json(),
-                    "value_331_diagonal": (2 * v332).to_json(),
+                    "value_331_diagonal": [2 * c for c in v332.coeffs],
                     "q_nonnegative": ok,
                 }
                 for t, v332, ok in entries
@@ -508,7 +509,8 @@ def cmd_inequality(args) -> int:
         for t, v332, ok in entries:
             line = f"triple=({t[0]},{t[1]},{t[2]}) q_nonnegative={ok}"
             if args.show:
-                line += f" value_332={v332} value_331_diagonal={2 * v332}"
+                doubled = _canonical(tuple([2 * c for c in v332.coeffs]))
+                line += f" value_332={v332} value_331_diagonal={doubled}"
             print(line)
         print(f"checked {len(entries)} triples: {'all' if all_ok else 'NOT all'} q-nonnegative")
     return EXIT_OK if all_ok else EXIT_POSITIVITY

@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations
-from math import comb, prod
+from math import ceil, comb, log, prod
 from operator import mul
 
 from .csmatrix import CSMatrix
@@ -366,6 +367,15 @@ def _selections(
     Returns (selections, exhaustive, total): every selection of each size
     1..min(max_size, n) when their ``total`` count is at most
     ``exhaustive_limit``, else that many draws seeded by ``seed``.
+
+    A draw weights each size s by its comb(n, s)**2 selections and makes
+    only these calls on ``random.Random(seed)``: one ``random()`` for the
+    size, even when there is one size, then for the rows and then the cols
+    one ``getrandbits(m.bit_length())`` per try at an index below m.  Those
+    are the calls, in order, of ``choices(sizes, cum_weights=cum)`` and two
+    ``sample(range(n), s)`` on CPython 3.10-3.13, so the draws equal theirs:
+    while n is at most sample's set size, each index comes from a pool of
+    the untaken indices, else a redraw below n repeats until it is new.
     """
     cap = _size_cap(size_cap)
     if max_size < 1:
@@ -386,13 +396,48 @@ def _selections(
         ]
         return selections, True, total
     rng = random.Random(seed)
-    sizes = list(sizes)
+    getrandbits = rng.getrandbits
+    indices = list(range(n))
+
+    def from_pool(steps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+        pool = indices[:]  # untaken indices at pool[:m]
+        out = []
+        for m, k in steps:
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        out.sort()
+        return tuple(out)
+
+    def by_redraw(steps: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+        taken: set[int] = set()
+        for m, k in steps:
+            j = getrandbits(k)
+            while j >= m or j in taken:
+                j = getrandbits(k)
+            taken.add(j)
+        return tuple(sorted(taken))
+
+    # per size, how sample(range(n), s) draws: its branch, and each index's
+    # bound m with the bit count k of its getrandbits(k) tries
+    plans = []
+    for s in sizes:
+        setsize = 21 + (4 ** ceil(log(s * 3, 4)) if s > 5 else 0)
+        pooled = n <= setsize
+        bounds = range(n, n - s, -1) if pooled else [n] * s
+        plans.append(
+            (from_pool if pooled else by_redraw, tuple((m, m.bit_length()) for m in bounds))
+        )
     cum = list(accumulate(per_size[s] for s in sizes))
+    weight, last = cum[-1] + 0.0, len(cum) - 1
+    random_ = rng.random
     selections = []
     for _ in range(exhaustive_limit):
-        s = rng.choices(sizes, cum_weights=cum)[0]
-        rows = tuple(sorted(rng.sample(range(n), s)))
-        cols = tuple(sorted(rng.sample(range(n), s)))
+        draw, steps = plans[bisect(cum, random_() * weight, 0, last)]
+        rows = draw(steps)
+        cols = draw(steps)
         selections.append((rows, cols))
     return selections, False, total
 

@@ -418,6 +418,36 @@ MUTANTS = [
         "replacement": "if not (0 <= a <= b <= c):",
         "tests": ["tests/test_immanant.py::test_inequality_index_validation"],
     },
+    # Sampled draws make the generator calls of Random.choices and
+    # Random.sample themselves; each mutant shifts or reorders those calls.
+    {
+        "name": "sampled index tries draw one bit fewer at a power-of-two bound",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "tuple((m, m.bit_length()) for m in bounds)",
+        "replacement": "tuple((m, (m - 1).bit_length()) for m in bounds)",
+        "tests": ["tests/test_immanant.py::test_sampled_selections_match_per_draw_weights"],
+    },
+    {
+        "name": "sampled draws leave the pool branch one index early",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "pooled = n <= setsize",
+        "replacement": "pooled = n < setsize",
+        "tests": ["tests/test_immanant.py::test_sampled_selections_match_per_draw_weights"],
+    },
+    {
+        "name": "sampled pool fills the vacancy from one slot past its untaken indices",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "pool[j] = pool[m - 1]",
+        "replacement": "pool[j] = pool[min(m, n - 1)]",
+        "tests": ["tests/test_immanant.py::test_sampled_selections_match_per_draw_weights"],
+    },
+    {
+        "name": "sampled draws take the cols before the rows",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "rows = draw(steps)\n        cols = draw(steps)",
+        "replacement": "cols = draw(steps)\n        rows = draw(steps)",
+        "tests": ["tests/test_immanant.py::test_sampled_selections_match_per_draw_weights"],
+    },
 ]
 
 

@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from qcatalan import cli, errors
-from qcatalan.csmatrix import catalan_stieltjes, hankel
+from qcatalan.csmatrix import catalan_like, catalan_stieltjes, hankel
 from qcatalan.errors import MissingWitness, NegativeWeight, RequiresUnitGamma
 from qcatalan.families import BUILTIN_NAMES, WEIGHT_CASES, builtin, load_family
-from qcatalan.immanant import ImmanantReport, positivity_sweep
+from qcatalan.immanant import ImmanantReport, inequality_331, positivity_sweep
 from qcatalan.network import (
     Arc,
     PlanarNetwork,
@@ -695,6 +695,26 @@ def test_inequality_show_and_json(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["entries"][0]["triple"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("name", ["narayana", "eulerian"])
+def test_inequality_diagonal_is_the_331_value_at_rows_equal_cols(name, capsys):
+    a = catalan_like(builtin(name), 8)
+    rc, out, _ = run(
+        capsys, "inequality", "--family", name, "--max-index", "4", "--format", "json"
+    )
+    assert rc == 0
+    entries = json.loads(out)["entries"]
+    for entry in entries:
+        t = tuple(entry["triple"])
+        assert entry["value_331_diagonal"] == inequality_331(a, t, t).to_json()
+    rc, out, _ = run(capsys, "inequality", "--family", name, "--max-index", "4", "--show")
+    assert rc == 0
+    lines = out.splitlines()[:-1]
+    assert len(lines) == len(entries)
+    for line, entry in zip(lines, entries):
+        t = tuple(entry["triple"])
+        assert line.endswith(f" value_331_diagonal={inequality_331(a, t, t)}")
 
 
 def test_inequality_single_triple_and_block(capsys):

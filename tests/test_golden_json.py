@@ -7,7 +7,9 @@ selection, a submatrix, shared Hankel cells, unit and interior-zero
 coefficients and a character table, a family that fails the cubic
 inequality, CSV ``verify`` sweeps up to 6x6 and 7x7 submatrices, one of
 them at 96-bit digits and one sampled, that sampled sweep and the 7x7
-sweep as JSON, violating and non-ASCII sweeps as CSV and text, a violating sweep whose selections mix passing and
+sweep as JSON, sampled sweeps whose draws take each branch of
+``random.sample`` (a 25x25 matrix, and draws of six indices), violating
+and non-ASCII sweeps as CSV and text, a violating sweep whose selections mix passing and
 failing shapes as JSON and CSV, a layered, an induced and a factored
 network as DOT, a network that mixes all five weight cases as JSON and
 DOT, zero-layer networks of all three constructions, the benchmark's two
@@ -26,6 +28,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -192,6 +195,16 @@ CASES = {
     "verify-schroder-C17-s2-sampled-json": [
         "verify", "--family", "schroder", "--matrix", "C", "--n", "17",
         "--max-size", "2", "--seed", "12345", "--format", "json",
+    ],
+    # a 25x25 matrix: draws of 2 from 25 indices take sample's set branch
+    "verify-narayana-C24-s2-sampled-csv": [
+        "verify", "--family", "narayana", "--matrix", "C", "--n", "24",
+        "--max-size", "2", "--seed", "99", "--format", "csv",
+    ],
+    # draws of size 6, where sample's set-size threshold is 85
+    "verify-narayana-C8-s6-sampled-json": [
+        "verify", "--family", "narayana", "--matrix", "C", "--n", "8",
+        "--max-size", "6", "--seed", "3", "--format", "json",
     ],
     "verify-control-violations-csv": [
         "verify", "--family", "@control", "--matrix", "C", "--n", "2",
@@ -428,6 +441,18 @@ def test_network_json_builds_no_dict_document(name, tmp_path, capsys, monkeypatc
         raise AssertionError("network JSON is written without to_json_dict")
 
     monkeypatch.setattr(PlanarNetwork, "to_json_dict", refuse)
+    rc = cli.main(_argv(name, tmp_path))
+    captured = capsys.readouterr()
+    assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if "sampled" in n))
+def test_sampled_sweeps_draw_without_choices_or_sample(name, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled draws call random() and getrandbits() only")
+
+    monkeypatch.setattr(random.Random, "choices", refuse)
+    monkeypatch.setattr(random.Random, "sample", refuse)
     rc = cli.main(_argv(name, tmp_path))
     captured = capsys.readouterr()
     assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]

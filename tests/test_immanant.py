@@ -309,10 +309,31 @@ def _draws_by_weights(n, max_size, seed, count):
 
 @pytest.mark.parametrize(
     "n, max_size, seed, limit",
-    [(18, 2, 1234567, 20000), (9, 4, 3, 500), (6, 6, 0, 300), (12, 3, 99, 2000)],
+    [
+        (18, 2, 1234567, 20000),
+        (9, 4, 3, 500),
+        (6, 6, 0, 300),
+        (12, 3, 99, 2000),
+        # sample(range(n), s) takes its pool branch while n <= 21 (s <= 5),
+        # 85 (s = 6 to 21) or 277 (s = 22), and its set branch past that
+        (21, 2, 5, 300),
+        (22, 2, 0, 300),
+        (85, 6, 2**40 + 7, 300),
+        (86, 6, -17, 300),
+        (85, 21, 8, 100),
+        (86, 22, 0, 100),  # size 22 from the pool, size 21 by redraws
+        (300, 22, -(2**40 + 7), 100),
+        (300, 3, 11, 300),
+        # one size still costs one random() per draw
+        (30, 1, 0, 200),
+        (2, 1, 4, 3),
+        # a single draw
+        (18, 2, -1, 1),
+        (86, 22, 2**40 + 7, 1),
+    ],
 )
 def test_sampled_selections_match_per_draw_weights(n, max_size, seed, limit):
-    selections, exhaustive, total = _selections(n, max_size, seed, limit, None)
+    selections, exhaustive, total = _selections(n, max_size, seed, limit, max_size)
     assert not exhaustive
     assert total == sum(comb(n, s) ** 2 for s in range(1, min(max_size, n) + 1))
     assert selections == _draws_by_weights(n, max_size, seed, limit)
