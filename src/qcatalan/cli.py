@@ -14,12 +14,14 @@ import sys
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import NamedTuple
 
 from .csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
 from .errors import FamilyError, OutOfRange, SchemaError, UnknownFamily
 from .families import BUILTIN_NAMES, WEIGHT_CASES, FamilySpec, builtin, load_family
 from .immanant import (
-    _fields_json,
+    Fields,
+    SweepResult,
     _inequality_sweep,
     inequality_331,
     inequality_332,
@@ -88,24 +90,22 @@ def _parse_cases(text: str, layers: int) -> tuple[int, ...]:
 def _write_grid(entries, sep: str, pad: bool) -> None:
     """Write the rows of ``entries`` to stdout, one line each, cells joined by ``sep``.
 
-    Each distinct cell object is rendered once: a Hankel matrix repeats one
+    Each distinct cell is rendered once: a Hankel matrix repeats one
     polynomial along each antidiagonal, and a triangle one zero.  The memo
-    is keyed by ``id``, which is safe because ``entries`` holds every cell
-    until the last line is written.  With ``pad`` every cell is
-    right-justified to its column's widest.  Only one line is built at a
-    time.  An empty grid prints one empty line without ``pad`` (CSV) and
-    nothing with it (text).
+    is keyed by the cell itself, since equal cells render alike.  With
+    ``pad`` every cell is right-justified to its column's widest.  Only one
+    line is built at a time.  An empty grid prints one empty line without
+    ``pad`` (CSV) and nothing with it (text).
     """
     write = sys.stdout.write
-    texts: dict[int, str] = {}
+    texts: dict[object, str] = {}
     lines = []
     for row in entries:
         line = []
         for cell in row:
-            key = id(cell)
-            text = texts.get(key)
+            text = texts.get(cell)
             if text is None:
-                text = texts[key] = str(cell)
+                text = texts[cell] = str(cell)
             line.append(text)
         lines.append(line)
     if not lines:
@@ -121,8 +121,23 @@ def _write_grid(entries, sep: str, pad: bool) -> None:
 _INT_ONLY = {int}
 
 
-class _Reports(list):
-    """Sweep rows, (provenance, fields) pairs, that a JSON document lists as reports."""
+class _Reports(NamedTuple):
+    """A sweep's reports of the fields in ``contents``, which a JSON document lists."""
+
+    result: SweepResult
+    contents: tuple[tuple[Fields, ...], ...]  # the sweep's contents, or a cut at their positions
+
+
+def _fields_json(fields: Fields) -> dict:
+    """A report's JSON object but its provenance."""
+    lam, value, q_nonnegative, gap, gap_nonnegative = fields
+    return {
+        "lambda": list(lam),
+        "value": value.to_json(),
+        "q_nonnegative": q_nonnegative,
+        "dominance_gap": gap.to_json(),
+        "gap_nonnegative": gap_nonnegative,
+    }
 
 
 def _write_json(doc) -> None:
@@ -130,18 +145,13 @@ def _write_json(doc) -> None:
 
     A document holds dicts with str keys, lists, str, int, bool and None;
     anything else (a float, a non-str key) raises TypeError. A ``_Reports``
-    list stands for the list of its rows' reports, each the
-    ``to_json_dict()`` of ``ImmanantReport(*fields, provenance)``, written
-    from two fragments: its body, rendered once per shape of each distinct
-    fields tuple, and its provenance, joined once per row from three
-    parts: the family and kind, rendered once per distinct pair, and the
-    rows and the cols lists, each rendered once per index tuple (a sweep
-    shares one tuple among the selections of a row set or column set).
-    Bodies and lists are keyed by the tuple's ``id``, which is safe because
-    the list holds every tuple until it is written. Each piece is written
-    into stdout's buffer as it is rendered, so the whole text is never held
-    (and a document that fails part way has already written its first
-    pieces).
+    stands for the list of its sweep's reports, each a report's JSON object
+    with its ``"provenance"`` (family, kind, rows and cols) last. Each shape
+    of each content is rendered once, as a body, and each row set and column
+    set once; a report is then joined from its selection's body and the
+    texts at the selection's positions. Each piece is written into stdout's
+    buffer as it is rendered, so the whole text is never held (and a
+    document that fails part way has already written its first pieces).
     """
     write = sys.stdout.write
     sink = write  # where emit puts its text: stdout, or a fragment's list
@@ -154,48 +164,30 @@ def _write_json(doc) -> None:
         sink = outer
         return "".join(parts)
 
-    def reports(rows: _Reports, nl: str) -> None:
+    def reports(spec: _Reports, nl: str) -> None:
+        result = spec.result
         inner = nl + "  "
         deeper = inner + "  "
         field = deeper + "  "  # a provenance's fields
-        mid = "," + field + '"cols": '
-        close = deeper + "}" + inner + "}"
-        bodies: dict[int, list[str]] = {}
-        prefixes: dict[tuple[str, str], str] = {}
-        indices: dict[int, str] = {}
-        sep = "[" + inner
-        for provenance, shapes in rows:
-            body = bodies.get(id(shapes))
-            if body is None:
-                # drop each closing brace: the provenance is the last field
-                body = bodies[id(shapes)] = [
-                    fragment(_fields_json(fields), inner)[: -len(inner) - 1]
-                    + ","
-                    + deeper
-                    + '"provenance": '
-                    for fields in shapes
-                ]
-            family, kind = provenance.family, provenance.kind
-            prefix = prefixes.get((family, kind))
-            if prefix is None:
-                # drop the closing brace: rows and cols follow
-                prefix = prefixes[family, kind] = (
-                    fragment({"family": family, "kind": kind}, deeper)[: -len(deeper) - 1]
-                    + ","
-                    + field
-                    + '"rows": '
-                )
-            row_text = indices.get(id(provenance.rows))
-            if row_text is None:
-                row_text = indices[id(provenance.rows)] = fragment(list(provenance.rows), field)
-            col_text = indices.get(id(provenance.cols))
-            if col_text is None:
-                col_text = indices[id(provenance.cols)] = fragment(list(provenance.cols), field)
-            head = prefix + row_text + mid + col_text + close
-            for text in body:
+        # drop each closing brace: the provenance is the last field
+        tail = "," + deeper + '"provenance": '
+        bodies = [
+            [fragment(_fields_json(fields), inner)[: -len(inner) - 1] + tail for fields in shapes]
+            for shapes in spec.contents
+        ]
+        # drop the closing brace: rows and cols follow
+        prefix = fragment({"family": result.family, "kind": result.kind}, deeper)
+        prefix = prefix[: -len(deeper) - 1] + "," + field + '"rows": '
+        row_texts = [prefix + fragment(list(rows), field) for rows in result.row_sets]
+        mid, close = "," + field + '"cols": ', deeper + "}" + inner + "}"
+        col_texts = [mid + fragment(list(cols), field) + close for cols in result.col_sets]
+        first = sep = "[" + inner
+        for r, c, k in result.rows:
+            head = row_texts[r] + col_texts[c]
+            for text in bodies[k]:
                 sink(sep + text + head)
                 sep = "," + inner
-        sink(nl + "]" if rows else "[]")
+        sink("[]" if sep == first else nl + "]")
 
     def emit(v, nl: str) -> None:
         t = type(v)
@@ -369,11 +361,12 @@ def cmd_network(args) -> int:
     return rc
 
 
-def _report_count(result) -> int:
-    return sum(len(shapes) for _, shapes in result.rows)
+def _report_count(result: SweepResult) -> int:
+    sizes = list(map(len, result.contents))
+    return sum(sizes[k] for _, _, k in result.rows)
 
 
-def _sweep_json(args, f: FamilySpec, result) -> dict:
+def _sweep_json(args, f: FamilySpec, result: SweepResult) -> dict:
     """The ``verify --format json`` document; its reports are left for ``_write_json``."""
     return {
         "family": f.name,
@@ -385,41 +378,35 @@ def _sweep_json(args, f: FamilySpec, result) -> dict:
         "total_candidates": result.total_candidates,
         "report_count": _report_count(result),
         "ok": result.ok,
-        "violations": _Reports(result._failing_rows),
-        "reports": _Reports(result.rows),
+        "violations": [] if result.ok else _Reports(result, result.failing),
+        "reports": _Reports(result, result.contents),
     }
 
 
-def _sweep_csv(result) -> None:
+def _sweep_csv(result: SweepResult) -> None:
     """Write ``result`` to stdout as CSV, one line per report.
 
-    A line is its selection's head (family, kind, rows, cols), built once
-    per row, then its body (lambda, value and gap with their flags), built
-    once per shape of each distinct fields tuple.  The head's rows and cols
-    texts are rendered once per index tuple (a sweep shares one tuple among
-    the selections of a row set or column set).  Bodies and index texts are
-    keyed by the tuple's ``id``, which is safe because ``result`` holds
-    every tuple until the last line is written.
+    Each row set and column set is rendered once, and each shape of each
+    content once, as a body (lambda, value and gap with their flags); a
+    line is its selection's head (family, kind, rows, cols), joined from
+    the texts at the selection's positions, then one of its content's
+    bodies.
     """
     write = sys.stdout.write
     write("family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n")
-    bodies: dict[int, list[str]] = {}
-    indices: dict[int, str] = {}
-    for p, shapes in result.rows:
-        body = bodies.get(id(shapes))
-        if body is None:
-            body = bodies[id(shapes)] = [
-                f"{'|'.join(map(str, lam))},{value},{str(q).lower()},{gap},{str(g).lower()}\n"
-                for lam, value, q, gap, g in shapes
-            ]
-        rows = indices.get(id(p.rows))
-        if rows is None:
-            rows = indices[id(p.rows)] = "|".join(map(str, p.rows))
-        cols = indices.get(id(p.cols))
-        if cols is None:
-            cols = indices[id(p.cols)] = "|".join(map(str, p.cols))
-        head = f"{p.family},{p.kind},{rows},{cols},"
-        for line in body:
+    prefix = f"{result.family},{result.kind},"
+    row_texts = [prefix + "|".join(map(str, rows)) + "," for rows in result.row_sets]
+    col_texts = ["|".join(map(str, cols)) + "," for cols in result.col_sets]
+    bodies = [
+        [
+            f"{'|'.join(map(str, lam))},{value},{str(q).lower()},{gap},{str(g).lower()}\n"
+            for lam, value, q, gap, g in shapes
+        ]
+        for shapes in result.contents
+    ]
+    for r, c, k in result.rows:
+        head = row_texts[r] + col_texts[c]
+        for line in bodies[k]:
             write(head + line)
 
 
@@ -440,10 +427,11 @@ def cmd_verify(args) -> int:
         if result.ok:
             print("all immanants and dominance gaps are q-nonnegative")
         else:
-            for p, shapes in result._failing_rows:
-                for lam, value, _, gap, _ in shapes:
+            for r, c, k in result.rows:
+                for lam, value, _, gap, _ in result.failing[k]:
                     print(
-                        f"violation: rows={list(p.rows)} cols={list(p.cols)} "
+                        f"violation: rows={list(result.row_sets[r])} "
+                        f"cols={list(result.col_sets[c])} "
                         f"lambda={list(lam)} value={value} gap={gap}"
                     )
     return EXIT_OK if result.ok else EXIT_POSITIVITY
@@ -599,7 +587,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("inequality", help="evaluate the cubic Hankel inequalities")
+    # the usage as 3.10-3.12 wrap it, given whole so that 3.13 prints the same bytes
+    pad = "\n" + " " * len("usage: qcatalan inequality ")
+    p = sub.add_parser(
+        "inequality",
+        help="evaluate the cubic Hankel inequalities",
+        usage=(
+            f"%(prog)s [-h] --family FAMILY{pad}"
+            f"[--max-index M | --triple I J K | --rows I1 I2 I3]{pad}"
+            "[--cols J1 J2 J3] [--show] [--format {text,json}]"
+        ),
+    )
     add_family(p)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(

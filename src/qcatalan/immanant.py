@@ -26,16 +26,16 @@ are keyed by their entries, and a submatrix and its transpose share a key,
 since chi(sigma) = chi(sigma^-1).  Hankel selections repeat often
 (H[rows+d, cols-d] = H[rows, cols], and H is symmetric), and sampled draws
 can repeat a selection.  The first selection of a key computes each shape's
-fields (lam, value, flags and gap) as one tuple, and every later selection
-of the key shares that tuple.  The result keeps one row per selection: its
-provenance and its content's tuple; the ``ImmanantReport`` objects are
-built only when ``SweepResult.reports`` is read.  Each selection has its
-own provenance, but the provenances of one row set share one tuple of
-mapped row indices, and those of one column set one tuple of mapped
-column indices, so a writer can render each set once.  A submatrix with no
-permutation whose entries are all nonzero has every class sum empty, so
-all its values and gaps are 0 without character arithmetic; all such
-submatrices of one size share one tuple.
+fields (lam, value, flags and gap) as one tuple.  The result stores the
+sweep as tables: each distinct row set and column set once, mapped to the
+parent matrix's indices, each distinct fields tuple (a content) once, and
+one (row set, column set, content) triple of positions per selection, so a
+writer renders each set and each content once and indexes into them.  A
+submatrix with no permutation whose entries are all nonzero has every class
+sum empty, so all its values and gaps are 0 without character arithmetic;
+all such submatrices of one size share one cached tuple, at one position.
+The ``ImmanantReport`` objects are built only when ``SweepResult.reports``
+is read.
 
 ``determinant`` is implemented independently by fraction-free (Bareiss)
 elimination with exact polynomial division, so the two routes to the
@@ -256,14 +256,6 @@ class MatrixProvenance:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "kind": self.kind,
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ImmanantReport:
@@ -280,83 +272,63 @@ class ImmanantReport:
     gap_nonnegative: bool
     provenance: MatrixProvenance
 
-    def to_json_dict(self) -> dict:
-        doc = _fields_json(
-            (self.lam, self.value, self.q_nonnegative, self.dominance_gap, self.gap_nonnegative)
-        )
-        doc["provenance"] = self.provenance.to_json_dict()
-        return doc
-
 
 # an ImmanantReport's fields but its provenance, in order
 Fields = tuple[Partition, QPoly, bool, QPoly, bool]
-# one selection of a sweep: its provenance and one Fields per shape
-Row = tuple[MatrixProvenance, tuple[Fields, ...]]
-
-
-def _fields_json(fields: Fields) -> dict:
-    """A report's JSON object but its provenance."""
-    lam, value, q_nonnegative, gap, gap_nonnegative = fields
-    return {
-        "lambda": list(lam),
-        "value": value.to_json(),
-        "q_nonnegative": q_nonnegative,
-        "dominance_gap": gap.to_json(),
-        "gap_nonnegative": gap_nonnegative,
-    }
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """A sweep's selections plus how they were drawn.
+    """A sweep's selections, stored as tables, plus how they were drawn.
 
-    ``rows`` holds one (provenance, fields) row per selection, in sweep
-    order; selections with the same content share one fields tuple.  The
-    ``ImmanantReport`` objects, one per shape of each row, are built when
-    ``reports`` is first read, and ``violations()`` builds those of the
+    ``row_sets`` and ``col_sets`` hold each distinct index set of the sweep
+    once, mapped to the parent matrix's indices, and ``contents`` each
+    distinct fields tuple once, one ``Fields`` per shape.  ``rows`` holds
+    one (row set, column set, content) triple of positions into those tables
+    per selection, in sweep order; every content is some selection's.  The
+    ``ImmanantReport`` objects, one per shape of each selection, are built
+    when ``reports`` is first read, and ``violations()`` builds those of the
     failing shapes only.
     """
 
-    rows: tuple[Row, ...]
+    family: str
+    kind: str
+    row_sets: tuple[tuple[int, ...], ...]
+    col_sets: tuple[tuple[int, ...], ...]
+    contents: tuple[tuple[Fields, ...], ...]
+    rows: tuple[tuple[int, int, int], ...]
     exhaustive: bool
     seed: int
     total_candidates: int
 
     @cached_property
     def reports(self) -> tuple[ImmanantReport, ...]:
-        return tuple(
-            ImmanantReport(*fields, provenance)
-            for provenance, shapes in self.rows
-            for fields in shapes
-        )
+        return self._build(self.contents)
 
     @cached_property
-    def _failing_rows(self) -> tuple[Row, ...]:
-        """The rows with a failing shape, each cut to its failing shapes.
-
-        Each distinct fields tuple is filtered once, and the rows that
-        share it share the cut tuple.
-        """
-        cut: dict[int, tuple[Fields, ...]] = {}
-        out = []
-        for provenance, shapes in self.rows:
-            bad = cut.get(id(shapes))
-            if bad is None:
-                bad = cut[id(shapes)] = tuple(f for f in shapes if not (f[2] and f[4]))
-            if bad:
-                out.append((provenance, bad))
-        return tuple(out)
+    def failing(self) -> tuple[tuple[Fields, ...], ...]:
+        """Each content cut to its failing shapes, at the content's position."""
+        return tuple(
+            tuple(f for f in shapes if not (f[2] and f[4])) for shapes in self.contents
+        )
 
     @property
     def ok(self) -> bool:
-        return not self._failing_rows
+        return not any(self.failing)
 
     def violations(self) -> tuple[ImmanantReport, ...]:
-        return tuple(
-            ImmanantReport(*fields, provenance)
-            for provenance, shapes in self._failing_rows
-            for fields in shapes
-        )
+        return self._build(self.failing)
+
+    def _build(self, contents: tuple[tuple[Fields, ...], ...]) -> tuple[ImmanantReport, ...]:
+        """The reports of each selection's fields in ``contents``, one provenance each."""
+        out = []
+        for r, c, k in self.rows:
+            if contents[k]:
+                provenance = MatrixProvenance(
+                    self.family, self.kind, self.row_sets[r], self.col_sets[c]
+                )
+                out.extend(ImmanantReport(*fields, provenance) for fields in contents[k])
+        return tuple(out)
 
 
 def _selections(
@@ -468,13 +440,13 @@ def positivity_sweep(
     cells, bits = _packed(grid, size)
     labels: dict[QPoly, int] = {}
     ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in grid]
-    by_content: dict[tuple[int, ...], tuple[Fields, ...]] = {}
-    # each row set and column set of the sweep, mapped to m's parent indices
-    row_map, col_map = m.row_indices, m.col_indices
-    mapped_rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    mapped_cols: dict[tuple[int, ...], tuple[int, ...]] = {}
-    family, kind = m.family.name, m.kind
-    out: list[Row] = []
+    contents: list[tuple[Fields, ...]] = []
+    by_content: dict[tuple[int, ...], int] = {}  # content key -> position in contents
+    zeros: dict[int, int] = {}  # size -> position of its _zero_fields tuple
+    # index set -> position, in first-use order
+    row_at: dict[tuple[int, ...], int] = {}
+    col_at: dict[tuple[int, ...], int] = {}
+    out = []
     for rows, cols in selections:
         # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
         # have the same immanants, determinant and gaps.
@@ -482,18 +454,29 @@ def positivity_sweep(
             tuple([ids[i][j] for i in rows for j in cols]),
             tuple([ids[i][j] for j in cols for i in rows]),
         )
-        found = by_content.get(key)
-        if found is None:
-            sub = [[cells[i][j] for j in cols] for i in rows]
-            found = by_content[key] = _reports(sub, bits)
-        parent_rows = mapped_rows.get(rows)
-        if parent_rows is None:
-            parent_rows = mapped_rows[rows] = tuple(row_map[i] for i in rows)
-        parent_cols = mapped_cols.get(cols)
-        if parent_cols is None:
-            parent_cols = mapped_cols[cols] = tuple(col_map[j] for j in cols)
-        out.append((MatrixProvenance(family, kind, parent_rows, parent_cols), found))
-    return SweepResult(tuple(out), exhaustive, seed, total)
+        k = by_content.get(key)
+        if k is None:
+            fields = _reports([[cells[i][j] for j in cols] for i in rows], bits)
+            k = len(contents)
+            if fields is _zero_fields(len(rows)):
+                k = zeros.setdefault(len(rows), k)
+            if k == len(contents):
+                contents.append(fields)
+            by_content[key] = k
+        r = row_at.setdefault(rows, len(row_at))
+        c = col_at.setdefault(cols, len(col_at))
+        out.append((r, c, k))
+    return SweepResult(
+        m.family.name,
+        m.kind,
+        tuple(tuple(m.row_indices[i] for i in rows) for rows in row_at),
+        tuple(tuple(m.col_indices[j] for j in cols) for cols in col_at),
+        tuple(contents),
+        tuple(out),
+        exhaustive,
+        seed,
+        total,
+    )
 
 
 @cache

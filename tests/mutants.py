@@ -87,36 +87,33 @@ MUTANTS = [
         "replacement": "* packed[i + j]",
         "tests": ["tests/test_immanant.py::test_inequality_sweep_matches_332_on_every_triple"],
     },
-    # Zero contents of every size share the ZERO value object, so bodies
-    # keyed by a value, without lam, hand one size's lambdas to the next.
+    # A body read at another table's position renders some other content's
+    # shapes, or runs off the end of the bodies.
     {
-        "name": "JSON sweep bodies keyed by the first shape's value, without lam",
+        "name": "JSON sweep body read at the column set's position, not the content's",
         "file": "src/qcatalan/cli.py",
-        "snippet": (
-            "body = bodies.get(id(shapes))\n"
-            "            if body is None:\n"
-            "                # drop each closing brace: the provenance is the last field\n"
-            "                body = bodies[id(shapes)]"
-        ),
-        "replacement": (
-            "body = bodies.get(id(shapes[0][1]))\n"
-            "            if body is None:\n"
-            "                body = bodies[id(shapes[0][1])]"
-        ),
+        "snippet": "for text in bodies[k]:",
+        "replacement": "for text in bodies[c]:",
         "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
     },
     {
         "name": "CSV sweep head not rebuilt when a new selection starts",
         "file": "src/qcatalan/cli.py",
-        "snippet": "for p, shapes in result.rows:",
-        "replacement": "for _, shapes in result.rows:\n        p = result.rows[0][0]",
+        "snippet": "for r, c, k in result.rows:\n        head = row_texts[r]",
+        "replacement": (
+            "for _, _, k in result.rows:\n        r, c, _ = result.rows[0]\n"
+            "        head = row_texts[r]"
+        ),
         "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
     },
     {
         "name": "JSON sweep provenance not rebuilt when a new selection starts",
         "file": "src/qcatalan/cli.py",
-        "snippet": "for provenance, shapes in rows:",
-        "replacement": "for _, shapes in rows:\n            provenance = rows[0][0]",
+        "snippet": "for r, c, k in result.rows:\n            head = row_texts[r]",
+        "replacement": (
+            "for _, _, k in result.rows:\n            r, c, _ = result.rows[0]\n"
+            "            head = row_texts[r]"
+        ),
         "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
     },
     # Every selection builds its reports from its content key and its
@@ -134,30 +131,40 @@ MUTANTS = [
     {
         "name": "sweep provenance maps the columns through the row indices",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "tuple(col_map[j] for j in cols)",
-        "replacement": "tuple(row_map[j] for j in cols)",
+        "snippet": "tuple(m.col_indices[j] for j in cols)",
+        "replacement": "tuple(m.row_indices[j] for j in cols)",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
+        ],
+    },
+    {
+        "name": "sweep files a selection's column set position in the row set slot",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "out.append((r, c, k))",
+        "replacement": "out.append((c, c, k))",
         "tests": [
             "tests/test_immanant.py::"
             "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
         ],
     },
     # A sweep's row sets and column sets are mapped through different index
-    # maps, so a cols text taken from the rows shows in every line.
+    # maps, so a cols text rendered from a row set shows in every line.
     {
-        "name": "CSV sweep cols text memoised under the rows tuple's id",
+        "name": "CSV sweep cols texts rendered from the row sets",
         "file": "src/qcatalan/cli.py",
-        "snippet": "cols = indices.get(id(p.cols))",
-        "replacement": "cols = indices.get(id(p.rows))",
+        "snippet": '"|".join(map(str, cols)) + "," for cols in result.col_sets]',
+        "replacement": '"|".join(map(str, cols)) + "," for cols in result.row_sets]',
         "tests": [
             "tests/test_immanant.py::"
             "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
         ],
     },
     {
-        "name": "JSON sweep provenance reuses the rows fragment for the cols",
+        "name": "JSON sweep provenance renders the cols fragments from the row sets",
         "file": "src/qcatalan/cli.py",
-        "snippet": "head = prefix + row_text + mid + col_text + close",
-        "replacement": "head = prefix + row_text + mid + row_text + close",
+        "snippet": "fragment(list(cols), field) + close for cols in result.col_sets]",
+        "replacement": "fragment(list(cols), field) + close for cols in result.row_sets]",
         "tests": [
             "tests/test_immanant.py::"
             "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
@@ -213,8 +220,14 @@ MUTANTS = [
     {
         "name": "grid writer memo keyed by the column index instead of the cell",
         "file": "src/qcatalan/cli.py",
-        "snippet": "key = id(cell)",
-        "replacement": "key = len(line)",
+        "snippet": (
+            "text = texts.get(cell)\n            if text is None:\n"
+            "                text = texts[cell]"
+        ),
+        "replacement": (
+            "text = texts.get(len(line))\n            if text is None:\n"
+            "                text = texts[len(line)]"
+        ),
         "tests": ["tests/test_rendering.py", "tests/test_csmatrix.py"],
     },
     # The same bytes, held whole and written at once.
@@ -327,6 +340,15 @@ MUTANTS = [
         "file": "src/qcatalan/immanant.py",
         "snippet": "(lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(n)",
         "replacement": "(lam, ZERO, False, ZERO, True) for lam, _, _ in _shapes(n)",
+        "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
+    },
+    # Zero contents of every size at one position hand one size's lambdas
+    # to the next.
+    {
+        "name": "sweep files the zero contents of every size at one position",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "k = zeros.setdefault(len(rows), k)",
+        "replacement": "k = zeros.setdefault(0, k)",
         "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
     },
     # A memo that ignores its argument hands every size the first size's shapes.

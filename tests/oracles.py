@@ -23,7 +23,6 @@ from qcatalan.families import FamilySpec, ParamSeq
 from qcatalan.immanant import (
     ImmanantReport,
     MatrixProvenance,
-    Row,
     SweepResult,
     _as_entries,
     _class_sums,
@@ -407,41 +406,47 @@ def lgv_minor(net: PlanarNetwork, rows, cols) -> QPoly:
 def sweep_by_selection(
     m: CSMatrix, max_size: int, seed: int = 0, exhaustive_limit: int = 20000
 ) -> SweepResult:
-    """``positivity_sweep`` computed afresh for every distinct selection.
+    """``positivity_sweep`` computed afresh for every selection.
 
     Nothing is keyed by content: every (rows, cols) pair runs the class-sum
     DP and the full character combination (``reports_by_class_sums``), even
     when its submatrix repeats another or has no nonzero permutation.  Each
     submatrix is packed at its own width, not at the sweep's.  The result
-    has one row per selection, like the sweep's, but no two distinct
-    selections share a fields tuple.
+    has the sweep's tables, but nothing in them is shared: selection i has
+    its own row set, column set and content, each at position i.
     """
     grid = _as_entries(m)
     selections, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, None
     )
-    done: dict[tuple[tuple[int, ...], tuple[int, ...]], Row] = {}
-    out: list[Row] = []
+    row_sets, col_sets, contents = [], [], []
     for rows, cols in selections:
-        found = done.get((rows, cols))
-        if found is None:
-            sub = [[grid[i][j] for j in cols] for i in rows]
-            provenance = MatrixProvenance(
-                m.family.name,
-                m.kind,
-                tuple(m.row_indices[i] for i in rows),
-                tuple(m.col_indices[j] for j in cols),
+        provenance = MatrixProvenance(
+            m.family.name,
+            m.kind,
+            tuple(m.row_indices[i] for i in rows),
+            tuple(m.col_indices[j] for j in cols),
+        )
+        reports = reports_by_class_sums([[grid[i][j] for j in cols] for i in rows], provenance)
+        row_sets.append(provenance.rows)
+        col_sets.append(provenance.cols)
+        contents.append(
+            tuple(
+                (r.lam, r.value, r.q_nonnegative, r.dominance_gap, r.gap_nonnegative)
+                for r in reports
             )
-            reports = reports_by_class_sums(sub, provenance)
-            found = done[rows, cols] = (
-                provenance,
-                tuple(
-                    (r.lam, r.value, r.q_nonnegative, r.dominance_gap, r.gap_nonnegative)
-                    for r in reports
-                ),
-            )
-        out.append(found)
-    return SweepResult(tuple(out), exhaustive, seed, total)
+        )
+    return SweepResult(
+        m.family.name,
+        m.kind,
+        tuple(row_sets),
+        tuple(col_sets),
+        tuple(contents),
+        tuple((i, i, i) for i in range(len(selections))),
+        exhaustive,
+        seed,
+        total,
+    )
 
 
 def reports_by_class_sums(grid, provenance: MatrixProvenance) -> list[ImmanantReport]:
@@ -542,6 +547,23 @@ def sweep_csv_by_report(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def provenance_json(p: MatrixProvenance) -> dict:
+    """A provenance's JSON object, from its public fields."""
+    return {"family": p.family, "kind": p.kind, "rows": list(p.rows), "cols": list(p.cols)}
+
+
+def report_json(r: ImmanantReport) -> dict:
+    """A report's JSON object, from its public fields, with its provenance last."""
+    return {
+        "lambda": list(r.lam),
+        "value": r.value.to_json(),
+        "q_nonnegative": r.q_nonnegative,
+        "dominance_gap": r.dominance_gap.to_json(),
+        "gap_nonnegative": r.gap_nonnegative,
+        "provenance": provenance_json(r.provenance),
+    }
+
+
 def sweep_json_by_report(
     family: str, matrix: str, n: int, max_size: int, result: SweepResult
 ) -> str:
@@ -556,8 +578,8 @@ def sweep_json_by_report(
         "total_candidates": result.total_candidates,
         "report_count": len(result.reports),
         "ok": result.ok,
-        "violations": [r.to_json_dict() for r in result.violations()],
-        "reports": [r.to_json_dict() for r in result.reports],
+        "violations": [report_json(r) for r in result.violations()],
+        "reports": [report_json(r) for r in result.reports],
     }
     return json.dumps(doc, indent=2) + "\n"
 

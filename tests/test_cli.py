@@ -575,9 +575,7 @@ def test_sweep_renders_like_one_report_at_a_time(limit):
     for f in (builtin("narayana"), control):
         m = catalan_stieltjes(f, 4)
         result = positivity_sweep(m, 3, seed=3, exhaustive_limit=limit)
-        # one provenance object per selection, in sweep order
-        drawn = {id(r.provenance): r.provenance for r in result.reports}.values()
-        selections = [(p.rows, p.cols) for p in drawn]
+        selections = [(r, c) for r, c, _ in result.rows]
         repeats = len(set(selections)) < len(selections)
         assert repeats != result.exhaustive
         assert stdout_of(cli._sweep_csv, result) == sweep_csv_by_report(result)

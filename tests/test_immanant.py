@@ -37,6 +37,7 @@ from oracles import (
     permanent,
     random_grid,
     random_qpoly,
+    report_json,
     reports_by_class_sums,
     s3_immanant,
     stdout_of,
@@ -367,7 +368,7 @@ def test_sweep_reports_are_slotted_and_survive_pickling():
     copy = pickle.loads(pickle.dumps(report))
     assert copy is not report
     assert copy == report and hash(copy) == hash(report)
-    assert copy.to_json_dict() == report.to_json_dict()
+    assert report_json(copy) == report_json(report)
 
 
 def test_sweep_size_is_clamped_to_matrix():
@@ -414,7 +415,7 @@ def test_sweep_provenance_composes_through_submatrices():
 def test_report_json_shape():
     m = catalan_stieltjes(builtin("narayana"), 1)
     result = positivity_sweep(m, 1)
-    doc = result.reports[0].to_json_dict()
+    doc = report_json(result.reports[0])
     assert set(doc) == {
         "lambda",
         "value",
@@ -509,17 +510,17 @@ def test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices():
     assert m.row_indices != m.col_indices
     assert_sweep_matches_oracle(m, 5)
     sampled = assert_sweep_matches_oracle(m, 3, seed=5, exhaustive_limit=150)
-    drawn = [(p.rows, p.cols) for p, _ in sampled.rows]
+    drawn = [(r, c) for r, c, _ in sampled.rows]
     assert not sampled.exhaustive and len(set(drawn)) < len(drawn)
 
 
-def test_sweep_shares_one_index_tuple_per_row_set_and_column_set():
+def test_sweep_stores_each_row_set_and_column_set_once():
     result = positivity_sweep(catalan_stieltjes(builtin("eulerian"), 6), 7)
     assert result.exhaustive and len(result.rows) == 3431
-    provenances = [p for p, _ in result.rows]
-    # 2**7 - 1 nonempty index sets of a 7x7 matrix, each one tuple object
-    for sets in ([p.rows for p in provenances], [p.cols for p in provenances]):
-        assert len({id(t) for t in sets}) == len(set(sets)) == 127
+    # 2**7 - 1 nonempty index sets of a 7x7 matrix, each at one position
+    for sets in (result.row_sets, result.col_sets):
+        assert len(sets) == len(set(sets)) == 127
+    assert {r for r, _, _ in result.rows} == {c for _, c, _ in result.rows} == set(range(127))
 
 
 def _plain_matrix(entries):
@@ -637,17 +638,21 @@ def test_support_without_a_permutation_gives_zero_reports():
 
 def test_zero_contents_of_one_size_share_one_fields_tuple():
     m = catalan_stieltjes(builtin("narayana"), 5)
-    zeros: dict[int, dict[tuple, tuple]] = {}  # size -> content -> fields
-    for provenance, shapes in positivity_sweep(m, 4).rows:
-        if all(value.is_zero() for _, value, _, _, _ in shapes):
-            content = tuple(m.entries[i][j] for i in provenance.rows for j in provenance.cols)
-            zeros.setdefault(len(provenance.rows), {})[content] = shapes
+    result = positivity_sweep(m, 4)
+    zeros: dict[int, dict[tuple, int]] = {}  # size -> content -> position in contents
+    for r, c, k in result.rows:
+        if all(value.is_zero() for _, value, _, _, _ in result.contents[k]):
+            rows, cols = result.row_sets[r], result.col_sets[c]
+            content = tuple(m.entries[i][j] for i in rows for j in cols)
+            zeros.setdefault(len(rows), {})[content] = k
     assert sorted(zeros) == [1, 2, 3, 4]
     for size, by_content in zeros.items():
-        shared = {id(shapes) for shapes in by_content.values()}
-        assert len(shared) == 1, size
+        positions = set(by_content.values())
+        assert len(positions) == 1, size
         assert len(by_content) >= 2 or size == 1, size
-        shapes = next(iter(by_content.values()))
+        shapes = result.contents[positions.pop()]
+        # the one tuple of the size, held at one position
+        assert sum(other is shapes for other in result.contents) == 1, size
         assert [lam for lam, _, _, _, _ in shapes] == list(partitions_of(size))
         assert all(q and g and gap.is_zero() for _, _, q, gap, g in shapes)
 
