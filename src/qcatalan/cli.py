@@ -87,27 +87,33 @@ def _parse_cases(text: str, layers: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+class _Texts(dict):
+    """Each key's ``str``, rendered on its first lookup only.
+
+    Keyed by the value itself, since equal values render alike: a Hankel
+    matrix repeats one polynomial along each antidiagonal, and a sweep one
+    value or gap across many contents.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> str:
+        text = self[key] = str(key)
+        return text
+
+
 def _write_grid(entries, sep: str, pad: bool) -> None:
     """Write the rows of ``entries`` to stdout, one line each, cells joined by ``sep``.
 
-    Each distinct cell is rendered once: a Hankel matrix repeats one
-    polynomial along each antidiagonal, and a triangle one zero.  The memo
-    is keyed by the cell itself, since equal cells render alike.  With
-    ``pad`` every cell is right-justified to its column's widest.  Only one
-    line is built at a time.  An empty grid prints one empty line without
-    ``pad`` (CSV) and nothing with it (text).
+    Each distinct cell is rendered once (``_Texts``).  With ``pad`` every
+    cell is right-justified to its column's widest.  Every cell's text is
+    gathered first, for those widths; the lines are then joined and written
+    one at a time.  An empty grid prints one empty line without ``pad``
+    (CSV) and nothing with it (text).
     """
     write = sys.stdout.write
-    texts: dict[object, str] = {}
-    lines = []
-    for row in entries:
-        line = []
-        for cell in row:
-            text = texts.get(cell)
-            if text is None:
-                text = texts[cell] = str(cell)
-            line.append(text)
-        lines.append(line)
+    render = _Texts().__getitem__
+    lines = [list(map(render, row)) for row in entries]
     if not lines:
         if not pad:
             write("\n")
@@ -387,19 +393,21 @@ def _sweep_csv(result: SweepResult) -> None:
     """Write ``result`` to stdout as CSV, one line per report.
 
     Each row set and column set is rendered once, and each shape of each
-    content once, as a body (lambda, value and gap with their flags); a
-    line is its selection's head (family, kind, rows, cols), joined from
-    the texts at the selection's positions, then one of its content's
-    bodies.
+    content once, as a body (lambda, value and gap with their flags), in
+    which each distinct polynomial is rendered once (``_Texts``); a line is
+    its selection's head (family, kind, rows, cols), joined from the texts
+    at the selection's positions, then one of its content's bodies.
     """
     write = sys.stdout.write
     write("family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n")
     prefix = f"{result.family},{result.kind},"
     row_texts = [prefix + "|".join(map(str, rows)) + "," for rows in result.row_sets]
     col_texts = ["|".join(map(str, cols)) + "," for cols in result.col_sets]
+    render = _Texts().__getitem__
     bodies = [
         [
-            f"{'|'.join(map(str, lam))},{value},{str(q).lower()},{gap},{str(g).lower()}\n"
+            f"{'|'.join(map(str, lam))},{render(value)},{str(q).lower()},"
+            f"{render(gap)},{str(g).lower()}\n"
             for lam, value, q, gap, g in shapes
         ]
         for shapes in result.contents

@@ -19,7 +19,9 @@ given by the character row of lam.  ``positivity_sweep`` applies every row
 of a size, cached with its degree, to the same class sums, and takes each
 dominance gap from the same combinations.  The arithmetic runs on entries
 packed once as the integers p(2**bits) (Kronecker substitution), at one
-width per sweep (``_packed``); each value and gap is unpacked once.
+width per sweep (``_packed``).  Each distinct packed value or gap of a sweep
+is unpacked and checked for q-nonnegativity once (``_Decoded``), and equal
+values and gaps share one ``QPoly``.
 
 A sweep computes each distinct submatrix once, up to transpose: selections
 are keyed by their entries, and a submatrix and its transpose share a key,
@@ -34,8 +36,13 @@ writer renders each set and each content once and indexes into them.  A
 submatrix with no permutation whose entries are all nonzero has every class
 sum empty, so all its values and gaps are 0 without character arithmetic;
 all such submatrices of one size share one cached tuple, at one position.
-The ``ImmanantReport`` objects are built only when ``SweepResult.reports``
-is read.
+Whether a submatrix has such a permutation depends on its support (which
+entries are nonzero) alone, and the DP tells it by never reaching the full
+index set (``_dead_sums``).  A sweep runs the DP once per such dead support:
+every later content on it takes the cached tuple at once.  Class sums that
+cancel to 0 give the cached tuple too, but leave the support live, since
+other entries on it need not cancel.  The ``ImmanantReport`` objects are
+built only when ``SweepResult.reports`` is read.
 
 ``determinant`` is implemented independently by fraction-free (Bareiss)
 elimination with exact polynomial division, so the two routes to the
@@ -188,11 +195,25 @@ def _class_sums(cells: list[list[int]]) -> list[int]:
             if not sub:
                 break
             sub = (sub - 1) & others
+    reached = states.get(full)
+    if reached is None:
+        return _dead_sums(n)
     positions = _class_positions(n)
     sums = [0] * len(positions)
-    for key, value in states.get(full, {}).items():
+    for key, value in reached.items():
         sums[positions[key]] = value
     return sums
+
+
+@cache
+def _dead_sums(n: int) -> list[int]:
+    """``_class_sums`` of every n x n support with no permutation of nonzero entries.
+
+    One shared list per n, so that a caller tells such a support (its DP
+    never reaches the full mask) by identity; it must not be changed.  A
+    live support whose sums cancel to 0 gets a list of its own.
+    """
+    return [0] * len(_class_positions(n))
 
 
 @cache
@@ -348,6 +369,7 @@ def _selections(
     ``sample(range(n), s)`` on CPython 3.10-3.13, so the draws equal theirs:
     while n is at most sample's set size, each index comes from a pool of
     the untaken indices, else a redraw below n repeats until it is new.
+    Equal index sets drawn are one tuple, so the draws hold each set once.
     """
     cap = _size_cap(size_cap)
     if max_size < 1:
@@ -406,11 +428,12 @@ def _selections(
     weight, last = cum[-1] + 0.0, len(cum) - 1
     random_ = rng.random
     selections = []
+    drawn: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal index sets share one tuple
     for _ in range(exhaustive_limit):
         draw, steps = plans[bisect(cum, random_() * weight, 0, last)]
         rows = draw(steps)
         cols = draw(steps)
-        selections.append((rows, cols))
+        selections.append((drawn.setdefault(rows, rows), drawn.setdefault(cols, cols)))
     return selections, False, total
 
 
@@ -438,11 +461,13 @@ def positivity_sweep(
     )
     size = min(max_size, len(grid))
     cells, bits = _packed(grid, size)
-    labels: dict[QPoly, int] = {}
+    labels: dict[QPoly, int] = {ZERO: 0}  # so a key's nonzero labels are its support
     ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in grid]
     contents: list[tuple[Fields, ...]] = []
     by_content: dict[tuple[int, ...], int] = {}  # content key -> position in contents
     zeros: dict[int, int] = {}  # size -> position of its _zero_fields tuple
+    dead: set[tuple[bool, ...]] = set()  # supports with no permutation of nonzero entries
+    decoded = _Decoded(bits)
     # index set -> position, in first-use order
     row_at: dict[tuple[int, ...], int] = {}
     col_at: dict[tuple[int, ...], int] = {}
@@ -456,7 +481,13 @@ def positivity_sweep(
         )
         k = by_content.get(key)
         if k is None:
-            fields = _reports([[cells[i][j] for j in cols] for i in rows], bits)
+            support = tuple(map(bool, key))
+            fields = None
+            if support not in dead:
+                fields = _reports([[cells[i][j] for j in cols] for i in rows], decoded)
+            if fields is None:
+                dead.add(support)
+                fields = _zero_fields(len(rows))
             k = len(contents)
             if fields is _zero_fields(len(rows)):
                 k = zeros.setdefault(len(rows), k)
@@ -485,24 +516,50 @@ def _zero_fields(n: int) -> tuple[Fields, ...]:
     return tuple((lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(n))
 
 
-def _reports(cells: list[list[int]], bits: int) -> tuple[Fields, ...]:
-    """Every shape's report fields but the provenance, for one packed submatrix."""
+class _Decoded(dict):
+    """Packed value -> (its ``QPoly``, whether q-nonnegative), at one digit width.
+
+    Each distinct value is unpacked and checked on its first lookup only, so
+    equal values and gaps of one sweep share one ``QPoly``.  A packed value
+    means a polynomial only at its width, so a memo serves one sweep.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: int) -> None:
+        super().__init__({0: (ZERO, True)})
+        self.bits = bits
+
+    def __missing__(self, packed: int) -> tuple[QPoly, bool]:
+        value = _unpack(packed, self.bits)
+        pair = self[packed] = (value, value.is_q_nonnegative())
+        return pair
+
+
+def _reports(cells: list[list[int]], decoded: _Decoded) -> tuple[Fields, ...] | None:
+    """Every shape's report fields but the provenance, for one packed submatrix.
+
+    None when no permutation has all its entries nonzero: that depends on
+    the support alone, and every value and gap is then 0.
+    """
+    n = len(cells)
     sums = _class_sums(cells)
+    if sums is _dead_sums(n):
+        return None
     if not any(sums):
-        # No permutation has all its entries nonzero: every value and gap is 0.
-        return _zero_fields(len(cells))
-    shapes = _shapes(len(cells))
-    *others, (sign, sign_row, _) = shapes  # shape (1,...,1): the sign character
+        # the class sums cancel: every value and gap is 0
+        return _zero_fields(n)
+    *others, (sign, sign_row, _) = _shapes(n)  # shape (1,...,1): the sign character
     det = sum(map(mul, sign_row, sums))
     out = []
     for lam, row, deg in others:
         packed = sum(map(mul, row, sums))
-        value = _unpack(packed, bits)
-        gap = _unpack(packed - deg * det, bits)
-        out.append((lam, value, value.is_q_nonnegative(), gap, gap.is_q_nonnegative()))
+        value, q = decoded[packed]
+        gap, g = decoded[packed - deg * det]
+        out.append((lam, value, q, gap, g))
     # the sign shape has degree 1 and the determinant as its value: its gap is 0
-    value = _unpack(det, bits)
-    out.append((sign, value, value.is_q_nonnegative(), ZERO, True))
+    value, q = decoded[det]
+    out.append((sign, value, q, ZERO, True))
     return tuple(out)
 
 

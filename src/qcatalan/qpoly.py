@@ -51,7 +51,7 @@ class QPoly:
 
     def is_q_nonnegative(self) -> bool:
         """True when every coefficient is nonnegative."""
-        return all(c >= 0 for c in self.coeffs)
+        return not self.coeffs or min(self.coeffs) >= 0
 
     def eval_int(self, x: int) -> int:
         """Evaluate at an integer point by Horner's rule (exact)."""

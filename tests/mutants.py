@@ -220,13 +220,10 @@ MUTANTS = [
     {
         "name": "grid writer memo keyed by the column index instead of the cell",
         "file": "src/qcatalan/cli.py",
-        "snippet": (
-            "text = texts.get(cell)\n            if text is None:\n"
-            "                text = texts[cell]"
-        ),
+        "snippet": "lines = [list(map(render, row)) for row in entries]",
         "replacement": (
-            "text = texts.get(len(line))\n            if text is None:\n"
-            "                text = texts[len(line)]"
+            "lines = [[render.__self__.setdefault(j, str(cell)) for j, cell in enumerate(row)]"
+            " for row in entries]"
         ),
         "tests": ["tests/test_rendering.py", "tests/test_csmatrix.py"],
     },
@@ -361,6 +358,38 @@ MUTANTS = [
             "def _zero_fields(n: int)"
         ),
         "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
+    },
+    # A live support whose class sums cancel, marked dead, hands a later
+    # content on the same support zeros for its nonzero values.
+    {
+        "name": "sweep marks a support dead when its class sums are all 0",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "if sums is _dead_sums(n):",
+        "replacement": "if not any(sums):",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_tells_a_dead_support_from_class_sums_that_cancel"
+        ],
+    },
+    {
+        "name": "sweep keys its dead supports by content, so each dead content runs the DP",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "support = tuple(map(bool, key))",
+        "replacement": "support = key",
+        "tests": [
+            "tests/test_immanant.py::test_dead_support_runs_the_class_sum_dp_once_per_sweep"
+        ],
+    },
+    # A packed value means a polynomial only at its sweep's digit width.
+    {
+        "name": "sweep decode memo kept across sweeps in a module-level dict",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "decoded = _Decoded(bits)",
+        "replacement": 'decoded = globals().setdefault("_DECODED", _Decoded(bits))',
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweeps_at_other_digit_widths_decode_their_own_values"
+        ],
     },
     {
         "name": "triangle looks a term up once per entry that reads it",

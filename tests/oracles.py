@@ -275,6 +275,22 @@ def triangle_by_qpoly(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
     return rows
 
 
+def swapped(f: FamilySpec, depth: int) -> FamilySpec:
+    """The family whose production matrix is the transpose of ``f``'s, to ``depth`` terms.
+
+    r~_k = t_{k+1}, s~_k = s_k and t~_k = r_{k-1}, each a prefix of
+    ``depth`` terms (t~ from t~_1, as a family document's ``t`` prefix).
+    Its triangle C~ gives every Hankel matrix as H = C C~^T over Z[q], for
+    any r; with r = 1 it is Aigner's H = C D C^T.
+    """
+    return FamilySpec(
+        name=f"swapped {f.name}",
+        r_seq=ParamSeq(0, tuple(f.t(k + 1) for k in range(depth))),
+        s_seq=ParamSeq(0, tuple(f.s(k) for k in range(depth))),
+        t_seq=ParamSeq(1, tuple(f.r(k - 1) for k in range(1, depth + 1))),
+    )
+
+
 def hankel_determinant(f: FamilySpec, n: int) -> QPoly:
     """det H_n as prod_{k=1..n} prod_{i=1..k} r_{i-1} t_i (Flajolet 1980).
 

@@ -35,6 +35,7 @@ from oracles import (
     random_qpoly,
     schroder_poly,
     stdout_of,
+    swapped,
     triangle_by_qpoly,
     weighted_path_poly,
 )
@@ -209,6 +210,21 @@ def test_recurrence_residuals_vanish_on_random_families():
                     + (f.t(k + 1) * m.entries[n - 1][k + 1] if k + 1 < 9 else ZERO)
                 )
                 assert m.entries[n][k] == expected, (trial, n, k)
+
+
+def test_hankel_is_the_triangle_times_the_swapped_triangle_transposed():
+    # H = C C~^T over Z[q], where C~ is the triangle of the family with the
+    # transposed production matrix; random families have r != 1.
+    rng = random.Random(29)
+    families = FAMILIES + [random_family(rng, terms=8) for _ in range(40)]
+    for n in range(7):
+        for f in families:
+            c = [list(row) for row in catalan_stieltjes(f, n).entries]
+            tilde = catalan_stieltjes(swapped(f, n + 1), n).entries
+            assert [list(row) for row in hankel(f, n).entries] == matmul(
+                c, [list(col) for col in zip(*tilde)]
+            ), (f.name, n)
+    assert any(f.r(0) != ONE for f in families)
 
 
 def test_triangle_is_lower_with_running_r_product_diagonal():

@@ -1,9 +1,11 @@
 """Unit tests for immanants, determinants, sweeps, and cubic inequalities."""
 
 import argparse
+import importlib
 import pickle
 import random
 import re
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -15,9 +17,9 @@ from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
-    ImmanantReport,
-    MatrixProvenance,
     _class_sums,
+    _dead_sums,
+    _Decoded,
     _inequality_sweep,
     _packed,
     _reports,
@@ -338,6 +340,8 @@ def test_sampled_selections_match_per_draw_weights(n, max_size, seed, limit):
     assert not exhaustive
     assert total == sum(comb(n, s) ** 2 for s in range(1, min(max_size, n) + 1))
     assert selections == _draws_by_weights(n, max_size, seed, limit)
+    drawn = [index_set for selection in selections for index_set in selection]
+    assert len(set(map(id, drawn))) == len(set(drawn))
 
 
 def test_sampled_sweep_reuses_repeats_with_exhaustive_reports():
@@ -625,15 +629,107 @@ def test_support_without_a_permutation_gives_zero_reports():
     ]
     cells, bits = _packed(grid, 3)
     assert not any(_class_sums(cells))
-    provenance = MatrixProvenance("pool", "pool", (0, 1, 2), (0, 1, 2))
-    got = [ImmanantReport(*fields, provenance) for fields in _reports(cells, bits)]
-    assert got == reports_by_class_sums(grid, provenance)
+    assert _class_sums(cells) is _dead_sums(3)
+    assert _reports(cells, _Decoded(bits)) is None
+    result = assert_sweep_matches_oracle(_plain_matrix(grid), 3)
+    got = [r for r in result.reports if len(r.provenance.rows) == 3]
+    assert got == reports_by_class_sums(grid, got[0].provenance)
     assert [r.lam for r in got] == list(partitions_of(3))
     for report in got:
         assert report.value == ZERO == immanant(grid, report.lam)
         assert report.dominance_gap == ZERO
         assert report.q_nonnegative and report.gap_nonnegative
     assert determinant(grid) == ZERO
+
+
+# Two 3x3 grids with one support, each of whose rows has two nonzero
+# entries: two 3-cycles have nonzero products, which cancel in the first.
+CANCELLING = [[ZERO, ONE, -ONE], [-ONE, ZERO, ONE], [ONE, -ONE, ZERO]]
+LIVE = [[ZERO, ONE, ONE], [ONE, ZERO, ONE], [ONE, ONE, ZERO]]
+
+
+@pytest.mark.parametrize("blocks", [(CANCELLING, LIVE), (LIVE, CANCELLING)])
+def test_sweep_tells_a_dead_support_from_class_sums_that_cancel(blocks):
+    # Deadness is read off the DP, never off all-zero sums: the cancelling
+    # grid's support is live, so a later grid on it must still be computed.
+    for grid in blocks:
+        cells, _ = _packed(grid, 3)
+        assert any(_class_sums(cells)) == (grid is LIVE)
+        assert _class_sums(cells) is not _dead_sums(3)
+    first, second = blocks
+    entries = [[ZERO] * 6 for _ in range(6)]  # first at the top left, second below right
+    for i in range(3):
+        entries[i][:3] = first[i]
+        entries[i + 3][3:] = second[i]
+    result = assert_sweep_matches_oracle(_plain_matrix(entries), 3)
+    whole = {
+        r.provenance.rows: r.value
+        for r in result.reports
+        if r.lam == (3,) and r.provenance.rows == r.provenance.cols
+    }
+    assert {whole[(0, 1, 2)], whole[(3, 4, 5)]} == {ZERO, QPoly([2])}
+
+
+def _has_nonzero_permutation(grid) -> bool:
+    return any(
+        all(row[j] for row, j in zip(grid, perm)) for perm in permutations(range(len(grid)))
+    )
+
+
+def test_dead_support_runs_the_class_sum_dp_once_per_sweep(monkeypatch):
+    # On a lower-triangular grid with distinct entries, many contents share
+    # a support with no permutation of nonzero entries.  Each such support
+    # is told dead by one DP run per sweep; its other contents get zeros.
+    n = 6
+    entries = [[QPoly([1 + i, j]) if j <= i else ZERO for j in range(n)] for i in range(n)]
+    dead_contents = set()  # each content with a dead support, up to transpose
+    for s in range(1, n + 1):
+        for rows in combinations(range(n), s):
+            for cols in combinations(range(n), s):
+                sub = [[entries[i][j] for j in cols] for i in rows]
+                if not _has_nonzero_permutation(sub):
+                    dead_contents.add(min(repr(sub), repr(_transpose(sub))))
+    module = importlib.import_module("qcatalan.immanant")
+    real = module._class_sums
+    supports = []
+
+    def counting(cells):
+        supports.append(tuple(tuple(map(bool, row)) for row in cells))
+        return real(cells)
+
+    monkeypatch.setattr(module, "_class_sums", counting)
+    for _ in range(2):  # a second sweep starts afresh
+        supports.clear()
+        result = positivity_sweep(_plain_matrix(entries), n)
+        # the dead supports that ran the DP, each up to transpose
+        ran = [min(s, tuple(zip(*s))) for s in supports if not _has_nonzero_permutation(s)]
+        assert ran and len(ran) == len(set(ran))
+        assert len(dead_contents) > 2 * len(ran)
+    monkeypatch.undo()
+    assert result == assert_sweep_matches_oracle(_plain_matrix(entries), n)
+
+
+def test_equal_values_and_gaps_of_one_sweep_are_one_qpoly():
+    result = positivity_sweep(catalan_stieltjes(builtin("narayana"), 5), 6)
+    by_coeffs: dict[tuple[int, ...], set[int]] = {}
+    held = 0
+    for shapes in result.contents:
+        for _, value, _, gap, _ in shapes:
+            for p in (value, gap):
+                by_coeffs.setdefault(p.coeffs, set()).add(id(p))
+                held += 1
+    assert held > 2 * len(by_coeffs)
+    assert all(len(ids) == 1 for ids in by_coeffs.values())
+
+
+def test_sweeps_at_other_digit_widths_decode_their_own_values():
+    # 1 + q packs to 257 at 8 bits, and 257 packs to 257 at 16: each sweep
+    # decodes its values at its own width.
+    for coeffs in ([1, 1], [257], [1, 1]):
+        m = _plain_matrix([[QPoly(coeffs)]])
+        result = assert_sweep_matches_oracle(m, 1)
+        assert [value for _, value, _, _, _ in result.contents[0]] == [QPoly(coeffs)]
+    assert _packed([[QPoly([1, 1])]], 1)[0] == _packed([[QPoly([257])]], 1)[0] == [[257]]
 
 
 def test_zero_contents_of_one_size_share_one_fields_tuple():
