@@ -88,17 +88,21 @@ def _parse_cases(text: str, layers: int) -> tuple[int, ...]:
 
 
 class _Texts(dict):
-    """Each key's ``str``, rendered on its first lookup only.
+    """Each key's text, ``render(key)`` (``str`` by default), on its first lookup only.
 
     Keyed by the value itself, since equal values render alike: a Hankel
     matrix repeats one polynomial along each antidiagonal, and a sweep one
     value or gap across many contents.
     """
 
-    __slots__ = ()
+    __slots__ = ("render",)
+
+    def __init__(self, render=str) -> None:
+        super().__init__()
+        self.render = render
 
     def __missing__(self, key) -> str:
-        text = self[key] = str(key)
+        text = self[key] = self.render(key)
         return text
 
 
@@ -134,18 +138,6 @@ class _Reports(NamedTuple):
     contents: tuple[tuple[Fields, ...], ...]  # the sweep's contents, or a cut at their positions
 
 
-def _fields_json(fields: Fields) -> dict:
-    """A report's JSON object but its provenance."""
-    lam, value, q_nonnegative, gap, gap_nonnegative = fields
-    return {
-        "lambda": list(lam),
-        "value": value.to_json(),
-        "q_nonnegative": q_nonnegative,
-        "dominance_gap": gap.to_json(),
-        "gap_nonnegative": gap_nonnegative,
-    }
-
-
 def _write_json(doc) -> None:
     """Write ``doc`` to stdout exactly as ``json.dumps(doc, indent=2) + "\\n"``.
 
@@ -153,9 +145,10 @@ def _write_json(doc) -> None:
     anything else (a float, a non-str key) raises TypeError. A ``_Reports``
     stands for the list of its sweep's reports, each a report's JSON object
     with its ``"provenance"`` (family, kind, rows and cols) last. Each shape
-    of each content is rendered once, as a body, and each row set and column
-    set once; a report is then joined from its selection's body and the
-    texts at the selection's positions. Each piece is written into stdout's
+    of each content is rendered once, as a body, in which each distinct
+    polynomial's coefficient list is rendered once (``_Texts``), and each
+    row set and column set once; a report is then joined from its
+    selection's body and the texts at the selection's positions. Each piece is written into stdout's
     buffer as it is rendered, so the whole text is never held (and a
     document that fails part way has already written its first pieces).
     """
@@ -175,10 +168,17 @@ def _write_json(doc) -> None:
         inner = nl + "  "
         deeper = inner + "  "
         field = deeper + "  "  # a provenance's fields
-        # drop each closing brace: the provenance is the last field
-        tail = "," + deeper + '"provenance": '
+        lists = _Texts(lambda p: fragment(p.to_json(), deeper)).__getitem__
+        flag = ("false", "true")  # a bool's JSON, indexed by the bool
+        # a report's object up to its provenance, the last field, left open
         bodies = [
-            [fragment(_fields_json(fields), inner)[: -len(inner) - 1] + tail for fields in shapes]
+            [
+                f'{{{deeper}"lambda": {fragment(list(lam), deeper)},'
+                f'{deeper}"value": {lists(value)},{deeper}"q_nonnegative": {flag[q]},'
+                f'{deeper}"dominance_gap": {lists(gap)},'
+                f'{deeper}"gap_nonnegative": {flag[g]},{deeper}"provenance": '
+                for lam, value, q, gap, g in shapes
+            ]
             for shapes in spec.contents
         ]
         # drop the closing brace: rows and cols follow

@@ -14,6 +14,11 @@ permutations of that type (the class sums):
   permutation is built exactly once; about 3^n steps, each times the
   partial cycle types of its state.
 
+The DPs branch only on which entries are nonzero (the support), so
+``_plan`` runs them once per support on register numbers and emits a
+straight-line program of multiply-adds, which ``_run`` replays on the
+entries.  A dead support (no permutation of nonzero entries) has no plan.
+
 Every shape lam of size n is then the integer combination of the class sums
 given by the character row of lam.  ``positivity_sweep`` applies every row
 of a size, cached with its degree, to the same class sums, and takes each
@@ -33,16 +38,15 @@ sweep as tables: each distinct row set and column set once, mapped to the
 parent matrix's indices, each distinct fields tuple (a content) once, and
 one (row set, column set, content) triple of positions per selection, so a
 writer renders each set and each content once and indexes into them.  A
-submatrix with no permutation whose entries are all nonzero has every class
-sum empty, so all its values and gaps are 0 without character arithmetic;
-all such submatrices of one size share one cached tuple, at one position.
-Whether a submatrix has such a permutation depends on its support (which
-entries are nonzero) alone, and the DP tells it by never reaching the full
-index set (``_dead_sums``).  A sweep runs the DP once per such dead support:
-every later content on it takes the cached tuple at once.  Class sums that
-cancel to 0 give the cached tuple too, but leave the support live, since
-other entries on it need not cancel.  The ``ImmanantReport`` objects are
-built only when ``SweepResult.reports`` is read.
+sweep plans each support once, in the orientation of its key, and runs that
+plan on every content with that support, its cells laid out in that same
+orientation.  A submatrix on a dead support has every class sum empty, so
+all its values and gaps are 0 without running anything; all such
+submatrices of one size share one cached tuple, at one position.  Class
+sums that cancel to 0 give the cached tuple too, although their support
+has a plan, since other entries on it need not cancel.  The
+``ImmanantReport`` objects are built only when ``SweepResult.reports`` is
+read.
 
 ``determinant`` is implemented independently by fraction-free (Bareiss)
 elimination with exact polynomial division, so the two routes to the
@@ -53,11 +57,12 @@ from __future__ import annotations
 
 import os
 import random
+from array import array
 from bisect import bisect
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, combinations
-from math import ceil, comb, log, prod
+from itertools import accumulate, combinations, count
+from math import ceil, comb, isqrt, log, prod
 from operator import mul
 
 from .csmatrix import CSMatrix
@@ -117,39 +122,6 @@ def _packed(grid: Grid, size: int) -> tuple[list[list[int]], int]:
     return [[_pack(cell.coeffs, bits) for cell in row] for row in grid], bits
 
 
-def _cycle_sums(cells: list[list[int]]) -> dict[int, int]:
-    """For each index set S (a bit mask), the summed products of all cycles on S.
-
-    A cycle on S is walked from min(S); ``paths[S][v]`` sums the products
-    of the paths from min(S) through exactly S that end at v (Held-Karp).
-    Sets whose every cycle has a zero entry are left out.
-    """
-    n = len(cells)
-    cycles: dict[int, int] = {}
-    for m in range(n):
-        bit = 1 << m
-        if cells[m][m]:
-            cycles[bit] = cells[m][m]
-        paths: dict[int, dict[int, int]] = {}
-        for w in range(m + 1, n):
-            if cells[m][w]:
-                paths[bit | 1 << w] = {w: cells[m][w]}
-        for high in range(1, 1 << (n - m - 1)):
-            mask = bit | high << (m + 1)
-            ends = paths.pop(mask, None)
-            if ends is None:
-                continue
-            for v, path in ends.items():
-                row = cells[v]
-                if row[m]:
-                    cycles[mask] = cycles.get(mask, 0) + path * row[m]
-                for w in range(m + 1, n):
-                    if row[w] and not mask >> w & 1:
-                        longer = paths.setdefault(mask | 1 << w, {})
-                        longer[w] = longer.get(w, 0) + path * row[w]
-    return cycles
-
-
 @cache
 def _class_positions(n: int) -> dict[int, int]:
     """Cycle-type key -> position in ``partitions_of(n)``.
@@ -163,20 +135,70 @@ def _class_positions(n: int) -> dict[int, int]:
     }
 
 
-def _class_sums(cells: list[list[int]]) -> list[int]:
-    """Per-cycle-type sums of the permutation diagonal products.
+# A plan: the multiply-adds reg[d] += reg[a] * reg[b], as flat (d, a, b)
+# register numbers, the register of each class sum (indexed like
+# partitions_of(n)) and the number of registers.
+Plan = tuple[array, list[int], int]
 
-    A permutation is a set partition of the indices into cycles.  The DP
-    state is (used-index mask, partial cycle type); each step adds the
-    cycle through the lowest unused index, so every permutation is built
-    exactly once.  ``cells`` and the sums are packed polynomials (see
-    ``_packed``); the sums are indexed like partitions_of(n).
+
+def _plan(support) -> Plan | None:
+    """The class-sum DP of an n x n support, as a straight-line program.
+
+    ``support`` holds the n*n entries row-major, or only their truth values.
+    Register 0 holds 1, register 1 + i*n + j entry (i, j), register
+    1 + n*n stays 0 (the sum of a cycle type no permutation has), and later
+    registers start at 0.  Each branch of the DP tests whether an entry is
+    nonzero, so the program is the same for every grid of the support.
+    None when no permutation has all its entries nonzero (a dead support):
+    the DP never reaches the full index set.
+
+    Cycle sums: for every index set S (a bit mask), the summed products of
+    all cycles on S.  A cycle on S is walked from min(S); ``paths[S][v]``
+    sums the products of the paths from min(S) through exactly S that end
+    at v (Held-Karp).  Sets whose every cycle has a zero entry are left out.
+
+    Class sums: a permutation is a set partition of the indices into
+    cycles.  The DP state is (used-index mask, partial cycle type); each
+    step adds the cycle through the lowest unused index, so every
+    permutation is built exactly once.
     """
-    n = len(cells)
-    cycles = _cycle_sums(cells)
+    n = isqrt(len(support))
+    rows = [support[i * n : (i + 1) * n] for i in range(n)]
+    ops = array("I")
+    emit = ops.extend
+    fresh = count(2 + n * n).__next__
+
+    def at(table: dict[int, int], key: int) -> int:
+        """The register of ``table[key]``, a fresh one on first use."""
+        reg = table.get(key)
+        if reg is None:
+            reg = table[key] = fresh()
+        return reg
+
+    cycles: dict[int, int] = {}
+    for m in range(n):
+        bit = 1 << m
+        if rows[m][m]:
+            cycles[bit] = 1 + m * n + m
+        paths: dict[int, dict[int, int]] = {}
+        for w in range(m + 1, n):
+            if rows[m][w]:
+                paths[bit | 1 << w] = {w: 1 + m * n + w}
+        for high in range(1, 1 << (n - m - 1)):
+            mask = bit | high << (m + 1)
+            ends = paths.pop(mask, None)
+            if ends is None:
+                continue
+            for v, path in ends.items():
+                row, base = rows[v], 1 + v * n
+                if row[m]:
+                    emit((at(cycles, mask), path, base + m))
+                for w in range(m + 1, n):
+                    if row[w] and not mask >> w & 1:
+                        emit((at(paths.setdefault(mask | 1 << w, {}), w), path, base + w))
     steps = [0] + [(n + 1) ** (k - 1) for k in range(1, n + 1)]
     full = (1 << n) - 1
-    states: dict[int, dict[int, int]] = {0: {0: 1}}
+    states: dict[int, dict[int, int]] = {0: {0: 0}}
     for mask in range(full):
         here = states.pop(mask, None)
         if here is None:
@@ -191,29 +213,42 @@ def _class_sums(cells: list[list[int]]) -> list[int]:
                 step = steps[sub.bit_count() + 1]
                 target = states.setdefault(mask | sub | low, {})
                 for key, value in here.items():
-                    target[key + step] = target.get(key + step, 0) + value * cycle
+                    emit((at(target, key + step), value, cycle))
             if not sub:
                 break
             sub = (sub - 1) & others
     reached = states.get(full)
     if reached is None:
-        return _dead_sums(n)
+        return None
     positions = _class_positions(n)
-    sums = [0] * len(positions)
-    for key, value in reached.items():
-        sums[positions[key]] = value
-    return sums
+    outs = [1 + n * n] * len(positions)
+    for key, reg in reached.items():
+        outs[positions[key]] = reg
+    return ops, outs, fresh()
 
 
-@cache
-def _dead_sums(n: int) -> list[int]:
-    """``_class_sums`` of every n x n support with no permutation of nonzero entries.
+def _run(plan: Plan, cells: list[int]) -> list[int]:
+    """The class sums of the packed entries ``cells`` (row-major) by ``plan``."""
+    ops, outs, size = plan
+    reg = [1, *cells]
+    reg += [0] * (size - len(reg))
+    it = iter(ops)
+    for d, a, b in zip(it, it, it):
+        reg[d] += reg[a] * reg[b]
+    return [reg[r] for r in outs]
 
-    One shared list per n, so that a caller tells such a support (its DP
-    never reaches the full mask) by identity; it must not be changed.  A
-    live support whose sums cancel to 0 gets a list of its own.
+
+def _class_sums(cells: list[list[int]]) -> list[int]:
+    """Per-cycle-type sums of the permutation diagonal products.
+
+    ``cells`` and the sums are packed polynomials (see ``_packed``); the
+    sums are indexed like partitions_of(n), and all 0 on a dead support.
     """
-    return [0] * len(_class_positions(n))
+    flat = [cell for row in cells for cell in row]
+    plan = _plan(flat)
+    if plan is None:
+        return [0] * len(_class_positions(len(cells)))
+    return _run(plan, flat)
 
 
 @cache
@@ -466,7 +501,7 @@ def positivity_sweep(
     contents: list[tuple[Fields, ...]] = []
     by_content: dict[tuple[int, ...], int] = {}  # content key -> position in contents
     zeros: dict[int, int] = {}  # size -> position of its _zero_fields tuple
-    dead: set[tuple[bool, ...]] = set()  # supports with no permutation of nonzero entries
+    plans: dict[tuple[bool, ...], Plan | None] = {}  # support -> its plan, None if dead
     decoded = _Decoded(bits)
     # index set -> position, in first-use order
     row_at: dict[tuple[int, ...], int] = {}
@@ -475,22 +510,28 @@ def positivity_sweep(
     for rows, cols in selections:
         # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
         # have the same immanants, determinant and gaps.
-        key = min(
-            tuple([ids[i][j] for i in rows for j in cols]),
-            tuple([ids[i][j] for j in cols for i in rows]),
-        )
+        by_rows = tuple([ids[i][j] for i in rows for j in cols])
+        by_cols = tuple([ids[i][j] for j in cols for i in rows])
+        key = min(by_rows, by_cols)
         k = by_content.get(key)
         if k is None:
+            s = len(rows)
             support = tuple(map(bool, key))
-            fields = None
-            if support not in dead:
-                fields = _reports([[cells[i][j] for j in cols] for i in rows], decoded)
-            if fields is None:
-                dead.add(support)
-                fields = _zero_fields(len(rows))
+            if support not in plans:
+                plans[support] = _plan(support)
+            plan = plans[support]
+            if plan is None:
+                fields = _zero_fields(s)
+            else:
+                # the plan's support is the key's, so the cells go in its order
+                if key is by_rows:
+                    flat = [cells[i][j] for i in rows for j in cols]
+                else:
+                    flat = [cells[i][j] for j in cols for i in rows]
+                fields = _reports(s, _run(plan, flat), decoded)
             k = len(contents)
-            if fields is _zero_fields(len(rows)):
-                k = zeros.setdefault(len(rows), k)
+            if fields is _zero_fields(s):
+                k = zeros.setdefault(s, k)
             if k == len(contents):
                 contents.append(fields)
             by_content[key] = k
@@ -536,16 +577,8 @@ class _Decoded(dict):
         return pair
 
 
-def _reports(cells: list[list[int]], decoded: _Decoded) -> tuple[Fields, ...] | None:
-    """Every shape's report fields but the provenance, for one packed submatrix.
-
-    None when no permutation has all its entries nonzero: that depends on
-    the support alone, and every value and gap is then 0.
-    """
-    n = len(cells)
-    sums = _class_sums(cells)
-    if sums is _dead_sums(n):
-        return None
+def _reports(n: int, sums: list[int], decoded: _Decoded) -> tuple[Fields, ...]:
+    """Every shape's report fields but the provenance, from n x n class sums."""
     if not any(sums):
         # the class sums cancel: every value and gap is 0
         return _zero_fields(n)

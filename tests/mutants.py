@@ -344,7 +344,7 @@ MUTANTS = [
     {
         "name": "sweep files the zero contents of every size at one position",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "k = zeros.setdefault(len(rows), k)",
+        "snippet": "k = zeros.setdefault(s, k)",
         "replacement": "k = zeros.setdefault(0, k)",
         "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
     },
@@ -364,21 +364,53 @@ MUTANTS = [
     {
         "name": "sweep marks a support dead when its class sums are all 0",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "if sums is _dead_sums(n):",
-        "replacement": "if not any(sums):",
+        "snippet": "fields = _reports(s, _run(plan, flat), decoded)",
+        "replacement": (
+            "sums = _run(plan, flat)\n"
+            "                if not any(sums):\n"
+            "                    plans[support] = None\n"
+            "                fields = _reports(s, sums, decoded)"
+        ),
         "tests": [
             "tests/test_immanant.py::"
             "test_sweep_tells_a_dead_support_from_class_sums_that_cancel"
         ],
     },
     {
-        "name": "sweep keys its dead supports by content, so each dead content runs the DP",
+        "name": "sweep keys its plans by content, so each content plans afresh",
         "file": "src/qcatalan/immanant.py",
         "snippet": "support = tuple(map(bool, key))",
         "replacement": "support = key",
+        "tests": ["tests/test_immanant.py::test_each_support_is_planned_once_per_sweep"],
+    },
+    # A plan reads each entry at its position in the plan's orientation: on
+    # a support that is not symmetric, cells laid out the other way feed it
+    # zeros where it multiplies nonzero entries.
+    {
+        "name": "sweep runs a plan keyed column-major on row-major cells",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "flat = [cells[i][j] for j in cols for i in rows]",
+        "replacement": "flat = [cells[i][j] for i in rows for j in cols]",
         "tests": [
-            "tests/test_immanant.py::test_dead_support_runs_the_class_sum_dp_once_per_sweep"
+            "tests/test_immanant.py::test_sweep_runs_a_plan_on_cells_in_its_key_orientation"
         ],
+    },
+    {
+        "name": "class-sum replay drops the last multiply-add",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "for d, a, b in zip(it, it, it):",
+        "replacement": "for d, a, b in list(zip(it, it, it))[:-1]:",
+        "tests": [
+            "tests/test_immanant.py::test_class_sums_match_permutation_oracle_on_random_grids"
+        ],
+    },
+    # The register of a cycle type no permutation has must stay 0.
+    {
+        "name": "class-sum planner hands out the zero register as a fresh one",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "fresh = count(2 + n * n).__next__",
+        "replacement": "fresh = count(1 + n * n).__next__",
+        "tests": ["tests/test_immanant.py::test_one_plan_runs_every_grid_of_its_support"],
     },
     # A packed value means a polynomial only at its sweep's digit width.
     {

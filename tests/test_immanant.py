@@ -18,11 +18,10 @@ from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
     _class_sums,
-    _dead_sums,
-    _Decoded,
     _inequality_sweep,
     _packed,
-    _reports,
+    _plan,
+    _run,
     _selections,
     determinant,
     immanant,
@@ -188,6 +187,13 @@ def test_class_sums_match_permutation_oracle_on_random_grids():
                 for j in range(n):
                     if rng.random() < 0.3:
                         row[j] = ZERO
+            if n >= 3 and trial % 2:
+                # the two 3-cycles on i, j, k have products x and -x, which
+                # cancel, though every entry on them is nonzero
+                i, j, k = rng.sample(range(n), 3)
+                x = random_qpoly(rng, allow_negative=True) or ONE
+                grid[i][j], grid[j][k], grid[k][i] = x, ONE, ONE
+                grid[i][k], grid[k][j], grid[j][i] = -x, ONE, ONE
             assert_class_sums_match_oracle(grid)
 
 
@@ -198,6 +204,31 @@ def test_class_sums_match_permutation_oracle_on_builtin_corners(name):
         for k in range(1, 8):
             corner = submatrix(m, tuple(range(k)), tuple(range(k)))
             assert_class_sums_match_oracle(corner.entries)
+
+
+def test_one_plan_runs_every_grid_of_its_support():
+    rng = random.Random(53)
+    live = 0
+    for n in range(1, 7):
+        support = [rng.random() < 0.6 for _ in range(n * n)]
+        plan = _plan(support)
+        live += plan is not None
+        for _ in range(2):  # two contents of the one support
+            grid = [
+                [random_qpoly(rng, allow_negative=True) or ONE if support[i * n + j] else ZERO
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            cells, bits = _packed(grid, n)
+            flat = [cell for row in cells for cell in row]
+            assert (_plan(flat) is None) == (plan is None)
+            if plan is None:
+                assert not _has_nonzero_permutation(grid)
+                continue
+            expected = class_sums_by_permutation(grid)
+            for mu, value in zip(partitions_of(n), _run(plan, flat)):
+                assert _unpack(value, bits) == expected.get(mu, ZERO), (n, mu)
+    assert live >= 4
 
 
 def test_eight_by_eight_identities():
@@ -627,10 +658,9 @@ def test_support_without_a_permutation_gives_zero_reports():
         [-ONE, ZERO, ZERO],
         [Q * Q, ZERO, ZERO],
     ]
-    cells, bits = _packed(grid, 3)
-    assert not any(_class_sums(cells))
-    assert _class_sums(cells) is _dead_sums(3)
-    assert _reports(cells, _Decoded(bits)) is None
+    cells, _ = _packed(grid, 3)
+    assert _class_sums(cells) == [0, 0, 0]
+    assert _plan([cell for row in cells for cell in row]) is None
     result = assert_sweep_matches_oracle(_plain_matrix(grid), 3)
     got = [r for r in result.reports if len(r.provenance.rows) == 3]
     assert got == reports_by_class_sums(grid, got[0].provenance)
@@ -651,11 +681,11 @@ LIVE = [[ZERO, ONE, ONE], [ONE, ZERO, ONE], [ONE, ONE, ZERO]]
 @pytest.mark.parametrize("blocks", [(CANCELLING, LIVE), (LIVE, CANCELLING)])
 def test_sweep_tells_a_dead_support_from_class_sums_that_cancel(blocks):
     # Deadness is read off the DP, never off all-zero sums: the cancelling
-    # grid's support is live, so a later grid on it must still be computed.
+    # grid's support has a plan, so a later grid on it must still be computed.
     for grid in blocks:
         cells, _ = _packed(grid, 3)
         assert any(_class_sums(cells)) == (grid is LIVE)
-        assert _class_sums(cells) is not _dead_sums(3)
+        assert _plan([cell for row in cells for cell in row]) is not None
     first, second = blocks
     entries = [[ZERO] * 6 for _ in range(6)]  # first at the top left, second below right
     for i in range(3):
@@ -670,41 +700,64 @@ def test_sweep_tells_a_dead_support_from_class_sums_that_cancel(blocks):
     assert {whole[(0, 1, 2)], whole[(3, 4, 5)]} == {ZERO, QPoly([2])}
 
 
+def test_sweep_runs_a_plan_on_cells_in_its_key_orientation():
+    # The support [[1, 1, 0], [0, 1, 1], [1, 0, 1]] is not symmetric, and
+    # its one 3-cycle 0 -> 1 -> 2 -> 0 runs the other way in the transpose.
+    # Entry (1, 0) is 0 and entry (0, 1) is not, so the column-major labels
+    # of the whole grid are the smaller: its key, and its plan, take the
+    # transposed orientation, and the cells must be laid out that way too.
+    rng = random.Random(61)
+    support = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    for _ in range(3):
+        grid = [
+            [random_qpoly(rng, allow_negative=True) or ONE if on else ZERO for on in row]
+            for row in support
+        ]
+        result = assert_sweep_matches_oracle(_plain_matrix(grid), 3)
+        (a, b, _), (_, c, d), (e, _, f) = grid
+        values = {r.lam: r.value for r in result.reports if len(r.provenance.rows) == 3}
+        assert values[(3,)] == a * c * f + b * d * e
+        assert values[(1, 1, 1)] == a * c * f + b * d * e
+
+
 def _has_nonzero_permutation(grid) -> bool:
     return any(
         all(row[j] for row, j in zip(grid, perm)) for perm in permutations(range(len(grid)))
     )
 
 
-def test_dead_support_runs_the_class_sum_dp_once_per_sweep(monkeypatch):
+def test_each_support_is_planned_once_per_sweep(monkeypatch):
     # On a lower-triangular grid with distinct entries, many contents share
-    # a support with no permutation of nonzero entries.  Each such support
-    # is told dead by one DP run per sweep; its other contents get zeros.
+    # one support, most of them dead.  A sweep plans each support once and
+    # runs that plan, or takes zeros, for its other contents.
     n = 6
     entries = [[QPoly([1 + i, j]) if j <= i else ZERO for j in range(n)] for i in range(n)]
-    dead_contents = set()  # each content with a dead support, up to transpose
+    contents = set()  # each content, up to transpose
+    dead_contents = set()
     for s in range(1, n + 1):
         for rows in combinations(range(n), s):
             for cols in combinations(range(n), s):
                 sub = [[entries[i][j] for j in cols] for i in rows]
+                content = min(repr(sub), repr(_transpose(sub)))
+                contents.add(content)
                 if not _has_nonzero_permutation(sub):
-                    dead_contents.add(min(repr(sub), repr(_transpose(sub))))
+                    dead_contents.add(content)
     module = importlib.import_module("qcatalan.immanant")
-    real = module._class_sums
-    supports = []
+    real = module._plan
+    planned = []
 
-    def counting(cells):
-        supports.append(tuple(tuple(map(bool, row)) for row in cells))
-        return real(cells)
+    def counting(support):
+        planned.append(tuple(support))
+        return real(support)
 
-    monkeypatch.setattr(module, "_class_sums", counting)
-    for _ in range(2):  # a second sweep starts afresh
-        supports.clear()
+    monkeypatch.setattr(module, "_plan", counting)
+    for _ in range(2):  # a second sweep plans afresh
+        planned.clear()
         result = positivity_sweep(_plain_matrix(entries), n)
-        # the dead supports that ran the DP, each up to transpose
-        ran = [min(s, tuple(zip(*s))) for s in supports if not _has_nonzero_permutation(s)]
-        assert ran and len(ran) == len(set(ran))
-        assert len(dead_contents) > 2 * len(ran)
+        assert planned and len(planned) == len(set(planned))
+        assert len(contents) > 4 * len(planned)
+        dead = [s for s in planned if real(s) is None]
+        assert dead and len(dead_contents) > 2 * len(dead)
     monkeypatch.undo()
     assert result == assert_sweep_matches_oracle(_plain_matrix(entries), n)
 

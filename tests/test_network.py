@@ -702,6 +702,41 @@ def test_hankel_networks_mixed_cases_match_composed_routes():
         assert direct.gf_matrix() == hankel_entries(FIVE, n)
 
 
+# -- zero-weight arcs ----------------------------------------------------
+
+
+def _zero_arc_networks():
+    """Layered, induced Hankel and factored Hankel networks that hold zero arcs."""
+    rng = random.Random(808)
+    layered = [(f, case) for f, case in FAMILY_CASES]
+    layered += [(FIVE, case) for case in WEIGHT_CASES]
+    layered += [(conforming_random_family(rng, case), case) for case in WEIGHT_CASES]
+    for f, case in layered:
+        for n in range(4):
+            yield build_layer(f, n, case)
+        for n in range(6):
+            yield build_cs_network(f, n, [case] * n)
+    for f, case in FAMILY_CASES:
+        for n in range(4):
+            for k in range(3):
+                yield build_hankel_network(f, n, k, [case] * (2 * n + k))
+    for f, case in UNIT_R_CASES:
+        for n in range(5):
+            yield build_hankel_factored(f, n, [case] * n)
+
+
+def test_dropping_zero_arcs_keeps_the_gf_matrix_and_the_boundary():
+    dropped = 0
+    for net in _zero_arc_networks():
+        kept = [a for a in net.arcs if not a.weight.is_zero()]
+        dropped += len(net.arcs) - len(kept)
+        pruned = PlanarNetwork(kept, net.sources, net.sinks)
+        assert pruned.gf_matrix() == net.gf_matrix()
+        assert set(net.sources) | set(net.sinks) <= pruned.vertices
+        assert pruned.vertices <= net.vertices
+    assert dropped > 0
+
+
 # -- the packed GF sweep against the per-source oracle -------------------
 
 
