@@ -34,7 +34,7 @@ from .network import (
     build_hankel_network,
     export_dot,
 )
-from .qpoly import _canonical
+from .qpoly import QPoly, _Memo, _canonical
 from .symchar import character_table
 
 EXIT_OK = 0
@@ -87,36 +87,17 @@ def _parse_cases(text: str, layers: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-class _Texts(dict):
-    """Each key's text, ``render(key)`` (``str`` by default), on its first lookup only.
-
-    Keyed by the value itself, since equal values render alike: a Hankel
-    matrix repeats one polynomial along each antidiagonal, and a sweep one
-    value or gap across many contents.
-    """
-
-    __slots__ = ("render",)
-
-    def __init__(self, render=str) -> None:
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key) -> str:
-        text = self[key] = self.render(key)
-        return text
-
-
 def _write_grid(entries, sep: str, pad: bool) -> None:
     """Write the rows of ``entries`` to stdout, one line each, cells joined by ``sep``.
 
-    Each distinct cell is rendered once (``_Texts``).  With ``pad`` every
+    Each distinct cell is rendered once (``_Memo``).  With ``pad`` every
     cell is right-justified to its column's widest.  Every cell's text is
     gathered first, for those widths; the lines are then joined and written
     one at a time.  An empty grid prints one empty line without ``pad``
     (CSV) and nothing with it (text).
     """
     write = sys.stdout.write
-    render = _Texts().__getitem__
+    render = _Memo(str).__getitem__
     lines = [list(map(render, row)) for row in entries]
     if not lines:
         if not pad:
@@ -131,6 +112,18 @@ def _write_grid(entries, sep: str, pad: bool) -> None:
 _INT_ONLY = {int}
 
 
+def _ints(values, nl: str) -> str:
+    """The ints ``values`` as the JSON list that ``json.dumps(indent=2)`` writes.
+
+    ``nl`` is the new line and indent of the line the list starts on; its
+    items go one level deeper.
+    """
+    if not values:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + nl + "]"
+
+
 class _Reports(NamedTuple):
     """A sweep's reports of the fields in ``contents``, which a JSON document lists."""
 
@@ -141,39 +134,31 @@ class _Reports(NamedTuple):
 def _write_json(doc) -> None:
     """Write ``doc`` to stdout exactly as ``json.dumps(doc, indent=2) + "\\n"``.
 
-    A document holds dicts with str keys, lists, str, int, bool and None;
-    anything else (a float, a non-str key) raises TypeError. A ``_Reports``
-    stands for the list of its sweep's reports, each a report's JSON object
-    with its ``"provenance"`` (family, kind, rows and cols) last. Each shape
-    of each content is rendered once, as a body, in which each distinct
-    polynomial's coefficient list is rendered once (``_Texts``), and each
-    row set and column set once; a report is then joined from its
-    selection's body and the texts at the selection's positions. Each piece is written into stdout's
-    buffer as it is rendered, so the whole text is never held (and a
-    document that fails part way has already written its first pieces).
+    A document holds dicts with str keys, lists, str, int, bool, None and
+    ``QPoly``, which renders as its coefficient list; anything else (a
+    float, a non-str key) raises TypeError. A ``_Reports`` stands for the
+    list of its sweep's reports, each a report's JSON object with its
+    ``"provenance"`` (family, kind, rows and cols) last. Each shape of each
+    content is rendered once, as a body, in which each distinct polynomial
+    is rendered once (``_Memo``), and each row set and column set once; a
+    report is then joined from its selection's body and the texts at the
+    selection's positions. Each piece is written into stdout's buffer as it
+    is rendered, so the whole text is never held (and a document that fails
+    part way has already written its first pieces).
     """
     write = sys.stdout.write
-    sink = write  # where emit puts its text: stdout, or a fragment's list
-
-    def fragment(v, nl: str) -> str:
-        nonlocal sink
-        parts: list[str] = []
-        outer, sink = sink, parts.append
-        emit(v, nl)
-        sink = outer
-        return "".join(parts)
 
     def reports(spec: _Reports, nl: str) -> None:
         result = spec.result
         inner = nl + "  "
         deeper = inner + "  "
         field = deeper + "  "  # a provenance's fields
-        lists = _Texts(lambda p: fragment(p.to_json(), deeper)).__getitem__
+        lists = _Memo(lambda p: _ints(p.coeffs, deeper)).__getitem__
         flag = ("false", "true")  # a bool's JSON, indexed by the bool
         # a report's object up to its provenance, the last field, left open
         bodies = [
             [
-                f'{{{deeper}"lambda": {fragment(list(lam), deeper)},'
+                f'{{{deeper}"lambda": {_ints(lam, deeper)},'
                 f'{deeper}"value": {lists(value)},{deeper}"q_nonnegative": {flag[q]},'
                 f'{deeper}"dominance_gap": {lists(gap)},'
                 f'{deeper}"gap_nonnegative": {flag[g]},{deeper}"provenance": '
@@ -181,59 +166,59 @@ def _write_json(doc) -> None:
             ]
             for shapes in spec.contents
         ]
-        # drop the closing brace: rows and cols follow
-        prefix = fragment({"family": result.family, "kind": result.kind}, deeper)
-        prefix = prefix[: -len(deeper) - 1] + "," + field + '"rows": '
-        row_texts = [prefix + fragment(list(rows), field) for rows in result.row_sets]
+        prefix = (
+            f'{{{field}"family": {_quote(result.family)},'
+            f'{field}"kind": {_quote(result.kind)},{field}"rows": '
+        )
+        row_texts = [prefix + _ints(rows, field) for rows in result.row_sets]
         mid, close = "," + field + '"cols": ', deeper + "}" + inner + "}"
-        col_texts = [mid + fragment(list(cols), field) + close for cols in result.col_sets]
+        col_texts = [mid + _ints(cols, field) + close for cols in result.col_sets]
         first = sep = "[" + inner
         for r, c, k in result.rows:
             head = row_texts[r] + col_texts[c]
             for text in bodies[k]:
-                sink(sep + text + head)
+                write(sep + text + head)
                 sep = "," + inner
-        sink("[]" if sep == first else nl + "]")
+        write("[]" if sep == first else nl + "]")
 
     def emit(v, nl: str) -> None:
         t = type(v)
         if t is list:
-            if not v:
-                sink("[]")
+            # exact types: a bool is an int but renders as true/false
+            if not v or {*map(type, v)} == _INT_ONLY:
+                write(_ints(v, nl))
                 return
             inner = nl + "  "
-            # exact types: a bool is an int but renders as true/false
-            if {*map(type, v)} == _INT_ONLY:
-                sink("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
-                return
-            sink("[" + inner)
+            write("[" + inner)
             comma = "," + inner
             for i, x in enumerate(v):
                 if i:
-                    sink(comma)
+                    write(comma)
                 emit(x, inner)
-            sink(nl + "]")
+            write(nl + "]")
+        elif t is QPoly:
+            write(_ints(v.coeffs, nl))
         elif t is str:
-            sink(_quote(v))
+            write(_quote(v))
         elif t is int:
-            sink(int.__repr__(v))
+            write(int.__repr__(v))
         elif t is dict:
             if not v:
-                sink("{}")
+                write("{}")
                 return
             inner = nl + "  "
             sep = "{" + inner
             for k, x in v.items():
                 if type(k) is not str:
                     raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
-                sink(sep + _quote(k) + ": ")
+                write(sep + _quote(k) + ": ")
                 sep = "," + inner
                 emit(x, inner)
-            sink(nl + "}")
+            write(nl + "}")
         elif t is bool:
-            sink("true" if v else "false")
+            write("true" if v else "false")
         elif v is None:
-            sink("null")
+            write("null")
         elif t is _Reports:
             reports(v, nl)
         else:
@@ -247,9 +232,9 @@ def _write_network_json(net) -> None:
     """Write ``json.dumps(net.to_json_dict(), indent=2) + "\\n"`` without building the dict.
 
     Each vertex's object is rendered once at each of its two depths, in
-    the top-level lists and inside an arc, and each distinct weight's
-    coefficient list once. Each list item, an arc included, goes out in one
-    write, so the whole text is never held.
+    the top-level lists and inside an arc, and each distinct weight once
+    (``_Memo``). Each list item, an arc included, goes out in one write, so
+    the whole text is never held.
     """
     vertices, arcs = _json_order(net)
     write = sys.stdout.write
@@ -263,18 +248,13 @@ def _write_network_json(net) -> None:
         }
 
     top, nested = objects("\n    "), objects("\n      ")
-    weights: dict[tuple, str] = {}
+    weights = _Memo(lambda coeffs: _ints(coeffs, "\n      "))
 
     def arc_texts():
         for tail, head, weight in arcs:
-            coeffs = weight.coeffs
-            text = weights.get(coeffs)
-            if text is None:
-                items = ",\n        ".join(map(int.__repr__, coeffs))
-                text = weights[coeffs] = f"[\n        {items}\n      ]" if coeffs else "[]"
             yield (
                 f'{{\n      "tail": {nested[tail]},\n      "head": {nested[head]},'
-                f'\n      "weight": {text}\n    }}'
+                f'\n      "weight": {weights[weight.coeffs]}\n    }}'
             )
 
     def listing(head: str, texts) -> None:
@@ -310,7 +290,14 @@ def cmd_matrix(args) -> int:
     m = catalan_stieltjes(f, args.n) if args.command == "matrix" else hankel(f, args.n)
     m = _maybe_submatrix(m, args)
     if args.format == "json":
-        _write_json(m.to_json_dict())
+        doc = {
+            "kind": m.kind,
+            "family": m.family.name,
+            "rows": list(m.row_indices),
+            "cols": list(m.col_indices),
+            "entries": list(map(list, m.entries)),
+        }
+        _write_json(doc)
     elif args.format == "csv":
         _write_grid(m.entries, ",", False)
     else:
@@ -394,7 +381,7 @@ def _sweep_csv(result: SweepResult) -> None:
 
     Each row set and column set is rendered once, and each shape of each
     content once, as a body (lambda, value and gap with their flags), in
-    which each distinct polynomial is rendered once (``_Texts``); a line is
+    which each distinct polynomial is rendered once (``_Memo``); a line is
     its selection's head (family, kind, rows, cols), joined from the texts
     at the selection's positions, then one of its content's bodies.
     """
@@ -403,7 +390,7 @@ def _sweep_csv(result: SweepResult) -> None:
     prefix = f"{result.family},{result.kind},"
     row_texts = [prefix + "|".join(map(str, rows)) + "," for rows in result.row_sets]
     col_texts = ["|".join(map(str, cols)) + "," for cols in result.col_sets]
-    render = _Texts().__getitem__
+    render = _Memo(str).__getitem__
     bodies = [
         [
             f"{'|'.join(map(str, lam))},{render(value)},{str(q).lower()},"
@@ -445,6 +432,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if result.ok else EXIT_POSITIVITY
 
 
+def _diagonal_331(v332: QPoly) -> QPoly:
+    """``inequality_331`` at rows = cols = (i, j, k), given ``inequality_332`` there: twice it."""
+    return _canonical(tuple([2 * c for c in v332.coeffs]))
+
+
 def cmd_inequality(args) -> int:
     f = _resolve_family(args.family)
     if (args.rows is None) != (args.cols is None):
@@ -482,7 +474,6 @@ def cmd_inequality(args) -> int:
     if top < 2:
         raise ValueError(f"--max-index must be >= 2, got {top}")
     a = catalan_like(f, 2 * top)
-    # inequality_331 at rows = cols = (i, j, k) equals 2 * inequality_332
     entries = [(t, v332, v332.is_q_nonnegative()) for t, v332 in _inequality_sweep(a, top)]
     all_ok = all(ok for _, _, ok in entries)
     if args.format == "json":
@@ -493,8 +484,8 @@ def cmd_inequality(args) -> int:
             "entries": [
                 {
                     "triple": list(t),
-                    "value_332": v332.to_json(),
-                    "value_331_diagonal": [2 * c for c in v332.coeffs],
+                    "value_332": v332,
+                    "value_331_diagonal": _diagonal_331(v332),
                     "q_nonnegative": ok,
                 }
                 for t, v332, ok in entries
@@ -505,8 +496,7 @@ def cmd_inequality(args) -> int:
         for t, v332, ok in entries:
             line = f"triple=({t[0]},{t[1]},{t[2]}) q_nonnegative={ok}"
             if args.show:
-                doubled = _canonical(tuple([2 * c for c in v332.coeffs]))
-                line += f" value_332={v332} value_331_diagonal={doubled}"
+                line += f" value_332={v332} value_331_diagonal={_diagonal_331(v332)}"
             print(line)
         print(f"checked {len(entries)} triples: {'all' if all_ok else 'NOT all'} q-nonnegative")
     return EXIT_OK if all_ok else EXIT_POSITIVITY

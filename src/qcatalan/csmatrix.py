@@ -54,15 +54,6 @@ class CSMatrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "family": self.family.name,
-            "rows": list(self.row_indices),
-            "cols": list(self.col_indices),
-            "entries": [[p.to_json() for p in row] for row in self.entries],
-        }
-
 
 def _triangle(f: FamilySpec, n: int, top: int, cols: int) -> list[list[QPoly]]:
     """Rows 0..n of the recurrence triangle, cut to what row ``top`` needs.

@@ -25,8 +25,8 @@ of a size, cached with its degree, to the same class sums, and takes each
 dominance gap from the same combinations.  The arithmetic runs on entries
 packed once as the integers p(2**bits) (Kronecker substitution), at one
 width per sweep (``_packed``).  Each distinct packed value or gap of a sweep
-is unpacked and checked for q-nonnegativity once (``_Decoded``), and equal
-values and gaps share one ``QPoly``.
+is unpacked and checked for q-nonnegativity once (a ``_Memo`` local to the
+sweep), and equal values and gaps share one ``QPoly``.
 
 A sweep computes each distinct submatrix once, up to transpose: selections
 are keyed by their entries, and a submatrix and its transpose share a key,
@@ -67,7 +67,7 @@ from operator import mul
 
 from .csmatrix import CSMatrix
 from .errors import CapExceeded, OutOfRange, ShapeError
-from .qpoly import ONE, QPoly, ZERO, _pack, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Memo, _pack, _unpack, _width
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
 SIZE_CAP_ENV = "QCATALAN_SIZE_CAP"
@@ -145,10 +145,11 @@ def _plan(support) -> Plan | None:
     """The class-sum DP of an n x n support, as a straight-line program.
 
     ``support`` holds the n*n entries row-major, or only their truth values.
-    Register 0 holds 1, register 1 + i*n + j entry (i, j), register
-    1 + n*n stays 0 (the sum of a cycle type no permutation has), and later
-    registers start at 0.  Each branch of the DP tests whether an entry is
-    nonzero, so the program is the same for every grid of the support.
+    Register 0 holds 1, the one class sum at n = 0; register 1 + i*n + j
+    holds entry (i, j), register 1 + n*n stays 0 (the sum of a cycle type no
+    permutation has), and later registers start at 0.  Each branch of the
+    DP tests whether an entry is nonzero, so the program is the same for
+    every grid of the support.
     None when no permutation has all its entries nonzero (a dead support):
     the DP never reaches the full index set.
 
@@ -160,7 +161,9 @@ def _plan(support) -> Plan | None:
     Class sums: a permutation is a set partition of the indices into
     cycles.  The DP state is (used-index mask, partial cycle type); each
     step adds the cycle through the lowest unused index, so every
-    permutation is built exactly once.
+    permutation is built exactly once.  A state of one cycle, the first
+    step's, has no other route in, so it is that cycle's register, with no
+    multiply by 1.
     """
     n = isqrt(len(support))
     rows = [support[i * n : (i + 1) * n] for i in range(n)]
@@ -212,8 +215,11 @@ def _plan(support) -> Plan | None:
             if cycle is not None:
                 step = steps[sub.bit_count() + 1]
                 target = states.setdefault(mask | sub | low, {})
-                for key, value in here.items():
-                    emit((at(target, key + step), value, cycle))
+                if mask:
+                    for key, value in here.items():
+                        emit((at(target, key + step), value, cycle))
+                else:
+                    target[step] = cycle
             if not sub:
                 break
             sub = (sub - 1) & others
@@ -502,7 +508,13 @@ def positivity_sweep(
     by_content: dict[tuple[int, ...], int] = {}  # content key -> position in contents
     zeros: dict[int, int] = {}  # size -> position of its _zero_fields tuple
     plans: dict[tuple[bool, ...], Plan | None] = {}  # support -> its plan, None if dead
-    decoded = _Decoded(bits)
+
+    def decode(packed: int) -> tuple[QPoly, bool]:
+        value = _unpack(packed, bits)
+        return value, value.is_q_nonnegative()
+
+    # a packed value means a polynomial only at this sweep's width
+    decoded = _Memo(decode)
     # index set -> position, in first-use order
     row_at: dict[tuple[int, ...], int] = {}
     col_at: dict[tuple[int, ...], int] = {}
@@ -557,28 +569,11 @@ def _zero_fields(n: int) -> tuple[Fields, ...]:
     return tuple((lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(n))
 
 
-class _Decoded(dict):
-    """Packed value -> (its ``QPoly``, whether q-nonnegative), at one digit width.
+def _reports(n: int, sums: list[int], decoded: _Memo) -> tuple[Fields, ...]:
+    """Every shape's report fields but the provenance, from n x n class sums.
 
-    Each distinct value is unpacked and checked on its first lookup only, so
-    equal values and gaps of one sweep share one ``QPoly``.  A packed value
-    means a polynomial only at its width, so a memo serves one sweep.
+    ``decoded[packed]`` is the value's ``QPoly`` and whether it is q-nonnegative.
     """
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: int) -> None:
-        super().__init__({0: (ZERO, True)})
-        self.bits = bits
-
-    def __missing__(self, packed: int) -> tuple[QPoly, bool]:
-        value = _unpack(packed, self.bits)
-        pair = self[packed] = (value, value.is_q_nonnegative())
-        return pair
-
-
-def _reports(n: int, sums: list[int], decoded: _Decoded) -> tuple[Fields, ...]:
-    """Every shape's report fields but the provenance, from n x n class sums."""
     if not any(sums):
         # the class sums cancel: every value and gap is 0
         return _zero_fields(n)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
 from .families import FamilySpec, check_condition, condition_difference
-from .qpoly import ONE, QPoly, ZERO, _pack, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Memo, _pack, _unpack, _width
 
 
 class _Kind(NamedTuple):
@@ -541,15 +541,12 @@ def export_dot(net: PlanarNetwork) -> str:
     """Deterministic Graphviz text with pinned grid positions."""
     pos = _positions(net)
     names = {v: _dot_name(v) for v in net.vertices}
-    labels: dict[tuple[int, ...], str] = {}  # weight coefficients -> label
+    labels = _Memo(str)  # each distinct weight's label
     lines = ["digraph {"]
     for v in sorted(net.vertices, key=lambda v: (pos[v], names[v])):
         x, y = pos[v]
         lines.append(f'  {names[v]} [pos="{x},{y}!"];')
     for tail, head, weight in sorted(net.arcs, key=lambda a: (pos[a.tail], pos[a.head])):
-        label = labels.get(weight.coeffs)
-        if label is None:
-            label = labels[weight.coeffs] = str(weight)
-        lines.append(f'  {names[tail]} -> {names[head]} [label="{label}"];')
+        lines.append(f'  {names[tail]} -> {names[head]} [label="{labels[weight]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -281,8 +281,11 @@ def _unpack(value: int, bits: int) -> QPoly:
     ``_canonical`` takes them unchecked.  The offset spans the digit count
     rounded up to a power of two, so that decodes of many degrees, as in a
     triangle's rows, share a few cached offsets; the ``^ offset`` clears
-    its digits above the value's.
+    its digits above the value's.  0 gives ``ZERO`` itself, so that equal
+    values decoded through one ``_Memo`` share one object, zeros included.
     """
+    if not value:
+        return ZERO
     width = bits // 8
     # a degree-d value has at least bits*d bits, so this many digits suffice
     count = (abs(value).bit_length() + bits) // bits
@@ -305,6 +308,26 @@ def _unpack(value: int, bits: int) -> QPoly:
     while digits and digits[-1] == 0:
         digits.pop()
     return _canonical(tuple(digits))
+
+
+class _Memo(dict):
+    """``fn(key)`` for each key, computed on its first lookup only.
+
+    Keyed by the value itself, so equal keys share one result: a Hankel
+    matrix repeats one polynomial along each antidiagonal, and a sweep one
+    value or gap across many contents.  A memo holds every result it made,
+    so each lives for one call (one document, sweep or network).
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 ZERO = QPoly()

@@ -161,10 +161,10 @@ MUTANTS = [
         ],
     },
     {
-        "name": "JSON sweep provenance renders the cols fragments from the row sets",
+        "name": "JSON sweep provenance renders the cols texts from the row sets",
         "file": "src/qcatalan/cli.py",
-        "snippet": "fragment(list(cols), field) + close for cols in result.col_sets]",
-        "replacement": "fragment(list(cols), field) + close for cols in result.row_sets]",
+        "snippet": "_ints(cols, field) + close for cols in result.col_sets]",
+        "replacement": "_ints(cols, field) + close for cols in result.row_sets]",
         "tests": [
             "tests/test_immanant.py::"
             "test_sweep_of_a_submatrix_maps_rows_and_cols_through_their_own_indices"
@@ -231,9 +231,21 @@ MUTANTS = [
     {
         "name": "JSON writer renders the whole document before writing it",
         "file": "src/qcatalan/cli.py",
-        "snippet": 'emit(doc, "\\n")',
-        "replacement": 'write(fragment(doc, "\\n"))',
+        "snippet": '    emit(doc, "\\n")\n    write("\\n")\n',
+        "replacement": (
+            "    parts = []\n"
+            "    write = parts.append\n"
+            '    emit(doc, "\\n")\n'
+            '    sys.stdout.write("".join(parts) + "\\n")\n'
+        ),
         "tests": ["tests/test_cli.py::test_json_writer_streams_each_hankel_entry"],
+    },
+    {
+        "name": "JSON int list closes without its indent",
+        "file": "src/qcatalan/cli.py",
+        "snippet": 'join(map(int.__repr__, values)) + nl + "]"',
+        "replacement": 'join(map(int.__repr__, values)) + "]"',
+        "tests": ["tests/test_cli.py::test_json_writer_matches_indented_json_dumps"],
     },
     {
         "name": "count_paths skips paths of zero weight",
@@ -416,11 +428,39 @@ MUTANTS = [
     {
         "name": "sweep decode memo kept across sweeps in a module-level dict",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "decoded = _Decoded(bits)",
-        "replacement": 'decoded = globals().setdefault("_DECODED", _Decoded(bits))',
+        "snippet": "decoded = _Memo(decode)",
+        "replacement": 'decoded = globals().setdefault("_DECODED", _Memo(decode))',
         "tests": [
             "tests/test_immanant.py::"
             "test_sweeps_at_other_digit_widths_decode_their_own_values"
+        ],
+    },
+    # Equal values of a sweep share one QPoly, a zero one ZERO itself.
+    {
+        "name": "value memo computes every lookup afresh",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "value = self[key] = self.fn(key)",
+        "replacement": "value = self.fn(key)",
+        "tests": [
+            "tests/test_immanant.py::test_equal_values_and_gaps_of_one_sweep_are_one_qpoly"
+        ],
+    },
+    {
+        "name": "_unpack of 0 makes a new zero polynomial",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "    if not value:\n        return ZERO\n",
+        "replacement": "",
+        "tests": ["tests/test_qpoly.py::test_unpack_of_zero_is_the_zero_singleton"],
+    },
+    # A state of one cycle, reached from mask 1, is not the first step's:
+    # aliasing it drops the fixed point's factor.
+    {
+        "name": "class-sum planner aliases the states one step past the first",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "if mask:",
+        "replacement": "if mask > 1:",
+        "tests": [
+            "tests/test_immanant.py::test_class_sums_match_permutation_oracle_on_random_grids"
         ],
     },
     {
@@ -486,10 +526,10 @@ MUTANTS = [
         ],
     },
     {
-        "name": "network JSON renders a zero weight as an open list, not []",
+        "name": "JSON int list renders an empty list, a zero weight's, as an open list",
         "file": "src/qcatalan/cli.py",
-        "snippet": 'if coeffs else "[]"',
-        "replacement": 'if True else "[]"',
+        "snippet": '    if not values:\n        return "[]"\n',
+        "replacement": "",
         "tests": [
             "tests/test_cli.py::test_network_writer_matches_json_dumps_on_hand_built_networks"
         ],

@@ -4,8 +4,9 @@ Everything here recomputes expected values by a route different from the
 package code: closed-form coefficient formulas, the triangle recurrence
 run on unpacked ``QPoly`` values, direct permutation sums, hand-entered
 small character values, corner-removal tableau counts, polynomials rendered
-one term at a time, grids rendered one cell at a time, and sweep output
-rendered one report at a time through ``json.dumps``.
+one term at a time, grids rendered one cell at a time, and matrix and
+sweep documents built from coefficient lists and rendered through
+``json.dumps``, a sweep one report at a time.
 """
 
 from __future__ import annotations
@@ -540,7 +541,7 @@ def grid_by_cell(entries, sep: str, pad: bool) -> str:
     return "\n".join(sep.join(row) for row in cells) + "\n"
 
 
-# -- sweep output, one report at a time ---------------------------------
+# -- JSON documents and sweep output, one report at a time --------------
 
 
 def stdout_of(write, *args) -> str:
@@ -561,6 +562,17 @@ def sweep_csv_by_report(result: SweepResult) -> str:
         fields += [str(r.dominance_gap), str(r.gap_nonnegative).lower()]
         lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def matrix_json(m: CSMatrix) -> dict:
+    """``matrix --format json``'s document, each entry as its coefficient list."""
+    return {
+        "kind": m.kind,
+        "family": m.family.name,
+        "rows": list(m.row_indices),
+        "cols": list(m.col_indices),
+        "entries": [[p.to_json() for p in row] for row in m.entries],
+    }
 
 
 def provenance_json(p: MatrixProvenance) -> dict:

@@ -25,6 +25,7 @@ from qcatalan.network import (
 from qcatalan.qpoly import ONE, QPoly, ZERO
 
 from oracles import (
+    matrix_json,
     stdout_of,
     sweep_csv_by_report,
     sweep_json_by_report,
@@ -877,9 +878,11 @@ def test_json_writer_matches_indented_json_dumps(capsys):
         "mixed": [1, True, 0, False, None, -(2**70)],
         "text": "Schr\u00f6der \U0001d52e\t\"\\\x00",
         "nested": {"ints": [2**64, -3], "bools": [True], "": {"a": "b"}},
+        "polys": [ZERO, QPoly([-1, 0, 2**70]), [ONE]],
     }
     cli._write_json(doc)
-    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    want = dict(doc, polys=[[], [-1, 0, 2**70], [[1]]])
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -917,7 +920,7 @@ def _nested(doc, depth: int) -> str:
 def test_json_writer_streams_each_hankel_entry(monkeypatch):
     argv = ["hankel", "--family", "eulerian", "--n", "20", "--format", "json"]
     chunks = _recorded(monkeypatch, *argv)
-    doc = hankel(builtin("eulerian"), 20).to_json_dict()
+    doc = matrix_json(hankel(builtin("eulerian"), 20))
     assert "".join(chunks) == json.dumps(doc, indent=2) + "\n"
     # an entry sits three levels deep, after a comma and a new indented line
     entry = max(len(_nested(cell, 3)) for row in doc["entries"] for cell in row)

@@ -30,6 +30,7 @@ from oracles import (
     eulerian_poly,
     hankel_determinant,
     matmul,
+    matrix_json,
     narayana_poly,
     random_family,
     random_qpoly,
@@ -344,9 +345,9 @@ def test_to_csv_rendering():
     assert out == "1,0,0\nq,1,0\nq+q^2,1+2q,1\n"
 
 
-def test_to_json_dict_shape():
+def test_matrix_json_shape():
     m = catalan_stieltjes(builtin("narayana"), 1)
-    assert m.to_json_dict() == {
+    assert matrix_json(m) == {
         "kind": "catalan_stieltjes",
         "family": "narayana",
         "rows": [0, 1],

@@ -38,6 +38,7 @@ import pytest
 from qcatalan import cli
 from qcatalan.immanant import SIZE_CAP_ENV
 from qcatalan.network import PlanarNetwork
+from qcatalan.qpoly import QPoly
 
 from test_cli import CONTROL_FAMILY
 
@@ -441,6 +442,25 @@ def test_network_json_builds_no_dict_document(name, tmp_path, capsys, monkeypatc
         raise AssertionError("network JSON is written without to_json_dict")
 
     monkeypatch.setattr(PlanarNetwork, "to_json_dict", refuse)
+    rc = cli.main(_argv(name, tmp_path))
+    captured = capsys.readouterr()
+    assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        n for n, argv in CASES.items()
+        if argv[0] in ("matrix", "hankel", "inequality") and "json" in argv
+    ),
+)
+def test_json_documents_carry_polynomials_not_coefficient_lists(
+    name, tmp_path, capsys, monkeypatch
+):
+    def refuse(self):
+        raise AssertionError("the JSON writer renders each QPoly itself")
+
+    monkeypatch.setattr(QPoly, "to_json", refuse)
     rc = cli.main(_argv(name, tmp_path))
     captured = capsys.readouterr()
     assert _entry(rc, captured.out, captured.err, tmp_path) == _golden()[name]

@@ -5,6 +5,7 @@ import importlib
 import pickle
 import random
 import re
+from array import array
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -229,6 +230,20 @@ def test_one_plan_runs_every_grid_of_its_support():
             for mu, value in zip(partitions_of(n), _run(plan, flat)):
                 assert _unpack(value, bits) == expected.get(mu, ZERO), (n, mu)
     assert live >= 4
+
+
+def test_no_plan_of_a_nonempty_support_reads_the_register_of_1():
+    # a permutation's first cycle is its state's register, not 1 times it
+    rng = random.Random(29)
+    for n in range(1, 7):
+        for density in (1.0, 0.7, 0.5):
+            plan = _plan([rng.random() < density for _ in range(n * n)])
+            if plan is not None:
+                ops, outs, _ = plan
+                assert 0 not in ops and 0 not in outs, n
+    # n = 0 alone reads it: the empty permutation's product is 1
+    assert _plan([])[:2] == (array("I"), [0])
+    assert _run(_plan([]), []) == [1]
 
 
 def test_eight_by_eight_identities():

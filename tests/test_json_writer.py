@@ -1,5 +1,6 @@
-"""Property tests: the CLI's writers match ``json.dumps(indent=2)`` and
-per-report sweep rendering (needs hypothesis)."""
+"""Property tests: the CLI's writers match ``json.dumps(indent=2)``, with each
+``QPoly`` as its coefficient list, and per-report sweep rendering (needs
+hypothesis)."""
 
 import argparse
 import dataclasses
@@ -14,7 +15,7 @@ from qcatalan import cli
 from qcatalan.csmatrix import CSMatrix
 from qcatalan.families import builtin
 from qcatalan.immanant import positivity_sweep
-from qcatalan.qpoly import ONE, Q, ZERO
+from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
 from oracles import stdout_of, sweep_csv_by_report, sweep_json_by_report
 
@@ -33,6 +34,8 @@ leaves = st.one_of(
     # all-int lists take the writer's joined path; a bool among ints must not
     st.lists(ints, max_size=6),
     st.lists(st.one_of(ints, st.booleans()), max_size=6),
+    # zero polynomials included, which render as []
+    st.lists(ints, max_size=6).map(QPoly),
 )
 documents = st.recursive(
     leaves,
@@ -43,10 +46,22 @@ documents = st.recursive(
 )
 
 
+def coefficient_lists(doc):
+    """``doc`` with every ``QPoly`` replaced by its coefficient list."""
+    if isinstance(doc, QPoly):
+        return doc.to_json()
+    if isinstance(doc, list):
+        return [coefficient_lists(x) for x in doc]
+    if isinstance(doc, dict):
+        return {k: coefficient_lists(x) for k, x in doc.items()}
+    return doc
+
+
 @settings(max_examples=200)
 @given(documents)
 def test_writer_matches_indented_json_dumps(doc):
-    assert stdout_of(cli._write_json, doc) == json.dumps(doc, indent=2) + "\n"
+    want = json.dumps(coefficient_lists(doc), indent=2) + "\n"
+    assert stdout_of(cli._write_json, doc) == want
 
 
 # zeros make empty contents; -1 and 2 - q make violations; few entries collide

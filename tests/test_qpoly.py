@@ -203,6 +203,13 @@ def test_pack_unpack_round_trip_at_the_digit_edges():
             assert _unpack(packed, bits).coeffs == QPoly(coeffs).coeffs, (bits, coeffs)
 
 
+def test_unpack_of_zero_is_the_zero_singleton():
+    # equal values of a sweep share one object, and a zero one is ZERO itself
+    for bits in (8, 16, 24, 32, 64, 72, 88, 128, 136):
+        assert _unpack(0, bits) is ZERO, bits
+        assert _unpack(_pack([0, 0, 0], bits), bits) is ZERO, bits
+
+
 class _SwappedArray(array):
     """An ``array`` that reads its bytes as a host of the other byte order would."""
 
