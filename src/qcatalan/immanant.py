@@ -23,14 +23,14 @@ Every shape lam of size n is then the integer combination of the class sums
 given by the character row of lam.  ``positivity_sweep`` applies every row
 of a size, cached with its degree, to the same class sums, and takes each
 dominance gap from the same combinations.  The arithmetic runs on entries
-packed once as the integers p(2**bits) (Kronecker substitution), at one
-width per sweep (``_packed``).  Each distinct packed value or gap of a sweep
-is unpacked and checked for q-nonnegativity once (a ``_Memo`` local to the
-sweep), and equal values and gaps share one ``QPoly``.
+packed as the integers p(2**bits) (Kronecker substitution), at one width
+per sweep and each distinct entry once.  Each distinct packed value or gap
+of a sweep is unpacked and checked for q-nonnegativity once (a ``_Memo``
+local to the sweep), and equal values and gaps share one ``QPoly``.
 
 A sweep computes each distinct submatrix once, up to transpose: selections
-are keyed by their entries, and a submatrix and its transpose share a key,
-since chi(sigma) = chi(sigma^-1).  Hankel selections repeat often
+are keyed by their entries' labels, and a submatrix and its transpose share
+a key, since chi(sigma) = chi(sigma^-1).  Hankel selections repeat often
 (H[rows+d, cols-d] = H[rows, cols], and H is symmetric), and sampled draws
 can repeat a selection.  The first selection of a key computes each shape's
 fields (lam, value, flags and gap) as one tuple.  The result stores the
@@ -39,8 +39,8 @@ parent matrix's indices, each distinct fields tuple (a content) once, and
 one (row set, column set, content) triple of positions per selection, so a
 writer renders each set and each content once and indexes into them.  A
 sweep plans each support once, in the orientation of its key, and runs that
-plan on every content with that support, its cells laid out in that same
-orientation.  A submatrix on a dead support has every class sum empty, so
+plan on every content with that support, its cells looked up by its key's
+labels.  A submatrix on a dead support has every class sum empty, so
 all its values and gaps are 0 without running anything; all such
 submatrices of one size share one cached tuple, at one position.  Class
 sums that cancel to 0 give the cached tuple too, although their support
@@ -61,7 +61,7 @@ from array import array
 from bisect import bisect
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import accumulate, combinations, count
+from itertools import accumulate, combinations, count, product
 from math import ceil, comb, isqrt, log, prod
 from operator import mul
 
@@ -106,8 +106,8 @@ def _as_entries(m: CSMatrix | list | tuple) -> Grid:
     return grid
 
 
-def _packed(grid: Grid, size: int) -> tuple[list[list[int]], int]:
-    """Every entry of ``grid`` packed at one width, and that width in bits.
+def _class_sum_width(grid: Grid, size: int) -> int:
+    """The digit width, in bits, at which ``grid``'s entries are packed.
 
     The width holds every value and gap of every submatrix of at most
     ``size`` rows.  With P the product of the ``size`` largest row sums of
@@ -118,8 +118,7 @@ def _packed(grid: Grid, size: int) -> tuple[list[list[int]], int]:
     """
     norms = [max(sum(sum(map(abs, cell.coeffs)) for cell in row), 1) for row in grid]
     degrees = map(degree, partitions_of(size))
-    bits = _width(2 * max(degrees) * prod(sorted(norms, reverse=True)[:size]))
-    return [[_pack(cell.coeffs, bits) for cell in row] for row in grid], bits
+    return _width(2 * max(degrees) * prod(sorted(norms, reverse=True)[:size]))
 
 
 @cache
@@ -247,8 +246,8 @@ def _run(plan: Plan, cells: list[int]) -> list[int]:
 def _class_sums(cells: list[list[int]]) -> list[int]:
     """Per-cycle-type sums of the permutation diagonal products.
 
-    ``cells`` and the sums are packed polynomials (see ``_packed``); the
-    sums are indexed like partitions_of(n), and all 0 on a dead support.
+    ``cells`` and the sums are packed polynomials (see ``_class_sum_width``);
+    the sums are indexed like partitions_of(n), and all 0 on a dead support.
     """
     flat = [cell for row in cells for cell in row]
     plan = _plan(flat)
@@ -275,7 +274,8 @@ def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None
     cap = _size_cap(size_cap)
     if n > cap:
         raise CapExceeded(f"matrix size {n} exceeds the size cap {cap}; {_RAISE_CAP}")
-    cells, bits = _packed(grid, n)
+    bits = _class_sum_width(grid, n)
+    cells = [[_pack(cell.coeffs, bits) for cell in row] for row in grid]
     return _unpack(sum(map(mul, character_table(n).row(lam), _class_sums(cells))), bits)
 
 
@@ -395,12 +395,16 @@ class SweepResult:
 
 def _selections(
     n: int, max_size: int, seed: int, exhaustive_limit: int, size_cap: int | None
-) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], bool, int]:
-    """A sweep's (rows, cols) selections of an n x n matrix, in sweep order.
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[tuple[int, int]], bool, int]:
+    """A sweep's selections of an n x n matrix, as tables, in sweep order.
 
-    Returns (selections, exhaustive, total): every selection of each size
-    1..min(max_size, n) when their ``total`` count is at most
-    ``exhaustive_limit``, else that many draws seeded by ``seed``.
+    Returns (row_sets, col_sets, pairs, exhaustive, total): each index set
+    once, and one pair of positions into them per selection.  Every
+    selection of each size 1..min(max_size, n) is swept when their ``total``
+    count is at most ``exhaustive_limit``; both tables are then one list of
+    every combination, size by size, and each size's block pairs with itself.
+    Else ``pairs`` holds that many draws seeded by ``seed``, each table its
+    sets in first-draw order.
 
     A draw weights each size s by its comb(n, s)**2 selections and makes
     only these calls on ``random.Random(seed)``: one ``random()`` for the
@@ -410,7 +414,6 @@ def _selections(
     ``sample(range(n), s)`` on CPython 3.10-3.13, so the draws equal theirs:
     while n is at most sample's set size, each index comes from a pool of
     the untaken indices, else a redraw below n repeats until it is new.
-    Equal index sets drawn are one tuple, so the draws hold each set once.
     """
     cap = _size_cap(size_cap)
     if max_size < 1:
@@ -423,13 +426,12 @@ def _selections(
     per_size = {s: comb(n, s) ** 2 for s in sizes}
     total = sum(per_size.values())
     if total <= exhaustive_limit:
-        selections = [
-            (rows, cols)
-            for s in sizes
-            for rows in combinations(range(n), s)
-            for cols in combinations(range(n), s)
-        ]
-        return selections, True, total
+        sets, pairs = [], []
+        for s in sizes:
+            block = range(len(sets), len(sets) + comb(n, s))
+            sets += combinations(range(n), s)
+            pairs += product(block, block)
+        return sets, sets, pairs, True, total
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     indices = list(range(n))
@@ -468,14 +470,16 @@ def _selections(
     cum = list(accumulate(per_size[s] for s in sizes))
     weight, last = cum[-1] + 0.0, len(cum) - 1
     random_ = rng.random
-    selections = []
-    drawn: dict[tuple[int, ...], tuple[int, ...]] = {}  # equal index sets share one tuple
+    row_at: dict[tuple[int, ...], int] = {}  # index set -> position
+    col_at: dict[tuple[int, ...], int] = {}
+    pairs = []
     for _ in range(exhaustive_limit):
         draw, steps = plans[bisect(cum, random_() * weight, 0, last)]
         rows = draw(steps)
         cols = draw(steps)
-        selections.append((drawn.setdefault(rows, rows), drawn.setdefault(cols, cols)))
-    return selections, False, total
+        r = row_at.setdefault(rows, len(row_at))
+        pairs.append((r, col_at.setdefault(cols, len(col_at))))
+    return list(row_at), list(col_at), pairs, False, total
 
 
 def positivity_sweep(
@@ -497,29 +501,27 @@ def positivity_sweep(
             f"positivity_sweep needs a CSMatrix for provenance, got {type(m).__name__}"
         )
     grid = _as_entries(m)
-    selections, exhaustive, total = _selections(
+    row_sets, col_sets, pairs, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, size_cap
     )
-    size = min(max_size, len(grid))
-    cells, bits = _packed(grid, size)
+    bits = _class_sum_width(grid, min(max_size, len(grid)))
     labels: dict[QPoly, int] = {ZERO: 0}  # so a key's nonzero labels are its support
     ids = [[labels.setdefault(cell, len(labels)) for cell in row] for row in grid]
+    packed = [_pack(p.coeffs, bits) for p in labels]  # each distinct entry, by label
     contents: list[tuple[Fields, ...]] = []
     by_content: dict[tuple[int, ...], int] = {}  # content key -> position in contents
     zeros: dict[int, int] = {}  # size -> position of its _zero_fields tuple
     plans: dict[tuple[bool, ...], Plan | None] = {}  # support -> its plan, None if dead
 
-    def decode(packed: int) -> tuple[QPoly, bool]:
-        value = _unpack(packed, bits)
+    def decode(number: int) -> tuple[QPoly, bool]:
+        value = _unpack(number, bits)
         return value, value.is_q_nonnegative()
 
     # a packed value means a polynomial only at this sweep's width
     decoded = _Memo(decode)
-    # index set -> position, in first-use order
-    row_at: dict[tuple[int, ...], int] = {}
-    col_at: dict[tuple[int, ...], int] = {}
     out = []
-    for rows, cols in selections:
+    for r, c in pairs:
+        rows, cols = row_sets[r], col_sets[c]
         # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
         # have the same immanants, determinant and gaps.
         by_rows = tuple([ids[i][j] for i in rows for j in cols])
@@ -535,26 +537,20 @@ def positivity_sweep(
             if plan is None:
                 fields = _zero_fields(s)
             else:
-                # the plan's support is the key's, so the cells go in its order
-                if key is by_rows:
-                    flat = [cells[i][j] for i in rows for j in cols]
-                else:
-                    flat = [cells[i][j] for j in cols for i in rows]
-                fields = _reports(s, _run(plan, flat), decoded)
+                # the plan's support is the key's, and so is its cells' order
+                fields = _reports(s, _run(plan, [packed[x] for x in key]), decoded)
             k = len(contents)
             if fields is _zero_fields(s):
                 k = zeros.setdefault(s, k)
             if k == len(contents):
                 contents.append(fields)
             by_content[key] = k
-        r = row_at.setdefault(rows, len(row_at))
-        c = col_at.setdefault(cols, len(col_at))
         out.append((r, c, k))
     return SweepResult(
         m.family.name,
         m.kind,
-        tuple(tuple(m.row_indices[i] for i in rows) for rows in row_at),
-        tuple(tuple(m.col_indices[j] for j in cols) for cols in col_at),
+        tuple(tuple(m.row_indices[i] for i in rows) for rows in row_sets),
+        tuple(tuple(m.col_indices[j] for j in cols) for cols in col_sets),
         tuple(contents),
         tuple(out),
         exhaustive,

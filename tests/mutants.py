@@ -60,8 +60,8 @@ MUTANTS = [
     {
         "name": "sweep digit width taken from one row fewer than its largest submatrices",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "cells, bits = _packed(grid, size)",
-        "replacement": "cells, bits = _packed(grid, size - 1)",
+        "snippet": "bits = _class_sum_width(grid, min(max_size, len(grid)))",
+        "replacement": "bits = _class_sum_width(grid, min(max_size, len(grid)) - 1)",
         "tests": ["tests/test_immanant.py::test_sweep_value_meets_its_bound_on_a_diagonal_grid"],
     },
     {
@@ -376,9 +376,9 @@ MUTANTS = [
     {
         "name": "sweep marks a support dead when its class sums are all 0",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "fields = _reports(s, _run(plan, flat), decoded)",
+        "snippet": "fields = _reports(s, _run(plan, [packed[x] for x in key]), decoded)",
         "replacement": (
-            "sums = _run(plan, flat)\n"
+            "sums = _run(plan, [packed[x] for x in key])\n"
             "                if not any(sums):\n"
             "                    plans[support] = None\n"
             "                fields = _reports(s, sums, decoded)"
@@ -396,13 +396,13 @@ MUTANTS = [
         "tests": ["tests/test_immanant.py::test_each_support_is_planned_once_per_sweep"],
     },
     # A plan reads each entry at its position in the plan's orientation: on
-    # a support that is not symmetric, cells laid out the other way feed it
+    # a support that is not symmetric, cells gathered the other way feed it
     # zeros where it multiplies nonzero entries.
     {
         "name": "sweep runs a plan keyed column-major on row-major cells",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "flat = [cells[i][j] for j in cols for i in rows]",
-        "replacement": "flat = [cells[i][j] for i in rows for j in cols]",
+        "snippet": "[packed[x] for x in key]",
+        "replacement": "[packed[x] for x in by_rows]",
         "tests": [
             "tests/test_immanant.py::test_sweep_runs_a_plan_on_cells_in_its_key_orientation"
         ],
@@ -493,6 +493,15 @@ MUTANTS = [
         "replacement": "for c, shift in term[:1])",
         "tests": ["tests/test_csmatrix.py::test_triangle_matches_the_qpoly_oracle"],
     },
+    # H depends on r and t only through r_{k-1} t_k, so an up step weighed
+    # one index high changes H_f but not the H of the family with r = 1.
+    {
+        "name": "triangle weighs an up step from height k-1 by r_k",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "times(r(k - 1), prev[k - 1])",
+        "replacement": "times(r(k), prev[k - 1])",
+        "tests": ["tests/test_csmatrix.py::test_hankel_of_the_normalized_family_is_the_same"],
+    },
     {
         "name": "Qbar vertices drawn in the P column",
         "file": "src/qcatalan/network.py",
@@ -570,6 +579,24 @@ MUTANTS = [
         "snippet": "rows = draw(steps)\n        cols = draw(steps)",
         "replacement": "cols = draw(steps)\n        rows = draw(steps)",
         "tests": ["tests/test_immanant.py::test_sampled_selections_match_per_draw_weights"],
+    },
+    # A sweep's selections are pairs of positions into its index-set tables.
+    {
+        "name": "sampled column positions taken from the row table",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "col_at.setdefault(cols, len(col_at))",
+        "replacement": "row_at.setdefault(cols, len(row_at))",
+        "tests": ["tests/test_immanant.py::test_sampled_selections_match_per_draw_weights"],
+    },
+    {
+        "name": "exhaustive block pairs each set with the sets of every size so far",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "block = range(len(sets), len(sets) + comb(n, s))",
+        "replacement": "block = range(len(sets) + comb(n, s))",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_exhaustive_selections_pair_every_combination_within_its_size"
+        ],
     },
 ]
 

@@ -292,6 +292,39 @@ def swapped(f: FamilySpec, depth: int) -> FamilySpec:
     )
 
 
+def normalized(f: FamilySpec, depth: int) -> FamilySpec:
+    """The family with r = 1, ``f``'s s and t'_{k+1} = r_k t_{k+1}, to ``depth`` terms.
+
+    With rho_k = r_0 ... r_{k-1}, its triangle gives C_f = C_g diag(rho), and
+    its Hankel matrix is f's: H depends only on s_k and
+    lambda_k = r_{k-1} t_k (Flajolet 1980; Aigner 1999).
+    """
+    return FamilySpec(
+        name=f"normalized {f.name}",
+        r_seq=ParamSeq(0, constant=ONE),
+        s_seq=ParamSeq(0, tuple(f.s(k) for k in range(depth))),
+        t_seq=ParamSeq(1, tuple(f.r(k) * f.t(k + 1) for k in range(depth))),
+    )
+
+
+def derived_witnesses(f: FamilySpec, depth: int) -> tuple[list[QPoly], list[QPoly]]:
+    """Condition-5 witnesses b_0..b_{depth-1}, c_0..c_{depth-1} forced by b_0 = 0.
+
+    s_k = b_k + c_k and lambda_{k+1} = r_k t_{k+1} = b_{k+1} c_k give
+    c_k = s_k - b_k and b_{k+1} = lambda_{k+1} / c_k, by ``exact_div``: the
+    S-fraction contraction of the J-fraction (Petreolle, Sokal and Zhu).
+    Raises ZeroDivisionError at a c_k of 0, which leaves b_{k+1} free, and
+    ValueError when c_k does not divide lambda_{k+1}.  Nothing here checks
+    that the witnesses are q-nonnegative.
+    """
+    b, c = [ZERO], []
+    for k in range(depth):
+        c.append(f.s(k) - b[k])
+        if k + 1 < depth:
+            b.append((f.r(k) * f.t(k + 1)).exact_div(c[k]))
+    return b[:depth], c
+
+
 def hankel_determinant(f: FamilySpec, n: int) -> QPoly:
     """det H_n as prod_{k=1..n} prod_{i=1..k} r_{i-1} t_i (Flajolet 1980).
 
@@ -433,11 +466,12 @@ def sweep_by_selection(
     its own row set, column set and content, each at position i.
     """
     grid = _as_entries(m)
-    selections, exhaustive, total = _selections(
+    row_sets, col_sets, pairs, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, None
     )
-    row_sets, col_sets, contents = [], [], []
-    for rows, cols in selections:
+    own_rows, own_cols, contents = [], [], []
+    for r, c in pairs:
+        rows, cols = row_sets[r], col_sets[c]
         provenance = MatrixProvenance(
             m.family.name,
             m.kind,
@@ -445,21 +479,21 @@ def sweep_by_selection(
             tuple(m.col_indices[j] for j in cols),
         )
         reports = reports_by_class_sums([[grid[i][j] for j in cols] for i in rows], provenance)
-        row_sets.append(provenance.rows)
-        col_sets.append(provenance.cols)
+        own_rows.append(provenance.rows)
+        own_cols.append(provenance.cols)
         contents.append(
             tuple(
-                (r.lam, r.value, r.q_nonnegative, r.dominance_gap, r.gap_nonnegative)
-                for r in reports
+                (x.lam, x.value, x.q_nonnegative, x.dominance_gap, x.gap_nonnegative)
+                for x in reports
             )
         )
     return SweepResult(
         m.family.name,
         m.kind,
-        tuple(row_sets),
-        tuple(col_sets),
+        tuple(own_rows),
+        tuple(own_cols),
         tuple(contents),
-        tuple((i, i, i) for i in range(len(selections))),
+        tuple((i, i, i) for i in range(len(pairs))),
         exhaustive,
         seed,
         total,

@@ -32,6 +32,7 @@ from oracles import (
     matmul,
     matrix_json,
     narayana_poly,
+    normalized,
     random_family,
     random_qpoly,
     schroder_poly,
@@ -226,6 +227,30 @@ def test_hankel_is_the_triangle_times_the_swapped_triangle_transposed():
                 c, [list(col) for col in zip(*tilde)]
             ), (f.name, n)
     assert any(f.r(0) != ONE for f in families)
+
+
+def test_hankel_of_the_normalized_family_is_the_same():
+    # H depends on r and t only through lambda_k = r_{k-1} t_k
+    rng = random.Random(37)
+    families = FAMILIES + [random_family(rng, terms=8) for _ in range(40)]
+    for n in range(7):
+        for f in families:
+            assert hankel(f, n).entries == hankel(normalized(f, n + 1), n).entries, (f.name, n)
+    assert sum(f.r(1) != ONE for f in families) > 30
+
+
+def test_triangle_is_the_normalized_triangle_times_the_r_products():
+    # C_f = C_g diag(rho_0, ..., rho_n) with rho_k = r_0 ... r_{k-1}
+    rng = random.Random(41)
+    families = FAMILIES + [random_family(rng, terms=8) for _ in range(40)]
+    for f in families:
+        n = 6
+        rho = [ONE]
+        for k in range(n):
+            rho.append(rho[-1] * f.r(k))
+        diag = [[rho[i] if i == j else ZERO for j in range(n + 1)] for i in range(n + 1)]
+        g = [list(row) for row in catalan_stieltjes(normalized(f, n + 1), n).entries]
+        assert [list(row) for row in catalan_stieltjes(f, n).entries] == matmul(g, diag), f.name
 
 
 def test_triangle_is_lower_with_running_r_product_diagonal():

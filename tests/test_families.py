@@ -22,7 +22,7 @@ from qcatalan.families import (
 )
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
-from oracles import conforming_random_family
+from oracles import conforming_random_family, derived_witnesses, random_qpoly
 
 
 def test_builtin_names():
@@ -195,6 +195,40 @@ def test_condition_5_reports_factorization_mismatch():
     report = check_condition(f, 5, 3)
     assert not report.holds
     assert report.first_violation == (0, ONE)
+
+
+@pytest.mark.parametrize("name", ["narayana", "schroder"])
+def test_declared_witnesses_are_the_derived_ones(name):
+    f = builtin(name)
+    b, c = derived_witnesses(f, 20)
+    assert b == [f.b(k) for k in range(20)]
+    assert c == [f.c(k) for k in range(20)]
+
+
+def test_eulerian_derives_witnesses_kq_and_k_plus_1():
+    # r_k = k + 1 is not 1, yet lambda_{k+1} = (k + 1)^2 q splits as b_{k+1} c_k
+    b, c = derived_witnesses(builtin("eulerian"), 20)
+    assert b == [QPoly([0, k]) for k in range(20)]
+    assert c == [QPoly([k + 1]) for k in range(20)]
+
+
+def test_derived_witnesses_recover_planted_ones_with_any_r():
+    # b_{k+1} = r_k beta_{k+1} and t_{k+1} = beta_{k+1} c_k give
+    # r_k t_{k+1} = b_{k+1} c_k with r != 1; each c_k is nonzero
+    rng = random.Random(43)
+    depth = 10
+    for _ in range(30):
+        r = [random_qpoly(rng) or ONE for _ in range(depth)]
+        beta = [random_qpoly(rng) for _ in range(depth)]
+        c = [random_qpoly(rng) or ONE for _ in range(depth)]
+        b = [ZERO] + [r[k] * beta[k] for k in range(depth - 1)]
+        f = FamilySpec(
+            name="planted",
+            r_seq=ParamSeq(0, tuple(r)),
+            s_seq=ParamSeq(0, tuple(b[k] + c[k] for k in range(depth))),
+            t_seq=ParamSeq(1, tuple(beta[k] * c[k] for k in range(depth))),
+        )
+        assert derived_witnesses(f, depth) == (b, c)
 
 
 @pytest.mark.parametrize("condition", [1, 2, 3, 4, 5])

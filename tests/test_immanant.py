@@ -18,9 +18,9 @@ from qcatalan.families import FamilySpec, ParamSeq, builtin
 from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
+    _class_sum_width,
     _class_sums,
     _inequality_sweep,
-    _packed,
     _plan,
     _run,
     _selections,
@@ -30,7 +30,7 @@ from qcatalan.immanant import (
     inequality_332,
     positivity_sweep,
 )
-from qcatalan.qpoly import ONE, Q, ZERO, QPoly, _unpack
+from qcatalan.qpoly import ONE, Q, ZERO, QPoly, _pack, _unpack
 from qcatalan.symchar import character, degree, partitions_of
 
 from oracles import (
@@ -169,10 +169,16 @@ def test_immanant_validation():
 # -- subset DP against the permutation oracle -----------------------------
 
 
+def packed_cells(grid, size):
+    """``grid``'s entries packed at the width of a sweep up to ``size``, and that width."""
+    bits = _class_sum_width(grid, size)
+    return [[_pack(cell.coeffs, bits) for cell in row] for row in grid], bits
+
+
 def assert_class_sums_match_oracle(grid):
     n = len(grid)
     expected = class_sums_by_permutation(grid)
-    cells, bits = _packed(grid, n)
+    cells, bits = packed_cells(grid, n)
     got = _class_sums(cells)
     assert len(got) == len(partitions_of(n))
     for mu, value in zip(partitions_of(n), got):
@@ -220,7 +226,7 @@ def test_one_plan_runs_every_grid_of_its_support():
                  for j in range(n)]
                 for i in range(n)
             ]
-            cells, bits = _packed(grid, n)
+            cells, bits = packed_cells(grid, n)
             flat = [cell for row in cells for cell in row]
             assert (_plan(flat) is None) == (plan is None)
             if plan is None:
@@ -382,12 +388,33 @@ def _draws_by_weights(n, max_size, seed, count):
     ],
 )
 def test_sampled_selections_match_per_draw_weights(n, max_size, seed, limit):
-    selections, exhaustive, total = _selections(n, max_size, seed, limit, max_size)
+    row_sets, col_sets, pairs, exhaustive, total = _selections(
+        n, max_size, seed, limit, max_size
+    )
     assert not exhaustive
     assert total == sum(comb(n, s) ** 2 for s in range(1, min(max_size, n) + 1))
-    assert selections == _draws_by_weights(n, max_size, seed, limit)
-    drawn = [index_set for selection in selections for index_set in selection]
-    assert len(set(map(id, drawn))) == len(set(drawn))
+    draws = _draws_by_weights(n, max_size, seed, limit)
+    assert [(row_sets[r], col_sets[c]) for r, c in pairs] == draws
+    # each table holds each distinct set once, in first-draw order
+    assert row_sets == list(dict.fromkeys(rows for rows, _ in draws))
+    assert col_sets == list(dict.fromkeys(cols for _, cols in draws))
+
+
+@pytest.mark.parametrize("n, max_size", [(0, 1), (1, 1), (3, 3), (4, 2), (5, 5), (6, 3)])
+def test_exhaustive_selections_pair_every_combination_within_its_size(n, max_size):
+    row_sets, col_sets, pairs, exhaustive, total = _selections(n, max_size, 0, 20000, max_size)
+    assert exhaustive
+    sizes = range(1, min(max_size, n) + 1)
+    sets = [c for s in sizes for c in combinations(range(n), s)]
+    assert row_sets == col_sets == sets
+    # each size's block, row-major: every row set of the size with every col set of it
+    assert pairs == [
+        (sets.index(rows), sets.index(cols))
+        for s in sizes
+        for rows in combinations(range(n), s)
+        for cols in combinations(range(n), s)
+    ]
+    assert len(pairs) == total == sum(comb(n, s) ** 2 for s in sizes)
 
 
 def test_sampled_sweep_reuses_repeats_with_exhaustive_reports():
@@ -673,7 +700,7 @@ def test_support_without_a_permutation_gives_zero_reports():
         [-ONE, ZERO, ZERO],
         [Q * Q, ZERO, ZERO],
     ]
-    cells, _ = _packed(grid, 3)
+    cells, _ = packed_cells(grid, 3)
     assert _class_sums(cells) == [0, 0, 0]
     assert _plan([cell for row in cells for cell in row]) is None
     result = assert_sweep_matches_oracle(_plain_matrix(grid), 3)
@@ -698,7 +725,7 @@ def test_sweep_tells_a_dead_support_from_class_sums_that_cancel(blocks):
     # Deadness is read off the DP, never off all-zero sums: the cancelling
     # grid's support has a plan, so a later grid on it must still be computed.
     for grid in blocks:
-        cells, _ = _packed(grid, 3)
+        cells, _ = packed_cells(grid, 3)
         assert any(_class_sums(cells)) == (grid is LIVE)
         assert _plan([cell for row in cells for cell in row]) is not None
     first, second = blocks
@@ -797,7 +824,9 @@ def test_sweeps_at_other_digit_widths_decode_their_own_values():
         m = _plain_matrix([[QPoly(coeffs)]])
         result = assert_sweep_matches_oracle(m, 1)
         assert [value for _, value, _, _, _ in result.contents[0]] == [QPoly(coeffs)]
-    assert _packed([[QPoly([1, 1])]], 1)[0] == _packed([[QPoly([257])]], 1)[0] == [[257]]
+    narrow, wide = _class_sum_width([[QPoly([1, 1])]], 1), _class_sum_width([[QPoly([257])]], 1)
+    assert narrow == 8 and wide == 16
+    assert _pack((1, 1), narrow) == _pack((257,), wide) == 257
 
 
 def test_zero_contents_of_one_size_share_one_fields_tuple():

@@ -6,7 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from qcatalan.immanant import _class_sums, _inequality_sweep, _packed, inequality_332
+from qcatalan.immanant import _class_sum_width, _class_sums, _inequality_sweep, inequality_332
 from qcatalan.qpoly import ZERO, QPoly, _convolve, _pack, _unpack, _width
 from qcatalan.symchar import partitions_of
 
@@ -126,7 +126,8 @@ def signed_grids(draw):
 @example([[QPoly([1])]])  # the smallest grid with a cycle, checked on every run
 def test_packed_class_sums_match_the_permutation_oracle(grid):
     n = len(grid)
-    cells, bits = _packed(grid, n)
+    bits = _class_sum_width(grid, n)
+    cells = [[_pack(cell.coeffs, bits) for cell in row] for row in grid]
     want = class_sums_by_permutation(grid)
     got = [_unpack(value, bits) for value in _class_sums(cells)]
     assert got == [want.get(mu, ZERO) for mu in partitions_of(n)]
