@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import repeat
+from collections import Counter
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +35,7 @@ from .network import (
     build_hankel_network,
     export_dot,
 )
-from .qpoly import QPoly, _Memo, _canonical
+from .qpoly import QPoly, _Memo, _canonical, _str_bound
 from .symchar import character_table
 
 EXIT_OK = 0
@@ -87,26 +88,71 @@ def _parse_cases(text: str, layers: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _column_widths(grid, held: dict) -> list[int]:
+    """The length of the longest text in each column of ``grid``, rendering few cells.
+
+    A column visits its cells in decreasing order of an upper bound on
+    their lengths (``_str_bound``) and renders a cell only while its bound
+    exceeds the longest text so far; each text rendered is left in ``held``
+    under the cell's id, for the cell's row.
+    """
+    distinct = {id(cell): cell for cell in chain.from_iterable(grid)}
+    bound = dict(zip(distinct, map(_str_bound, distinct.values())))
+    widths = []
+    for column in zip(*grid):
+        bounds = list(map(bound.__getitem__, map(id, column)))
+        width = 0
+        for i in sorted(range(len(column)), key=bounds.__getitem__, reverse=True):
+            if bounds[i] <= width:
+                break
+            key = id(column[i])
+            if key not in held:
+                held[key] = str(column[i])
+            width = max(width, len(held[key]))
+        widths.append(width)
+    return widths
+
+
 def _write_grid(entries, sep: str, pad: bool) -> None:
     """Write the rows of ``entries`` to stdout, one line each, cells joined by ``sep``.
 
-    Each distinct cell is rendered once (``_Memo``).  With ``pad`` every
-    cell is right-justified to its column's widest.  Every cell's text is
-    gathered first, for those widths; the lines are then joined and written
-    one at a time.  An empty grid prints one empty line without ``pad``
-    (CSV) and nothing with it (text).
+    A stream: each row is rendered and written before the next, so about
+    one row of texts is alive at a time.  Each distinct cell (object) is
+    rendered once, and its text is held only until its last use: a cell
+    that occurs once is rendered when its row is written and then dropped,
+    and one that repeats (a Hankel antidiagonal, the zeros above a
+    triangle's diagonal) is held until its last row.  With ``pad`` every
+    cell is right-justified to its column's widest, which
+    ``_column_widths`` finds from length bounds and a few rendered cells.
+    An empty grid prints one empty line without ``pad`` (CSV) and nothing
+    with it (text).
     """
     write = sys.stdout.write
-    render = _Memo(str).__getitem__
-    lines = [list(map(render, row)) for row in entries]
-    if not lines:
+    grid = [*map(tuple, entries)]
+    if not grid:
         if not pad:
             write("\n")
         return
+    # keyed by id: every cell stays alive in grid
+    uses = Counter(map(id, chain.from_iterable(grid)))
+    held: dict[int, str] = {}  # a cell's text, while a use of it is still to be written
+
+    def text(cell) -> str:
+        key = id(cell)
+        uses[key] -= 1
+        if key in held:
+            return held[key] if uses[key] else held.pop(key)
+        rendered = str(cell)
+        if uses[key]:
+            held[key] = rendered
+        return rendered
+
     # a width of 0 leaves every cell as it is
-    widths = [max(map(len, column)) for column in zip(*lines)] if pad else repeat(0)
-    for line in lines:
-        write(sep.join(map(str.rjust, line, widths)) + "\n")
+    widths = _column_widths(grid, held) if pad else repeat(0)
+    for row in grid:
+        # the new line goes out alone: appending it would copy the whole line
+        write(sep.join(map(str.rjust, map(text, row), widths)))
+        write("\n")
 
 
 _INT_ONLY = {int}

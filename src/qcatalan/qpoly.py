@@ -19,6 +19,7 @@ import struct
 import sys
 from array import array
 from functools import cache
+from itertools import accumulate
 from operator import neg
 from typing import Iterable, Sequence, Union
 
@@ -197,6 +198,31 @@ class QPoly:
 # while rendering do not pin the memory of freed polynomials; ``__str__``
 # extends it for a degree of 256 or more.
 _LABELS = ["", "q", *(f"q^{i}" for i in range(2, 256))]
+# _LABEL_SUMS[k] is the length of _LABELS[1] .. _LABELS[k - 1] together;
+# ``_str_bound`` extends it for a degree of 256 or more.
+_LABEL_SUMS = [0, *accumulate(map(len, _LABELS))]
+
+
+def _str_bound(cell) -> int:
+    """An upper bound on ``len(str(cell))``, without rendering a polynomial.
+
+    Exact for anything but a ``QPoly`` of degree >= 1: an int, a string or
+    a constant is rendered.  A term of ``QPoly.__str__`` is one sign, the
+    coefficient's digits and its label; a coefficient of b bits has at most
+    floor(b * log10(2)) + 1 digits, and 0.30103 exceeds log10(2), so the
+    bit lengths summed in C (times 0.30103, in integers), two characters
+    per term and the labels' summed lengths bound the text from above.
+    """
+    if type(cell) is not QPoly:
+        return len(str(cell))
+    cs = cell.coeffs
+    size = len(cs)
+    if size < 2:
+        return len(str(cs[0])) if cs else 1
+    if size >= len(_LABEL_SUMS):
+        for i in range(len(_LABEL_SUMS) - 1, size):
+            _LABEL_SUMS.append(_LABEL_SUMS[-1] + len(str(i)) + 2)
+    return sum(map(int.bit_length, cs)) * 30103 // 100000 + 2 * size + _LABEL_SUMS[size]
 
 
 def _canonical(coeffs: tuple[int, ...]) -> QPoly:

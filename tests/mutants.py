@@ -1,9 +1,10 @@
 """Mutation gate: every mutant below must make its named tests fail.
 
 Run from anywhere with ``python tests/mutants.py``; it needs only the
-standard library and pytest.  Each entry names a file under ``src/``, an
-exact snippet in it, the snippet's replacement and the tests to run (files,
-or the test nodes that kill the mutant).  For each entry the script copies
+standard library and pytest.  Each entry names a file under ``src/`` (or a
+test oracle under ``tests/``), an exact snippet in it, the snippet's
+replacement and the tests to run (files, or the test nodes that kill the
+mutant).  For each entry the script copies
 ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
 applies the replacement there, and runs the named tests in that copy.  A
 mutant whose tests still pass has survived: the tests no longer notice that
@@ -216,16 +217,55 @@ MUTANTS = [
         "replacement": '"+" + label if c == -1',
         "tests": ["tests/test_qpoly.py", "tests/test_rendering.py"],
     },
-    # A memo keyed by the column index hands every row its column's first cell.
+    # A text keyed by the cell's type hands every later cell of that type the
+    # first one's text.
     {
-        "name": "grid writer memo keyed by the column index instead of the cell",
+        "name": "grid writer holds texts keyed by the cell's type instead of the cell",
         "file": "src/qcatalan/cli.py",
-        "snippet": "lines = [list(map(render, row)) for row in entries]",
-        "replacement": (
-            "lines = [[render.__self__.setdefault(j, str(cell)) for j, cell in enumerate(row)]"
-            " for row in entries]"
-        ),
+        "snippet": "key = id(cell)\n        uses[key] -= 1",
+        "replacement": "key = id(type(cell))\n        uses[key] -= 1",
         "tests": ["tests/test_rendering.py", "tests/test_csmatrix.py"],
+    },
+    # The stream keeps a text only while a use of it is still to be written.
+    {
+        "name": "grid writer holds every text it renders",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "        if uses[key]:\n            held[key] = rendered\n",
+        "replacement": "        held[key] = rendered\n",
+        "tests": ["tests/test_rendering.py::test_grid_writer_holds_about_one_row_of_texts"],
+    },
+    {
+        "name": "grid writer holds no text, so a repeated cell renders at each use",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "        if uses[key]:\n            held[key] = rendered\n",
+        "replacement": "        if False:\n            held[key] = rendered\n",
+        "tests": ["tests/test_rendering.py::test_grid_writer_renders_each_distinct_cell_once"],
+    },
+    {
+        "name": "grid column width taken from its highest-bound cell alone",
+        "file": "src/qcatalan/cli.py",
+        "snippet": "if bounds[i] <= width:",
+        "replacement": "if width:",
+        "tests": ["tests/test_rendering.py::test_grid_widths_come_from_texts_not_from_bounds"],
+    },
+    {
+        "name": "text length bound without the labels' lengths",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": " + 2 * size + _LABEL_SUMS[size]",
+        "replacement": " + 2 * size",
+        "tests": ["tests/test_rendering.py::test_str_bound_is_never_below_the_text_length"],
+    },
+    # The minors recurrence multiplies the two off-diagonal entries that meet
+    # at row j: r_{j-1} above the diagonal and t_j below it.
+    {
+        "name": "production matrix minors weigh row j by r_j t_j instead of r_{j-1} t_j",
+        "file": "tests/oracles.py",
+        "snippet": "f.r(j - 1) * f.t(j) * before",
+        "replacement": "f.r(j) * f.t(j) * before",
+        "tests": [
+            "tests/test_families.py::"
+            "test_contiguous_minors_decide_total_positivity_of_the_production_matrix"
+        ],
     },
     # The same bytes, held whole and written at once.
     {

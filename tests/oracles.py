@@ -6,7 +6,8 @@ run on unpacked ``QPoly`` values, direct permutation sums, hand-entered
 small character values, corner-removal tableau counts, polynomials rendered
 one term at a time, grids rendered one cell at a time, and matrix and
 sweep documents built from coefficient lists and rendered through
-``json.dumps``, a sweep one report at a time.
+``json.dumps``, a sweep one report at a time, and the production matrix's
+minors by their three-term recurrence.
 """
 
 from __future__ import annotations
@@ -335,6 +336,39 @@ def hankel_determinant(f: FamilySpec, n: int) -> QPoly:
         for i in range(1, k + 1):
             value = value * f.r(i - 1) * f.t(i)
     return value
+
+
+# -- the production matrix ------------------------------------------------
+
+
+def contiguous_minors(f: FamilySpec, n: int) -> dict[tuple[int, int], QPoly]:
+    """Every contiguous principal minor D(i, j), 0 <= i <= j <= n, of f's production matrix.
+
+    The production matrix P is tridiagonal with P[k][k] = s_k,
+    P[k][k+1] = r_k and P[k+1][k] = t_{k+1}, so that c_n = c_{n-1} P
+    (Deutsch, Ferrari and Rinaldi 2005).  Expanding D(i, j) along its last
+    row gives D(i, i-1) = 1, D(i, i) = s_i and
+    D(i, j) = s_j D(i, j-1) - r_{j-1} t_j D(i, j-2).
+    """
+    minors = {}
+    for i in range(n + 1):
+        before, last = ONE, f.s(i)
+        minors[i, i] = last
+        for j in range(i + 1, n + 1):
+            before, last = last, f.s(j) * last - f.r(j - 1) * f.t(j) * before
+            minors[i, j] = last
+    return minors
+
+
+def production_tp(f: FamilySpec, n: int) -> bool:
+    """Whether P on indices 0..n is coefficientwise totally positive.
+
+    P's entries are q-nonnegative (a family's accessors reject any other),
+    and a tridiagonal matrix with such entries is totally positive exactly
+    when its contiguous principal minors are (Gantmacher and Krein; Pinkus,
+    "Totally Positive Matrices", 2010).
+    """
+    return all(d.is_q_nonnegative() for d in contiguous_minors(f, n).values())
 
 
 # -- networks built another way ----------------------------------------

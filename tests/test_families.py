@@ -2,9 +2,11 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
+from qcatalan.csmatrix import build_ln, catalan_stieltjes, hankel
 from qcatalan.errors import (
     MissingWitness,
     NonNonnegativeParameter,
@@ -20,9 +22,17 @@ from qcatalan.families import (
     check_condition,
     load_family,
 )
+from qcatalan.immanant import determinant
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
-from oracles import conforming_random_family, derived_witnesses, random_qpoly
+from oracles import (
+    conforming_random_family,
+    contiguous_minors,
+    derived_witnesses,
+    production_tp,
+    random_family,
+    random_qpoly,
+)
 
 
 def test_builtin_names():
@@ -393,3 +403,60 @@ def test_missing_witness_accessors():
         f.b(0)
     with pytest.raises(MissingWitness):
         f.c(0)
+
+
+# -- the production matrix -------------------------------------------
+
+
+def _minors(grid, largest: int):
+    """Every minor of ``grid`` with at most ``largest`` rows, as (rows, cols, value)."""
+    size = len(grid)
+    for k in range(1, largest + 1):
+        for rows in combinations(range(size), k):
+            for cols in combinations(range(size), k):
+                yield rows, cols, determinant([[grid[i][j] for j in cols] for i in rows])
+
+
+@pytest.mark.parametrize("condition", [1, 2, 3, 4, 5])
+def test_conditions_imply_a_totally_positive_production_matrix(condition):
+    # under condition i the case-i layer network realizes L_n with
+    # q-nonnegative weights, and P_n is a submatrix of L_n (Lindstrom-Gessel-Viennot)
+    rng = random.Random(70 + condition)
+    for _ in range(5):
+        assert production_tp(conforming_random_family(rng, condition), 10)
+
+
+def test_contiguous_minors_decide_total_positivity_of_the_production_matrix():
+    rng = random.Random(77)
+    outcomes = set()
+    for trial in range(120):
+        n = trial % 6
+        f = random_family(rng, terms=8) if trial % 3 else conforming_random_family(rng, 1, 8)
+        # P_n is L_n on rows 1..n+1 and columns 0..n
+        p = [row[: n + 1] for row in build_ln(f, n)[1:]]
+        minors = contiguous_minors(f, n)
+        for (i, j), d in minors.items():
+            span = range(i, j + 1)
+            assert d == determinant([[p[a][b] for b in span] for a in span]), (trial, i, j)
+        every = all(value.is_q_nonnegative() for _, _, value in _minors(p, n + 1))
+        assert production_tp(f, n) == every, trial
+        outcomes.add(every)
+    assert outcomes == {True, False}
+
+
+def test_a_production_tp_family_meeting_no_condition_has_nonnegative_minors():
+    # r_k = 3, s_k = 1 + 2q + 2q^2, t_k = q^2: totally positive production
+    # matrix to depth 14, none of conditions 1-5
+    f = FamilySpec(
+        name="pinned",
+        r_seq=ParamSeq(0, constant=QPoly([3])),
+        s_seq=ParamSeq(0, constant=QPoly([1, 2, 2])),
+        t_seq=ParamSeq(1, constant=QPoly([0, 0, 1])),
+    )
+    assert production_tp(f, 14)
+    for condition in (1, 2, 3, 4):
+        assert not check_condition(f, condition, 14).holds
+    assert f.r(0) != ONE  # condition 5 needs r_k = 1
+    for m in (catalan_stieltjes(f, 6), hankel(f, 6)):
+        for rows, cols, value in _minors(m.entries, 4):
+            assert value.is_q_nonnegative(), (m.kind, rows, cols, value)
