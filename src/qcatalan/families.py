@@ -5,10 +5,11 @@ r_k and s_k from k = 0, t_k from k = 1 (t_0 and r_{-1} are 0 by convention).
 Optionally a family carries witness sequences b_k, c_k used by the fifth
 condition and by the corresponding network weighting.
 
-Each sequence is an explicit prefix followed by an optional affine tail
-``linear*k + constant``; a sequence without a tail is finite and raises
-SequenceExhausted past its prefix.  r/s/t terms are checked lazily on
-access: a term with a negative coefficient raises NonNonnegativeParameter.
+Each sequence is an explicit prefix followed by an optional tail, a
+polynomial in k whose coefficients are polynomials in q; a sequence without
+a tail is finite and raises SequenceExhausted past its prefix.  r/s/t terms
+are checked lazily on access: a term with a negative coefficient raises
+NonNonnegativeParameter.
 """
 
 from __future__ import annotations
@@ -31,17 +32,18 @@ WEIGHT_CASES = (1, 2, 3, 4, 5)
 
 @dataclass(frozen=True)
 class ParamSeq:
-    """One parameter sequence: an explicit prefix, then an optional affine tail.
+    """One parameter sequence: an explicit prefix, then an optional tail.
 
     ``start`` is the index of the first term (0 for r/s and witnesses, 1 for
-    t).  Past the prefix, the term at index k is ``linear*k + constant``;
-    when both tail parts are absent the sequence ends with its prefix.
+    t).  Past the prefix, the term at index k is the tail polynomial
+    ``tail[0] + tail[1]*k + tail[2]*k**2 + ...``, evaluated by Horner's rule
+    from the top coefficient, so a constant tail returns its one stored
+    polynomial.  An empty tail means the sequence ends with its prefix.
     """
 
     start: int
     prefix: tuple[QPoly, ...] = ()
-    linear: QPoly | None = None
-    constant: QPoly | None = None
+    tail: tuple[QPoly, ...] = ()
 
     def __call__(self, k: int) -> QPoly:
         i = k - self.start
@@ -49,17 +51,15 @@ class ParamSeq:
             raise ValueError(f"index {k} precedes sequence start {self.start}")
         if i < len(self.prefix):
             return self.prefix[i]
-        if self.linear is None and self.constant is None:
+        if not self.tail:
             n = len(self.prefix)
             raise SequenceExhausted(
                 f"the sequence has only {n} explicit term{'' if n == 1 else 's'} "
                 f"(from index {self.start}) and no tail"
             )
-        value = ZERO
-        if self.linear is not None:
-            value = value + self.linear * k
-        if self.constant is not None:
-            value = value + self.constant
+        *lower, value = self.tail
+        for c in reversed(lower):
+            value = value * k + c
         return value
 
 
@@ -272,7 +272,7 @@ def _parse_seq(obj: object, start: int, where: str) -> ParamSeq:
     prefix = tuple(
         _parse_poly(p, f"{where}.prefix[{i}]") for i, p in enumerate(prefix_obj)
     )
-    linear = constant = None
+    coeffs = ()
     if "tail" in obj:
         tail = obj["tail"]
         if not isinstance(tail, dict):
@@ -280,13 +280,16 @@ def _parse_seq(obj: object, start: int, where: str) -> ParamSeq:
         extra = set(tail) - _TAIL_KEYS
         if extra:
             raise SchemaError(f"{where}.tail: unknown keys {sorted(extra)}")
+        if not tail:
+            raise SchemaError(f"{where}.tail: needs 'linear' and/or 'constant'")
+        constant = ZERO
         if "linear" in tail:
-            linear = _parse_poly(tail["linear"], f"{where}.tail.linear")
+            coeffs = (_parse_poly(tail["linear"], f"{where}.tail.linear"),)
         if "constant" in tail:
             constant = _parse_poly(tail["constant"], f"{where}.tail.constant")
-        if linear is None and constant is None:
-            raise SchemaError(f"{where}.tail: needs 'linear' and/or 'constant'")
-    return ParamSeq(start=start, prefix=prefix, linear=linear, constant=constant)
+        # slot i holds the coefficient of k**i
+        coeffs = (constant, *coeffs)
+    return ParamSeq(start=start, prefix=prefix, tail=coeffs)
 
 
 def load_family(document: str | dict) -> FamilySpec:

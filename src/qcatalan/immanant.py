@@ -42,11 +42,11 @@ sweep plans each support once, in the orientation of its key, and runs that
 plan on every content with that support, its cells looked up by its key's
 labels.  A submatrix on a dead support has every class sum empty, so
 all its values and gaps are 0 without running anything; all such
-submatrices of one size share one cached tuple, at one position.  Class
-sums that cancel to 0 give the cached tuple too, although their support
-has a plan, since other entries on it need not cancel.  The
-``ImmanantReport`` objects are built only when ``SweepResult.reports`` is
-read.
+submatrices of one size share one tuple, at one position.  Class sums that
+cancel to 0 (never on the q-nonnegative C and H matrices) are decoded like
+any others, to the same zero values, and their support keeps its plan,
+since other entries on it need not cancel.  The ``ImmanantReport`` objects
+are built only when ``SweepResult.reports`` is read.
 
 ``determinant`` is implemented independently by fraction-free (Bareiss)
 elimination with exact polynomial division, so the two routes to the
@@ -510,7 +510,7 @@ def positivity_sweep(
     packed = [_pack(p.coeffs, bits) for p in labels]  # each distinct entry, by label
     contents: list[tuple[Fields, ...]] = []
     by_content: dict[tuple[int, ...], int] = {}  # content key -> position in contents
-    zeros: dict[int, int] = {}  # size -> position of its _zero_fields tuple
+    zeros: dict[int, int] = {}  # size -> position of its all-zero fields tuple
     plans: dict[tuple[bool, ...], Plan | None] = {}  # support -> its plan, None if dead
 
     def decode(number: int) -> tuple[QPoly, bool]:
@@ -534,16 +534,16 @@ def positivity_sweep(
             if support not in plans:
                 plans[support] = _plan(support)
             plan = plans[support]
-            if plan is None:
-                fields = _zero_fields(s)
-            else:
+            if plan is not None:
                 # the plan's support is the key's, and so is its cells' order
-                fields = _reports(s, _run(plan, [packed[x] for x in key]), decoded)
-            k = len(contents)
-            if fields is _zero_fields(s):
-                k = zeros.setdefault(s, k)
-            if k == len(contents):
-                contents.append(fields)
+                k = len(contents)
+                contents.append(_reports(s, _run(plan, [packed[x] for x in key]), decoded))
+            elif s in zeros:
+                k = zeros[s]
+            else:
+                k = zeros[s] = len(contents)
+                zero = [(lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(s)]
+                contents.append(tuple(zero))
             by_content[key] = k
         out.append((r, c, k))
     return SweepResult(
@@ -559,20 +559,11 @@ def positivity_sweep(
     )
 
 
-@cache
-def _zero_fields(n: int) -> tuple[Fields, ...]:
-    """Every shape's fields for an n x n submatrix whose values and gaps are all 0."""
-    return tuple((lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(n))
-
-
 def _reports(n: int, sums: list[int], decoded: _Memo) -> tuple[Fields, ...]:
     """Every shape's report fields but the provenance, from n x n class sums.
 
     ``decoded[packed]`` is the value's ``QPoly`` and whether it is q-nonnegative.
     """
-    if not any(sums):
-        # the class sums cancel: every value and gap is 0
-        return _zero_fields(n)
     *others, (sign, sign_row, _) = _shapes(n)  # shape (1,...,1): the sign character
     det = sum(map(mul, sign_row, sums))
     out = []

@@ -304,7 +304,10 @@ def _unpack(value: int, bits: int) -> QPoly:
     unsigned low 64 bits and a signed high part, and is
     ``high << 64 | low``; other widths are read one signed
     ``int.from_bytes`` slice at a time.  The digits are exact ints, so
-    ``_canonical`` takes them unchecked.  The offset spans the digit count
+    ``_canonical`` takes them unchecked, and the top one is never 0: the
+    lower digits of a degree-d value sum to less than 2**(bits*d - 1) in
+    absolute value, so its bit length is from bits*d to bits*(d + 1) - 1
+    and ``count`` is exactly d + 1.  The offset spans the digit count
     rounded up to a power of two, so that decodes of many degrees, as in a
     triangle's rows, share a few cached offsets; the ``^ offset`` clears
     its digits above the value's.  0 gives ``ZERO`` itself, so that equal
@@ -313,7 +316,7 @@ def _unpack(value: int, bits: int) -> QPoly:
     if not value:
         return ZERO
     width = bits // 8
-    # a degree-d value has at least bits*d bits, so this many digits suffice
+    # exactly d + 1 digits for a degree-d value, the top one nonzero
     count = (abs(value).bit_length() + bits) // bits
     offset = _offset(bits, 1 << (count - 1).bit_length())
     data = ((value + offset) ^ offset).to_bytes(width * count, "little")
@@ -331,8 +334,6 @@ def _unpack(value: int, bits: int) -> QPoly:
             int.from_bytes(data[i : i + width], "little", signed=True)
             for i in range(0, len(data), width)
         ]
-    while digits and digits[-1] == 0:
-        digits.pop()
     return _canonical(tuple(digits))
 
 

@@ -192,6 +192,17 @@ MUTANTS = [
         "replacement": "(abs(value).bit_length() + bits) // bits - 1",
         "tests": ["tests/test_qpoly.py", "tests/test_packing.py"],
     },
+    # The digit count is exact, so nothing strips a top digit of 0.
+    {
+        "name": "_unpack reads one digit too many",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "(abs(value).bit_length() + bits) // bits",
+        "replacement": "(abs(value).bit_length() + bits) // bits + 1",
+        "tests": [
+            "tests/test_qpoly.py::test_pack_unpack_round_trip_at_the_digit_edges",
+            "tests/test_packing.py::test_width_holds_every_coefficient_up_to_its_bound",
+        ],
+    },
     {
         "name": "QPoly.__add__ without its trailing-zero strip",
         "file": "src/qcatalan/qpoly.py",
@@ -351,6 +362,31 @@ MUTANTS = [
         "replacement": "f.c(j), f.s(j))",
         "tests": ["tests/test_network.py"],
     },
+    # An affine tail started from its constant term reads c_0 k + c_1.
+    {
+        "name": "tail evaluated by Horner's rule from the wrong end",
+        "file": "src/qcatalan/families.py",
+        "snippet": "*lower, value = self.tail\n        for c in reversed(lower):",
+        "replacement": "value, *lower = self.tail\n        for c in lower:",
+        "tests": [
+            "tests/test_families.py::test_param_seq_tail_is_its_polynomial_in_k",
+            "tests/test_families.py::test_param_seq_prefix_then_tail",
+        ],
+    },
+    {
+        "name": "condition 5 skips the sign check of the witness c_k",
+        "file": "src/qcatalan/families.py",
+        "snippet": "if not c.is_q_nonnegative():",
+        "replacement": "if False:",
+        "tests": ["tests/test_families.py::test_condition_5_reports_negative_witness_c"],
+    },
+    {
+        "name": "condition 5 skips the check s_k = b_k + c_k",
+        "file": "src/qcatalan/families.py",
+        "snippet": "diff = f.s(k) - (b + c)",
+        "replacement": "diff = ZERO",
+        "tests": ["tests/test_families.py::test_condition_5_reports_s_other_than_b_plus_c"],
+    },
     # The loader also builds the builtin families from their documents.
     {
         "name": "family loader skips the check of the declared prefix terms",
@@ -385,10 +421,10 @@ MUTANTS = [
         ],
     },
     {
-        "name": "empty-support shortcut flags its zero values negative",
+        "name": "dead-support fields flag their zero values negative",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "(lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(n)",
-        "replacement": "(lam, ZERO, False, ZERO, True) for lam, _, _ in _shapes(n)",
+        "snippet": "(lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(s)",
+        "replacement": "(lam, ZERO, False, ZERO, True) for lam, _, _ in _shapes(s)",
         "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
     },
     # Zero contents of every size at one position hand one size's lambdas
@@ -396,18 +432,17 @@ MUTANTS = [
     {
         "name": "sweep files the zero contents of every size at one position",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "k = zeros.setdefault(s, k)",
-        "replacement": "k = zeros.setdefault(0, k)",
-        "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
-    },
-    # A memo that ignores its argument hands every size the first size's shapes.
-    {
-        "name": "zero-field cache ignores the size",
-        "file": "src/qcatalan/immanant.py",
-        "snippet": "@cache\ndef _zero_fields(n: int)",
+        "snippet": (
+            "elif s in zeros:\n"
+            "                k = zeros[s]\n"
+            "            else:\n"
+            "                k = zeros[s] = len(contents)"
+        ),
         "replacement": (
-            "@lambda f: lambda n, memo=[]: memo[0] if memo else memo.append(f(n)) or memo[0]\n"
-            "def _zero_fields(n: int)"
+            "elif 0 in zeros:\n"
+            "                k = zeros[0]\n"
+            "            else:\n"
+            "                k = zeros[0] = len(contents)"
         ),
         "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
     },
@@ -416,12 +451,12 @@ MUTANTS = [
     {
         "name": "sweep marks a support dead when its class sums are all 0",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "fields = _reports(s, _run(plan, [packed[x] for x in key]), decoded)",
+        "snippet": "contents.append(_reports(s, _run(plan, [packed[x] for x in key]), decoded))",
         "replacement": (
             "sums = _run(plan, [packed[x] for x in key])\n"
             "                if not any(sums):\n"
             "                    plans[support] = None\n"
-            "                fields = _reports(s, sums, decoded)"
+            "                contents.append(_reports(s, sums, decoded))"
         ),
         "tests": [
             "tests/test_immanant.py::"

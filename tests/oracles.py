@@ -186,6 +186,16 @@ def random_family(rng: random.Random, terms: int = 40, name: str = "random") -> 
     )
 
 
+def random_tailed_family(rng: random.Random) -> FamilySpec:
+    """q-nonnegative parameters at every k: prefixes of 0-3 terms, tails of degree 0-3 in k."""
+
+    def seq(start: int) -> ParamSeq:
+        prefix = tuple(random_qpoly(rng) for _ in range(rng.randrange(4)))
+        return ParamSeq(start, prefix, tuple(random_qpoly(rng) for _ in range(rng.randrange(1, 5))))
+
+    return FamilySpec(name="random tailed", r_seq=seq(0), s_seq=seq(0), t_seq=seq(1))
+
+
 def conforming_random_family(
     rng: random.Random, condition: int, terms: int = 40
 ) -> FamilySpec:
@@ -277,34 +287,70 @@ def triangle_by_qpoly(f: FamilySpec, n: int, top: int) -> list[list[QPoly]]:
     return rows
 
 
-def swapped(f: FamilySpec, depth: int) -> FamilySpec:
-    """The family whose production matrix is the transpose of ``f``'s, to ``depth`` terms.
+def shifted_tail(tail: tuple[QPoly, ...], d: int) -> tuple[QPoly, ...]:
+    """The tail P(k + d) of the tail P(k), each a coefficient tuple in powers of k.
 
-    r~_k = t_{k+1}, s~_k = s_k and t~_k = r_{k-1}, each a prefix of
-    ``depth`` terms (t~ from t~_1, as a family document's ``t`` prefix).
+    Horner's rule on polynomials in k: multiply by (k + d), add the next
+    coefficient down.  ``()``, the tail of a finite sequence, stays ``()``.
+    """
+    out: list[QPoly] = []
+    for c in reversed(tail):
+        out = [ZERO, *out]  # times k
+        for i in range(len(out) - 1):
+            out[i] = out[i] + d * out[i + 1]
+        out[0] = out[0] + c
+    return tuple(out)
+
+
+def tail_product(a: tuple[QPoly, ...], b: tuple[QPoly, ...]) -> tuple[QPoly, ...]:
+    """The tail P(k) Q(k) of two tails; ``()`` when either is finite."""
+    if not a or not b:
+        return ()
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+def swapped(f: FamilySpec) -> FamilySpec:
+    """The family whose production matrix is the transpose of ``f``'s.
+
+    r~_k = t_{k+1}, s~_k = s_k and t~_k = r_{k-1}, for every k: the same
+    prefixes from an index one lower or higher, and tails shifted to match.
     Its triangle C~ gives every Hankel matrix as H = C C~^T over Z[q], for
     any r; with r = 1 it is Aigner's H = C D C^T.
     """
+    r, t = f.r_seq, f.t_seq
     return FamilySpec(
         name=f"swapped {f.name}",
-        r_seq=ParamSeq(0, tuple(f.t(k + 1) for k in range(depth))),
-        s_seq=ParamSeq(0, tuple(f.s(k) for k in range(depth))),
-        t_seq=ParamSeq(1, tuple(f.r(k - 1) for k in range(1, depth + 1))),
+        r_seq=ParamSeq(0, t.prefix, shifted_tail(t.tail, 1)),
+        s_seq=f.s_seq,
+        t_seq=ParamSeq(1, r.prefix, shifted_tail(r.tail, -1)),
     )
 
 
-def normalized(f: FamilySpec, depth: int) -> FamilySpec:
-    """The family with r = 1, ``f``'s s and t'_{k+1} = r_k t_{k+1}, to ``depth`` terms.
+def normalized(f: FamilySpec) -> FamilySpec:
+    """The family with r = 1, ``f``'s s and t'_k = lambda_k = r_{k-1} t_k.
 
-    With rho_k = r_0 ... r_{k-1}, its triangle gives C_f = C_g diag(rho), and
-    its Hankel matrix is f's: H depends only on s_k and
-    lambda_k = r_{k-1} t_k (Flajolet 1980; Aigner 1999).
+    t' has a prefix as long as r's and t's, and the product of their tails
+    (r's shifted by one), for every k; it is finite when r or t is, at the
+    shorter finite length.  With rho_k = r_0 ... r_{k-1}, its triangle
+    gives C_f = C_g diag(rho), and its Hankel matrix is f's: H depends only
+    on s_k and lambda_k (Flajolet 1980; Aigner 1999).
     """
+    r, t = f.r_seq, f.t_seq
+    finite = [len(seq.prefix) for seq in (r, t) if not seq.tail]
+    depth = min(finite) if finite else max(len(r.prefix), len(t.prefix))
     return FamilySpec(
         name=f"normalized {f.name}",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, tuple(f.s(k) for k in range(depth))),
-        t_seq=ParamSeq(1, tuple(f.r(k) * f.t(k + 1) for k in range(depth))),
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=f.s_seq,
+        t_seq=ParamSeq(
+            1,
+            tuple(r(k - 1) * t(k) for k in range(1, depth + 1)),
+            tail_product(shifted_tail(r.tail, -1), t.tail),
+        ),
     )
 
 

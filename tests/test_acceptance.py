@@ -245,11 +245,11 @@ def test_criterion_10_negative_control_is_detected(criterion):
     criterion(10, "a family failing every condition produces detected violations")
     control = FamilySpec(
         name="control",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, constant=ZERO),
-        t_seq=ParamSeq(1, constant=ONE),
-        witness_b=ParamSeq(0, constant=ZERO),
-        witness_c=ParamSeq(0, constant=ZERO),
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, tail=(ZERO,)),
+        t_seq=ParamSeq(1, tail=(ONE,)),
+        witness_b=ParamSeq(0, tail=(ZERO,)),
+        witness_c=ParamSeq(0, tail=(ZERO,)),
     )
     for which in (1, 2, 3, 4, 5):
         assert not check_condition(control, which, 5).holds, which

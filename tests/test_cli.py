@@ -113,6 +113,14 @@ def test_matrix_rows_without_cols_is_config_error(capsys):
     assert "error:" in err
 
 
+def test_matrix_rows_that_are_not_ints_is_config_error(capsys):
+    rc, out, err = run(
+        capsys, "matrix", "--family", "narayana", "--n", "2", "--rows", "0,x", "--cols", "0,1"
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: --rows must be a comma-separated int list, got '0,x'\n"
+
+
 def test_hankel_csv(capsys):
     rc, out, _ = run(
         capsys, "hankel", "--family", "schroder", "--n", "1", "--format", "csv"
@@ -376,6 +384,12 @@ def test_network_case_list_must_match_layers(capsys):
         capsys, "network", "--family", "narayana", "--n", "2", "--case", "9"
     )
     assert rc == 2
+
+
+def test_network_case_list_of_non_ints_is_config_error(capsys):
+    rc, out, err = run(capsys, "network", "--family", "narayana", "--n", "2", "--case", "1,x")
+    assert (rc, out) == (2, "")
+    assert err == "error: --case must list ints 1..5, got '1,x'\n"
 
 
 @pytest.mark.parametrize("cases", ["1,2", "1,2,3", "5,5,5,5"])

@@ -35,6 +35,7 @@ from oracles import (
     normalized,
     random_family,
     random_qpoly,
+    random_tailed_family,
     schroder_poly,
     stdout_of,
     swapped,
@@ -181,7 +182,7 @@ def test_triangle_names_the_first_defective_term_in_row_order():
         name="short",
         r_seq=ParamSeq(0, (ONE, ONE)),
         s_seq=ParamSeq(0, (ONE,)),
-        t_seq=ParamSeq(1, constant=ONE),
+        t_seq=ParamSeq(1, tail=(ONE,)),
     )
     with pytest.raises(
         SequenceExhausted,
@@ -190,9 +191,9 @@ def test_triangle_names_the_first_defective_term_in_row_order():
         catalan_stieltjes(short, 3)
     negative = FamilySpec(
         name="negative",
-        r_seq=ParamSeq(0, (ONE, ONE), constant=-ONE),
-        s_seq=ParamSeq(0, (ONE,), constant=-ONE),
-        t_seq=ParamSeq(1, constant=ONE),
+        r_seq=ParamSeq(0, (ONE, ONE), tail=(-ONE,)),
+        s_seq=ParamSeq(0, (ONE,), tail=(-ONE,)),
+        t_seq=ParamSeq(1, tail=(ONE,)),
     )
     with pytest.raises(NonNonnegativeParameter, match=r"^s_1 = -1 of family 'negative'"):
         catalan_stieltjes(negative, 3)
@@ -214,15 +215,25 @@ def test_recurrence_residuals_vanish_on_random_families():
                 assert m.entries[n][k] == expected, (trial, n, k)
 
 
+def _exact_families(seed):
+    # the builtins, prefix-only random families (finite, r != 1) and random
+    # families with tails of degree up to 3 in k
+    rng = random.Random(seed)
+    return (
+        FAMILIES
+        + [random_family(rng, terms=26) for _ in range(12)]
+        + [random_tailed_family(rng) for _ in range(12)]
+    )
+
+
 def test_hankel_is_the_triangle_times_the_swapped_triangle_transposed():
     # H = C C~^T over Z[q], where C~ is the triangle of the family with the
     # transposed production matrix; random families have r != 1.
-    rng = random.Random(29)
-    families = FAMILIES + [random_family(rng, terms=8) for _ in range(40)]
-    for n in range(7):
+    families = _exact_families(29)
+    for n in range(13):
         for f in families:
             c = [list(row) for row in catalan_stieltjes(f, n).entries]
-            tilde = catalan_stieltjes(swapped(f, n + 1), n).entries
+            tilde = catalan_stieltjes(swapped(f), n).entries
             assert [list(row) for row in hankel(f, n).entries] == matmul(
                 c, [list(col) for col in zip(*tilde)]
             ), (f.name, n)
@@ -231,25 +242,22 @@ def test_hankel_is_the_triangle_times_the_swapped_triangle_transposed():
 
 def test_hankel_of_the_normalized_family_is_the_same():
     # H depends on r and t only through lambda_k = r_{k-1} t_k
-    rng = random.Random(37)
-    families = FAMILIES + [random_family(rng, terms=8) for _ in range(40)]
-    for n in range(7):
+    families = _exact_families(37)
+    for n in range(13):
         for f in families:
-            assert hankel(f, n).entries == hankel(normalized(f, n + 1), n).entries, (f.name, n)
-    assert sum(f.r(1) != ONE for f in families) > 30
+            assert hankel(f, n).entries == hankel(normalized(f), n).entries, (f.name, n)
+    assert sum(f.r(1) != ONE for f in families) > 18
 
 
 def test_triangle_is_the_normalized_triangle_times_the_r_products():
     # C_f = C_g diag(rho_0, ..., rho_n) with rho_k = r_0 ... r_{k-1}
-    rng = random.Random(41)
-    families = FAMILIES + [random_family(rng, terms=8) for _ in range(40)]
-    for f in families:
-        n = 6
+    for f in _exact_families(41):
+        n = 12
         rho = [ONE]
         for k in range(n):
             rho.append(rho[-1] * f.r(k))
         diag = [[rho[i] if i == j else ZERO for j in range(n + 1)] for i in range(n + 1)]
-        g = [list(row) for row in catalan_stieltjes(normalized(f, n + 1), n).entries]
+        g = [list(row) for row in catalan_stieltjes(normalized(f), n).entries]
         assert [list(row) for row in catalan_stieltjes(f, n).entries] == matmul(g, diag), f.name
 
 

@@ -16,6 +16,7 @@ from qcatalan.errors import (
 )
 from qcatalan.families import (
     BUILTIN_NAMES,
+    ConditionReport,
     FamilySpec,
     ParamSeq,
     builtin,
@@ -29,9 +30,12 @@ from oracles import (
     conforming_random_family,
     contiguous_minors,
     derived_witnesses,
+    normalized,
     production_tp,
     random_family,
     random_qpoly,
+    random_tailed_family,
+    swapped,
 )
 
 
@@ -82,11 +86,35 @@ def test_conventions_for_out_of_range_indices():
 
 
 def test_param_seq_prefix_then_tail():
-    seq = ParamSeq(0, prefix=(ZERO, ONE), linear=Q, constant=ONE)
+    seq = ParamSeq(0, prefix=(ZERO, ONE), tail=(ONE, Q))
     assert seq(0) == ZERO
     assert seq(1) == ONE
     assert seq(2) == QPoly([1, 2])  # 2q + 1
     assert seq(5) == QPoly([1, 5])
+
+
+def test_param_seq_tail_is_its_polynomial_in_k():
+    # Horner's rule against the sum of tail[i] * k**i built term by term
+    rng = random.Random(53)
+    for _ in range(200):
+        start = rng.randrange(2)
+        prefix = tuple(random_qpoly(rng, allow_negative=True) for _ in range(rng.randrange(4)))
+        tail = tuple(random_qpoly(rng, allow_negative=True) for _ in range(rng.randrange(1, 5)))
+        seq = ParamSeq(start, prefix, tail)
+        end = start + len(prefix)
+        for k in [*range(start, end + 6), 10**6]:
+            if k < end:
+                expected = prefix[k - start]
+            else:
+                expected = ZERO
+                for i, c in enumerate(tail):
+                    expected = expected + QPoly([a * k**i for a in c.coeffs])
+            assert seq(k) == expected, (prefix, tail, k)
+
+
+def test_param_seq_constant_tail_is_the_stored_polynomial():
+    c = QPoly([2, 0, 5])
+    assert ParamSeq(0, (ONE,), (c,))(9) is c
 
 
 def test_param_seq_without_tail_is_finite():
@@ -102,9 +130,9 @@ def test_param_seq_without_tail_is_finite():
 def test_lazy_nonnegativity_check():
     f = FamilySpec(
         name="bad",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, prefix=(QPoly([-1, 1]),), constant=ONE),
-        t_seq=ParamSeq(1, constant=ONE),
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, prefix=(QPoly([-1, 1]),), tail=(ONE,)),
+        t_seq=ParamSeq(1, tail=(ONE,)),
     )
     assert f.r(0) == ONE  # fine until the bad term is touched
     with pytest.raises(NonNonnegativeParameter):
@@ -166,9 +194,9 @@ def test_condition_is_monotone_in_truncation_depth():
     two = QPoly([2])
     f = FamilySpec(
         name="dip",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, prefix=(two, two, two, ZERO), constant=two),
-        t_seq=ParamSeq(1, constant=ONE),
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, prefix=(two, two, two, ZERO), tail=(two,)),
+        t_seq=ParamSeq(1, tail=(ONE,)),
     )
     for up_to in range(3):
         assert check_condition(f, 1, up_to).holds
@@ -181,11 +209,11 @@ def test_condition_is_monotone_in_truncation_depth():
 def test_condition_5_reports_negative_witness():
     f = FamilySpec(
         name="negwitness",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, constant=ZERO),
-        t_seq=ParamSeq(1, constant=ZERO),
-        witness_b=ParamSeq(0, prefix=(QPoly([-1]),), constant=ZERO),
-        witness_c=ParamSeq(0, constant=ZERO),
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, tail=(ZERO,)),
+        t_seq=ParamSeq(1, tail=(ZERO,)),
+        witness_b=ParamSeq(0, prefix=(QPoly([-1]),), tail=(ZERO,)),
+        witness_c=ParamSeq(0, tail=(ZERO,)),
     )
     report = check_condition(f, 5, 3)
     assert not report.holds
@@ -196,15 +224,43 @@ def test_condition_5_reports_factorization_mismatch():
     # r = 1, s = 0 = b + c, but t_{k+1} = 1 != b_{k+1} c_k = 0.
     f = FamilySpec(
         name="control",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, constant=ZERO),
-        t_seq=ParamSeq(1, constant=ONE),
-        witness_b=ParamSeq(0, constant=ZERO),
-        witness_c=ParamSeq(0, constant=ZERO),
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, tail=(ZERO,)),
+        t_seq=ParamSeq(1, tail=(ONE,)),
+        witness_b=ParamSeq(0, tail=(ZERO,)),
+        witness_c=ParamSeq(0, tail=(ZERO,)),
     )
     report = check_condition(f, 5, 3)
     assert not report.holds
     assert report.first_violation == (0, ONE)
+
+
+def test_condition_5_reports_negative_witness_c():
+    # b = 0, so the witness c_0 = -1 is the first thing that fails, before
+    # s_0 = 0 differs from b_0 + c_0
+    f = FamilySpec(
+        name="negc",
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, tail=(ZERO,)),
+        t_seq=ParamSeq(1, tail=(ZERO,)),
+        witness_b=ParamSeq(0, tail=(ZERO,)),
+        witness_c=ParamSeq(0, prefix=(QPoly([-1]),), tail=(ZERO,)),
+    )
+    assert check_condition(f, 5, 3) == ConditionReport(5, False, (0, QPoly([-1])))
+
+
+def test_condition_5_reports_s_other_than_b_plus_c():
+    # r = 1 and t_{k+1} = 0 = b_{k+1} c_k hold; only s_1 = q differs from b_1 + c_1 = 0
+    f = FamilySpec(
+        name="s-off",
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, prefix=(ZERO, Q), tail=(ZERO,)),
+        t_seq=ParamSeq(1, tail=(ZERO,)),
+        witness_b=ParamSeq(0, tail=(ZERO,)),
+        witness_c=ParamSeq(0, tail=(ZERO,)),
+    )
+    assert check_condition(f, 5, 0).holds
+    assert check_condition(f, 5, 5) == ConditionReport(5, False, (1, Q))
 
 
 @pytest.mark.parametrize("name", ["narayana", "schroder"])
@@ -239,6 +295,19 @@ def test_derived_witnesses_recover_planted_ones_with_any_r():
             t_seq=ParamSeq(1, tuple(beta[k] * c[k] for k in range(depth))),
         )
         assert derived_witnesses(f, depth) == (b, c)
+
+
+def test_normalized_and_swapped_families_are_exact_at_every_k():
+    rng = random.Random(47)
+    families = [builtin(name) for name in BUILTIN_NAMES]
+    families += [random_tailed_family(rng) for _ in range(30)]
+    for f in families:
+        g, h = normalized(f), swapped(f)
+        for k in [*range(41), 10**6]:
+            assert g.r(k) == ONE and g.s(k) == h.s(k) == f.s(k)
+            assert g.t(k + 1) == f.r(k) * f.t(k + 1), (f.name, k)
+            assert h.r(k) == f.t(k + 1), (f.name, k)
+            assert h.t(k + 1) == f.r(k), (f.name, k)
 
 
 @pytest.mark.parametrize("condition", [1, 2, 3, 4, 5])
@@ -389,6 +458,21 @@ def test_load_family_polynomial_must_be_a_list(key, seq, place):
     assert str(exc.value).startswith(f"{place}: polynomial must be a list of ints")
 
 
+@pytest.mark.parametrize("part", ["linear", "constant"])
+def test_load_family_tail_with_an_empty_part_is_zero_not_finite(part):
+    f = load_family(dict(NARAYANA_DOC, s={"prefix": [[1]], "tail": {part: []}}))
+    assert f.s_seq.tail
+    for k in [*range(1, 41), 10**6]:
+        assert f.s(k) == ZERO
+
+
+def test_load_family_reports_a_malformed_linear_before_a_malformed_constant():
+    doc = dict(NARAYANA_DOC, t={"tail": {"constant": [0.5], "linear": "q"}})
+    with pytest.raises(SchemaError) as exc:
+        load_family(doc)
+    assert str(exc.value) == "t.tail.linear: polynomial must be a list of ints, got 'q'"
+
+
 def test_load_family_rejects_bad_json_text():
     with pytest.raises(SchemaError):
         load_family("{not json")
@@ -449,9 +533,9 @@ def test_a_production_tp_family_meeting_no_condition_has_nonnegative_minors():
     # matrix to depth 14, none of conditions 1-5
     f = FamilySpec(
         name="pinned",
-        r_seq=ParamSeq(0, constant=QPoly([3])),
-        s_seq=ParamSeq(0, constant=QPoly([1, 2, 2])),
-        t_seq=ParamSeq(1, constant=QPoly([0, 0, 1])),
+        r_seq=ParamSeq(0, tail=(QPoly([3]),)),
+        s_seq=ParamSeq(0, tail=(QPoly([1, 2, 2]),)),
+        t_seq=ParamSeq(1, tail=(QPoly([0, 0, 1]),)),
     )
     assert production_tp(f, 14)
     for condition in (1, 2, 3, 4):

@@ -54,11 +54,11 @@ def control_family() -> FamilySpec:
     produces a corner with a negative 2x2 minor."""
     return FamilySpec(
         name="control",
-        r_seq=ParamSeq(0, constant=ONE),
-        s_seq=ParamSeq(0, constant=ZERO),
-        t_seq=ParamSeq(1, constant=ONE),
-        witness_b=ParamSeq(0, constant=ZERO),
-        witness_c=ParamSeq(0, constant=ZERO),
+        r_seq=ParamSeq(0, tail=(ONE,)),
+        s_seq=ParamSeq(0, tail=(ZERO,)),
+        t_seq=ParamSeq(1, tail=(ONE,)),
+        witness_b=ParamSeq(0, tail=(ZERO,)),
+        witness_c=ParamSeq(0, tail=(ZERO,)),
     )
 
 

@@ -72,22 +72,22 @@ UNIT_R_CASES = [(SCH, 5), (NAR, 2), (NAR, 4), (NAR, 5)]
 # c_k = 1+q: meets all five conditions, so any case list is allowed.
 FIVE = FamilySpec(
     name="fivecase",
-    r_seq=ParamSeq(0, constant=ONE),
-    s_seq=ParamSeq(0, prefix=(QPoly([1, 1]),), constant=QPoly([2, 1])),
-    t_seq=ParamSeq(1, constant=QPoly([1, 1])),
-    witness_b=ParamSeq(0, prefix=(ZERO,), constant=ONE),
-    witness_c=ParamSeq(0, constant=QPoly([1, 1])),
+    r_seq=ParamSeq(0, tail=(ONE,)),
+    s_seq=ParamSeq(0, prefix=(QPoly([1, 1]),), tail=(QPoly([2, 1]),)),
+    t_seq=ParamSeq(1, tail=(QPoly([1, 1]),)),
+    witness_b=ParamSeq(0, prefix=(ZERO,), tail=(ONE,)),
+    witness_c=ParamSeq(0, tail=(QPoly([1, 1]),)),
 )
 
 # r = 2, s = 5, t = 1, b = c = 1: q-nonnegative but b + c != s and r != 1,
 # so condition 5 fails at index 0 although every witness is q-nonnegative.
 UNFACTORED = FamilySpec(
     name="unfactored",
-    r_seq=ParamSeq(0, constant=QPoly([2])),
-    s_seq=ParamSeq(0, constant=QPoly([5])),
-    t_seq=ParamSeq(1, constant=ONE),
-    witness_b=ParamSeq(0, constant=ONE),
-    witness_c=ParamSeq(0, constant=ONE),
+    r_seq=ParamSeq(0, tail=(QPoly([2]),)),
+    s_seq=ParamSeq(0, tail=(QPoly([5]),)),
+    t_seq=ParamSeq(1, tail=(ONE,)),
+    witness_b=ParamSeq(0, tail=(ONE,)),
+    witness_c=ParamSeq(0, tail=(ONE,)),
 )
 
 
@@ -645,6 +645,11 @@ def test_factored_hankel_census():
 def test_factored_hankel_point_case():
     net = build_hankel_factored(NAR, 0, [])
     assert net.gf_matrix() == [[ONE]]
+
+
+def test_factored_hankel_rejects_a_negative_n():
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        build_hankel_factored(NAR, -1, ())
 
 
 def test_factored_hankel_requires_unit_up_weights():
