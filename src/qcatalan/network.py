@@ -13,8 +13,9 @@ The generating function GF(u, v) is the sum over all directed u -> v paths
 of the product of arc weights, with GF(u, u) = 1.  The whole GF matrix
 comes from one pass in topological order that carries, at each vertex, the
 path sums from every source with each polynomial packed into the integer
-p(2**B) (Kronecker substitution); a first pass at q = 1 over absolute
-coefficient sums bounds the coefficients and so fixes B.
+p(2**B) (Kronecker substitution).  B is fixed by one value per vertex: a
+pass at q = 1 over absolute coefficient sums, with every source on one
+index, bounds every coefficient of every entry.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ def _vkey(v: Vertex) -> tuple[int, int, int]:
     return (v.level, _KINDS[v.kind].rank, v.height)
 
 
-def _mirror_arc(a: Arc) -> Arc:
-    return Arc(mirror_vertex(a.head), mirror_vertex(a.tail), a.weight)
-
-
 def _reachable(arcs: Iterable[Arc], origin: Vertex, backward: bool = False) -> set[Vertex]:
     """Vertices reachable from ``origin`` along ``arcs``, or against them."""
     step: dict[Vertex, list[Vertex]] = {}
@@ -95,9 +92,9 @@ class PlanarNetwork:
 
     Its vertices are the arc endpoints, sources and sinks.  Zero-weight
     arcs are stored like any other arc.  One pass over the arcs checks
-    their weights and rejects duplicates while it fills the out-arc lists,
-    kept in arc order; Kahn's algorithm on those lists then verifies
-    acyclicity, and its topological order is kept for the
+    their weights and fills each tail's out-arc map (head -> weight, in arc
+    order), which rejects a duplicate arc; Kahn's algorithm on those maps
+    then verifies acyclicity, and its topological order is kept for the
     generating-function sweeps.
     """
 
@@ -107,29 +104,29 @@ class PlanarNetwork:
         sources: Sequence[Vertex],
         sinks: Sequence[Vertex],
     ) -> None:
-        self.arcs: tuple[Arc, ...] = tuple(Arc(*a) for a in arcs)
+        self.arcs: tuple[Arc, ...] = tuple(a if isinstance(a, Arc) else Arc(*a) for a in arcs)
         self.sources: tuple[Vertex, ...] = tuple(sources)
         self.sinks: tuple[Vertex, ...] = tuple(sinks)
-        adj: dict[Vertex, list[tuple[Vertex, QPoly]]] = {
-            v: [] for v in (*self.sources, *self.sinks)
-        }
+        adj: dict[Vertex, dict[Vertex, QPoly]] = {v: {} for v in (*self.sources, *self.sinks)}
         indegree: dict[Vertex, int] = dict.fromkeys(adj, 0)
-        pairs: set[tuple[Vertex, Vertex]] = set()
         for tail, head, weight in self.arcs:
             if not isinstance(weight, QPoly):
                 raise TypeError(f"arc weight {weight!r} is not a QPoly")
-            if (tail, head) in pairs:
+            out = adj.get(tail)
+            if out is None:
+                out = adj[tail] = {}
+            if head in out:
                 raise ValueError(f"duplicate arc {tail} -> {head}")
-            pairs.add((tail, head))
-            adj.setdefault(tail, []).append((head, weight))
-            adj.setdefault(head, [])
+            out[head] = weight
+            if head not in adj:
+                adj[head] = {}
             indegree[head] = indegree.get(head, 0) + 1
         self.vertices: frozenset[Vertex] = frozenset(adj)
         self._adj = adj
 
         topo = [v for v in adj if not indegree.get(v)]
         for v in topo:  # grows while it is walked
-            for head, _ in adj[v]:
+            for head in adj[v]:
                 indegree[head] -= 1
                 if not indegree[head]:
                     topo.append(head)
@@ -148,25 +145,27 @@ class PlanarNetwork:
         starts: Sequence[Vertex],
         ends: Sequence[Vertex],
         weigh: Callable[[QPoly], int],
+        pooled: bool = False,
     ) -> dict[Vertex, dict[int, int]]:
         """Every start's path sums at every end, in one topological pass.
 
         Each arc weight is mapped to an integer by ``weigh`` (once per
         walked arc); the value at v maps start index i to the sum,
-        over starts[i] -> v paths, of the products of those integers.  A
-        vertex's map is dropped once its out-arcs are done unless it is an
-        end; arcs weighing 0 are skipped and arcs weighing 1 add without a
-        multiply.
+        over starts[i] -> v paths, of the products of those integers.
+        ``pooled`` puts every start on index 0, which then holds the sum
+        over the distinct starts.  A vertex's map is dropped once its
+        out-arcs are done unless it is an end; arcs weighing 0 are skipped
+        and arcs weighing 1 add without a multiply.
         """
         keep = set(ends)
         acc: dict[Vertex, dict[int, int]] = {}
         for i, u in enumerate(starts):
-            acc.setdefault(u, {})[i] = 1
+            acc.setdefault(u, {})[0 if pooled else i] = 1
         for v in self._topo:
             value = acc.get(v) if v in keep else acc.pop(v, None)
             if not value:
                 continue
-            for head, weight in self._adj[v]:
+            for head, weight in self._adj[v].items():
                 w = weigh(weight)
                 if not w:
                     continue
@@ -183,21 +182,25 @@ class PlanarNetwork:
                         target[i] = target.get(i, 0) + x * w
         return acc
 
+    def _bounds(self, starts: Sequence[Vertex], ends: Sequence[Vertex]) -> list[int]:
+        """B(v) for each v in ``ends``: the sum over the distinct starts u of
+        the u -> v path sums at q = 1, each weight replaced by the sum of its
+        absolute coefficients.  B(v) is at least every coefficient of every
+        GF(u, v) in absolute value, and costs one pooled pass."""
+        sums = self._sweep(starts, ends, lambda p: sum(map(abs, p.coeffs)), pooled=True)
+        return [sums[v][0] if v in sums else 0 for v in ends]
+
     def _gf_rows(
         self, starts: Sequence[Vertex], ends: Sequence[Vertex]
     ) -> list[list[QPoly]]:
         """GF(u, v) for u in ``starts`` (rows) and v in ``ends`` (columns).
 
-        One pass at q = 1 with every weight replaced by the sum of its
-        absolute coefficients bounds every coefficient of every GF(u, v);
-        that bound fixes the digit width, and a second pass carries each
-        weight packed as p(2**bits) (Kronecker substitution), so each arc
-        costs one big-integer multiply-add.  Only the end values are
-        unpacked.
+        The largest end bound B(v) (``_bounds``) fixes the digit width, and
+        a second pass carries each weight packed as p(2**bits) (Kronecker
+        substitution), so each arc costs one big-integer multiply-add.  Only
+        the end values are unpacked.
         """
-        bound = self._sweep(starts, ends, lambda p: sum(map(abs, p.coeffs)))
-        top = max((x for v in ends for x in bound.get(v, {}).values()), default=0)
-        bits = _width(top)
+        bits = _width(max(self._bounds(starts, ends), default=0))
         packed = self._sweep(starts, ends, lambda p: _pack(p.coeffs, bits))
         columns = [packed.get(v, {}) for v in ends]
         return [
@@ -241,7 +244,7 @@ class PlanarNetwork:
             if w == v:
                 results.append((tuple(path), weight))
                 return
-            for head, arc_weight in self._adj[w]:
+            for head, arc_weight in self._adj[w].items():
                 if head not in toward:
                     continue
                 path.append(head)
@@ -359,18 +362,28 @@ def _require_condition(f: FamilySpec, n: int, case: int) -> None:
         )
 
 
-def _layer_arcs(n: int, weights: Sequence[tuple[QPoly, ...]]) -> list[Arc]:
-    """Arcs of the level-n layer from its case's weight rows for indices 0..n."""
+def _layer_arcs(
+    n: int,
+    weights: Sequence[tuple[QPoly, ...]],
+    here: Sequence[Vertex],
+    there: Sequence[Vertex],
+) -> list[Arc]:
+    """Arcs of the level-n layer from its case's weight rows for indices 0..n.
+
+    ``here`` and ``there`` hold P(n, k) and P(n+1, k) at index k, for k up to
+    at least n + 1, so each vertex is one object in every arc that meets it.
+    """
     rows = weights[n::-1]  # rows[k] weighs height k, index n - k
+    q = [Q(n, k) for k in range(n + 2)]
     arcs: list[Arc] = []
     for k, (first, second, *_) in enumerate([*rows, (ONE, ONE)]):  # horizontal steps
-        arcs.append(Arc(P(n, k), Q(n, k), first))
-        arcs.append(Arc(Q(n, k), P(n + 1, k), second))
+        arcs.append(Arc(here[k], q[k], first))
+        arcs.append(Arc(q[k], there[k], second))
     for k, (_, _, first, second, _) in enumerate(rows):  # diagonal steps from height k
-        arcs.append(Arc(P(n, k), Q(n, k + 1), first))
-        arcs.append(Arc(Q(n, k), P(n + 1, k + 1), second))
+        arcs.append(Arc(here[k], q[k + 1], first))
+        arcs.append(Arc(q[k], there[k + 1], second))
     for k, row in enumerate(rows):  # super-diagonal arcs from height k to k+1
-        arcs.append(Arc(P(n, k), P(n + 1, k + 1), row[4]))
+        arcs.append(Arc(here[k], there[k + 1], row[4]))
     return arcs
 
 
@@ -388,7 +401,8 @@ def build_layer(f: FamilySpec, n: int, case: int) -> PlanarNetwork:
         raise ValueError(f"n must be >= 0, got {n!r}")
     _require_condition(f, n, case)
     weights = [_WEIGHTS[case](f, j) for j in range(n + 1)]
-    return PlanarNetwork(_layer_arcs(n, weights), layer_sources(n), layer_sinks(n))
+    sources, sinks = layer_sources(n), layer_sinks(n)
+    return PlanarNetwork(_layer_arcs(n, weights, sources[::-1], sinks[::-1]), sources, sinks)
 
 
 # -- composition -----------------------------------------------------
@@ -429,15 +443,18 @@ def glue(x: PlanarNetwork, y: PlanarNetwork) -> PlanarNetwork:
 
 def mirror(net: PlanarNetwork) -> PlanarNetwork:
     """Reverse every arc and bar every vertex; sources and sinks swap."""
+    bar = _Memo(mirror_vertex)
     return PlanarNetwork(
-        map(_mirror_arc, net.arcs),
-        tuple(mirror_vertex(v) for v in net.sinks),
-        tuple(mirror_vertex(v) for v in net.sources),
+        [Arc(bar[a.head], bar[a.tail], a.weight) for a in net.arcs],
+        tuple(bar[v] for v in net.sinks),
+        tuple(bar[v] for v in net.sources),
     )
 
 
-def _layered_arcs(f: FamilySpec, n: int, cases: Sequence[int]) -> list[Arc]:
-    """Arcs of the n-level network for C_n (n = 0: none).
+def _layered_arcs(
+    f: FamilySpec, n: int, cases: Sequence[int]
+) -> tuple[list[Arc], list[Vertex]]:
+    """Arcs of the n-level network for C_n (n = 0: none), and its top column.
 
     Gluing layer i onto the levels below it identifies the layer's sources
     with the padded sinks at level i, which are the same vertices; so the
@@ -445,7 +462,9 @@ def _layered_arcs(f: FamilySpec, n: int, cases: Sequence[int]) -> list[Arc]:
     arcs P(l, i+1) -> P(l+1, i+1), l < i, that extend each layer's top row
     back to level 0.  Layer i needs its condition and its case's weight rows
     for k <= i, so each case is checked once, and its rows are built once,
-    up to the last layer that uses it.
+    up to the last layer that uses it.  The P vertices of levels 0..n are
+    built once, as a grid whose column l holds P(l, h) at index h; the top
+    column, level n, is returned with the arcs.
     """
     cases = tuple(cases)
     if len(cases) != n:
@@ -456,11 +475,12 @@ def _layered_arcs(f: FamilySpec, n: int, cases: Sequence[int]) -> list[Arc]:
     weights = {
         case: [_WEIGHTS[case](f, j) for j in range(i + 1)] for case, i in last_layer.items()
     }
+    grid = [[P(l, h) for h in range(n + 1)] for l in range(n + 1)]
     arcs: list[Arc] = []
     for i, case in enumerate(cases):
-        arcs += _layer_arcs(i, weights[case])
-        arcs += (Arc(P(l, i + 1), P(l + 1, i + 1), ONE) for l in range(i))
-    return arcs
+        arcs += _layer_arcs(i, weights[case], grid[i], grid[i + 1])
+        arcs += (Arc(grid[l][i + 1], grid[l + 1][i + 1], ONE) for l in range(i))
+    return arcs, grid[n]
 
 
 def build_cs_network(
@@ -474,7 +494,7 @@ def build_cs_network(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    return PlanarNetwork(_layered_arcs(f, n, cases), cs_sources(n), cs_sinks(n))
+    return PlanarNetwork(_layered_arcs(f, n, cases)[0], cs_sources(n), cs_sinks(n))
 
 
 def build_hankel_network(
@@ -489,7 +509,7 @@ def build_hankel_network(
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0, got n={n!r}, k={k!r}")
     total = 2 * n + k
-    arcs = _layered_arcs(f, total, cases)
+    arcs = _layered_arcs(f, total, cases)[0]
     forward = _reachable(arcs, P(k, k))
     backward = _reachable(arcs, P(total, total), backward=True)
     kept = [a for a in arcs if a.tail in forward and a.head in backward]
@@ -502,7 +522,8 @@ def build_hankel_factored(
     """Network for the Hankel matrix from C, a diagonal bridge, and the
     mirror of C; requires r_k = 1 for all k <= n.  Bridge arc P(n, i) ->
     Pbar(n, i) weighs t_1 ... t_{n-i}; the parts share their boundary
-    vertices, so their arcs form ``glue(glue(C, bridge), mirror(C))``."""
+    vertices, so their arcs form ``glue(glue(C, bridge), mirror(C))``.
+    Each vertex is mirrored once, so the copy shares its objects too."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     for k in range(n + 1):
@@ -511,12 +532,13 @@ def build_hankel_factored(
                 f"family {f.name!r} has r_{k} = {f.r(k)}; the factored "
                 "construction needs r_k = 1"
             )
-    layered = _layered_arcs(f, n, cases)
+    layered, top = _layered_arcs(f, n, cases)
     products = [ONE]
     for m in range(1, n + 1):
         products.append(products[-1] * f.t(m))
-    bridge = [Arc(P(n, i), Vertex("Pbar", n, i), products[n - i]) for i in range(n + 1)]
-    arcs = layered + bridge + [_mirror_arc(a) for a in layered]
+    bar = _Memo(mirror_vertex)
+    bridge = [Arc(top[i], bar[top[i]], products[n - i]) for i in range(n + 1)]
+    arcs = layered + bridge + [Arc(bar[a.head], bar[a.tail], a.weight) for a in layered]
     return PlanarNetwork(arcs, cs_sources(n), factored_sinks(n))
 
 

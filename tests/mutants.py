@@ -315,9 +315,17 @@ MUTANTS = [
     {
         "name": "network constructor accepts a duplicate arc",
         "file": "src/qcatalan/network.py",
-        "snippet": "if (tail, head) in pairs:",
+        "snippet": "if head in out:",
         "replacement": "if False:",
         "tests": ["tests/test_network.py"],
+    },
+    # A signed weight then counts for less than its coefficients.
+    {
+        "name": "GF bound drops the abs from each weight's norm",
+        "file": "src/qcatalan/network.py",
+        "snippet": "lambda p: sum(map(abs, p.coeffs))",
+        "replacement": "lambda p: sum(p.coeffs)",
+        "tests": ["tests/test_network.py::test_gf_bound_holds_on_random_signed_networks"],
     },
     {
         "name": "GF sweep drops the sinks' maps too",

@@ -483,7 +483,7 @@ def gf_matrix_by_source(net: PlanarNetwork) -> list[list[QPoly]]:
 
     GF(u, v) is 1 if v = u, else 0, plus GF(u, t) * weight over every arc
     t -> v.  The in-arcs come from the public ``arcs`` field alone, so the
-    network's own topological order and out-arc lists are not read; there is
+    network's own topological order and out-arc maps are not read; there is
     no packing and no pass shared between sources.  Acyclicity ends the
     recursion.
     """

@@ -119,6 +119,27 @@ def test_network_rejects_non_polynomial_weights():
         PlanarNetwork([(a, b, 1)], (a,), (b,))
 
 
+def test_network_reports_its_first_bad_arc():
+    # arcs are checked in order; a cycle is only found once every arc is in
+    a, b = P(0, 0), P(1, 0)
+    with pytest.raises(ValueError, match="duplicate arc"):
+        PlanarNetwork([Arc(b, a, ONE), Arc(a, b, ONE), Arc(a, b, ONE), (a, b, 1)], (a,), (b,))
+    with pytest.raises(TypeError):
+        PlanarNetwork([Arc(b, a, ONE), (a, b, 1), Arc(b, a, ONE)], (a,), (b,))
+
+
+def test_network_from_plain_tuples_equals_one_from_arcs():
+    rng = random.Random(6063)
+    for trial in range(20):
+        net = _random_network(rng)
+        plain = PlanarNetwork([tuple(a) for a in net.arcs], net.sources, net.sinks)
+        assert plain.arcs == net.arcs, trial
+        assert all(type(a) is Arc for a in plain.arcs), trial
+        assert plain.gf_matrix() == net.gf_matrix(), trial
+        again = PlanarNetwork(net.arcs, net.sources, net.sinks)
+        assert all(x is y for x, y in zip(again.arcs, net.arcs)), trial
+
+
 def test_path_gf_on_a_diamond():
     a, b, c, d = P(0, 0), P(1, 1), P(1, 0), P(2, 0)
     net = PlanarNetwork(
@@ -441,6 +462,21 @@ def test_vertices_are_arc_ends_and_boundary():
         mirrored = mirror(net)
         assert mirrored.vertices == {mirror_vertex(v) for v in net.vertices}
         assert mirrored.vertices == _arc_ends_and_boundary(mirrored)
+
+
+def test_each_construction_holds_one_object_per_vertex():
+    cases = [1, 5, 2, 4, 3]
+    layered = build_cs_network(FIVE, 5, cases)
+    nets = [
+        layered,
+        mirror(layered),
+        build_layer(FIVE, 4, 3),
+        build_hankel_network(FIVE, 2, 1, cases),
+        build_hankel_factored(FIVE, 5, cases),
+    ]
+    for net in nets:
+        ends = [v for a in net.arcs for v in a[:2]]
+        assert len({id(v) for v in ends}) == len(set(ends)) > 0
 
 
 @pytest.mark.parametrize("f,case", FAMILY_CASES, ids=lambda p: str(p))
@@ -886,6 +922,32 @@ def test_packed_gf_cancels_to_zero_exactly():
         (d, b),
     )
     assert net.gf_matrix() == [[ZERO, big]] == gf_matrix_by_source(net)
+
+
+def assert_bounds_hold(net, label):
+    """Each sink's bound B(v) against every coefficient of its GF column."""
+    bounds = net._bounds(net.sources, net.sinks)
+    for row in gf_matrix_by_source(net):
+        for j, (entry, bound) in enumerate(zip(row, bounds)):
+            assert all(abs(c) <= bound for c in entry.coeffs), (label, j, bound, entry)
+
+
+def test_gf_bound_holds_on_random_signed_networks():
+    rng = random.Random(6064)
+    for trial in range(200):
+        assert_bounds_hold(_random_network(rng), trial)
+
+
+def test_gf_bound_holds_on_every_construction():
+    for f, case in FAMILY_CASES:
+        for n in range(7):
+            assert_bounds_hold(build_cs_network(f, n, [case] * n), (f.name, case, n))
+            for k in range(2):
+                net = build_hankel_network(f, n, k, [case] * (2 * n + k))
+                assert_bounds_hold(net, (f.name, case, n, k))
+    for f, case in UNIT_R_CASES:
+        for n in range(7):
+            assert_bounds_hold(build_hankel_factored(f, n, [case] * n), (f.name, case, n))
 
 
 # -- DOT export -------------------------------------------------------
