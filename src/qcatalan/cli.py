@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import NamedTuple
 
-from .csmatrix import CSMatrix, catalan_like, catalan_stieltjes, hankel, submatrix
+from .csmatrix import CSMatrix, _packed_matrix, catalan_like, catalan_stieltjes, hankel, submatrix
 from .errors import FamilyError, OutOfRange, SchemaError, UnknownFamily
 from .families import BUILTIN_NAMES, WEIGHT_CASES, FamilySpec, builtin, load_family
 from .immanant import (
@@ -29,6 +29,7 @@ from .immanant import (
     positivity_sweep,
 )
 from .network import (
+    _first_mismatch,
     _json_order,
     build_cs_network,
     build_hankel_factored,
@@ -113,6 +114,22 @@ def _column_widths(grid, held: dict) -> list[int]:
     return widths
 
 
+def _held_texts(uses: dict, held: dict):
+    """``text(key, render, *args)``: ``render(*args)`` on a key's first use,
+    held in ``held`` while ``uses`` counts a use of the key still to come."""
+
+    def text(key, render, *args) -> str:
+        uses[key] -= 1
+        if key in held:
+            return held[key] if uses[key] else held.pop(key)
+        rendered = render(*args)
+        if uses[key]:
+            held[key] = rendered
+        return rendered
+
+    return text
+
+
 def _write_grid(entries, sep: str, pad: bool) -> None:
     """Write the rows of ``entries`` to stdout, one line each, cells joined by ``sep``.
 
@@ -136,26 +153,17 @@ def _write_grid(entries, sep: str, pad: bool) -> None:
     # keyed by id: every cell stays alive in grid
     uses = Counter(map(id, chain.from_iterable(grid)))
     held: dict[int, str] = {}  # a cell's text, while a use of it is still to be written
-
-    def text(cell) -> str:
-        key = id(cell)
-        uses[key] -= 1
-        if key in held:
-            return held[key] if uses[key] else held.pop(key)
-        rendered = str(cell)
-        if uses[key]:
-            held[key] = rendered
-        return rendered
-
+    text = _held_texts(uses, held)
     # a width of 0 leaves every cell as it is
     widths = _column_widths(grid, held) if pad else repeat(0)
     for row in grid:
         # the new line goes out alone: appending it would copy the whole line
-        write(sep.join(map(str.rjust, map(text, row), widths)))
+        write(sep.join(map(str.rjust, [text(id(cell), str, cell) for cell in row], widths)))
         write("\n")
 
 
 _INT_ONLY = {int}
+_FLAGS = ("false", "true")  # a bool's text in JSON and CSV, indexed by the bool
 
 
 def _ints(values, nl: str) -> str:
@@ -182,17 +190,38 @@ def _write_json(doc) -> None:
 
     A document holds dicts with str keys, lists, str, int, bool, None and
     ``QPoly``, which renders as its coefficient list; anything else (a
-    float, a non-str key) raises TypeError. A ``_Reports`` stands for the
-    list of its sweep's reports, each a report's JSON object with its
-    ``"provenance"`` (family, kind, rows and cols) last. Each shape of each
-    content is rendered once, as a body, in which each distinct polynomial
-    is rendered once (``_Memo``), and each row set and column set once; a
-    report is then joined from its selection's body and the texts at the
-    selection's positions. Each piece is written into stdout's buffer as it
-    is rendered, so the whole text is never held (and a document that fails
-    part way has already written its first pieces).
+    float, a non-str key) raises TypeError. A polynomial object that
+    repeats at one indent is rendered once there, and its text is held only
+    until its last use (``_held_texts``): a Hankel matrix renders each
+    antidiagonal once, and a document whose values do not repeat holds no
+    text.
+
+    A ``_Reports`` stands for the list of its sweep's reports, each a
+    report's JSON object with its ``"provenance"`` (family, kind, rows and
+    cols) last. Each shape of each content is rendered once, as a body, in
+    which each distinct polynomial is rendered once (``_Memo``), and each
+    row set and column set once; a report is then joined from its
+    selection's body and the texts at the selection's positions. Each piece
+    is written into stdout's buffer as it is rendered, so the whole text is
+    never held (and a document that fails part way has already written its
+    first pieces).
     """
     write = sys.stdout.write
+    uses: dict = {}  # keyed by id and indent: doc keeps every polynomial alive
+
+    def count(v, nl: str) -> None:  # the uses in a list or dict whose items sit at nl
+        for x in v if type(v) is list else v.values():
+            t = type(x)
+            if t is QPoly:
+                uses[id(x), nl] = uses.get((id(x), nl), 0) + 1
+            elif t is list or t is dict:
+                count(x, nl + "  ")
+
+    if type(doc) is list or type(doc) is dict:
+        count(doc, "\n  ")
+    # only a repeated polynomial goes through the held texts
+    uses = {key: n for key, n in uses.items() if n > 1}
+    text = _held_texts(uses, {})
 
     def reports(spec: _Reports, nl: str) -> None:
         result = spec.result
@@ -200,14 +229,13 @@ def _write_json(doc) -> None:
         deeper = inner + "  "
         field = deeper + "  "  # a provenance's fields
         lists = _Memo(lambda p: _ints(p.coeffs, deeper)).__getitem__
-        flag = ("false", "true")  # a bool's JSON, indexed by the bool
         # a report's object up to its provenance, the last field, left open
         bodies = [
             [
                 f'{{{deeper}"lambda": {_ints(lam, deeper)},'
-                f'{deeper}"value": {lists(value)},{deeper}"q_nonnegative": {flag[q]},'
+                f'{deeper}"value": {lists(value)},{deeper}"q_nonnegative": {_FLAGS[q]},'
                 f'{deeper}"dominance_gap": {lists(gap)},'
-                f'{deeper}"gap_nonnegative": {flag[g]},{deeper}"provenance": '
+                f'{deeper}"gap_nonnegative": {_FLAGS[g]},{deeper}"provenance": '
                 for lam, value, q, gap, g in shapes
             ]
             for shapes in spec.contents
@@ -243,7 +271,8 @@ def _write_json(doc) -> None:
                 emit(x, inner)
             write(nl + "]")
         elif t is QPoly:
-            write(_ints(v.coeffs, nl))
+            key = id(v), nl
+            write(text(key, _ints, v.coeffs, nl) if key in uses else _ints(v.coeffs, nl))
         elif t is str:
             write(_quote(v))
         elif t is int:
@@ -262,7 +291,7 @@ def _write_json(doc) -> None:
                 emit(x, inner)
             write(nl + "}")
         elif t is bool:
-            write("true" if v else "false")
+            write(_FLAGS[v])
         elif v is None:
             write("null")
         elif t is _Reports:
@@ -359,32 +388,23 @@ def cmd_network(args) -> int:
     cases = _parse_cases(args.case, 2 * n + k if args.hankel_induced else n)
     if args.hankel_factored:
         net = build_hankel_factored(f, n, cases)
-        expected, what = hankel, "factored Hankel network"
+        is_hankel, what = True, "factored Hankel network"
     elif args.hankel_induced:
         net = build_hankel_network(f, n, k, cases)
-        expected, what = hankel, "induced Hankel network"
+        is_hankel, what = True, "induced Hankel network"
     else:
         net = build_cs_network(f, n, cases)
-        expected, what = catalan_stieltjes, "layered network"
+        is_hankel, what = False, "layered network"
 
     rc = EXIT_OK
     check_line = None
     if args.check:
-        got = net.gf_matrix()
-        want = [list(row) for row in expected(f, n).entries]
-        if got == want:
+        mismatch = _first_mismatch(net, *_packed_matrix(f, n, is_hankel))
+        if mismatch is None:
             check_line = f"check: pass ({what} matches the matrix for {f.name}, n={n})"
         else:
-            i, j = next(
-                (i, j)
-                for i in range(len(want))
-                for j in range(len(want[0]))
-                if got[i][j] != want[i][j]
-            )
-            check_line = (
-                f"check: fail ({what} entry ({i},{j}) is {got[i][j]}, "
-                f"matrix has {want[i][j]})"
-            )
+            i, j, got, want = mismatch
+            check_line = f"check: fail ({what} entry ({i},{j}) is {got}, matrix has {want})"
             rc = EXIT_NETWORK
 
     if args.check and args.format is None:
@@ -439,8 +459,8 @@ def _sweep_csv(result: SweepResult) -> None:
     render = _Memo(str).__getitem__
     bodies = [
         [
-            f"{'|'.join(map(str, lam))},{render(value)},{str(q).lower()},"
-            f"{render(gap)},{str(g).lower()}\n"
+            f"{'|'.join(map(str, lam))},{render(value)},{_FLAGS[q]},"
+            f"{render(gap)},{_FLAGS[g]}\n"
             for lam, value, q, gap, g in shapes
         ]
         for shapes in result.contents

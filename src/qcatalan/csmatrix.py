@@ -16,7 +16,9 @@ pass on coefficient-sum bounds fixes one digit width, and a second pass
 carries every entry packed as p(2**bits) (``qpoly._pack``).  A row is
 unpacked once it is complete, and only in the entries its caller keeps:
 the first column for ``catalan_like`` and ``hankel``, every entry for
-``catalan_stieltjes``.
+``catalan_stieltjes``.  ``_packed_matrix`` leaves C_n or H_n packed, at a
+width its caller picks, for the network check, which decodes nothing on a
+pass.
 """
 
 from __future__ import annotations
@@ -66,37 +68,55 @@ def _triangle(f: FamilySpec, n: int, top: int, cols: int) -> list[list[QPoly]]:
     cut its rows fit in, and a missing or negative term is reported as the
     first one the recurrence reads, in row order.
 
-    The recurrence runs twice on plain ints.  The first pass replaces each
-    term by the sum of its absolute coefficients, which bounds every
-    coefficient of the entry it computes; the largest bound over the
-    returned entries fixes one digit width.  The second pass carries each
-    entry packed as p(2**bits) and applies a term as one shifted multiple
-    per nonzero coefficient; each row is unpacked as soon as it is
-    complete, and only its first ``cols`` entries, so at most two packed
-    rows are alive at once.
+    The largest bound from ``_passes`` fixes one digit width; each packed
+    row is unpacked as soon as it is complete, so at most two packed rows
+    are alive at once.
+    """
+    bound, packed = _passes(f, n, top, cols)
+    bits = _width(bound)
+    return [[_unpack(x, bits) for x in row] for row in packed(bits)]
+
+
+def _passes(f: FamilySpec, n: int, top: int, cols: int):
+    """``_triangle``'s largest coefficient bound, from the recurrence with each
+    term replaced by the sum of its absolute coefficients, and its packer: a
+    map from a width ``bits`` to the rows packed as p(2**bits), exact at any
+    width, each term applied as one shifted multiple per nonzero coefficient.
     """
     r, s, t = cache(f.r), cache(f.s), cache(f.t)
 
     def norm(term):
         return cache(lambda k: sum(map(abs, term(k).coeffs)))
 
-    bound = 0
-    for row in _rows(n, top, norm(r), norm(s), norm(t), mul):
-        bound = max(bound, *row[:cols])
-    bits = _width(bound)
+    bound = max(max(row[:cols]) for row in _rows(n, top, norm(r), norm(s), norm(t), mul))
 
-    def pairs(term):
-        return cache(
-            lambda k: tuple((c, i * bits) for i, c in enumerate(term(k).coeffs) if c)
-        )
+    def packed(bits: int) -> Iterator[list[int]]:
+        def pairs(term):
+            return cache(
+                lambda k: tuple((c, i * bits) for i, c in enumerate(term(k).coeffs) if c)
+            )
 
-    def shifted(term, x):
-        return sum((x * c) << shift for c, shift in term)
+        def shifted(term, x):
+            return sum((x * c) << shift for c, shift in term)
 
-    return [
-        [_unpack(x, bits) for x in row[:cols]]
-        for row in _rows(n, top, pairs(r), pairs(s), pairs(t), shifted)
-    ]
+        return (row[:cols] for row in _rows(n, top, pairs(r), pairs(s), pairs(t), shifted))
+
+    return bound, packed
+
+
+def _packed_matrix(f: FamilySpec, n: int, is_hankel: bool):
+    """C_n, or H_n when ``is_hankel``, as ``_passes`` gives its triangle; the
+    packer's rows are the matrix's, C_n with 0 above the diagonal and H_n as
+    (a_{i+j}) from the first column."""
+    bound, packed = _passes(f, 2 * n if is_hankel else n, 2 * n, 1 if is_hankel else n + 1)
+
+    def rows(bits: int) -> list[list[int]]:
+        tri = list(packed(bits))
+        if is_hankel:
+            return [[tri[i + j][0] for j in range(n + 1)] for i in range(n + 1)]
+        return [row + [0] * (n - i) for i, row in enumerate(tri)]
+
+    return bound, rows
 
 
 def _rows(n: int, top: int, r, s, t, times) -> Iterator[list[int]]:

@@ -15,7 +15,9 @@ comes from one pass in topological order that carries, at each vertex, the
 path sums from every source with each polynomial packed into the integer
 p(2**B) (Kronecker substitution).  B is fixed by one value per vertex: a
 pass at q = 1 over absolute coefficient sums, with every source on one
-index, bounds every coefficient of every entry.
+index, bounds every coefficient of every entry.  The check against C_n or
+H_n (``_first_mismatch``) packs both matrices at one width and compares
+integers, so only an entry that differs is unpacked.
 """
 
 from __future__ import annotations
@@ -190,23 +192,23 @@ class PlanarNetwork:
         sums = self._sweep(starts, ends, lambda p: sum(map(abs, p.coeffs)), pooled=True)
         return [sums[v][0] if v in sums else 0 for v in ends]
 
+    def _packed_rows(
+        self, starts: Sequence[Vertex], ends: Sequence[Vertex], bits: int
+    ) -> list[list[int]]:
+        """GF(u, v) packed as p(2**bits) (Kronecker substitution), for u in
+        ``starts`` (rows) and v in ``ends`` (columns): one pass, in which
+        each arc costs one big-integer multiply-add."""
+        packed = self._sweep(starts, ends, lambda p: _pack(p.coeffs, bits))
+        columns = [packed.get(v, {}) for v in ends]
+        return [[column.get(i, 0) for column in columns] for i in range(len(starts))]
+
     def _gf_rows(
         self, starts: Sequence[Vertex], ends: Sequence[Vertex]
     ) -> list[list[QPoly]]:
-        """GF(u, v) for u in ``starts`` (rows) and v in ``ends`` (columns).
-
-        The largest end bound B(v) (``_bounds``) fixes the digit width, and
-        a second pass carries each weight packed as p(2**bits) (Kronecker
-        substitution), so each arc costs one big-integer multiply-add.  Only
-        the end values are unpacked.
-        """
+        """GF(u, v) for u in ``starts`` (rows) and v in ``ends`` (columns),
+        unpacked at the width of the largest end bound B(v) (``_bounds``)."""
         bits = _width(max(self._bounds(starts, ends), default=0))
-        packed = self._sweep(starts, ends, lambda p: _pack(p.coeffs, bits))
-        columns = [packed.get(v, {}) for v in ends]
-        return [
-            [_unpack(column.get(i, 0), bits) for column in columns]
-            for i in range(len(starts))
-        ]
+        return [[_unpack(x, bits) for x in row] for row in self._packed_rows(starts, ends, bits)]
 
     def path_gf(self, u: Vertex, v: Vertex) -> QPoly:
         """Sum of weight products over all directed u -> v paths."""
@@ -273,6 +275,21 @@ class PlanarNetwork:
             "sources": [vjson(v) for v in self.sources],
             "sinks": [vjson(v) for v in self.sinks],
         }
+
+
+def _first_mismatch(net: PlanarNetwork, bound: int, packer) -> tuple | None:
+    """The first (i, j), row-major, where GF(source_i, sink_j) differs from a
+    matrix packed as ``csmatrix._packed_matrix`` gives it, with both entries;
+    None if none does.  Both sides are packed at the width of the larger
+    bound, where p -> p(2**bits) is one-to-one on each side's coefficients,
+    so equal integers are equal polynomials."""
+    bits = _width(max([bound, *net._bounds(net.sources, net.sinks)]))
+    rows = zip(net._packed_rows(net.sources, net.sinks, bits), packer(bits))
+    for i, (got, want) in enumerate(rows):
+        if got != want:
+            j = next(j for j, (x, y) in enumerate(zip(got, want)) if x != y)
+            return i, j, _unpack(got[j], bits), _unpack(want[j], bits)
+    return None
 
 
 def _json_order(net: PlanarNetwork) -> tuple[list[Vertex], list[Arc]]:

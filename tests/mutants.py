@@ -233,8 +233,8 @@ MUTANTS = [
     {
         "name": "grid writer holds texts keyed by the cell's type instead of the cell",
         "file": "src/qcatalan/cli.py",
-        "snippet": "key = id(cell)\n        uses[key] -= 1",
-        "replacement": "key = id(type(cell))\n        uses[key] -= 1",
+        "snippet": "text(id(cell), str, cell)",
+        "replacement": "text(id(type(cell)), str, cell)",
         "tests": ["tests/test_rendering.py", "tests/test_csmatrix.py"],
     },
     # The stream keeps a text only while a use of it is still to be written.
@@ -591,6 +591,26 @@ MUTANTS = [
         "snippet": '"Qbar": _Kind(3, "Q", "Qb", 1, True)',
         "replacement": '"Qbar": _Kind(3, "Q", "Qb", 0, True)',
         "tests": ["tests/test_network.py", "tests/test_golden_json.py"],
+    },
+    # The packed network check: a width that holds only the matrix lets a
+    # wrong GF entry pack like the right one, and a row compared only up to
+    # its diagonal misses a path that C_n does not have.
+    {
+        "name": "network check packs both sides at the matrix's width alone",
+        "file": "src/qcatalan/network.py",
+        "snippet": "bits = _width(max([bound, *net._bounds(net.sources, net.sinks)]))",
+        "replacement": "bits = _width(bound)",
+        "tests": [
+            "tests/test_network.py::"
+            "test_packed_check_finds_an_entry_that_aliases_at_the_matrix_width"
+        ],
+    },
+    {
+        "name": "network check skips the entries above the diagonal",
+        "file": "src/qcatalan/network.py",
+        "snippet": "if got != want:",
+        "replacement": "if got[: i + 1] != want[: i + 1]:",
+        "tests": ["tests/test_network.py::test_packed_check_reads_the_entries_above_the_diagonal"],
     },
     # tests/test_cli.py as a whole also runs the console-script test, which
     # needs the installed package, so the mutant names its test.

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -464,25 +465,51 @@ def test_network_factored_needs_unit_up_weights(capsys):
     assert "r_1" in err
 
 
-def test_network_check_failure_exit_code(capsys, monkeypatch):
-    # doctor one unit arc weight so the GF matrix no longer matches
-    def doctored(f, n, cases):
-        real = build_cs_network(f, n, cases)
-        arcs, changed = [], False
-        for a in real.arcs:
-            if not changed and a.weight == ONE:
-                arcs.append(Arc(a.tail, a.head, a.weight + ONE))
-                changed = True
-            else:
-                arcs.append(a)
+def _doctored(build, pick):
+    """``build`` with one unit arc weighing 2, so the GF matrix no longer matches.
+
+    ``pick`` indexes the unit arcs in arc order.
+    """
+
+    def doctored(*args):
+        real = build(*args)
+        arcs = list(real.arcs)
+        k = [i for i, a in enumerate(arcs) if a.weight == ONE][pick]
+        arcs[k] = arcs[k]._replace(weight=ONE + ONE)
         return PlanarNetwork(arcs, real.sources, real.sinks)
 
-    monkeypatch.setattr(cli, "build_cs_network", doctored)
-    rc, out, _ = run(
-        capsys, "network", "--family", "narayana", "--n", "2", "--case", "4", "--check"
-    )
+    return doctored
+
+
+@pytest.mark.parametrize(
+    "builder,pick,flags,line",
+    [
+        (
+            "build_cs_network",
+            0,
+            ["--case", "4"],
+            "check: fail (layered network entry (2,0) is 2q+2q^2, matrix has q+q^2)",
+        ),
+        (
+            "build_hankel_network",
+            -1,
+            ["--hankel-induced", "--case", "2"],
+            "check: fail (induced Hankel network entry (0,2) is 2q+q^2, matrix has q+q^2)",
+        ),
+        (
+            "build_hankel_factored",
+            -1,
+            ["--hankel-factored", "--case", "4"],
+            "check: fail (factored Hankel network entry (0,0) is 2, matrix has 1)",
+        ),
+    ],
+    ids=["layered", "induced", "factored"],
+)
+def test_network_check_failure_exit_code(capsys, monkeypatch, builder, pick, flags, line):
+    monkeypatch.setattr(cli, builder, _doctored(getattr(cli, builder), pick))
+    rc, out, _ = run(capsys, "network", "--family", "narayana", "--n", "2", *flags, "--check")
     assert rc == 4
-    assert out.startswith("check: fail")
+    assert out == line + "\n"
 
 
 # -- verify ------------------------------------------------------------
@@ -939,6 +966,28 @@ def test_json_writer_streams_each_hankel_entry(monkeypatch):
     # an entry sits three levels deep, after a comma and a new indented line
     entry = max(len(_nested(cell, 3)) for row in doc["entries"] for cell in row)
     assert max(map(len, chunks)) <= entry + len(",\n" + "  " * 3)
+
+
+def test_json_writer_renders_each_distinct_hankel_entry_once(capsys, monkeypatch):
+    m = hankel(builtin("narayana"), 8)
+    # the corner polynomial also sits twice one level higher, where it renders apart
+    doc = {"entries": list(map(list, m.entries)), "corner": [m.entries[8][8]] * 2}
+    renders = Counter()
+    real = cli._ints
+
+    def counted(values, nl):
+        if type(values) is tuple:  # a polynomial's coefficients
+            renders[values, nl] += 1
+        return real(values, nl)
+
+    monkeypatch.setattr(cli, "_ints", counted)
+    cli._write_json(doc)
+    want = {
+        "entries": [[list(p.coeffs) for p in row] for row in m.entries],
+        "corner": [list(m.entries[8][8].coeffs)] * 2,
+    }
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
+    assert len(renders) == 2 * 8 + 2 and set(renders.values()) == {1}
 
 
 def test_network_json_streams_each_arc(monkeypatch):

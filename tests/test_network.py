@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from qcatalan.csmatrix import build_ln, catalan_stieltjes, hankel
+from qcatalan.csmatrix import _packed_matrix, build_ln, catalan_stieltjes, hankel
 from qcatalan.errors import (
     CapExceeded,
     MissingWitness,
@@ -29,6 +29,7 @@ from qcatalan.network import (
     PlanarNetwork,
     Q,
     Vertex,
+    _first_mismatch,
     build_cs_network,
     build_hankel_factored,
     build_hankel_network,
@@ -45,7 +46,7 @@ from qcatalan.network import (
     mirror,
     mirror_vertex,
 )
-from qcatalan.qpoly import ONE, Q as QVAR, ZERO, QPoly
+from qcatalan.qpoly import ONE, Q as QVAR, ZERO, QPoly, _pack, _width
 
 from oracles import (
     conforming_random_family,
@@ -948,6 +949,76 @@ def test_gf_bound_holds_on_every_construction():
     for f, case in UNIT_R_CASES:
         for n in range(7):
             assert_bounds_hold(build_hankel_factored(f, n, [case] * n), (f.name, case, n))
+
+
+# -- the packed check against the matrix --------------------------------
+
+
+def _decoded_mismatch(net, f, n, is_hankel):
+    """The first row-major entry where the decoded GF matrix and matrix differ."""
+    got = net.gf_matrix()
+    want = [list(row) for row in (hankel if is_hankel else catalan_stieltjes)(f, n).entries]
+    for i, (x, y) in enumerate(zip(got, want)):
+        for j in range(len(y)):
+            if x[j] != y[j]:
+                return i, j, x[j], y[j]
+    return None
+
+
+def _checked_networks():
+    """(network, family, n, is_hankel) for every construction at n <= 6."""
+    rng = random.Random(3404)
+    pairs = FAMILY_CASES + [(conforming_random_family(rng, c), c) for c in WEIGHT_CASES]
+    for f, case in pairs:
+        for n in range(7):
+            yield build_cs_network(f, n, [case] * n), f, n, False
+            yield build_hankel_network(f, n, n % 2, [case] * (2 * n + n % 2)), f, n, True
+            if all(f.r(k) == ONE for k in range(n + 1)):  # as the factored network needs
+                yield build_hankel_factored(f, n, [case] * n), f, n, True
+
+
+def _doctored(net, rng):
+    """``net`` with one arc's weight changed by a signed polynomial."""
+    arcs = list(net.arcs)
+    if arcs:
+        k = rng.randrange(len(arcs))
+        change = random_qpoly(rng, allow_negative=True) or -ONE
+        arcs[k] = arcs[k]._replace(weight=arcs[k].weight + change)
+    return PlanarNetwork(arcs, net.sources, net.sinks)
+
+
+def test_packed_check_agrees_with_the_decoded_comparison():
+    rng = random.Random(3405)
+    verdicts = set()
+    for net, f, n, is_hankel in _checked_networks():
+        for candidate in (net, _doctored(net, rng)):
+            mismatch = _first_mismatch(candidate, *_packed_matrix(f, n, is_hankel))
+            assert mismatch == _decoded_mismatch(candidate, f, n, is_hankel), (f.name, n)
+            verdicts.add(mismatch is None)
+    assert verdicts == {True, False}
+
+
+def _with_arc(net, i, j, weight):
+    """``net`` with one more arc, from source i to sink j."""
+    arc = Arc(net.sources[i], net.sinks[j], weight)
+    return PlanarNetwork(net.arcs + (arc,), net.sources, net.sinks)
+
+
+def test_packed_check_finds_an_entry_that_aliases_at_the_matrix_width():
+    # 2**B - q packs to 0 at the matrix's own width B, so the wrong entry
+    # would pack like the right one there; the shared width is wider
+    bound, packer = _packed_matrix(NAR, 3, False)
+    bits = _width(bound)
+    net = _with_arc(build_cs_network(NAR, 3, [4] * 3), 2, 1, QPoly([2**bits, -1]))
+    want = catalan_stieltjes(NAR, 3).entries[2][1]
+    got = want + QPoly([2**bits, -1])
+    assert _pack(got.coeffs, bits) == _pack(want.coeffs, bits)
+    assert _first_mismatch(net, bound, packer) == (2, 1, got, want)
+
+
+def test_packed_check_reads_the_entries_above_the_diagonal():
+    net = _with_arc(build_cs_network(NAR, 3, [2] * 3), 0, 2, QVAR)
+    assert _first_mismatch(net, *_packed_matrix(NAR, 3, False)) == (0, 2, QVAR, ZERO)
 
 
 # -- DOT export -------------------------------------------------------
