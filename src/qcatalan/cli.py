@@ -199,12 +199,12 @@ def _write_json(doc) -> None:
     A ``_Reports`` stands for the list of its sweep's reports, each a
     report's JSON object with its ``"provenance"`` (family, kind, rows and
     cols) last. Each shape of each content is rendered once, as a body, in
-    which each distinct polynomial is rendered once (``_Memo``), and each
-    row set and column set once; a report is then joined from its
-    selection's body and the texts at the selection's positions. Each piece
-    is written into stdout's buffer as it is rendered, so the whole text is
-    never held (and a document that fails part way has already written its
-    first pieces).
+    which each distinct polynomial and each lambda is rendered once
+    (``_Memo``), and each row set and column set once; a report is then
+    joined from its selection's body and the texts at the selection's
+    positions. Each piece is written into stdout's buffer as it is rendered,
+    so the whole text is never held (and a document that fails part way has
+    already written its first pieces).
     """
     write = sys.stdout.write
     uses: dict = {}  # keyed by id and indent: doc keeps every polynomial alive
@@ -228,13 +228,14 @@ def _write_json(doc) -> None:
         inner = nl + "  "
         deeper = inner + "  "
         field = deeper + "  "  # a provenance's fields
-        lists = _Memo(lambda p: _ints(p.coeffs, deeper)).__getitem__
+        # keyed by tuples, which hash in C: the coefficients, and each shape
+        lists = _Memo(lambda key: _ints(key, deeper)).__getitem__
         # a report's object up to its provenance, the last field, left open
         bodies = [
             [
-                f'{{{deeper}"lambda": {_ints(lam, deeper)},'
-                f'{deeper}"value": {lists(value)},{deeper}"q_nonnegative": {_FLAGS[q]},'
-                f'{deeper}"dominance_gap": {lists(gap)},'
+                f'{{{deeper}"lambda": {lists(lam)},'
+                f'{deeper}"value": {lists(value.coeffs)},{deeper}"q_nonnegative": {_FLAGS[q]},'
+                f'{deeper}"dominance_gap": {lists(gap.coeffs)},'
                 f'{deeper}"gap_nonnegative": {_FLAGS[g]},{deeper}"provenance": '
                 for lam, value, q, gap, g in shapes
             ]
@@ -447,20 +448,23 @@ def _sweep_csv(result: SweepResult) -> None:
 
     Each row set and column set is rendered once, and each shape of each
     content once, as a body (lambda, value and gap with their flags), in
-    which each distinct polynomial is rendered once (``_Memo``); a line is
-    its selection's head (family, kind, rows, cols), joined from the texts
-    at the selection's positions, then one of its content's bodies.
+    which each distinct polynomial and each lambda is rendered once
+    (``_Memo``); a line is its selection's head (family, kind, rows, cols),
+    joined from the texts at the selection's positions, then one of its
+    content's bodies.
     """
     write = sys.stdout.write
     write("family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n")
     prefix = f"{result.family},{result.kind},"
     row_texts = [prefix + "|".join(map(str, rows)) + "," for rows in result.row_sets]
     col_texts = ["|".join(map(str, cols)) + "," for cols in result.col_sets]
-    render = _Memo(str).__getitem__
+    # keyed by tuples, which hash in C: the coefficients, and each shape
+    render = _Memo(lambda coeffs: str(_canonical(coeffs))).__getitem__
+    shape = _Memo(lambda lam: "|".join(map(str, lam))).__getitem__
     bodies = [
         [
-            f"{'|'.join(map(str, lam))},{render(value)},{_FLAGS[q]},"
-            f"{render(gap)},{_FLAGS[g]}\n"
+            f"{shape(lam)},{render(value.coeffs)},{_FLAGS[q]},"
+            f"{render(gap.coeffs)},{_FLAGS[g]}\n"
             for lam, value, q, gap, g in shapes
         ]
         for shapes in result.contents

@@ -28,19 +28,23 @@ per sweep and each distinct entry once.  Each distinct packed value or gap
 of a sweep is unpacked and checked for q-nonnegativity once (a ``_Memo``
 local to the sweep), and equal values and gaps share one ``QPoly``.
 
-A sweep computes each distinct submatrix once, up to transpose: selections
-are keyed by their entries' labels, and a submatrix and its transpose share
-a key, since chi(sigma) = chi(sigma^-1).  Hankel selections repeat often
-(H[rows+d, cols-d] = H[rows, cols], and H is symmetric), and sampled draws
-can repeat a selection.  The first selection of a key computes each shape's
-fields (lam, value, flags and gap) as one tuple.  The result stores the
-sweep as tables: each distinct row set and column set once, mapped to the
-parent matrix's indices, each distinct fields tuple (a content) once, and
-one (row set, column set, content) triple of positions per selection, so a
-writer renders each set and each content once and indexes into them.  A
-sweep plans each support once, in the orientation of its key, and runs that
-plan on every content with that support, its cells looked up by its key's
-labels.  A submatrix on a dead support has every class sum empty, so
+A sweep computes each distinct submatrix once, up to transpose, since a
+submatrix and its transpose have the same reports (chi(sigma) =
+chi(sigma^-1)).  A selection is looked up by its entries' labels taken row
+by row (its key), and only when that misses, by its transpose's; a new
+content is stored under the key of the first selection that holds it, in
+that selection's orientation.  Hankel selections repeat often
+(H[rows+d, cols-d] = H[rows, cols], and H is symmetric, so (cols, rows) is
+the transpose of (rows, cols)), and sampled draws can repeat a selection.
+The first selection of a content computes each shape's fields (lam, value,
+flags and gap) as one tuple.  The result stores the sweep as tables: each
+distinct row set and column set once, mapped to the parent matrix's
+indices, each distinct fields tuple (a content) once, and one (row set,
+column set, content) triple of positions per selection, so a writer renders
+each set and each content once and indexes into them.  A sweep plans each
+support once, in the orientation of the key that first has it, and runs
+that plan on every content with that support, its cells looked up by its
+key's labels.  A submatrix on a dead support has every class sum empty, so
 all its values and gaps are 0 without running anything; all such
 submatrices of one size share one tuple, at one position.  Class sums that
 cancel to 0 (never on the q-nonnegative C and H matrices) are decoded like
@@ -522,12 +526,13 @@ def positivity_sweep(
     out = []
     for r, c in pairs:
         rows, cols = row_sets[r], col_sets[c]
-        # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
-        # have the same immanants, determinant and gaps.
-        by_rows = tuple([ids[i][j] for i in rows for j in cols])
-        by_cols = tuple([ids[i][j] for j in cols for i in rows])
-        key = min(by_rows, by_cols)
+        key = tuple([ids[i][j] for i in rows for j in cols])
         k = by_content.get(key)
+        if k is None:
+            # chi(sigma) = chi(sigma^-1), so a submatrix and its transpose
+            # have the same immanants, determinant and gaps: a content is
+            # stored in one orientation, the one it was first seen in
+            k = by_content.get(tuple([ids[i][j] for j in cols for i in rows]))
         if k is None:
             s = len(rows)
             support = tuple(map(bool, key))
@@ -535,7 +540,7 @@ def positivity_sweep(
                 plans[support] = _plan(support)
             plan = plans[support]
             if plan is not None:
-                # the plan's support is the key's, and so is its cells' order
+                # the plan's support is this selection's key's, and so is its cells' order
                 k = len(contents)
                 contents.append(_reports(s, _run(plan, [packed[x] for x in key]), decoded))
             elif s in zeros:

@@ -9,7 +9,9 @@ mutant).  For each entry the script copies
 applies the replacement there, and runs the named tests in that copy.  A
 mutant whose tests still pass has survived: the tests no longer notice that
 fault.  The script exits 1 if any mutant survives, and 2 if the named tests
-fail on the unmutated copy or a snippet no longer occurs exactly once, so a
+fail on the unmutated copy, a snippet no longer occurs exactly once, or a
+mutant's tests fail with a ``NameError`` (its replacement names something
+the code no longer defines, so they fail without meeting the fault), so a
 refactor that moves the code must update its entry.  A surviving mutant, or
 a test that fails on the unmutated copy, prints the tail of pytest's output
 with its skip reasons.
@@ -20,6 +22,7 @@ the import path, so the mutated code is what the tests import.
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -29,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TAIL_LINES = 30  # of pytest's output, printed when an outcome is unexpected
+NAME_ERROR = re.compile(r"^E\s+NameError\b", re.MULTILINE)  # pytest's line for the exception
 
 MUTANTS = [
     {
@@ -482,12 +486,25 @@ MUTANTS = [
     # a support that is not symmetric, cells gathered the other way feed it
     # zeros where it multiplies nonzero entries.
     {
-        "name": "sweep runs a plan keyed column-major on row-major cells",
+        "name": "sweep runs a plan keyed row-major on cells gathered column-major",
         "file": "src/qcatalan/immanant.py",
         "snippet": "[packed[x] for x in key]",
-        "replacement": "[packed[x] for x in by_rows]",
+        "replacement": "[packed[ids[i][j]] for j in cols for i in rows]",
         "tests": [
             "tests/test_immanant.py::test_sweep_runs_a_plan_on_cells_in_its_key_orientation"
+        ],
+    },
+    # The outputs are the same without the transposed lookup, since a
+    # submatrix and its transpose have the same reports: only the count of
+    # contents shows it.
+    {
+        "name": "sweep looks up no transposed key when the row-major one misses",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "k = by_content.get(tuple([ids[i][j] for j in cols for i in rows]))",
+        "replacement": "pass",
+        "tests": [
+            "tests/test_immanant.py::"
+            "test_sweep_of_a_symmetric_matrix_stores_a_content_and_its_transpose_once"
         ],
     },
     {
@@ -725,8 +742,8 @@ def _apply(mutant: dict, dest: Path) -> None:
     path.write_text(text.replace(mutant["snippet"], mutant["replacement"]), encoding="utf-8")
 
 
-def _tests_pass(dest: Path, tests: list[str], expected: bool) -> bool:
-    """True when the tests pass, False when one fails; exits 2 on any other end.
+def _tests_pass(dest: Path, tests: list[str], expected: bool) -> tuple[bool, str]:
+    """Whether the tests pass, and pytest's output; exits 2 on any other end.
 
     An outcome other than ``expected`` (an unmutated copy that fails, a
     mutant that survives) prints the tail of pytest's output, skip reasons
@@ -747,7 +764,7 @@ def _tests_pass(dest: Path, tests: list[str], expected: bool) -> bool:
     passed = proc.returncode == 0
     if passed != expected:
         print("\n".join(proc.stdout.splitlines()[-TAIL_LINES:]), file=sys.stderr)
-    return passed
+    return passed, proc.stdout
 
 
 def main() -> int:
@@ -755,7 +772,7 @@ def main() -> int:
     every_test = sorted({test for mutant in MUTANTS for test in mutant["tests"]})
     with tempfile.TemporaryDirectory() as tmp:
         _copy_tree(Path(tmp))
-        if not _tests_pass(Path(tmp), every_test, expected=True):
+        if not _tests_pass(Path(tmp), every_test, expected=True)[0]:
             print(f"error: {' '.join(every_test)} fail without any mutant", file=sys.stderr)
             return 2
     survivors = []
@@ -765,7 +782,15 @@ def main() -> int:
             dest = Path(tmp)
             _copy_tree(dest)
             _apply(mutant, dest)
-            survived = _tests_pass(dest, mutant["tests"], expected=False)
+            survived, output = _tests_pass(dest, mutant["tests"], expected=False)
+        if not survived and NAME_ERROR.search(output):
+            print("\n".join(output.splitlines()[-TAIL_LINES:]), file=sys.stderr)
+            print(
+                f"error: mutant {mutant['name']!r}: its tests fail with a NameError, not on "
+                "its fault; update its entry in tests/mutants.py",
+                file=sys.stderr,
+            )
+            return 2
         verdict = "SURVIVED" if survived else "killed"
         print(f"{verdict:8}  {time.perf_counter() - start:5.1f} s  {mutant['name']}")
         if survived:

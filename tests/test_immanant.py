@@ -745,9 +745,9 @@ def test_sweep_tells_a_dead_support_from_class_sums_that_cancel(blocks):
 def test_sweep_runs_a_plan_on_cells_in_its_key_orientation():
     # The support [[1, 1, 0], [0, 1, 1], [1, 0, 1]] is not symmetric, and
     # its one 3-cycle 0 -> 1 -> 2 -> 0 runs the other way in the transpose.
-    # Entry (1, 0) is 0 and entry (0, 1) is not, so the column-major labels
-    # of the whole grid are the smaller: its key, and its plan, take the
-    # transposed orientation, and the cells must be laid out that way too.
+    # A content is keyed, planned and run in the orientation of the first
+    # selection that holds it, row-major here, so cells gathered column-major
+    # would feed the plan zeros where it multiplies nonzero entries.
     rng = random.Random(61)
     support = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     for _ in range(3):
@@ -766,6 +766,47 @@ def _has_nonzero_permutation(grid) -> bool:
     return any(
         all(row[j] for row, j in zip(grid, perm)) for perm in permutations(range(len(grid)))
     )
+
+
+def _contents_up_to_transpose(entries, max_size) -> tuple[int, int]:
+    """How many contents a sweep stores, and how many it would without transposes.
+
+    Each distinct submatrix is one content, a submatrix and its transpose
+    one between them, and every submatrix of one size on a dead support
+    (no permutation of nonzero entries) one with all the others of its size.
+    """
+    live, by_rows, dead_sizes = set(), set(), set()
+    for s in range(1, max_size + 1):
+        for rows in combinations(range(len(entries)), s):
+            for cols in combinations(range(len(entries)), s):
+                sub = tuple(tuple(entries[i][j] for j in cols) for i in rows)
+                if _has_nonzero_permutation(sub):
+                    live.add(frozenset((sub, tuple(zip(*sub)))))
+                    by_rows.add(sub)
+                else:
+                    dead_sizes.add(s)
+    return len(live) + len(dead_sizes), len(by_rows) + len(dead_sizes)
+
+
+@pytest.mark.parametrize(
+    "make, max_size",
+    [
+        (lambda: hankel(builtin("narayana"), 5), 3),
+        (lambda: hankel(builtin("eulerian"), 3), 4),
+        (lambda: _pool_matrix(random.Random(83), 5, symmetric=True), 4),
+    ],
+    ids=["narayana-H5", "eulerian-H3", "pool-symmetric"],
+)
+def test_sweep_of_a_symmetric_matrix_stores_a_content_and_its_transpose_once(make, max_size):
+    # On a symmetric matrix the selection (cols, rows) is the transpose of
+    # (rows, cols), with its own row-major labels: only the lookup of the
+    # transposed labels finds the content that the first one stored.
+    m = make()
+    assert m.entries == tuple(zip(*m.entries))
+    result = positivity_sweep(m, max_size)
+    assert result.exhaustive
+    want, without_transposes = _contents_up_to_transpose(m.entries, max_size)
+    assert len(result.contents) == want < without_transposes
 
 
 def test_each_support_is_planned_once_per_sweep(monkeypatch):

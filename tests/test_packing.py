@@ -22,6 +22,7 @@ def signed_digits(draw):
     return bits, draw(st.lists(digit, max_size=40))
 
 
+@settings(deadline=None)
 @given(signed_digits())
 def test_unpack_inverts_pack(case):
     bits, coeffs = case
@@ -29,6 +30,7 @@ def test_unpack_inverts_pack(case):
 
 
 @pytest.mark.parametrize("bits", [72, 80, 96, 128])
+@settings(deadline=None)
 @given(st.data())
 def test_wide_digits_round_trip(bits, data):
     # digits past 64 bits are read as an unsigned low 64 bits and a signed
@@ -49,6 +51,7 @@ width_bounds = st.one_of(
 )
 
 
+@settings(deadline=None)
 @given(width_bounds, st.data())
 def test_width_holds_every_coefficient_up_to_its_bound(bound, data):
     bits = _width(bound)
@@ -65,6 +68,7 @@ def test_width_holds_every_coefficient_up_to_its_bound(bound, data):
 coefficient_lists = st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=25)
 
 
+@settings(deadline=None)
 @given(coefficient_lists, coefficient_lists)
 def test_packed_product_unpacks_to_the_convolution(a, b):
     bound = sum(map(abs, a)) * sum(map(abs, b))
@@ -86,6 +90,7 @@ def sweep_inputs(draw):
     return top, draw(st.lists(sweep_terms, min_size=2 * top + 1, max_size=2 * top + 1))
 
 
+@settings(deadline=None)
 @given(sweep_inputs())
 def test_inequality_sweep_matches_inequality_332(case):
     top, a = case
