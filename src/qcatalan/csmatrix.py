@@ -81,7 +81,9 @@ def _passes(f: FamilySpec, n: int, top: int, cols: int):
     """``_triangle``'s largest coefficient bound, from the recurrence with each
     term replaced by the sum of its absolute coefficients, and its packer: a
     map from a width ``bits`` to the rows packed as p(2**bits), exact at any
-    width, each term applied as one shifted multiple per nonzero coefficient.
+    width.  The packer applies a term to an entry as shift-adds, one per
+    nonzero coefficient: a unit coefficient adds the entry itself, shifted,
+    with no multiply, and a zero term adds nothing.
     """
     r, s, t = cache(f.r), cache(f.s), cache(f.t)
 
@@ -97,7 +99,10 @@ def _passes(f: FamilySpec, n: int, top: int, cols: int):
             )
 
         def shifted(term, x):
-            return sum((x * c) << shift for c, shift in term)
+            value = 0
+            for c, shift in term:
+                value += (x if c == 1 else x * c) << shift
+            return value
 
         return (row[:cols] for row in _rows(n, top, pairs(r), pairs(s), pairs(t), shifted))
 

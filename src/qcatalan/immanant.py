@@ -24,9 +24,14 @@ given by the character row of lam.  ``positivity_sweep`` applies every row
 of a size, cached with its degree, to the same class sums, and takes each
 dominance gap from the same combinations.  The arithmetic runs on entries
 packed as the integers p(2**bits) (Kronecker substitution), at one width
-per sweep and each distinct entry once.  Each distinct packed value or gap
-of a sweep is unpacked and checked for q-nonnegativity once (a ``_Memo``
-local to the sweep), and equal values and gaps share one ``QPoly``.
+per sweep (``_class_sum_width``) and each distinct entry once.  ``immanant``
+takes its width from its own plan instead: replayed on the entries' l1
+norms (sums of absolute coefficients), each register bounds the norm of
+its value, since |pq|_1 <= |p|_1 |q|_1, so the class sums' norms N_mu bound
+the immanant's coefficients by sum |chi^lam(mu)| N_mu.  Each distinct
+packed value or gap of a sweep is unpacked and checked for q-nonnegativity
+once (a ``_Memo`` local to the sweep), and equal values and gaps share one
+``QPoly``.
 
 A sweep computes each distinct submatrix once, up to transpose, since a
 submatrix and its transpose have the same reports (chi(sigma) =
@@ -111,7 +116,7 @@ def _as_entries(m: CSMatrix | list | tuple) -> Grid:
 
 
 def _class_sum_width(grid: Grid, size: int) -> int:
-    """The digit width, in bits, at which ``grid``'s entries are packed.
+    """The digit width, in bits, at which a sweep packs ``grid``'s entries.
 
     The width holds every value and gap of every submatrix of at most
     ``size`` rows.  With P the product of the ``size`` largest row sums of
@@ -247,19 +252,6 @@ def _run(plan: Plan, cells: list[int]) -> list[int]:
     return [reg[r] for r in outs]
 
 
-def _class_sums(cells: list[list[int]]) -> list[int]:
-    """Per-cycle-type sums of the permutation diagonal products.
-
-    ``cells`` and the sums are packed polynomials (see ``_class_sum_width``);
-    the sums are indexed like partitions_of(n), and all 0 on a dead support.
-    """
-    flat = [cell for row in cells for cell in row]
-    plan = _plan(flat)
-    if plan is None:
-        return [0] * len(_class_positions(len(cells)))
-    return _run(plan, flat)
-
-
 @cache
 def _shapes(n: int) -> tuple[tuple[Partition, tuple[int, ...], int], ...]:
     """(lam, character row of lam, degree(lam)) for every shape of size n."""
@@ -268,7 +260,13 @@ def _shapes(n: int) -> tuple[tuple[Partition, tuple[int, ...], int], ...]:
 
 
 def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None = None) -> QPoly:
-    """The lam-immanant: sum over permutations of chi^lam times the product."""
+    """The lam-immanant: sum over permutations of chi^lam times the product.
+
+    The class-sum DP is planned once on ``m``'s support; a dead support gives
+    0 without packing anything.  The plan runs twice: on the entries' l1
+    norms, whose class sums N_mu fix the digit width from the bound
+    sum |chi^lam(mu)| N_mu on every coefficient, and on the packed entries.
+    """
     grid = _as_entries(m)
     n = len(grid)
     if not is_partition(lam):
@@ -278,9 +276,14 @@ def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None
     cap = _size_cap(size_cap)
     if n > cap:
         raise CapExceeded(f"matrix size {n} exceeds the size cap {cap}; {_RAISE_CAP}")
-    bits = _class_sum_width(grid, n)
-    cells = [[_pack(cell.coeffs, bits) for cell in row] for row in grid]
-    return _unpack(sum(map(mul, character_table(n).row(lam), _class_sums(cells))), bits)
+    norms = [sum(map(abs, cell.coeffs)) for row in grid for cell in row]
+    plan = _plan(norms)
+    if plan is None:
+        return ZERO
+    chi = character_table(n).row(lam)
+    bits = _width(sum(map(mul, map(abs, chi), _run(plan, norms))))
+    cells = [_pack(cell.coeffs, bits) for row in grid for cell in row]
+    return _unpack(sum(map(mul, chi, _run(plan, cells))), bits)
 
 
 def determinant(m: CSMatrix | list | tuple) -> QPoly:
@@ -643,14 +646,25 @@ def _inequality_sweep(
     term then costs two big-integer multiplies per triple.  Each value is
     unpacked once.
 
-    With N the largest sum of absolute coefficients of a_0..a_{2 top}, every
-    coefficient of every value is at most 6 N**3 in absolute value (three
-    terms of at most N**3, and three times one product of at most N**3),
-    which fixes the digit width.
+    The digit width comes from the cubic itself, evaluated on the terms'
+    l1 norms N_m (sums of absolute coefficients) with every sign made
+    positive: since |pq|_1 <= |p|_1 |q|_1, every coefficient of a triple's
+    value is at most N_{2i} N_{j+k}**2 + N_{2j} N_{i+k}**2 + N_{2k} N_{i+j}**2
+    + 3 N_{i+j} N_{j+k} N_{i+k} in absolute value, and the width holds the
+    largest such bound.
     """
     seq = a[: 2 * top + 1]
-    norm = max(sum(map(abs, p.coeffs)) for p in seq)
-    bits = _width(6 * norm**3)
+    triples = list(combinations(range(top + 1), 3))
+    n = [sum(map(abs, p.coeffs)) for p in seq]
+    bound = max(
+        (
+            n[2 * i] * n[j + k] ** 2 + n[2 * j] * n[i + k] ** 2 + n[2 * k] * n[i + j] ** 2
+            + 3 * n[i + j] * n[j + k] * n[i + k]
+            for i, j, k in triples
+        ),
+        default=0,
+    )
+    bits = _width(bound)
     packed = [_pack(p.coeffs, bits) for p in seq]
     squares = [p * p for p in packed[: 2 * top]]
     terms = [[packed[2 * x] * sq for sq in squares] for x in range(top + 1)]
@@ -663,5 +677,5 @@ def _inequality_sweep(
                 bits,
             ),
         )
-        for i, j, k in combinations(range(top + 1), 3)
+        for i, j, k in triples
     ]

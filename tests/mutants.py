@@ -38,9 +38,34 @@ MUTANTS = [
     {
         "name": "inequality sweep digit width one byte short",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "bits = _width(6 * norm**3)",
-        "replacement": "bits = _width(6 * norm**3) - 8",
+        "snippet": "bits = _width(bound)",
+        "replacement": "bits = _width(bound) - 8",
         "tests": ["tests/test_immanant.py::test_inequality_sweep_at_its_coefficient_bound"],
+    },
+    # At (c, c, c, -c, c) the cross term is half the bound, so without it the
+    # width falls one byte short at some c.
+    {
+        "name": "inequality width bound drops the 3·N·N·N cross term",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "\n            + 3 * n[i + j] * n[j + k] * n[i + k]",
+        "replacement": "",
+        "tests": ["tests/test_immanant.py::test_inequality_sweep_at_its_coefficient_bound"],
+    },
+    # A diagonal grid's lam-immanant is d_lam c**n, and [[c, c], [-c, c]]'s
+    # determinant 2 c**2 takes both signs of the sign character as positive.
+    {
+        "name": "immanant() width bound takes chi with its signs",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "map(abs, chi)",
+        "replacement": "chi",
+        "tests": ["tests/test_immanant.py::test_immanant_meets_its_bound"],
+    },
+    {
+        "name": "immanant() width bound leaves out the character",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "sum(map(mul, map(abs, chi), _run(plan, norms)))",
+        "replacement": "sum(_run(plan, norms))",
+        "tests": ["tests/test_immanant.py::test_immanant_meets_its_bound"],
     },
     {
         "name": "class-sum width bound takes a zero row's sum as 0",
@@ -582,16 +607,34 @@ MUTANTS = [
     {
         "name": "triangle applies a term's coefficients without their shifts",
         "file": "src/qcatalan/csmatrix.py",
-        "snippet": "(x * c) << shift",
-        "replacement": "x * c",
+        "snippet": "value += (x if c == 1 else x * c) << shift",
+        "replacement": "value += x if c == 1 else x * c",
+        "tests": ["tests/test_csmatrix.py::test_triangle_matches_the_qpoly_oracle"],
+    },
+    {
+        "name": "triangle adds a unit coefficient without its shift",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "value += (x if c == 1 else x * c) << shift",
+        "replacement": "value += x if c == 1 else x * c << shift",
         "tests": ["tests/test_csmatrix.py::test_triangle_matches_the_qpoly_oracle"],
     },
     {
         "name": "triangle applies only a term's first nonzero coefficient",
         "file": "src/qcatalan/csmatrix.py",
-        "snippet": "for c, shift in term)",
-        "replacement": "for c, shift in term[:1])",
+        "snippet": "for c, shift in term:",
+        "replacement": "for c, shift in term[:1]:",
         "tests": ["tests/test_csmatrix.py::test_triangle_matches_the_qpoly_oracle"],
+    },
+    # chi_m without its shifted column is Delta_m, so every s_0 + ... + s_m
+    # reads 1.
+    {
+        "name": "J-fraction oracle leaves chi_m's last column unshifted",
+        "file": "tests/oracles.py",
+        "snippet": "a[i + j + (j == m)]",
+        "replacement": "a[i + j]",
+        "tests": [
+            "tests/test_csmatrix.py::test_jfraction_recovers_the_recurrence_from_the_moments"
+        ],
     },
     # H depends on r and t only through r_{k-1} t_k, so an up step weighed
     # one index high changes H_f but not the H of the family with r = 1.

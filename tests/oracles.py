@@ -27,9 +27,12 @@ from qcatalan.immanant import (
     MatrixProvenance,
     SweepResult,
     _as_entries,
-    _class_sums,
+    _class_positions,
+    _plan,
+    _run,
     _selections,
     _shapes,
+    determinant,
 )
 from qcatalan.network import (
     Arc,
@@ -384,6 +387,36 @@ def hankel_determinant(f: FamilySpec, n: int) -> QPoly:
     return value
 
 
+def jfraction(a: list[QPoly], n: int) -> tuple[list[QPoly], list[QPoly]]:
+    """s_0..s_n and beta_1..beta_n, beta_k = r_{k-1} t_k, from a_0..a_{2n+1}.
+
+    The inverse of ``catalan_like`` by Hankel determinants (Flajolet 1980,
+    Aigner 1999).  With Delta_m = det (a_{i+j})_{i,j<=m} (Delta_{-1} =
+    Delta_{-2} = 1) and chi_m the same determinant with its last column
+    shifted one index (a_{i+m+1}), beta_m = Delta_m Delta_{m-2} /
+    Delta_{m-1}**2 and s_0 + ... + s_m = chi_m / Delta_m.  The determinants
+    come from Bareiss elimination (``determinant``) and every quotient is
+    exact (``QPoly.exact_div``).  Since Delta_m = prod_{k<=m} beta_k**(m+1-k),
+    the recovery stops at the first m with Delta_m = 0, the first zero
+    beta_m: it returns s_0..s_{m-1} and beta_1..beta_{m-1}.
+    """
+    deltas = [ONE, ONE]  # Delta_{-2}, Delta_{-1}, Delta_0, ...
+    s: list[QPoly] = []
+    beta: list[QPoly] = []
+    total = ZERO  # s_0 + ... + s_{m-1}
+    for m in range(n + 1):
+        delta = determinant([[a[i + j] for j in range(m + 1)] for i in range(m + 1)])
+        if delta.is_zero():
+            break
+        if m:
+            beta.append((delta * deltas[-2]).exact_div(deltas[-1] * deltas[-1]))
+        chi = determinant([[a[i + j + (j == m)] for j in range(m + 1)] for i in range(m + 1)])
+        s.append(chi.exact_div(delta) - total)
+        total += s[-1]
+        deltas.append(delta)
+    return s, beta
+
+
 # -- the production matrix ------------------------------------------------
 
 
@@ -580,6 +613,19 @@ def sweep_by_selection(
     )
 
 
+def class_sums_by_plan(cells: list[list[int]]) -> list[int]:
+    """Per-cycle-type sums of the permutation diagonal products, by ``_plan``.
+
+    ``cells`` and the sums are packed polynomials; the sums are indexed like
+    partitions_of(n), and all 0 on a dead support.
+    """
+    flat = [cell for row in cells for cell in row]
+    plan = _plan(flat)
+    if plan is None:
+        return [0] * len(_class_positions(len(cells)))
+    return _run(plan, flat)
+
+
 def reports_by_class_sums(grid, provenance: MatrixProvenance) -> list[ImmanantReport]:
     """Every shape's immanant and gap of one QPoly submatrix, always by the full route.
 
@@ -591,7 +637,7 @@ def reports_by_class_sums(grid, provenance: MatrixProvenance) -> list[ImmanantRe
     """
     bits = _width(prod(sum(sum(map(abs, cell.coeffs)) for cell in row) for row in grid))
     packed = [[_pack(cell.coeffs, bits) for cell in row] for row in grid]
-    sums = [_unpack(value, bits) for value in _class_sums(packed)]
+    sums = [_unpack(value, bits) for value in class_sums_by_plan(packed)]
     shapes = _shapes(len(grid))
 
     def combine(row: tuple[int, ...]) -> QPoly:

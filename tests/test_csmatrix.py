@@ -29,6 +29,7 @@ from oracles import (
     conforming_random_family,
     eulerian_poly,
     hankel_determinant,
+    jfraction,
     matmul,
     matrix_json,
     narayana_poly,
@@ -125,6 +126,52 @@ def test_hankel_determinant_closed_form():
     for f in families:
         for n in range(7):
             assert determinant(hankel(f, n)) == hankel_determinant(f, n), (f.name, n)
+
+
+def _jfraction_terms(f, n):
+    """f's s_0..s_n and beta_1..beta_n, beta_k = r_{k-1} t_k."""
+    return [f.s(k) for k in range(n + 1)], [f.r(k - 1) * f.t(k) for k in range(1, n + 1)]
+
+
+def test_jfraction_recovers_the_recurrence_from_the_moments():
+    # the inverse of the triangle's first column: a_0..a_{2n+1} give back
+    # s_0..s_n and beta_1..beta_n when every beta_k is nonzero
+    n = 5
+    recovered = 0
+    for f in _exact_families(1999) + _exact_families(1980):
+        s, beta = _jfraction_terms(f, n)
+        if any(b.is_zero() for b in beta):
+            continue
+        assert jfraction(catalan_like(f, 2 * n + 1), n) == (s, beta), f.name
+        recovered += 1
+    assert recovered > 20
+
+
+def test_jfraction_stops_at_the_first_zero_beta():
+    # beta_k = 0 makes Delta_m = 0 for every m >= k: the recovery keeps
+    # s_0..s_{k-1} and beta_1..beta_{k-1}, and they are the family's
+    rng = random.Random(1999)
+    n = 5
+    for k in range(1, n + 1):
+        f = random_family(rng, terms=2 * n + 2)
+        for zero_r in (False, True):
+            r = [f.r(i) for i in range(2 * n + 2)]
+            t = [f.t(i) for i in range(1, 2 * n + 2)]
+            if zero_r:
+                r[k - 1] = ZERO
+            else:
+                t[k - 1] = ZERO
+            r[: k - 1] = [p or ONE for p in r[: k - 1]]  # every earlier beta nonzero
+            t[: k - 1] = [p or ONE for p in t[: k - 1]]
+            g = FamilySpec(
+                name="zero beta",
+                r_seq=ParamSeq(0, tuple(r)),
+                s_seq=f.s_seq,
+                t_seq=ParamSeq(1, tuple(t)),
+            )
+            s, beta = _jfraction_terms(g, n)
+            assert beta[k - 1].is_zero()
+            assert jfraction(catalan_like(g, 2 * n + 1), n) == (s[:k], beta[: k - 1]), (k, zero_r)
 
 
 @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.name)

@@ -19,7 +19,6 @@ from qcatalan.immanant import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
     _class_sum_width,
-    _class_sums,
     _inequality_sweep,
     _plan,
     _run,
@@ -35,6 +34,7 @@ from qcatalan.symchar import character, degree, partitions_of
 
 from oracles import (
     class_sums_by_permutation,
+    class_sums_by_plan,
     matmul,
     permanent,
     random_grid,
@@ -179,7 +179,7 @@ def assert_class_sums_match_oracle(grid):
     n = len(grid)
     expected = class_sums_by_permutation(grid)
     cells, bits = packed_cells(grid, n)
-    got = _class_sums(cells)
+    got = class_sums_by_plan(cells)
     assert len(got) == len(partitions_of(n))
     for mu, value in zip(partitions_of(n), got):
         assert _unpack(value, bits) == expected.get(mu, ZERO), (n, mu)
@@ -649,6 +649,25 @@ def test_sweep_value_meets_its_bound_on_a_diagonal_grid(sign):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
+def test_immanant_meets_its_bound(sign):
+    # diag(c, ..., c) with c = +-2**k: only the identity has a nonzero product,
+    # so the lam-immanant is d_lam c**n, its bound sum |chi^lam(mu)| N_mu itself
+    # (N_mu the class sums of the entries' norms: |c|**n at mu = (1, ..., 1),
+    # else 0).  [[c, c], [-c, c]] has the determinant 2 c**2, its bound
+    # c**2 + |-1| c**2, and the permanent 0.  Over these k, a width from a
+    # smaller bound falls a byte short somewhere.
+    for k in range(24):
+        c = sign * 2**k
+        for n in range(1, 7):
+            entries = [[QPoly([c]) if i == j else ZERO for j in range(n)] for i in range(n)]
+            for lam in partitions_of(n):
+                assert immanant(entries, lam) == QPoly([degree(lam) * c**n]), (k, lam)
+        entries = [[QPoly([c]), QPoly([c])], [QPoly([-c]), QPoly([c])]]
+        assert immanant(entries, (1, 1)) == QPoly([2 * c**2])
+        assert immanant(entries, (2,)) == ZERO
+
+
+@pytest.mark.parametrize("sign", [1, -1])
 def test_sweep_gap_meets_its_bound_on_an_antidiagonal_grid(sign):
     # [[0, c], [sign c, 0]] with c = 2**k: the (2) immanant is sign c**2 and
     # the determinant -sign c**2, so the gap is 2 sign c**2, the bound 2 D P
@@ -701,7 +720,7 @@ def test_support_without_a_permutation_gives_zero_reports():
         [Q * Q, ZERO, ZERO],
     ]
     cells, _ = packed_cells(grid, 3)
-    assert _class_sums(cells) == [0, 0, 0]
+    assert class_sums_by_plan(cells) == [0, 0, 0]
     assert _plan([cell for row in cells for cell in row]) is None
     result = assert_sweep_matches_oracle(_plain_matrix(grid), 3)
     got = [r for r in result.reports if len(r.provenance.rows) == 3]
@@ -726,7 +745,7 @@ def test_sweep_tells_a_dead_support_from_class_sums_that_cancel(blocks):
     # grid's support has a plan, so a later grid on it must still be computed.
     for grid in blocks:
         cells, _ = packed_cells(grid, 3)
-        assert any(_class_sums(cells)) == (grid is LIVE)
+        assert any(class_sums_by_plan(cells)) == (grid is LIVE)
         assert _plan([cell for row in cells for cell in row]) is not None
     first, second = blocks
     entries = [[ZERO] * 6 for _ in range(6)]  # first at the top left, second below right
@@ -965,10 +984,31 @@ def test_inequality_sweep_matches_332_on_every_triple():
             assert _inequality_sweep(a, top) == want
 
 
+def test_inequality_sweep_holds_every_coefficient_within_its_triple_bound():
+    # the cubic on the terms' l1 norms, every sign made positive, bounds each
+    # coefficient of its triple's value: the bound the sweep's width holds
+    rng = random.Random(3320)
+    names = ("eulerian", "schroder", "narayana")
+    sequences = [catalan_like(builtin(name), 12) for name in names]
+    big = dict(max_deg=4, max_coeff=10**30, allow_negative=True)
+    sequences += [[random_qpoly(rng, **big) for _ in range(13)] for _ in range(6)]
+    for a in sequences:
+        n = [sum(map(abs, p.coeffs)) for p in a]
+        for top in (2, 3, 6):
+            for (i, j, k), value in _inequality_sweep(a, top):
+                bound = (
+                    n[2 * i] * n[j + k] ** 2 + n[2 * j] * n[i + k] ** 2
+                    + n[2 * k] * n[i + j] ** 2 + 3 * n[i + j] * n[j + k] * n[i + k]
+                )
+                assert all(abs(c) <= bound for c in value.coeffs), (i, j, k)
+
+
 def test_inequality_sweep_at_its_coefficient_bound():
     # a = (c, c, c, -c, c): at (0, 1, 2) the value is 3 c^3 + 3 c^3 = 6 c^3, the
-    # sweep's bound 6 N^3 itself, which needs the top bit of its digit width
-    for k in range(12):
+    # sweep's bound c^3 + c^3 + c^3 + 3 c^3 on the terms' norms itself, which
+    # needs the top bit of its digit width for some k; k = 23 is one where the
+    # bound without its cross term 3 c^3 gives a width one byte short
+    for k in range(40):
         c = 2**k
         a = [QPoly([x]) for x in (c, c, c, -c, c)]
         assert inequality_332(a, 0, 1, 2) == QPoly([6 * c**3])

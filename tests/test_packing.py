@@ -6,11 +6,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from qcatalan.immanant import _class_sum_width, _class_sums, _inequality_sweep, inequality_332
+from qcatalan.immanant import _class_sum_width, _inequality_sweep, immanant, inequality_332
 from qcatalan.qpoly import ZERO, QPoly, _convolve, _pack, _unpack, _width
-from qcatalan.symchar import partitions_of
+from qcatalan.symchar import character, partitions_of
 
-from oracles import class_sums_by_permutation
+from oracles import class_sums_by_permutation, class_sums_by_plan
 
 
 @st.composite
@@ -134,5 +134,28 @@ def test_packed_class_sums_match_the_permutation_oracle(grid):
     bits = _class_sum_width(grid, n)
     cells = [[_pack(cell.coeffs, bits) for cell in row] for row in grid]
     want = class_sums_by_permutation(grid)
-    got = [_unpack(value, bits) for value in _class_sums(cells)]
+    got = [_unpack(value, bits) for value in class_sums_by_plan(cells)]
     assert got == [want.get(mu, ZERO) for mu in partitions_of(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_grids())
+@example([])  # n = 0: the empty product, 1
+@example([[ZERO, QPoly([1])], [ZERO, QPoly([2**64 + 1, -1])]])  # a dead support
+def test_immanant_holds_every_coefficient_within_its_class_sum_bound(grid):
+    # N_mu, the class sums of the entries' l1 norms, bound the class sums'
+    # norms, so every coefficient of the lam-immanant is at most
+    # sum |chi^lam(mu)| N_mu: the bound immanant()'s width holds
+    n = len(grid)
+    sums = class_sums_by_permutation(grid)
+    norms = class_sums_by_permutation(
+        [[QPoly([sum(map(abs, cell.coeffs))]) for cell in row] for row in grid]
+    )
+    shapes = partitions_of(n)
+    for lam in shapes:
+        chi = [character(lam, mu) for mu in shapes]
+        value = immanant(grid, lam)
+        want = sum((c * sums.get(mu, ZERO) for c, mu in zip(chi, shapes)), ZERO)
+        assert value == want
+        bound = sum(abs(c) * sum(norms.get(mu, ZERO).coeffs) for c, mu in zip(chi, shapes))
+        assert all(abs(c) <= bound for c in value.coeffs), lam
