@@ -13,11 +13,15 @@ The generating function GF(u, v) is the sum over all directed u -> v paths
 of the product of arc weights, with GF(u, u) = 1.  The whole GF matrix
 comes from one pass in topological order that carries, at each vertex, the
 path sums from every source with each polynomial packed into the integer
-p(2**B) (Kronecker substitution).  B is fixed by one value per vertex: a
-pass at q = 1 over absolute coefficient sums, with every source on one
-index, bounds every coefficient of every entry.  The check against C_n or
-H_n (``_first_mismatch``) packs both matrices at one width and compares
-integers, so only an entry that differs is unpacked.
+p(2**B) (Kronecker substitution), each distinct weight object packed once.
+The same pass carries one more value per vertex, its bound: the path sums
+at q = 1 over absolute coefficient sums, pooled over the sources, which
+bound every coefficient of every entry and so fix the least B that
+decodes them.  ``gf_matrix`` takes the bounds from a first pass.  The
+check against C_n or H_n (``_first_mismatch``) packs at the matrix's own
+width and gets the bounds with the rows, repacking in a second pass only
+when a sink's bound needs a wider digit; it compares integers, so only an
+entry that differs is unpacked.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
 from .families import FamilySpec, check_condition, condition_difference
-from .qpoly import ONE, QPoly, ZERO, _Memo, _pack, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Memo, _canonical, _pack, _unpack, _width
 
 
 class _Kind(NamedTuple):
@@ -89,6 +93,11 @@ def _reachable(arcs: Iterable[Arc], origin: Vertex, backward: bool = False) -> s
     return seen
 
 
+def _norm(p: QPoly) -> int:
+    """The sum of the absolute values of ``p``'s coefficients."""
+    return sum(map(abs, p.coeffs))
+
+
 class PlanarNetwork:
     """An acyclic weighted digraph with ordered source and sink sequences.
 
@@ -146,30 +155,45 @@ class PlanarNetwork:
         self,
         starts: Sequence[Vertex],
         ends: Sequence[Vertex],
-        weigh: Callable[[QPoly], int],
-        pooled: bool = False,
-    ) -> dict[Vertex, dict[int, int]]:
-        """Every start's path sums at every end, in one topological pass.
+        weigh: Callable[[QPoly], tuple[int, int]],
+    ) -> tuple[dict[Vertex, dict[int, int]], dict[Vertex, int]]:
+        """Every start's path sums, and one pooled sum, at every end, in one
+        topological pass.
 
-        Each arc weight is mapped to an integer by ``weigh`` (once per
-        walked arc); the value at v maps start index i to the sum,
-        over starts[i] -> v paths, of the products of those integers.
-        ``pooled`` puts every start on index 0, which then holds the sum
-        over the distinct starts.  A vertex's map is dropped once its
-        out-arcs are done unless it is an end; arcs weighing 0 are skipped
-        and arcs weighing 1 add without a multiply.
+        ``weigh`` maps an arc weight to a pair of integers (w, n), and runs
+        once per distinct weight object: its results are kept by ``id``,
+        which is safe since the network holds every weight for the pass.
+        The first map sends v to a map from start index i to the sum, over
+        starts[i] -> v paths, of the products of the w's; the second sends v
+        to the sum over the distinct starts u of the u -> v path sums of the
+        products of the n's.  A vertex's sums are dropped once its out-arcs
+        are done unless it is an end.  An arc with n = 0 is skipped, so
+        ``weigh`` must give w = 0 with it; an arc with w = 0 adds nothing to
+        the first map, and one with w = 1 adds there without a multiply.
         """
         keep = set(ends)
         acc: dict[Vertex, dict[int, int]] = {}
+        pooled: dict[Vertex, int] = dict.fromkeys(starts, 1)
         for i, u in enumerate(starts):
-            acc.setdefault(u, {})[0 if pooled else i] = 1
+            acc.setdefault(u, {})[i] = 1
+        weighed: dict[int, tuple[int, int]] = {}
         for v in self._topo:
-            value = acc.get(v) if v in keep else acc.pop(v, None)
-            if not value:
+            if v in keep:
+                total, value = pooled.get(v), acc.get(v)
+            else:
+                total, value = pooled.pop(v, None), acc.pop(v, None)
+            if total is None:
                 continue
             for head, weight in self._adj[v].items():
-                w = weigh(weight)
-                if not w:
+                key = id(weight)
+                pair = weighed.get(key)
+                if pair is None:
+                    pair = weighed[key] = weigh(weight)
+                w, n = pair
+                if not n:
+                    continue
+                pooled[head] = pooled.get(head, 0) + total * n
+                if not w or not value:
                     continue
                 target = acc.get(head)
                 if target is None:
@@ -182,25 +206,30 @@ class PlanarNetwork:
                 else:
                     for i, x in value.items():
                         target[i] = target.get(i, 0) + x * w
-        return acc
+        return acc, pooled
 
     def _bounds(self, starts: Sequence[Vertex], ends: Sequence[Vertex]) -> list[int]:
         """B(v) for each v in ``ends``: the sum over the distinct starts u of
         the u -> v path sums at q = 1, each weight replaced by the sum of its
         absolute coefficients.  B(v) is at least every coefficient of every
-        GF(u, v) in absolute value, and costs one pooled pass."""
-        sums = self._sweep(starts, ends, lambda p: sum(map(abs, p.coeffs)), pooled=True)
-        return [sums[v][0] if v in sums else 0 for v in ends]
+        GF(u, v) in absolute value, and costs one pass that carries no
+        per-start sums."""
+        pooled = self._sweep(starts, ends, lambda p: (0, _norm(p)))[1]
+        return [pooled.get(v, 0) for v in ends]
 
     def _packed_rows(
         self, starts: Sequence[Vertex], ends: Sequence[Vertex], bits: int
-    ) -> list[list[int]]:
+    ) -> tuple[list[list[int]], list[int]]:
         """GF(u, v) packed as p(2**bits) (Kronecker substitution), for u in
-        ``starts`` (rows) and v in ``ends`` (columns): one pass, in which
-        each arc costs one big-integer multiply-add."""
-        packed = self._sweep(starts, ends, lambda p: _pack(p.coeffs, bits))
+        ``starts`` (rows) and v in ``ends`` (columns), and the ends' bounds
+        B(v) (``_bounds``): one pass, in which each arc costs one big-integer
+        multiply-add and one small one, and each distinct weight is packed
+        once.  The packed values are exact at any width, and ``_unpack``
+        decodes them at ``_width`` of the largest B(v) or wider."""
+        packed, pooled = self._sweep(starts, ends, lambda p: (_pack(p.coeffs, bits), _norm(p)))
         columns = [packed.get(v, {}) for v in ends]
-        return [[column.get(i, 0) for column in columns] for i in range(len(starts))]
+        rows = [[column.get(i, 0) for column in columns] for i in range(len(starts))]
+        return rows, [pooled.get(v, 0) for v in ends]
 
     def _gf_rows(
         self, starts: Sequence[Vertex], ends: Sequence[Vertex]
@@ -208,7 +237,8 @@ class PlanarNetwork:
         """GF(u, v) for u in ``starts`` (rows) and v in ``ends`` (columns),
         unpacked at the width of the largest end bound B(v) (``_bounds``)."""
         bits = _width(max(self._bounds(starts, ends), default=0))
-        return [[_unpack(x, bits) for x in row] for row in self._packed_rows(starts, ends, bits)]
+        rows = self._packed_rows(starts, ends, bits)[0]
+        return [[_unpack(x, bits) for x in row] for row in rows]
 
     def path_gf(self, u: Vertex, v: Vertex) -> QPoly:
         """Sum of weight products over all directed u -> v paths."""
@@ -224,7 +254,7 @@ class PlanarNetwork:
         """Number of directed u -> v paths (1 when u = v)."""
         self._require_vertex(u)
         self._require_vertex(v)
-        return self._sweep((u,), (v,), lambda p: 1).get(v, {}).get(0, 0)
+        return self._sweep((u,), (v,), lambda p: (0, 1))[1].get(v, 0)
 
     def enumerate_paths(
         self, u: Vertex, v: Vertex, cap: int = 100000
@@ -280,12 +310,18 @@ class PlanarNetwork:
 def _first_mismatch(net: PlanarNetwork, bound: int, packer) -> tuple | None:
     """The first (i, j), row-major, where GF(source_i, sink_j) differs from a
     matrix packed as ``csmatrix._packed_matrix`` gives it, with both entries;
-    None if none does.  Both sides are packed at the width of the larger
-    bound, where p -> p(2**bits) is one-to-one on each side's coefficients,
-    so equal integers are equal polynomials."""
-    bits = _width(max([bound, *net._bounds(net.sources, net.sinks)]))
-    rows = zip(net._packed_rows(net.sources, net.sinks, bits), packer(bits))
-    for i, (got, want) in enumerate(rows):
+    None if none does.  Both sides are compared at the width of the larger
+    of ``bound`` and every sink's B(v), where p -> p(2**bits) is one-to-one
+    on each side's coefficients, so equal integers are equal polynomials.
+    One pass packs the GF at the matrix's own width and returns the B(v)
+    with it; only when they need a wider digit does a second pass repack."""
+    bits = _width(bound)
+    rows, bounds = net._packed_rows(net.sources, net.sinks, bits)
+    wide = _width(max([bound, *bounds]))
+    if wide > bits:
+        bits = wide
+        rows = net._packed_rows(net.sources, net.sinks, bits)[0]
+    for i, (got, want) in enumerate(zip(rows, packer(bits))):
         if got != want:
             j = next(j for j, (x, y) in enumerate(zip(got, want)) if x != y)
             return i, j, _unpack(got[j], bits), _unpack(want[j], bits)
@@ -580,12 +616,12 @@ def export_dot(net: PlanarNetwork) -> str:
     """Deterministic Graphviz text with pinned grid positions."""
     pos = _positions(net)
     names = {v: _dot_name(v) for v in net.vertices}
-    labels = _Memo(str)  # each distinct weight's label
+    labels = _Memo(lambda coeffs: str(_canonical(coeffs)))  # by coefficient tuple
     lines = ["digraph {"]
     for v in sorted(net.vertices, key=lambda v: (pos[v], names[v])):
         x, y = pos[v]
         lines.append(f'  {names[v]} [pos="{x},{y}!"];')
     for tail, head, weight in sorted(net.arcs, key=lambda a: (pos[a.tail], pos[a.head])):
-        lines.append(f'  {names[tail]} -> {names[head]} [label="{labels[weight]}"];')
+        lines.append(f'  {names[tail]} -> {names[head]} [label="{labels[weight.coeffs]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -330,8 +330,8 @@ MUTANTS = [
     {
         "name": "count_paths skips paths of zero weight",
         "file": "src/qcatalan/network.py",
-        "snippet": "lambda p: 1)",
-        "replacement": "lambda p: 1 if p else 0)",
+        "snippet": "lambda p: (0, 1))",
+        "replacement": "lambda p: (0, 1 if p else 0))",
         "tests": ["tests/test_network.py"],
     },
     {
@@ -352,16 +352,27 @@ MUTANTS = [
     {
         "name": "GF bound drops the abs from each weight's norm",
         "file": "src/qcatalan/network.py",
-        "snippet": "lambda p: sum(map(abs, p.coeffs))",
-        "replacement": "lambda p: sum(p.coeffs)",
+        "snippet": "return sum(map(abs, p.coeffs))",
+        "replacement": "return sum(p.coeffs)",
         "tests": ["tests/test_network.py::test_gf_bound_holds_on_random_signed_networks"],
     },
     {
         "name": "GF sweep drops the sinks' maps too",
         "file": "src/qcatalan/network.py",
-        "snippet": "acc.get(v) if v in keep else acc.pop(v, None)",
-        "replacement": "acc.pop(v, None)",
+        "snippet": "total, value = pooled.get(v), acc.get(v)",
+        "replacement": "total, value = pooled.pop(v, None), acc.pop(v, None)",
         "tests": ["tests/test_network.py"],
+    },
+    # Arcs into one head then all weigh as the first of them walked.
+    {
+        "name": "GF sweep keys its weigh memo by the head vertex",
+        "file": "src/qcatalan/network.py",
+        "snippet": "key = id(weight)",
+        "replacement": "key = head",
+        "tests": [
+            "tests/test_network.py::"
+            "test_packed_gf_matches_oracle_when_arcs_share_weight_objects"
+        ],
     },
     # The vertex is then ready one in-arc early, and may be listed twice.
     {
@@ -656,10 +667,10 @@ MUTANTS = [
     # wrong GF entry pack like the right one, and a row compared only up to
     # its diagonal misses a path that C_n does not have.
     {
-        "name": "network check packs both sides at the matrix's width alone",
+        "name": "network check keeps the matrix's width when a sink bound needs more",
         "file": "src/qcatalan/network.py",
-        "snippet": "bits = _width(max([bound, *net._bounds(net.sources, net.sinks)]))",
-        "replacement": "bits = _width(bound)",
+        "snippet": "if wide > bits:",
+        "replacement": "if False:",
         "tests": [
             "tests/test_network.py::"
             "test_packed_check_finds_an_entry_that_aliases_at_the_matrix_width"

@@ -844,6 +844,44 @@ def test_packed_gf_matches_oracle_on_random_signed_networks():
         assert_gf_matches_oracle(_random_network(rng), trial)
 
 
+def _reweighed(net, rng, shared):
+    """``net`` with each arc's weight drawn from a pool of three signed
+    polynomials: the pool's own objects if ``shared``, else an equal new
+    object per arc."""
+    pool = [random_qpoly(rng, max_deg=3, allow_negative=True) for _ in range(3)]
+    arcs = []
+    for arc in net.arcs:
+        weight = rng.choice(pool)
+        arcs.append(arc._replace(weight=weight if shared else QPoly(weight.coeffs)))
+    return PlanarNetwork(arcs, net.sources, net.sinks)
+
+
+def test_packed_gf_matches_oracle_when_arcs_share_weight_objects():
+    rng = random.Random(6068)
+    for trial in range(100):
+        for shared in (True, False):
+            assert_gf_matches_oracle(_reweighed(_random_network(rng), rng, shared), trial)
+
+
+def test_sweep_weighs_each_weight_object_it_walks_once():
+    rng = random.Random(6065)
+    for trial in range(100):
+        net = _reweighed(_random_network(rng), rng, shared=trial % 2 == 0)
+        calls = []
+
+        def weigh(p):
+            calls.append(id(p))
+            return _pack(p.coeffs, 64), sum(map(abs, p.coeffs))
+
+        net._sweep(net.sources, net.sinks, weigh)
+        reached = set(net.sources)
+        for arc in sorted(net.arcs, key=lambda a: a.tail.level):  # arcs climb levels
+            if arc.tail in reached and arc.weight:
+                reached.add(arc.head)
+        walked = {id(arc.weight) for arc in net.arcs if arc.tail in reached}
+        assert sorted(calls) == sorted(walked), trial
+
+
 def test_packed_path_gf_matches_oracle_between_every_vertex_pair():
     rng = random.Random(6061)
     for trial in range(20):
@@ -951,6 +989,21 @@ def test_gf_bound_holds_on_every_construction():
             assert_bounds_hold(build_hankel_factored(f, n, [case] * n), (f.name, case, n))
 
 
+def test_packed_pass_returns_the_bounds_of_the_bound_pass():
+    rng = random.Random(6066)
+    for trial in range(100):
+        net = _random_network(rng)
+        bounds = net._bounds(net.sources, net.sinks)
+        twice = [*net.sources, net.sources[0]]  # a source listed twice counts once
+        assert net._bounds(twice, net.sinks) == bounds, trial
+        for bits in (8, 64):
+            assert net._packed_rows(twice, net.sinks, bits)[1] == bounds, (trial, bits)
+    # 256 - q packs to 0 at 8 bits, but still bounds the sink's coefficients
+    a, b = P(0, 0), P(1, 0)
+    net = PlanarNetwork([Arc(a, b, QPoly([256, -1]))], (a,), (b,))
+    assert net._packed_rows((a,), (b,), 8) == ([[0]], [257])
+
+
 # -- the packed check against the matrix --------------------------------
 
 
@@ -1019,6 +1072,73 @@ def test_packed_check_finds_an_entry_that_aliases_at_the_matrix_width():
 def test_packed_check_reads_the_entries_above_the_diagonal():
     net = _with_arc(build_cs_network(NAR, 3, [2] * 3), 0, 2, QVAR)
     assert _first_mismatch(net, *_packed_matrix(NAR, 3, False)) == (0, 2, QVAR, ZERO)
+
+
+def _record_passes(monkeypatch):
+    """The digit width of each packed pass, and the list of all passes."""
+    widths, sweeps = [], []
+    packed_rows, sweep = PlanarNetwork._packed_rows, PlanarNetwork._sweep
+
+    def record_width(self, starts, ends, bits):
+        widths.append(bits)
+        return packed_rows(self, starts, ends, bits)
+
+    def record_sweep(self, *args):
+        sweeps.append(args)
+        return sweep(self, *args)
+
+    monkeypatch.setattr(PlanarNetwork, "_packed_rows", record_width)
+    monkeypatch.setattr(PlanarNetwork, "_sweep", record_sweep)
+    return widths, sweeps
+
+
+def test_check_makes_one_pass_when_the_matrix_width_holds_every_sink_bound(monkeypatch):
+    widths, sweeps = _record_passes(monkeypatch)
+    bound, packer = _packed_matrix(SCH, 40, False)
+    assert _first_mismatch(build_cs_network(SCH, 40, [5] * 40), bound, packer) is None
+    assert widths == [_width(bound)] == [96]
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("n,widths", [(5, [8, 16]), (18, [32, 64])])
+def test_check_repacks_once_when_a_sink_bound_needs_a_wider_digit(monkeypatch, n, widths):
+    recorded, sweeps = _record_passes(monkeypatch)
+    net = build_cs_network(NAR, n, [2] * n)
+    assert _first_mismatch(net, *_packed_matrix(NAR, n, False)) is None
+    assert recorded == widths
+    assert len(sweeps) == 2
+
+
+def _compared_width(net, bound, packer):
+    """The width at which ``_first_mismatch`` packs the matrix, and its verdict."""
+    asked = []
+
+    def record(bits):
+        asked.append(bits)
+        return packer(bits)
+
+    verdict = _first_mismatch(net, bound, record)
+    assert len(asked) == 1
+    return asked[0], verdict
+
+
+def test_check_compares_at_the_width_of_the_larger_bound():
+    for net, f, n, is_hankel in _checked_networks():
+        bound, packer = _packed_matrix(f, n, is_hankel)
+        wide = _width(max([bound, *net._bounds(net.sources, net.sinks)]))
+        assert _compared_width(net, bound, packer) == (wide, None), (f.name, n, is_hankel)
+    rng = random.Random(6067)
+    for trial in range(200):
+        net = _random_network(rng)
+        matrix = gf_matrix_by_source(net)
+        top = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0)
+        bound = rng.choice([0, top, top << 8, top << 80])  # B(v) holds every entry
+
+        def packer(bits):
+            return [[_pack(p.coeffs, bits) for p in row] for row in matrix]
+
+        wide = _width(max([bound, *net._bounds(net.sources, net.sinks)]))
+        assert _compared_width(net, bound, packer) == (wide, None), trial
 
 
 # -- DOT export -------------------------------------------------------
