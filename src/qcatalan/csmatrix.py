@@ -72,25 +72,27 @@ def _triangle(f: FamilySpec, n: int, top: int, cols: int) -> list[list[QPoly]]:
     row is unpacked as soon as it is complete, so at most two packed rows
     are alive at once.
     """
-    bound, packed = _passes(f, n, top, cols)
+    norms, packed = _passes(f, n, top, cols)
+    bound = max(map(max, norms))
     bits = _width(bound)
     return [[_unpack(x, bits) for x in row] for row in packed(bits)]
 
 
 def _passes(f: FamilySpec, n: int, top: int, cols: int):
-    """``_triangle``'s largest coefficient bound, from the recurrence with each
-    term replaced by the sum of its absolute coefficients, and its packer: a
-    map from a width ``bits`` to the rows packed as p(2**bits), exact at any
-    width.  The packer applies a term to an entry as shift-adds, one per
-    nonzero coefficient: a unit coefficient adds the entry itself, shifted,
-    with no multiply, and a zero term adds nothing.
+    """``_triangle``'s rows at q = 1 with each term replaced by the sum of its
+    absolute coefficients, each entry a bound on every coefficient of its
+    polynomial, and its packer: a map from a width ``bits`` to the rows
+    packed as p(2**bits), exact at any width.  The packer applies a term to
+    an entry as shift-adds, one per nonzero coefficient: a unit coefficient
+    adds the entry itself, shifted, with no multiply, and a zero term adds
+    nothing.
     """
     r, s, t = cache(f.r), cache(f.s), cache(f.t)
 
     def norm(term):
         return cache(lambda k: sum(map(abs, term(k).coeffs)))
 
-    bound = max(max(row[:cols]) for row in _rows(n, top, norm(r), norm(s), norm(t), mul))
+    norms = [row[:cols] for row in _rows(n, top, norm(r), norm(s), norm(t), mul)]
 
     def packed(bits: int) -> Iterator[list[int]]:
         def pairs(term):
@@ -106,14 +108,24 @@ def _passes(f: FamilySpec, n: int, top: int, cols: int):
 
         return (row[:cols] for row in _rows(n, top, pairs(r), pairs(s), pairs(t), shifted))
 
-    return bound, packed
+    return norms, packed
 
 
 def _packed_matrix(f: FamilySpec, n: int, is_hankel: bool):
     """C_n, or H_n when ``is_hankel``, as ``_passes`` gives its triangle; the
     packer's rows are the matrix's, C_n with 0 above the diagonal and H_n as
-    (a_{i+j}) from the first column."""
-    bound, packed = _passes(f, 2 * n if is_hankel else n, 2 * n, 1 if is_hankel else n + 1)
+    (a_{i+j}) from the first column.  The bound is the largest column sum of
+    ``_passes``'s bounds: at least every coefficient, and, on a network of
+    nonnegative weights that matches the matrix, the largest of the sinks'
+    bounds B(v) (``PlanarNetwork._bounds``), so the network check's one pass
+    packs at the width that they need."""
+    norms, packed = _passes(f, 2 * n if is_hankel else n, 2 * n, 1 if is_hankel else n + 1)
+    if is_hankel:
+        firsts = [row[0] for row in norms]
+        columns = [firsts[j : j + n + 1] for j in range(n + 1)]
+    else:
+        columns = [[row[j] for row in norms[j:]] for j in range(n + 1)]
+    bound = max(map(sum, columns))
 
     def rows(bits: int) -> list[list[int]]:
         tri = list(packed(bits))

@@ -17,11 +17,13 @@ p(2**B) (Kronecker substitution), each distinct weight object packed once.
 The same pass carries one more value per vertex, its bound: the path sums
 at q = 1 over absolute coefficient sums, pooled over the sources, which
 bound every coefficient of every entry and so fix the least B that
-decodes them.  ``gf_matrix`` takes the bounds from a first pass.  The
-check against C_n or H_n (``_first_mismatch``) packs at the matrix's own
-width and gets the bounds with the rows, repacking in a second pass only
-when a sink's bound needs a wider digit; it compares integers, so only an
-entry that differs is unpacked.
+decodes them.  ``gf_matrix`` takes the bounds from a first pass and
+carries only the packed sums in the second.  The check against C_n or H_n
+(``_first_mismatch``) packs at the width of the matrix's largest column
+sum, which is the largest sink bound on a network of nonnegative weights
+that matches it, and gets the bounds with the rows, repacking in a second
+pass only when a sink's bound needs a wider digit; it compares integers,
+so only an entry that differs is unpacked.
 """
 
 from __future__ import annotations
@@ -167,9 +169,10 @@ class PlanarNetwork:
         starts[i] -> v paths, of the products of the w's; the second sends v
         to the sum over the distinct starts u of the u -> v path sums of the
         products of the n's.  A vertex's sums are dropped once its out-arcs
-        are done unless it is an end.  An arc with n = 0 is skipped, so
-        ``weigh`` must give w = 0 with it; an arc with w = 0 adds nothing to
-        the first map, and one with w = 1 adds there without a multiply.
+        are done unless it is an end.  An arc with w = 0 adds nothing to the
+        first map, and one with w = 1 adds there without a multiply; an arc
+        with n = 0 adds nothing to the second, so a ``weigh`` whose n's are
+        all 0 makes a pass that carries no pooled sums.
         """
         keep = set(ends)
         acc: dict[Vertex, dict[int, int]] = {}
@@ -179,10 +182,10 @@ class PlanarNetwork:
         weighed: dict[int, tuple[int, int]] = {}
         for v in self._topo:
             if v in keep:
-                total, value = pooled.get(v), acc.get(v)
+                total, value = pooled.get(v, 0), acc.get(v)
             else:
-                total, value = pooled.pop(v, None), acc.pop(v, None)
-            if total is None:
+                total, value = pooled.pop(v, 0), acc.pop(v, None)
+            if not total and not value:
                 continue
             for head, weight in self._adj[v].items():
                 key = id(weight)
@@ -190,9 +193,8 @@ class PlanarNetwork:
                 if pair is None:
                     pair = weighed[key] = weigh(weight)
                 w, n = pair
-                if not n:
-                    continue
-                pooled[head] = pooled.get(head, 0) + total * n
+                if n and total:
+                    pooled[head] = pooled.get(head, 0) + total * n
                 if not w or not value:
                     continue
                 target = acc.get(head)
@@ -218,26 +220,29 @@ class PlanarNetwork:
         return [pooled.get(v, 0) for v in ends]
 
     def _packed_rows(
-        self, starts: Sequence[Vertex], ends: Sequence[Vertex], bits: int
-    ) -> tuple[list[list[int]], list[int]]:
+        self, starts: Sequence[Vertex], ends: Sequence[Vertex], bits: int, bounds: bool = True
+    ) -> tuple[list[list[int]], list[int] | None]:
         """GF(u, v) packed as p(2**bits) (Kronecker substitution), for u in
-        ``starts`` (rows) and v in ``ends`` (columns), and the ends' bounds
-        B(v) (``_bounds``): one pass, in which each arc costs one big-integer
-        multiply-add and one small one, and each distinct weight is packed
-        once.  The packed values are exact at any width, and ``_unpack``
-        decodes them at ``_width`` of the largest B(v) or wider."""
-        packed, pooled = self._sweep(starts, ends, lambda p: (_pack(p.coeffs, bits), _norm(p)))
+        ``starts`` (rows) and v in ``ends`` (columns), and, when ``bounds``,
+        the ends' bounds B(v) (``_bounds``): one pass, in which each arc
+        costs one big-integer multiply-add, and one small one for the
+        bounds, and each distinct weight is packed once.  The packed values
+        are exact at any width, and ``_unpack`` decodes them at ``_width`` of
+        the largest B(v) or wider."""
+        norm = _norm if bounds else lambda p: 0
+        packed, pooled = self._sweep(starts, ends, lambda p: (_pack(p.coeffs, bits), norm(p)))
         columns = [packed.get(v, {}) for v in ends]
         rows = [[column.get(i, 0) for column in columns] for i in range(len(starts))]
-        return rows, [pooled.get(v, 0) for v in ends]
+        return rows, [pooled.get(v, 0) for v in ends] if bounds else None
 
     def _gf_rows(
         self, starts: Sequence[Vertex], ends: Sequence[Vertex]
     ) -> list[list[QPoly]]:
         """GF(u, v) for u in ``starts`` (rows) and v in ``ends`` (columns),
-        unpacked at the width of the largest end bound B(v) (``_bounds``)."""
+        unpacked at the width of the largest end bound B(v) (``_bounds``):
+        a pass for the bounds, then one that carries only the packed sums."""
         bits = _width(max(self._bounds(starts, ends), default=0))
-        rows = self._packed_rows(starts, ends, bits)[0]
+        rows = self._packed_rows(starts, ends, bits, bounds=False)[0]
         return [[_unpack(x, bits) for x in row] for row in rows]
 
     def path_gf(self, u: Vertex, v: Vertex) -> QPoly:
@@ -313,8 +318,11 @@ def _first_mismatch(net: PlanarNetwork, bound: int, packer) -> tuple | None:
     None if none does.  Both sides are compared at the width of the larger
     of ``bound`` and every sink's B(v), where p -> p(2**bits) is one-to-one
     on each side's coefficients, so equal integers are equal polynomials.
-    One pass packs the GF at the matrix's own width and returns the B(v)
-    with it; only when they need a wider digit does a second pass repack."""
+    One pass packs the GF at the width of ``bound`` and returns the B(v)
+    with it; only when they need a wider digit does a second pass repack.
+    ``_packed_matrix``'s bound is the matrix's largest column sum, which is
+    the largest B(v) on a network of nonnegative weights that matches the
+    matrix, so there the first pass is the only one."""
     bits = _width(bound)
     rows, bounds = net._packed_rows(net.sources, net.sinks, bits)
     wide = _width(max([bound, *bounds]))

@@ -359,9 +359,19 @@ MUTANTS = [
     {
         "name": "GF sweep drops the sinks' maps too",
         "file": "src/qcatalan/network.py",
-        "snippet": "total, value = pooled.get(v), acc.get(v)",
-        "replacement": "total, value = pooled.pop(v, None), acc.pop(v, None)",
+        "snippet": "total, value = pooled.get(v, 0), acc.get(v)",
+        "replacement": "total, value = pooled.pop(v, 0), acc.pop(v, None)",
         "tests": ["tests/test_network.py"],
+    },
+    {
+        "name": "gf_matrix's packed pass carries the bounds again",
+        "file": "src/qcatalan/network.py",
+        "snippet": "bounds=False)[0]",
+        "replacement": "bounds=True)[0]",
+        "tests": [
+            "tests/test_network.py::"
+            "test_gf_matrix_packs_without_the_bounds_its_first_pass_gave"
+        ],
     },
     # Arcs into one head then all weigh as the first of them walked.
     {
@@ -674,6 +684,18 @@ MUTANTS = [
         "tests": [
             "tests/test_network.py::"
             "test_packed_check_finds_an_entry_that_aliases_at_the_matrix_width"
+        ],
+    },
+    # The largest entry alone holds the matrix but not the sinks' bounds,
+    # which pool every source.
+    {
+        "name": "packed matrix bound takes the largest entry, not column sum",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "bound = max(map(sum, columns))",
+        "replacement": "bound = max(map(max, columns))",
+        "tests": [
+            "tests/test_network.py::"
+            "test_check_packs_once_at_the_width_of_the_largest_column_sum"
         ],
     },
     {

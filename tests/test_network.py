@@ -1100,13 +1100,57 @@ def test_check_makes_one_pass_when_the_matrix_width_holds_every_sink_bound(monke
     assert len(sweeps) == 1
 
 
-@pytest.mark.parametrize("n,widths", [(5, [8, 16]), (18, [32, 64])])
-def test_check_repacks_once_when_a_sink_bound_needs_a_wider_digit(monkeypatch, n, widths):
-    recorded, sweeps = _record_passes(monkeypatch)
+@pytest.mark.parametrize("n,width,entry_width", [(5, 16, 8), (18, 64, 32)])
+def test_check_packs_once_at_the_width_of_the_largest_column_sum(
+    monkeypatch, n, width, entry_width
+):
+    # each sink's bound pools every source, so it needs a wider digit than
+    # the matrix's largest entry; the matrix's column sums come to the same
     net = build_cs_network(NAR, n, [2] * n)
-    assert _first_mismatch(net, *_packed_matrix(NAR, n, False)) is None
-    assert recorded == widths
+    bound, packer = _packed_matrix(NAR, n, False)
+    largest = max(sum(p.coeffs) for row in catalan_stieltjes(NAR, n).entries for p in row)
+    assert _width(largest) == entry_width
+    assert max(net._bounds(net.sources, net.sinks)) == bound
+    widths, sweeps = _record_passes(monkeypatch)
+    assert _first_mismatch(net, bound, packer) is None
+    assert widths == [width]
+    assert len(sweeps) == 1
+
+
+def test_check_repacks_once_when_a_sink_bound_needs_a_wider_digit(monkeypatch):
+    # detours weighing X and -X from source 0 to sink 0 leave GF(0, 0) as it
+    # was and add 2X to that sink's bound
+    bound, packer = _packed_matrix(NAR, 3, False)
+    bits = _width(bound)
+    net = build_cs_network(NAR, 3, [4] * 3)
+    u, v = net.sources[0], net.sinks[0]
+    detours = []
+    for h, sign in enumerate((1, -1)):
+        w = Vertex("Q", 9, h)
+        detours += [Arc(u, w, QPoly([sign << bits])), Arc(w, v, ONE)]
+    net = PlanarNetwork(net.arcs + tuple(detours), net.sources, net.sinks)
+    wide = _width(max(net._bounds(net.sources, net.sinks)))
+    assert wide > bits
+    widths, sweeps = _record_passes(monkeypatch)
+    assert _first_mismatch(net, bound, packer) is None
+    assert widths == [bits, wide]
     assert len(sweeps) == 2
+
+
+def test_gf_matrix_packs_without_the_bounds_its_first_pass_gave(monkeypatch):
+    pooled, sweep = [], PlanarNetwork._sweep
+
+    def record(self, *args):
+        result = sweep(self, *args)
+        pooled.append(result[1])
+        return result
+
+    monkeypatch.setattr(PlanarNetwork, "_sweep", record)
+    net = build_cs_network(NAR, 4, [2] * 4)
+    assert net.gf_matrix() == [list(row) for row in catalan_stieltjes(NAR, 4).entries]
+    assert len(pooled) == 2
+    assert all(pooled[0].get(v) for v in net.sinks)
+    assert not any(pooled[1].get(v) for v in net.sinks)
 
 
 def _compared_width(net, bound, packer):
@@ -1125,7 +1169,9 @@ def _compared_width(net, bound, packer):
 def test_check_compares_at_the_width_of_the_larger_bound():
     for net, f, n, is_hankel in _checked_networks():
         bound, packer = _packed_matrix(f, n, is_hankel)
-        wide = _width(max([bound, *net._bounds(net.sources, net.sinks)]))
+        bounds = net._bounds(net.sources, net.sinks)
+        assert bound == max(bounds), (f.name, n, is_hankel)  # the largest column sum
+        wide = _width(max([bound, *bounds]))
         assert _compared_width(net, bound, packer) == (wide, None), (f.name, n, is_hankel)
     rng = random.Random(6067)
     for trial in range(200):
