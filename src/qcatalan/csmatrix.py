@@ -23,30 +23,36 @@ pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import mul
 from typing import Iterator
 
 from .errors import OutOfRange, ShapeError
 from .families import FamilySpec
-from .qpoly import ONE, QPoly, ZERO, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Frozen, _unpack, _width
 
 
-@dataclass(frozen=True, eq=False)
-class CSMatrix:
+class CSMatrix(_Frozen):
     """An exact polynomial matrix with provenance.
 
     ``row_indices``/``col_indices`` record which rows and columns of the
     originating full matrix each entry came from, so a submatrix remembers
-    its position.
+    its position.  Compared and hashed by identity.
     """
 
-    entries: tuple[tuple[QPoly, ...], ...]
-    kind: str
-    family: FamilySpec
-    row_indices: tuple[int, ...]
-    col_indices: tuple[int, ...]
+    _fields = ("entries", "kind", "family", "row_indices", "col_indices")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        entries: tuple[tuple[QPoly, ...], ...],
+        kind: str,
+        family: FamilySpec,
+        row_indices: tuple[int, ...],
+        col_indices: tuple[int, ...],
+    ) -> None:
+        _Frozen.__init__(self, entries, kind, family, row_indices, col_indices)
 
     @property
     def nrows(self) -> int:

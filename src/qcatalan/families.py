@@ -15,7 +15,6 @@ NonNonnegativeParameter.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     MissingWitness,
@@ -24,14 +23,13 @@ from .errors import (
     SequenceExhausted,
     UnknownFamily,
 )
-from .qpoly import ONE, QPoly, ZERO
+from .qpoly import ONE, QPoly, ZERO, _Frozen
 
 # Positivity condition i goes with weight case i of a network layer.
 WEIGHT_CASES = (1, 2, 3, 4, 5)
 
 
-@dataclass(frozen=True)
-class ParamSeq:
+class ParamSeq(_Frozen):
     """One parameter sequence: an explicit prefix, then an optional tail.
 
     ``start`` is the index of the first term (0 for r/s and witnesses, 1 for
@@ -41,9 +39,12 @@ class ParamSeq:
     polynomial.  An empty tail means the sequence ends with its prefix.
     """
 
-    start: int
-    prefix: tuple[QPoly, ...] = ()
-    tail: tuple[QPoly, ...] = ()
+    _fields = ("start", "prefix", "tail")
+
+    def __init__(
+        self, start: int, prefix: tuple[QPoly, ...] = (), tail: tuple[QPoly, ...] = ()
+    ) -> None:
+        _Frozen.__init__(self, start, prefix, tail)
 
     def __call__(self, k: int) -> QPoly:
         i = k - self.start
@@ -63,16 +64,26 @@ class ParamSeq:
         return value
 
 
-@dataclass(frozen=True, eq=False)
-class FamilySpec:
-    """A named parameter family with optional condition-5 witnesses."""
+class FamilySpec(_Frozen):
+    """A named parameter family with optional condition-5 witnesses.
 
-    name: str
-    r_seq: ParamSeq
-    s_seq: ParamSeq
-    t_seq: ParamSeq
-    witness_b: ParamSeq | None = None
-    witness_c: ParamSeq | None = None
+    Compared and hashed by identity.
+    """
+
+    _fields = ("name", "r_seq", "s_seq", "t_seq", "witness_b", "witness_c")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        name: str,
+        r_seq: ParamSeq,
+        s_seq: ParamSeq,
+        t_seq: ParamSeq,
+        witness_b: ParamSeq | None = None,
+        witness_c: ParamSeq | None = None,
+    ) -> None:
+        _Frozen.__init__(self, name, r_seq, s_seq, t_seq, witness_b, witness_c)
 
     def _term(self, seq: ParamSeq, label: str, k: int) -> QPoly:
         try:
@@ -123,8 +134,7 @@ class FamilySpec:
         return self._term(self.witness_c, "witness c", k)
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(_Frozen):
     """Outcome of checking one positivity condition up to a truncation depth.
 
     ``first_violation`` is None when the condition holds; otherwise it is a
@@ -132,9 +142,15 @@ class ConditionReport:
     difference polynomial.
     """
 
-    condition_index: int
-    holds: bool
-    first_violation: tuple[int, QPoly] | None = None
+    _fields = ("condition_index", "holds", "first_violation")
+
+    def __init__(
+        self,
+        condition_index: int,
+        holds: bool,
+        first_violation: tuple[int, QPoly] | None = None,
+    ) -> None:
+        _Frozen.__init__(self, condition_index, holds, first_violation)
 
 
 # Lower bound that condition i (1-4) puts on s_k.

@@ -68,7 +68,6 @@ import os
 import random
 from array import array
 from bisect import bisect
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, combinations, count, product
 from math import ceil, comb, isqrt, log, prod
@@ -76,7 +75,7 @@ from operator import mul
 
 from .csmatrix import CSMatrix
 from .errors import CapExceeded, OutOfRange, ShapeError
-from .qpoly import ONE, QPoly, ZERO, _Memo, _pack, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Frozen, _Memo, _pack, _unpack, _width
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
 SIZE_CAP_ENV = "QCATALAN_SIZE_CAP"
@@ -316,38 +315,47 @@ def determinant(m: CSMatrix | list | tuple) -> QPoly:
 # -- positivity sweeps ------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class MatrixProvenance:
+class MatrixProvenance(_Frozen):
     """Where a swept submatrix came from."""
 
-    family: str
-    kind: str
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    __slots__ = _fields = ("family", "kind", "rows", "cols")
+
+    def __init__(
+        self, family: str, kind: str, rows: tuple[int, ...], cols: tuple[int, ...]
+    ) -> None:
+        _Frozen.__init__(self, family, kind, rows, cols)
 
 
-@dataclass(frozen=True, slots=True)
-class ImmanantReport:
+class ImmanantReport(_Frozen):
     """One immanant of one submatrix, with its dominance gap.
 
     ``dominance_gap`` is the immanant minus degree(lam) times the
     determinant of the same submatrix.
     """
 
-    lam: Partition
-    value: QPoly
-    q_nonnegative: bool
-    dominance_gap: QPoly
-    gap_nonnegative: bool
-    provenance: MatrixProvenance
+    __slots__ = _fields = (
+        "lam", "value", "q_nonnegative", "dominance_gap", "gap_nonnegative", "provenance"
+    )
+
+    def __init__(
+        self,
+        lam: Partition,
+        value: QPoly,
+        q_nonnegative: bool,
+        dominance_gap: QPoly,
+        gap_nonnegative: bool,
+        provenance: MatrixProvenance,
+    ) -> None:
+        _Frozen.__init__(
+            self, lam, value, q_nonnegative, dominance_gap, gap_nonnegative, provenance
+        )
 
 
 # an ImmanantReport's fields but its provenance, in order
 Fields = tuple[Partition, QPoly, bool, QPoly, bool]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Frozen):
     """A sweep's selections, stored as tables, plus how they were drawn.
 
     ``row_sets`` and ``col_sets`` hold each distinct index set of the sweep
@@ -360,15 +368,27 @@ class SweepResult:
     failing shapes only.
     """
 
-    family: str
-    kind: str
-    row_sets: tuple[tuple[int, ...], ...]
-    col_sets: tuple[tuple[int, ...], ...]
-    contents: tuple[tuple[Fields, ...], ...]
-    rows: tuple[tuple[int, int, int], ...]
-    exhaustive: bool
-    seed: int
-    total_candidates: int
+    _fields = (
+        "family", "kind", "row_sets", "col_sets", "contents", "rows", "exhaustive", "seed",
+        "total_candidates",
+    )
+
+    def __init__(
+        self,
+        family: str,
+        kind: str,
+        row_sets: tuple[tuple[int, ...], ...],
+        col_sets: tuple[tuple[int, ...], ...],
+        contents: tuple[tuple[Fields, ...], ...],
+        rows: tuple[tuple[int, int, int], ...],
+        exhaustive: bool,
+        seed: int,
+        total_candidates: int,
+    ) -> None:
+        _Frozen.__init__(
+            self, family, kind, row_sets, col_sets, contents, rows, exhaustive, seed,
+            total_candidates,
+        )
 
     @cached_property
     def reports(self) -> tuple[ImmanantReport, ...]:

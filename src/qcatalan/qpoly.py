@@ -357,6 +357,50 @@ class _Memo(dict):
         return value
 
 
+class _Frozen:
+    """An immutable record of named fields, the base of the package's value classes.
+
+    A subclass names its fields, in constructor order, in ``_fields`` and
+    sets them once through ``_Frozen.__init__``; after that, assigning or
+    deleting an attribute raises ``AttributeError``.  Two objects of one
+    class are equal when their fields are, and hash alike; a class compared
+    by identity sets ``__eq__`` and ``__hash__`` back to ``object``'s.  An
+    object prints as ``Name(field=value, ...)`` and pickles as its class
+    called on its fields, so a slotted subclass needs no state hooks.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 ZERO = QPoly()
 ONE = QPoly((1,))
 Q = QPoly((0, 1))

@@ -794,6 +794,30 @@ MUTANTS = [
             "test_exhaustive_selections_pair_every_combination_within_its_size"
         ],
     },
+    {
+        "name": "families imports dataclasses again",
+        "file": "src/qcatalan/families.py",
+        "snippet": "import json\n",
+        "replacement": "import dataclasses\nimport json\n",
+        "tests": ["tests/test_records.py::test_importing_the_cli_loads_no_dataclasses"],
+    },
+    {
+        "name": "record equality ignores the last field",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "return self._values() == other._values()",
+        "replacement": "return self._values()[:-1] == other._values()[:-1]",
+        "tests": [
+            "tests/test_immanant.py::test_each_support_is_planned_once_per_sweep",
+            "tests/test_records.py::test_value_classes_compare_and_hash_by_field",
+        ],
+    },
+    {
+        "name": "record assignment stores instead of raising",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": 'raise AttributeError(f"cannot assign to field {name!r}")',
+        "replacement": "object.__setattr__(self, name, value)",
+        "tests": ["tests/test_records.py::test_records_refuse_assignment_and_deletion"],
+    },
 ]
 
 

@@ -3,7 +3,6 @@
 hypothesis)."""
 
 import argparse
-import dataclasses
 import json
 
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcatalan import cli
 from qcatalan.csmatrix import CSMatrix
-from qcatalan.families import builtin
+from qcatalan.families import FamilySpec, builtin
 from qcatalan.immanant import positivity_sweep
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
@@ -76,7 +75,8 @@ def sweeps(draw):
         tuple(draw(st.sampled_from(POOL)) for _ in range(n)) for _ in range(n)
     )
     # any name, non-ASCII, escapes and CSV separators included
-    family = dataclasses.replace(builtin("narayana"), name=draw(strings))
+    f = builtin("narayana")
+    family = FamilySpec(draw(strings), f.r_seq, f.s_seq, f.t_seq, f.witness_b, f.witness_c)
     offset = draw(st.integers(0, 3))
     m = CSMatrix(entries, "pool", family, tuple(range(offset, offset + n)), tuple(range(n)))
     max_size = draw(st.integers(1, n))

@@ -1,6 +1,5 @@
 """Unit tests for planar networks, gluing, and the matrix-valued path sums."""
 
-import dataclasses
 import json
 import random
 from itertools import combinations
@@ -284,14 +283,16 @@ def _witnessed(rng, f, allow_negative):
         ParamSeq(0, tuple(random_qpoly(rng, allow_negative=allow_negative) for _ in range(8)))
         for _ in range(2)
     )
-    return dataclasses.replace(f, witness_b=b, witness_c=c)
+    return FamilySpec(f.name, f.r_seq, f.s_seq, f.t_seq, witness_b=b, witness_c=c)
 
 
 def _broken_at(f, index):
     """``f`` with t_index raised by 1, so condition 5 fails at index - 1."""
     terms = list(f.t_seq.prefix)
     terms[index - 1] = terms[index - 1] + ONE
-    return dataclasses.replace(f, t_seq=ParamSeq(1, tuple(terms)))
+    return FamilySpec(
+        f.name, f.r_seq, f.s_seq, ParamSeq(1, tuple(terms)), f.witness_b, f.witness_c
+    )
 
 
 @pytest.mark.parametrize("case", WEIGHT_CASES)
