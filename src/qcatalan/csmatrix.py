@@ -14,11 +14,11 @@ C_{n+1} = diag(1, C_n) . L_n.
 The recurrence runs on integers, as ``PlanarNetwork``'s GF sweep does: a
 pass on coefficient-sum bounds fixes one digit width, and a second pass
 carries every entry packed as p(2**bits) (``qpoly._pack``).  A row is
-unpacked once it is complete, and only in the entries its caller keeps:
-the first column for ``catalan_like`` and ``hankel``, every entry for
-``catalan_stieltjes``.  ``_packed_matrix`` leaves C_n or H_n packed, at a
-width its caller picks, for the network check, which decodes nothing on a
-pass.
+unpacked once it is complete, and only in the entries its caller keeps.
+``_shape`` lays out C_n or H_n from the triangle's rows, decoded for
+``catalan_stieltjes`` and ``hankel``; ``_packed_matrix`` shapes the packed
+rows, at a width the network check picks, and the rows of bounds, whose
+largest column sum bounds every entry.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Iterator
 
 from .errors import OutOfRange, ShapeError
 from .families import FamilySpec
-from .qpoly import ONE, QPoly, ZERO, _Frozen, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Frozen, _norm, _unpack, _width
 
 
 class CSMatrix(_Frozen):
@@ -96,7 +96,7 @@ def _passes(f: FamilySpec, n: int, top: int, cols: int):
     r, s, t = cache(f.r), cache(f.s), cache(f.t)
 
     def norm(term):
-        return cache(lambda k: sum(map(abs, term(k).coeffs)))
+        return cache(lambda k: _norm(term(k)))
 
     norms = [row[:cols] for row in _rows(n, top, norm(r), norm(s), norm(t), mul)]
 
@@ -117,29 +117,25 @@ def _passes(f: FamilySpec, n: int, top: int, cols: int):
     return norms, packed
 
 
-def _packed_matrix(f: FamilySpec, n: int, is_hankel: bool):
-    """C_n, or H_n when ``is_hankel``, as ``_passes`` gives its triangle; the
-    packer's rows are the matrix's, C_n with 0 above the diagonal and H_n as
-    (a_{i+j}) from the first column.  The bound is the largest column sum of
-    ``_passes``'s bounds: at least every coefficient, and, on a network of
-    nonnegative weights that matches the matrix, the largest of the sinks'
-    bounds B(v) (``PlanarNetwork._bounds``), so the network check's one pass
-    packs at the width that they need."""
-    norms, packed = _passes(f, 2 * n if is_hankel else n, 2 * n, 1 if is_hankel else n + 1)
+def _shape(rows: list[list], n: int, is_hankel: bool, zero) -> list[list]:
+    """C_n from the triangle's rows 0..n, with ``zero`` above the diagonal,
+    or, when ``is_hankel``, H_n = (a_{i+j}) from the first entries of rows
+    0..2n, so that each antidiagonal holds one object."""
     if is_hankel:
-        firsts = [row[0] for row in norms]
-        columns = [firsts[j : j + n + 1] for j in range(n + 1)]
-    else:
-        columns = [[row[j] for row in norms[j:]] for j in range(n + 1)]
-    bound = max(map(sum, columns))
+        return [[rows[i + j][0] for j in range(n + 1)] for i in range(n + 1)]
+    return [row + [zero] * (n - i) for i, row in enumerate(rows)]
 
-    def rows(bits: int) -> list[list[int]]:
-        tri = list(packed(bits))
-        if is_hankel:
-            return [[tri[i + j][0] for j in range(n + 1)] for i in range(n + 1)]
-        return [row + [0] * (n - i) for i, row in enumerate(tri)]
 
-    return bound, rows
+def _packed_matrix(f: FamilySpec, n: int, is_hankel: bool):
+    """C_n, or H_n when ``is_hankel``, from ``_passes``'s triangle laid out by
+    ``_shape``: a bound and a packer of the rows.  The bound is the largest
+    column sum of the shaped bounds: at least every coefficient, and, on a
+    network of nonnegative weights that matches the matrix, the largest of
+    the sinks' bounds B(v) (``PlanarNetwork._bounds``), so the network
+    check's one pass packs at the width that they need."""
+    norms, packed = _passes(f, 2 * n if is_hankel else n, 2 * n, 1 if is_hankel else n + 1)
+    bound = max(map(sum, zip(*_shape(norms, n, is_hankel, 0))))
+    return bound, lambda bits: _shape(list(packed(bits)), n, is_hankel, 0)
 
 
 def _rows(n: int, top: int, r, s, t, times) -> Iterator[list[int]]:
@@ -167,11 +163,7 @@ def catalan_stieltjes(f: FamilySpec, n: int) -> CSMatrix:
     """The (n+1) x (n+1) leading corner of the recurrence triangle."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    tri = _triangle(f, n, 2 * n, n + 1)
-    entries = tuple(
-        tuple(tri[i][j] if j <= i else ZERO for j in range(n + 1))
-        for i in range(n + 1)
-    )
+    entries = tuple(map(tuple, _shape(_triangle(f, n, 2 * n, n + 1), n, False, ZERO)))
     idx = tuple(range(n + 1))
     return CSMatrix(entries, "catalan_stieltjes", f, idx, idx)
 
@@ -187,10 +179,7 @@ def hankel(f: FamilySpec, n: int) -> CSMatrix:
     """The (n+1) x (n+1) Hankel matrix (a_{i+j}) of the first column."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
-    a = catalan_like(f, 2 * n)
-    entries = tuple(
-        tuple(a[i + j] for j in range(n + 1)) for i in range(n + 1)
-    )
+    entries = tuple(map(tuple, _shape(_triangle(f, 2 * n, 2 * n, 1), n, True, ZERO)))
     idx = tuple(range(n + 1))
     return CSMatrix(entries, "hankel", f, idx, idx)
 

@@ -75,7 +75,7 @@ from operator import mul
 
 from .csmatrix import CSMatrix
 from .errors import CapExceeded, OutOfRange, ShapeError
-from .qpoly import ONE, QPoly, ZERO, _Frozen, _Memo, _pack, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Frozen, _Memo, _norm, _pack, _unpack, _width
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
 SIZE_CAP_ENV = "QCATALAN_SIZE_CAP"
@@ -124,7 +124,7 @@ def _class_sum_width(grid: Grid, size: int) -> int:
     most P in that norm.  With D the largest character degree of size
     ``size``, each value is then at most D * P and each gap at most 2 * D * P.
     """
-    norms = [max(sum(sum(map(abs, cell.coeffs)) for cell in row), 1) for row in grid]
+    norms = [max(sum(map(_norm, row)), 1) for row in grid]
     degrees = map(degree, partitions_of(size))
     return _width(2 * max(degrees) * prod(sorted(norms, reverse=True)[:size]))
 
@@ -275,7 +275,7 @@ def immanant(m: CSMatrix | list | tuple, lam: Partition, *, size_cap: int | None
     cap = _size_cap(size_cap)
     if n > cap:
         raise CapExceeded(f"matrix size {n} exceeds the size cap {cap}; {_RAISE_CAP}")
-    norms = [sum(map(abs, cell.coeffs)) for row in grid for cell in row]
+    norms = [_norm(cell) for row in grid for cell in row]
     plan = _plan(norms)
     if plan is None:
         return ZERO
@@ -675,7 +675,7 @@ def _inequality_sweep(
     """
     seq = a[: 2 * top + 1]
     triples = list(combinations(range(top + 1), 3))
-    n = [sum(map(abs, p.coeffs)) for p in seq]
+    n = list(map(_norm, seq))
     bound = max(
         (
             n[2 * i] * n[j + k] ** 2 + n[2 * j] * n[i + k] ** 2 + n[2 * k] * n[i + j] ** 2

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, NegativeWeight, RequiresUnitGamma, ShapeError
 from .families import FamilySpec, check_condition, condition_difference
-from .qpoly import ONE, QPoly, ZERO, _Memo, _canonical, _pack, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Memo, _canonical, _norm, _pack, _unpack, _width
 
 
 class _Kind(NamedTuple):
@@ -93,11 +93,6 @@ def _reachable(arcs: Iterable[Arc], origin: Vertex, backward: bool = False) -> s
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def _norm(p: QPoly) -> int:
-    """The sum of the absolute values of ``p``'s coefficients."""
-    return sum(map(abs, p.coeffs))
 
 
 class PlanarNetwork:

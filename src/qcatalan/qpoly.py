@@ -250,6 +250,12 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _norm(p: QPoly) -> int:
+    """The l1 norm of ``p``, its coefficients' absolute values summed: a bound on
+    each coefficient, with |pq|_1 <= |p|_1 |q|_1, for every packed engine's width."""
+    return sum(map(abs, p.coeffs))
+
+
 def _width(bound: int) -> int:
     """``_unpack``'s digit width in bits for coefficients of at most ``bound``.
 

@@ -86,8 +86,6 @@ def _strip_removals(lam: Partition, size: int) -> list[tuple[int, Partition]]:
     slot, and the sign counts the beta numbers jumped over.
     """
     ell = len(lam)
-    if ell == 0:
-        return []
     beta = [lam[i] + ell - 1 - i for i in range(ell)]
     bset = set(beta)
     out: list[tuple[int, Partition]] = []

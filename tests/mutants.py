@@ -70,8 +70,8 @@ MUTANTS = [
     {
         "name": "class-sum width bound takes a zero row's sum as 0",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "max(sum(sum(map(abs, cell.coeffs)) for cell in row), 1)",
-        "replacement": "sum(sum(map(abs, cell.coeffs)) for cell in row)",
+        "snippet": "max(sum(map(_norm, row)), 1)",
+        "replacement": "sum(map(_norm, row))",
         "tests": [
             "tests/test_immanant.py::"
             "test_sweep_with_a_zero_row_packs_wide_enough_for_the_other_rows"
@@ -351,7 +351,7 @@ MUTANTS = [
     # A signed weight then counts for less than its coefficients.
     {
         "name": "GF bound drops the abs from each weight's norm",
-        "file": "src/qcatalan/network.py",
+        "file": "src/qcatalan/qpoly.py",
         "snippet": "return sum(map(abs, p.coeffs))",
         "replacement": "return sum(p.coeffs)",
         "tests": ["tests/test_network.py::test_gf_bound_holds_on_random_signed_networks"],
@@ -691,11 +691,33 @@ MUTANTS = [
     {
         "name": "packed matrix bound takes the largest entry, not column sum",
         "file": "src/qcatalan/csmatrix.py",
-        "snippet": "bound = max(map(sum, columns))",
-        "replacement": "bound = max(map(max, columns))",
+        "snippet": "max(map(sum, zip(*_shape(norms, n, is_hankel, 0))))",
+        "replacement": "max(map(max, zip(*_shape(norms, n, is_hankel, 0))))",
         "tests": [
             "tests/test_network.py::"
             "test_check_packs_once_at_the_width_of_the_largest_column_sum"
+        ],
+    },
+    # _shape lays out both the decoded matrices and the network check's
+    # packed ones, so each fault shows on both routes.
+    {
+        "name": "C_n padded with zeros on the left of each row",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "row + [zero] * (n - i)",
+        "replacement": "[zero] * (n - i) + row",
+        "tests": [
+            "tests/test_csmatrix.py::test_narayana_corner_frozen",
+            "tests/test_network.py::test_packed_check_reads_the_entries_above_the_diagonal",
+        ],
+    },
+    {
+        "name": "H_n reads a_{i+j+1}, clamped to the last row",
+        "file": "src/qcatalan/csmatrix.py",
+        "snippet": "rows[i + j][0]",
+        "replacement": "rows[min(i + j + 1, 2 * n)][0]",
+        "tests": [
+            "tests/test_csmatrix.py::test_hankel_layout",
+            "tests/test_network.py::test_check_compares_at_the_width_of_the_larger_bound",
         ],
     },
     {

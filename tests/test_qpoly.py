@@ -63,6 +63,8 @@ def test_int_coercion():
     assert p + 1 == QPoly([2, 2])
     assert 1 - p == QPoly([0, -2])
     assert p - 1 == QPoly([0, 2])
+    with pytest.raises(TypeError):  # only ints coerce, and str has no __rsub__
+        QPoly([1]) - "q"
 
 
 def test_power():
@@ -179,6 +181,9 @@ def test_hash_and_equality():
     assert {QPoly([1]): "a"}[QPoly([1, 0])] == "a"
     assert QPoly([1]) != QPoly([2])
     assert bool(QPoly([1])) and not bool(ZERO)
+    # not a QPoly: __eq__ returns NotImplemented, and Python compares identities
+    assert (QPoly([1]) == 1) is False
+    assert (QPoly([1]) != "1") is True
 
 
 def test_pack_unpack_round_trip_at_the_digit_edges():
