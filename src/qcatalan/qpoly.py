@@ -11,6 +11,12 @@ added or multiplied give exact ints.
 A polynomial is called q-nonnegative when every coefficient is >= 0; the
 partial order "p dominates r" used throughout the package is expressed as
 ``(p - r).is_q_nonnegative()``.
+
+Engines that multiply many polynomials carry each one packed as a single
+integer, its value at q = 2**bits (``_pack``, Kronecker substitution), and
+decode the results with ``_unpack``, which reads every digit in C at any
+width: as machine integers up to 64 bits, and past that as signed machine
+words when every digit fits one, else as byte strings.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ import struct
 import sys
 from array import array
 from functools import cache
-from itertools import accumulate
-from operator import neg
+from itertools import accumulate, repeat
+from operator import neg, sub
 from typing import Iterable, Sequence, Union
 
 
@@ -260,8 +266,8 @@ def _width(bound: int) -> int:
     """``_unpack``'s digit width in bits for coefficients of at most ``bound``.
 
     The least of 8, 16, 32 and 64 with bound < 2**(bits - 1), whose digits
-    ``_unpack`` decodes in C; past 64 bits, the least multiple of 8 (also
-    decoded in C at 72, 80, 96 and 128 bits).
+    ``_unpack`` reads as machine integers; past 64 bits, the least multiple
+    of 8, whose digits it reads as machine words when they all fit one.
     """
     bits = 8 * (bound.bit_length() // 8 + 1)
     return bits if bits > 64 else 1 << (bits - 1).bit_length()
@@ -284,9 +290,6 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
 
 # the signed machine-integer typecodes of ``array``, by size in bytes
 _MACHINE_DIGITS = {array(fmt).itemsize: fmt for fmt in "bhiq"}
-# by digit width in bytes, a little-endian digit of 9, 10, 12 or 16 bytes as
-# its unsigned low 8 bytes and its signed high part
-_WIDE_DIGITS = {8 + struct.calcsize("<" + code): struct.Struct("<Q" + code) for code in "bhiq"}
 
 
 @cache
@@ -295,51 +298,83 @@ def _offset(bits: int, count: int) -> int:
     return int.from_bytes((bytes(bits // 8 - 1) + b"\x80") * count, "little")
 
 
+@cache
+def _words(bits: int, count: int) -> tuple[int, int, struct.Struct]:
+    """For ``count`` digits of ``bits`` > 64 bits: 2**63 in each digit, each
+    digit's bits above its low 64, and a little-endian reader of each digit's
+    low 64 bits as a signed machine word."""
+    pad = bits // 8 - 8
+    return (
+        int.from_bytes((bytes(7) + b"\x80" + bytes(pad)) * count, "little"),
+        int.from_bytes((bytes(8) + b"\xff" * pad) * count, "little"),
+        struct.Struct("<" + f"q{pad}x" * count),
+    )
+
+
+@cache
+def _chunks(bits: int, count: int) -> struct.Struct:
+    """A reader of ``count`` little-endian digits of ``bits`` bits as byte strings."""
+    return struct.Struct("<" + f"{bits // 8}s" * count)
+
+
 def _unpack(value: int, bits: int) -> QPoly:
     """The ``QPoly`` whose coefficients are the signed base-2**bits digits of ``value``.
 
     The inverse of ``_pack`` for coefficients below 2**(bits - 1) in
-    absolute value, with ``bits`` a multiple of 8 (``_width``).  Adding
-    2**(bits - 1) to every digit makes them all lie in [1, 2**bits), so the
-    digits are the byte slices of one shifted integer, written little-endian:
-    linear in the size of ``value``.  Flipping each slice's top bit back
-    (``^ offset``) leaves the digit in two's complement, which ``array``
-    reads as a machine integer at 8, 16, 32 and 64 bits, swapping each
-    digit's bytes on a big-endian host.  A digit of 72, 80, 96 or 128 bits
-    is read by one little-endian ``struct`` format per width, as an
-    unsigned low 64 bits and a signed high part, and is
-    ``high << 64 | low``; other widths are read one signed
-    ``int.from_bytes`` slice at a time.  The digits are exact ints, so
-    ``_canonical`` takes them unchecked, and the top one is never 0: the
-    lower digits of a degree-d value sum to less than 2**(bits*d - 1) in
-    absolute value, so its bit length is from bits*d to bits*(d + 1) - 1
-    and ``count`` is exactly d + 1.  The offset spans the digit count
-    rounded up to a power of two, so that decodes of many degrees, as in a
-    triangle's rows, share a few cached offsets; the ``^ offset`` clears
-    its digits above the value's.  0 gives ``ZERO`` itself, so that equal
-    values decoded through one ``_Memo`` share one object, zeros included.
+    absolute value, with ``bits`` a multiple of 8 (``_width``).  Every digit
+    is read in C, from one little-endian byte string of a shifted ``value``:
+    linear in the size of ``value``, with no Python step per digit.
+
+    * 8, 16, 32 or 64 bits: adding 2**(bits - 1) to every digit puts them
+      all in [1, 2**bits); flipping each one's top bit back (``^ offset``)
+      leaves it in two's complement, which ``array`` reads as a machine
+      integer, swapping each digit's bytes on a big-endian host.
+    * Wider than 64 bits, with every digit in [-2**63, 2**63): adding H,
+      2**63 in each digit, puts each in [0, 2**64), which holds exactly
+      when the sum has no bit in M, each digit's bits above its low 64.  A
+      negative sum never passes: it needs count == size, and mod
+      2**(bits*size) its top digit is then at least 2**(bits - 1) + 2**63,
+      past 2**64, so the one AND decides.  ``^ H`` leaves each digit's low
+      64 bits in two's complement, and one ``struct`` format reads them as
+      signed words, skipping the rest of each digit.
+    * Any other width or digit: adding 2**(bits - 1) to every digit puts
+      them all in [1, 2**bits), one ``struct`` format splits the sum into
+      each digit's bytes, ``int.from_bytes`` reads each unsigned through
+      ``map``, and a second ``map`` takes 2**(bits - 1) off each.
+
+    The digits are exact ints, so ``_canonical`` takes them unchecked, and
+    the top one is never 0: the lower digits of a degree-d value sum to
+    less than 2**(bits*d - 1) in absolute value, so its bit length is from
+    bits*d to bits*(d + 1) - 1 and ``count`` is exactly d + 1.  Offsets,
+    masks and formats span ``size``, the digit count rounded up to a power
+    of two, so that decodes of many degrees, as in a triangle's rows, share
+    a few cached ones, and a wide decode keeps its first ``count`` digits
+    (``^ offset`` clears the machine path's digits above the value's).  0
+    gives ``ZERO`` itself, so that equal values decoded through one
+    ``_Memo`` share one object, zeros included.
     """
     if not value:
         return ZERO
     width = bits // 8
     # exactly d + 1 digits for a degree-d value, the top one nonzero
     count = (abs(value).bit_length() + bits) // bits
-    offset = _offset(bits, 1 << (count - 1).bit_length())
-    data = ((value + offset) ^ offset).to_bytes(width * count, "little")
+    size = 1 << (count - 1).bit_length()
     fmt = _MACHINE_DIGITS.get(width)
-    wide = _WIDE_DIGITS.get(width)
     if fmt is not None:
-        machine = array(fmt, data)
+        offset = _offset(bits, size)
+        machine = array(fmt, ((value + offset) ^ offset).to_bytes(width * count, "little"))
         if sys.byteorder == "big":
             machine.byteswap()
-        digits = machine.tolist()
-    elif wide is not None:
-        digits = [high << 64 | low for low, high in wide.iter_unpack(data)]
-    else:
-        digits = [
-            int.from_bytes(data[i : i + width], "little", signed=True)
-            for i in range(0, len(data), width)
-        ]
+        return _canonical(tuple(machine.tolist()))
+    if bits > 64:
+        half, high, words = _words(bits, size)
+        shifted = value + half
+        if not shifted & high:
+            digits = words.unpack((shifted ^ half).to_bytes(width * size, "little"))
+            return _canonical(digits[:count])
+    data = (value + _offset(bits, size)).to_bytes(width * size, "little")
+    chunks = _chunks(bits, size).unpack(data)[:count]
+    digits = map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (bits - 1)))
     return _canonical(tuple(digits))
 
 

@@ -201,11 +201,38 @@ MUTANTS = [
         ],
     },
     {
-        "name": "_unpack reads the low 64 bits of a wide digit as signed",
+        "name": "_unpack reads a wide digit's machine word as unsigned",
         "file": "src/qcatalan/qpoly.py",
-        "snippet": 'struct.Struct("<Q" + code)',
-        "replacement": 'struct.Struct("<q" + code)',
-        "tests": ["tests/test_qpoly.py::test_pack_unpack_round_trip_at_the_digit_edges"],
+        "snippet": 'struct.Struct("<" + f"q{pad}x" * count)',
+        "replacement": 'struct.Struct("<" + f"Q{pad}x" * count)',
+        "tests": ["tests/test_qpoly.py::test_wide_digits_round_trip_at_the_machine_word_edges"],
+    },
+    # A negative sum always has a bit in M (the _unpack docstring), so the
+    # machine-word test is the AND alone; a test without the 2**63 shift
+    # lets 2**63 through as a word.
+    {
+        "name": "_unpack's machine-word test reads the value without 2**63 added",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "if not shifted & high:",
+        "replacement": "if not value & high:",
+        "tests": ["tests/test_qpoly.py::test_wide_digits_round_trip_at_the_machine_word_edges"],
+    },
+    {
+        "name": "_unpack's machine-word mask leaves out the top digit",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": 'int.from_bytes((bytes(8) + b"\\xff" * pad) * count, "little")',
+        "replacement": 'int.from_bytes((bytes(8) + b"\\xff" * pad) * (count - 1), "little")',
+        "tests": ["tests/test_qpoly.py::test_wide_digits_round_trip_at_the_machine_word_edges"],
+    },
+    {
+        "name": "_unpack takes 2**(bits - 2) off each byte-string digit",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": 'repeat(1 << (bits - 1))',
+        "replacement": 'repeat(1 << (bits - 2))',
+        "tests": [
+            "tests/test_qpoly.py::test_wide_digits_round_trip_at_the_machine_word_edges",
+            "tests/test_packing.py::test_unpack_inverts_pack_at_every_byte_width",
+        ],
     },
     {
         "name": "_unpack reads machine-integer digits without flipping their top bit back",
@@ -214,22 +241,24 @@ MUTANTS = [
         "replacement": "(value + offset)",
         "tests": ["tests/test_qpoly.py", "tests/test_packing.py"],
     },
+    # The wide paths read the digit count rounded up to a power of two and
+    # keep the first ``count``: a count one short drops the top digit.
     {
         "name": "_unpack reads one digit short",
         "file": "src/qcatalan/qpoly.py",
-        "snippet": "(abs(value).bit_length() + bits) // bits",
-        "replacement": "(abs(value).bit_length() + bits) // bits - 1",
-        "tests": ["tests/test_qpoly.py", "tests/test_packing.py"],
+        "snippet": "return _canonical(digits[:count])",
+        "replacement": "return _canonical(digits[: count - 1])",
+        "tests": ["tests/test_qpoly.py::test_wide_digits_round_trip_at_the_machine_word_edges"],
     },
     # The digit count is exact, so nothing strips a top digit of 0.
     {
         "name": "_unpack reads one digit too many",
         "file": "src/qcatalan/qpoly.py",
-        "snippet": "(abs(value).bit_length() + bits) // bits",
-        "replacement": "(abs(value).bit_length() + bits) // bits + 1",
+        "snippet": "chunks = _chunks(bits, size).unpack(data)[:count]",
+        "replacement": "chunks = _chunks(bits, size).unpack(data)[: count + 1]",
         "tests": [
-            "tests/test_qpoly.py::test_pack_unpack_round_trip_at_the_digit_edges",
-            "tests/test_packing.py::test_width_holds_every_coefficient_up_to_its_bound",
+            "tests/test_qpoly.py::test_wide_digits_round_trip_at_the_machine_word_edges",
+            "tests/test_packing.py::test_unpack_inverts_pack_at_every_byte_width",
         ],
     },
     {

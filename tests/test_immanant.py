@@ -5,6 +5,8 @@ import importlib
 import pickle
 import random
 import re
+import sys
+import types
 from array import array
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -1040,3 +1042,17 @@ def test_inequality_index_validation():
     for call, message in calls:
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             call()
+
+
+def test_package_attribute_immanant_is_the_function_and_shadows_the_module():
+    # README's library tour: the module is reached through importlib
+    import qcatalan
+
+    module = importlib.import_module("qcatalan.immanant")
+    assert qcatalan.immanant is immanant
+    assert not isinstance(qcatalan.immanant, types.ModuleType)
+    assert sys.modules["qcatalan.immanant"] is module
+    assert isinstance(module, types.ModuleType) and module.immanant is immanant
+    namespace = {}
+    exec("import qcatalan.immanant as m", namespace)
+    assert namespace["m"] is immanant

@@ -29,12 +29,24 @@ def test_unpack_inverts_pack(case):
     assert _unpack(_pack(coeffs, bits), bits).coeffs == QPoly(coeffs).coeffs
 
 
+@settings(deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_unpack_inverts_pack_at_every_byte_width(width, data):
+    # 8 to 512 bits, with digits on both sides of the machine word's range
+    bits = 8 * width
+    edge = (1 << (bits - 1)) - 1
+    edges = [x for x in (2**63 - 1, -(2**63), 2**63, -(2**63) - 1) if abs(x) <= edge]
+    digit = st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, 0, *edges]))
+    coeffs = data.draw(st.lists(digit, max_size=40))
+    assert _unpack(_pack(coeffs, bits), bits).coeffs == QPoly(coeffs).coeffs
+
+
 @pytest.mark.parametrize("bits", [72, 80, 96, 128])
 @settings(deadline=None)
 @given(st.data())
 def test_wide_digits_round_trip(bits, data):
-    # digits past 64 bits are read as an unsigned low 64 bits and a signed
-    # high part: these values sit at the edges of both halves
+    # digits past 64 bits are read as signed machine words when they all
+    # fit one, else as byte strings: these values sit at the word's edges
     edge = (1 << (bits - 1)) - 1
     halves = [1, -1, 2**63 - 1, 2**63, -(2**63), 2**64 - 1, 2**64, -(2**64)]
     digit = st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, 0, *halves]))

@@ -187,8 +187,9 @@ def test_hash_and_equality():
 
 
 def test_pack_unpack_round_trip_at_the_digit_edges():
-    # 8-64 bits decode as machine integers, 72, 80, 96 and 128 as struct
-    # pairs, 24, 40, 88 and 136 slice by slice
+    # 8, 16, 32 and 64 bits decode as machine integers; wider digits in
+    # [-2**63, 2**63) as machine words, the rest (and all of 24 and 40 bits)
+    # as byte strings
     for bits in (8, 16, 24, 32, 40, 64, 72, 80, 88, 96, 128, 136):
         edge = (1 << (bits - 1)) - 1
         for coeffs in (
@@ -206,6 +207,61 @@ def test_pack_unpack_round_trip_at_the_digit_edges():
             packed = _pack(coeffs, bits)
             assert packed == QPoly(coeffs).eval_int(1 << bits)
             assert _unpack(packed, bits).coeffs == QPoly(coeffs).coeffs, (bits, coeffs)
+
+
+WIDE_BITS = (72, 80, 96, 128, 136, 160, 480)
+# the digits on either side of the signed machine word's range
+WORD_EDGES = (2**63 - 1, -(2**63), 2**63, -(2**63) - 1)
+
+
+def _word_edge_cases(count):
+    """Digit lists of length ``count`` with a nonzero top, built on ``WORD_EDGES``."""
+    for word in WORD_EDGES:
+        yield [word] * count
+        yield [1] * (count - 1) + [word]  # the top digit alone may not fit
+        yield [word] + [-1] * (count - 1)  # the lowest digit alone may not fit
+        yield [word if i % 3 == 0 else 0 for i in range(count - 1)] + [-word]
+
+
+@pytest.mark.parametrize("bits", WIDE_BITS)
+def test_wide_digits_round_trip_at_the_machine_word_edges(bits):
+    # counts 1-17 cross every power of two up to 32, where the cached
+    # masks, offsets and formats change size and are cut to the count
+    edge = (1 << (bits - 1)) - 1
+    for count in range(1, 18):
+        cases = [*_word_edge_cases(count), [edge] * count, [-edge, *[0] * (count - 2), edge][-count:]]
+        for coeffs in cases:
+            assert _unpack(_pack(coeffs, bits), bits).coeffs == tuple(coeffs), (bits, coeffs)
+
+
+def test_wide_digits_that_fit_a_word_skip_the_byte_strings(monkeypatch):
+    # when every digit is in [-2**63, 2**63), one struct call reads them all
+    monkeypatch.setattr(qpoly, "_chunks", None)
+    for bits in WIDE_BITS:
+        for count in (1, 2, 3, 4, 8, 17):
+            for coeffs in (
+                [2**63 - 1] * count,
+                [-(2**63)] * count,
+                [-1, *[0] * (count - 2), 2**63 - 1][-count:],
+                [1] * (count - 1) + [-(2**63)],
+            ):
+                assert _unpack(_pack(coeffs, bits), bits).coeffs == tuple(coeffs), (bits, coeffs)
+
+
+def test_decode_caches_hold_one_entry_per_power_of_two_count():
+    # keyed by the exact digit count, a triangle's rows would each cache
+    # their own masks and formats
+    caches = (qpoly._offset, qpoly._words, qpoly._chunks)
+    for cached in caches:
+        cached.cache_clear()
+    for widths, bits in enumerate((80, 480), 1):
+        for count in range(1, 301):
+            for top in (2**63 - 1, 2**70):  # a machine-word decode, then a byte-string one
+                coeffs = [-1] * (count - 1) + [top]
+                assert _unpack(_pack(coeffs, bits), bits).coeffs == tuple(coeffs)
+        for cached in caches:
+            # counts 1-300 round up to 1, 2, 4, ..., 512
+            assert cached.cache_info().currsize <= 10 * widths, (cached, bits)
 
 
 def test_unpack_of_zero_is_the_zero_singleton():
