@@ -36,7 +36,7 @@ from .network import (
     build_hankel_network,
     export_dot,
 )
-from .qpoly import QPoly, _Memo, _canonical, _str_bound
+from .qpoly import QPoly, _Memo, _canonical, _str_bound, _unpack
 from .symchar import character_table
 
 EXIT_OK = 0
@@ -228,14 +228,16 @@ def _write_json(doc) -> None:
         inner = nl + "  "
         deeper = inner + "  "
         field = deeper + "  "  # a provenance's fields
-        # keyed by tuples, which hash in C: the coefficients, and each shape
-        lists = _Memo(lambda key: _ints(key, deeper)).__getitem__
+        bits = result.bits
+        # each shape, and each packed value decoded only to render it
+        shape = _Memo(lambda lam: _ints(lam, deeper)).__getitem__
+        lists = _Memo(lambda value: _ints(_unpack(value, bits).coeffs, deeper)).__getitem__
         # a report's object up to its provenance, the last field, left open
         bodies = [
             [
-                f'{{{deeper}"lambda": {lists(lam)},'
-                f'{deeper}"value": {lists(value.coeffs)},{deeper}"q_nonnegative": {_FLAGS[q]},'
-                f'{deeper}"dominance_gap": {lists(gap.coeffs)},'
+                f'{{{deeper}"lambda": {shape(lam)},'
+                f'{deeper}"value": {lists(value)},{deeper}"q_nonnegative": {_FLAGS[q]},'
+                f'{deeper}"dominance_gap": {lists(gap)},'
                 f'{deeper}"gap_nonnegative": {_FLAGS[g]},{deeper}"provenance": '
                 for lam, value, q, gap, g in shapes
             ]
@@ -458,13 +460,14 @@ def _sweep_csv(result: SweepResult) -> None:
     prefix = f"{result.family},{result.kind},"
     row_texts = [prefix + "|".join(map(str, rows)) + "," for rows in result.row_sets]
     col_texts = ["|".join(map(str, cols)) + "," for cols in result.col_sets]
-    # keyed by tuples, which hash in C: the coefficients, and each shape
-    render = _Memo(lambda coeffs: str(_canonical(coeffs))).__getitem__
+    bits = result.bits
+    # each shape, and each packed value decoded only to render it
+    render = _Memo(lambda value: str(_unpack(value, bits))).__getitem__
     shape = _Memo(lambda lam: "|".join(map(str, lam))).__getitem__
     bodies = [
         [
-            f"{shape(lam)},{render(value.coeffs)},{_FLAGS[q]},"
-            f"{render(gap.coeffs)},{_FLAGS[g]}\n"
+            f"{shape(lam)},{render(value)},{_FLAGS[q]},"
+            f"{render(gap)},{_FLAGS[g]}\n"
             for lam, value, q, gap, g in shapes
         ]
         for shapes in result.contents
@@ -492,12 +495,14 @@ def cmd_verify(args) -> int:
         if result.ok:
             print("all immanants and dominance gaps are q-nonnegative")
         else:
+            bits = result.bits
+            render = _Memo(lambda value: str(_unpack(value, bits))).__getitem__
             for r, c, k in result.rows:
                 for lam, value, _, gap, _ in result.failing[k]:
                     print(
                         f"violation: rows={list(result.row_sets[r])} "
                         f"cols={list(result.col_sets[c])} "
-                        f"lambda={list(lam)} value={value} gap={gap}"
+                        f"lambda={list(lam)} value={render(value)} gap={render(gap)}"
                     )
     return EXIT_OK if result.ok else EXIT_POSITIVITY
 

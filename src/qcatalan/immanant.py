@@ -29,9 +29,12 @@ takes its width from its own plan instead: replayed on the entries' l1
 norms (sums of absolute coefficients), each register bounds the norm of
 its value, since |pq|_1 <= |p|_1 |q|_1, so the class sums' norms N_mu bound
 the immanant's coefficients by sum |chi^lam(mu)| N_mu.  Each distinct
-packed value or gap of a sweep is unpacked and checked for q-nonnegativity
-once (a ``_Memo`` local to the sweep), and equal values and gaps share one
-``QPoly``.
+packed value or gap of a sweep is checked for q-nonnegativity once, packed
+(``qpoly._nonnegative``, through a ``_Memo`` local to the sweep), and
+stays packed in the result, equal ones as one int object.  A value is
+decoded only where it is read: by ``SweepResult.reports`` and
+``violations()``, through one memo of the result, so that equal values and
+gaps share one ``QPoly``, or by a writer, into the text it renders.
 
 A sweep computes each distinct submatrix once, up to transpose, since a
 submatrix and its transpose have the same reports (chi(sigma) =
@@ -52,7 +55,7 @@ that plan on every content with that support, its cells looked up by its
 key's labels.  A submatrix on a dead support has every class sum empty, so
 all its values and gaps are 0 without running anything; all such
 submatrices of one size share one tuple, at one position.  Class sums that
-cancel to 0 (never on the q-nonnegative C and H matrices) are decoded like
+cancel to 0 (never on the q-nonnegative C and H matrices) are checked like
 any others, to the same zero values, and their support keeps its plan,
 since other entries on it need not cancel.  The ``ImmanantReport`` objects
 are built only when ``SweepResult.reports`` is read.
@@ -75,7 +78,7 @@ from operator import mul
 
 from .csmatrix import CSMatrix
 from .errors import CapExceeded, OutOfRange, ShapeError
-from .qpoly import ONE, QPoly, ZERO, _Frozen, _Memo, _norm, _pack, _unpack, _width
+from .qpoly import ONE, QPoly, ZERO, _Frozen, _Memo, _nonnegative, _norm, _pack, _unpack, _width
 from .symchar import Partition, character_table, degree, is_partition, partitions_of
 
 SIZE_CAP_ENV = "QCATALAN_SIZE_CAP"
@@ -351,8 +354,9 @@ class ImmanantReport(_Frozen):
         )
 
 
-# an ImmanantReport's fields but its provenance, in order
-Fields = tuple[Partition, QPoly, bool, QPoly, bool]
+# an ImmanantReport's fields but its provenance, in order, with the value
+# and the gap packed at their sweep's width
+Fields = tuple[Partition, int, bool, int, bool]
 
 
 class SweepResult(_Frozen):
@@ -360,17 +364,20 @@ class SweepResult(_Frozen):
 
     ``row_sets`` and ``col_sets`` hold each distinct index set of the sweep
     once, mapped to the parent matrix's indices, and ``contents`` each
-    distinct fields tuple once, one ``Fields`` per shape.  ``rows`` holds
-    one (row set, column set, content) triple of positions into those tables
-    per selection, in sweep order; every content is some selection's.  The
-    ``ImmanantReport`` objects, one per shape of each selection, are built
-    when ``reports`` is first read, and ``violations()`` builds those of the
-    failing shapes only.
+    distinct fields tuple once, one ``Fields`` per shape, its value and gap
+    packed at ``bits`` bits per digit (``qpoly._pack``), equal ones as one
+    int object.  ``rows`` holds one (row set, column set, content) triple of
+    positions into those tables per selection, in sweep order; every content
+    is some selection's.  The ``ImmanantReport`` objects, one per shape of
+    each selection, are built when ``reports`` is first read, and
+    ``violations()`` builds those of the failing shapes only.  Both decode
+    each packed value once, through one memo, so that equal values share one
+    ``QPoly``.
     """
 
     _fields = (
         "family", "kind", "row_sets", "col_sets", "contents", "rows", "exhaustive", "seed",
-        "total_candidates",
+        "total_candidates", "bits",
     )
 
     def __init__(
@@ -384,10 +391,11 @@ class SweepResult(_Frozen):
         exhaustive: bool,
         seed: int,
         total_candidates: int,
+        bits: int,
     ) -> None:
         _Frozen.__init__(
             self, family, kind, row_sets, col_sets, contents, rows, exhaustive, seed,
-            total_candidates,
+            total_candidates, bits,
         )
 
     @cached_property
@@ -408,15 +416,25 @@ class SweepResult(_Frozen):
     def violations(self) -> tuple[ImmanantReport, ...]:
         return self._build(self.failing)
 
+    @cached_property
+    def _decoded(self) -> _Memo:
+        bits = self.bits
+        return _Memo(lambda value: _unpack(value, bits))
+
     def _build(self, contents: tuple[tuple[Fields, ...], ...]) -> tuple[ImmanantReport, ...]:
         """The reports of each selection's fields in ``contents``, one provenance each."""
+        decoded = self._decoded
+        shapes = [
+            [(lam, decoded[v], q, decoded[gap], g) for lam, v, q, gap, g in fields]
+            for fields in contents
+        ]
         out = []
         for r, c, k in self.rows:
-            if contents[k]:
+            if shapes[k]:
                 provenance = MatrixProvenance(
                     self.family, self.kind, self.row_sets[r], self.col_sets[c]
                 )
-                out.extend(ImmanantReport(*fields, provenance) for fields in contents[k])
+                out.extend(ImmanantReport(*fields, provenance) for fields in shapes[k])
         return tuple(out)
 
 
@@ -540,12 +558,11 @@ def positivity_sweep(
     zeros: dict[int, int] = {}  # size -> position of its all-zero fields tuple
     plans: dict[tuple[bool, ...], Plan | None] = {}  # support -> its plan, None if dead
 
-    def decode(number: int) -> tuple[QPoly, bool]:
-        value = _unpack(number, bits)
-        return value, value.is_q_nonnegative()
+    def verdict(value: int) -> tuple[int, bool]:
+        return value, _nonnegative(value, bits)
 
     # a packed value means a polynomial only at this sweep's width
-    decoded = _Memo(decode)
+    verdicts = _Memo(verdict)
     out = []
     for r, c in pairs:
         rows, cols = row_sets[r], col_sets[c]
@@ -565,12 +582,12 @@ def positivity_sweep(
             if plan is not None:
                 # the plan's support is this selection's key's, and so is its cells' order
                 k = len(contents)
-                contents.append(_reports(s, _run(plan, [packed[x] for x in key]), decoded))
+                contents.append(_reports(s, _run(plan, [packed[x] for x in key]), verdicts))
             elif s in zeros:
                 k = zeros[s]
             else:
                 k = zeros[s] = len(contents)
-                zero = [(lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(s)]
+                zero = [(lam, 0, True, 0, True) for lam, _, _ in _shapes(s)]
                 contents.append(tuple(zero))
             by_content[key] = k
         out.append((r, c, k))
@@ -584,25 +601,27 @@ def positivity_sweep(
         exhaustive,
         seed,
         total,
+        bits,
     )
 
 
-def _reports(n: int, sums: list[int], decoded: _Memo) -> tuple[Fields, ...]:
+def _reports(n: int, sums: list[int], verdicts: _Memo) -> tuple[Fields, ...]:
     """Every shape's report fields but the provenance, from n x n class sums.
 
-    ``decoded[packed]`` is the value's ``QPoly`` and whether it is q-nonnegative.
+    ``verdicts[packed]`` is the value, as the one int object of the sweep
+    equal to it, and whether it is q-nonnegative.
     """
     *others, (sign, sign_row, _) = _shapes(n)  # shape (1,...,1): the sign character
     det = sum(map(mul, sign_row, sums))
     out = []
     for lam, row, deg in others:
         packed = sum(map(mul, row, sums))
-        value, q = decoded[packed]
-        gap, g = decoded[packed - deg * det]
+        value, q = verdicts[packed]
+        gap, g = verdicts[packed - deg * det]
         out.append((lam, value, q, gap, g))
     # the sign shape has degree 1 and the determinant as its value: its gap is 0
-    value, q = decoded[det]
-    out.append((sign, value, q, ZERO, True))
+    value, q = verdicts[det]
+    out.append((sign, value, q, 0, True))
     return tuple(out)
 
 

@@ -16,7 +16,8 @@ Engines that multiply many polynomials carry each one packed as a single
 integer, its value at q = 2**bits (``_pack``, Kronecker substitution), and
 decode the results with ``_unpack``, which reads every digit in C at any
 width: as machine integers up to 64 bits, and past that as signed machine
-words when every digit fits one, else as byte strings.
+words when every digit fits one, else as byte strings.  ``_nonnegative``
+reads whether a packed value is q-nonnegative without decoding it.
 """
 
 from __future__ import annotations
@@ -376,6 +377,23 @@ def _unpack(value: int, bits: int) -> QPoly:
     chunks = _chunks(bits, size).unpack(data)[:count]
     digits = map(sub, map(int.from_bytes, chunks, repeat("little")), repeat(1 << (bits - 1)))
     return _canonical(tuple(digits))
+
+
+def _nonnegative(value: int, bits: int) -> bool:
+    """``_unpack(value, bits).is_q_nonnegative()``, read from ``value`` without a decode.
+
+    For the same values as ``_unpack``: every coefficient below
+    2**(bits - 1) in absolute value.  One AND with ``_offset``, the top bit
+    of each of ``size`` digits counted as ``_unpack`` counts them, decides.
+    Nonnegative digits below 2**(bits - 1) set no top bit.  Below the lowest
+    negative coefficient every digit is nonnegative, so the value's low
+    digits are exactly those coefficients, and the negative one is held as
+    2**bits plus itself, whose top bit is set.  So ``value >= 0`` never
+    needs testing apart: a negative value has a negative top coefficient,
+    and its digit's top bit is set like any other negative one's.
+    """
+    count = (value.bit_length() + bits) // bits  # bit_length() ignores the sign
+    return not value & _offset(bits, 1 << (count - 1).bit_length())
 
 
 class _Memo(dict):

@@ -510,8 +510,8 @@ MUTANTS = [
     {
         "name": "dead-support fields flag their zero values negative",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "(lam, ZERO, True, ZERO, True) for lam, _, _ in _shapes(s)",
-        "replacement": "(lam, ZERO, False, ZERO, True) for lam, _, _ in _shapes(s)",
+        "snippet": "(lam, 0, True, 0, True) for lam, _, _ in _shapes(s)",
+        "replacement": "(lam, 0, False, 0, True) for lam, _, _ in _shapes(s)",
         "tests": ["tests/test_immanant.py::test_zero_contents_of_one_size_share_one_fields_tuple"],
     },
     # Zero contents of every size at one position hand one size's lambdas
@@ -538,12 +538,12 @@ MUTANTS = [
     {
         "name": "sweep marks a support dead when its class sums are all 0",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "contents.append(_reports(s, _run(plan, [packed[x] for x in key]), decoded))",
+        "snippet": "contents.append(_reports(s, _run(plan, [packed[x] for x in key]), verdicts))",
         "replacement": (
             "sums = _run(plan, [packed[x] for x in key])\n"
             "                if not any(sums):\n"
             "                    plans[support] = None\n"
-            "                contents.append(_reports(s, sums, decoded))"
+            "                contents.append(_reports(s, sums, verdicts))"
         ),
         "tests": [
             "tests/test_immanant.py::"
@@ -599,15 +599,35 @@ MUTANTS = [
         "replacement": "fresh = count(1 + n * n).__next__",
         "tests": ["tests/test_immanant.py::test_one_plan_runs_every_grid_of_its_support"],
     },
-    # A packed value means a polynomial only at its sweep's digit width.
+    # A packed value means a polynomial, and so a verdict, only at its
+    # sweep's digit width.
     {
         "name": "sweep decode memo kept across sweeps in a module-level dict",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "decoded = _Memo(decode)",
-        "replacement": 'decoded = globals().setdefault("_DECODED", _Memo(decode))',
+        "snippet": "verdicts = _Memo(verdict)",
+        "replacement": 'verdicts = globals().setdefault("_VERDICTS", _Memo(verdict))',
         "tests": [
             "tests/test_immanant.py::"
-            "test_sweeps_at_other_digit_widths_decode_their_own_values"
+            "test_sweeps_at_other_digit_widths_take_their_own_verdicts"
+        ],
+    },
+    # A negative top digit lies past a one-digit mask, and a negative value
+    # always has one.
+    {
+        "name": "packed verdict masks the lowest digit only",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "_offset(bits, 1 << (count - 1).bit_length())",
+        "replacement": "_offset(bits, 1)",
+        "tests": ["tests/test_packing.py::test_packed_verdict_at_its_edges"],
+    },
+    {
+        "name": "packed verdict is always q-nonnegative",
+        "file": "src/qcatalan/qpoly.py",
+        "snippet": "return not value & _offset(bits, 1 << (count - 1).bit_length())",
+        "replacement": "return True",
+        "tests": [
+            "tests/test_packing.py::test_packed_verdict_at_its_edges",
+            "tests/test_cli.py::test_verify_detects_violation",
         ],
     },
     # Equal values of a sweep share one QPoly, a zero one ZERO itself.

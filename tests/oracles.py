@@ -574,15 +574,17 @@ def sweep_by_selection(
     Nothing is keyed by content: every (rows, cols) pair runs the class-sum
     DP and the full character combination (``reports_by_class_sums``), even
     when its submatrix repeats another or has no nonzero permutation.  Each
-    submatrix is packed at its own width, not at the sweep's.  The result
-    has the sweep's tables, but nothing in them is shared: selection i has
-    its own row set, column set and content, each at position i.
+    submatrix is packed at its own width, not at the sweep's, and the
+    result's values and gaps are packed at the width of their own largest
+    coefficient.  The result has the sweep's tables, but nothing in them is
+    shared: selection i has its own row set, column set and content, each at
+    position i.
     """
     grid = _as_entries(m)
     row_sets, col_sets, pairs, exhaustive, total = _selections(
         len(grid), max_size, seed, exhaustive_limit, None
     )
-    own_rows, own_cols, contents = [], [], []
+    own_rows, own_cols, own_reports = [], [], []
     for r, c in pairs:
         rows, cols = row_sets[r], col_sets[c]
         provenance = MatrixProvenance(
@@ -591,15 +593,23 @@ def sweep_by_selection(
             tuple(m.row_indices[i] for i in rows),
             tuple(m.col_indices[j] for j in cols),
         )
-        reports = reports_by_class_sums([[grid[i][j] for j in cols] for i in rows], provenance)
+        own_reports.append(
+            reports_by_class_sums([[grid[i][j] for j in cols] for i in rows], provenance)
+        )
         own_rows.append(provenance.rows)
         own_cols.append(provenance.cols)
-        contents.append(
-            tuple(
-                (x.lam, x.value, x.q_nonnegative, x.dominance_gap, x.gap_nonnegative)
-                for x in reports
+    polys = [p for reports in own_reports for x in reports for p in (x.value, x.dominance_gap)]
+    bits = _width(max((abs(c) for p in polys for c in p.coeffs), default=0))
+    contents = [
+        tuple(
+            (
+                x.lam, _pack(x.value.coeffs, bits), x.q_nonnegative,
+                _pack(x.dominance_gap.coeffs, bits), x.gap_nonnegative,
             )
+            for x in reports
         )
+        for reports in own_reports
+    ]
     return SweepResult(
         m.family.name,
         m.kind,
@@ -610,6 +620,7 @@ def sweep_by_selection(
         exhaustive,
         seed,
         total,
+        bits,
     )
 
 

@@ -8,9 +8,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import importlib
+
 import pytest
 
-from qcatalan import cli, errors
+from qcatalan import cli, errors, qpoly
 from qcatalan.csmatrix import catalan_like, catalan_stieltjes, hankel
 from qcatalan.errors import MissingWitness, NegativeWeight, RequiresUnitGamma
 from qcatalan.families import BUILTIN_NAMES, WEIGHT_CASES, builtin, load_family
@@ -650,6 +652,47 @@ def test_verify_builds_no_report_objects(family, fmt, tmp_path, capsys, monkeypa
     # the count sees every construction
     reports = positivity_sweep(catalan_stieltjes(builtin("narayana"), 4), 3).reports
     assert len(built) == len(reports) > 0
+
+
+def _decodes(monkeypatch) -> list[int]:
+    """Every packed value that the CLI and ``SweepResult`` decode, in order."""
+    decoded = []
+    unpack = qpoly._unpack
+
+    def spy(value, bits):
+        decoded.append(value)
+        return unpack(value, bits)
+
+    for module in (cli, importlib.import_module("qcatalan.immanant")):
+        monkeypatch.setattr(module, "_unpack", spy)
+    return decoded
+
+
+def test_verify_text_decodes_only_its_violations(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "control.json"
+    path.write_text(json.dumps(CONTROL_FAMILY))
+    decoded = _decodes(monkeypatch)
+    argv = ["verify", "--n", "4", "--max-size", "3", "--format", "text"]
+    rc, _, _ = run(capsys, *argv, "--family", "narayana")
+    assert rc == 0 and decoded == []
+    rc, out, _ = run(capsys, *argv, "--family", str(path))
+    assert rc == 5
+    got = list(decoded)
+    result = positivity_sweep(catalan_stieltjes(load_family(CONTROL_FAMILY), 4), 3)
+    assert decoded == got  # the sweep decodes nothing
+    want = {v for shapes in result.failing for _, value, _, gap, _ in shapes for v in (value, gap)}
+    # each distinct value and gap of the violations once, and nothing else
+    assert len(got) == len(set(got)) == len(want) and set(got) == want
+    assert out.count("violation:") > len(want)
+
+
+@pytest.mark.parametrize("family", ["narayana", "control"])
+def test_sweep_contents_hold_packed_ints(family):
+    f = builtin(family) if family == "narayana" else load_family(CONTROL_FAMILY)
+    result = positivity_sweep(hankel(f, 4), 4)
+    held = [v for shapes in result.contents for _, value, _, gap, _ in shapes for v in (value, gap)]
+    assert held and all(type(v) is int for v in held)
+    assert result.ok == (family == "narayana")
 
 
 def test_verify_detects_violation(tmp_path, capsys):

@@ -868,14 +868,22 @@ def test_each_support_is_planned_once_per_sweep(monkeypatch):
 
 def test_equal_values_and_gaps_of_one_sweep_are_one_qpoly():
     result = positivity_sweep(catalan_stieltjes(builtin("narayana"), 5), 6)
-    by_coeffs: dict[tuple[int, ...], set[int]] = {}
+    # the contents hold one int object per distinct packed value or gap
+    by_value: dict[int, set[int]] = {}
     held = 0
     for shapes in result.contents:
         for _, value, _, gap, _ in shapes:
-            for p in (value, gap):
-                by_coeffs.setdefault(p.coeffs, set()).add(id(p))
+            for v in (value, gap):
+                by_value.setdefault(v, set()).add(id(v))
                 held += 1
-    assert held > 2 * len(by_coeffs)
+    assert held > 2 * len(by_value)
+    assert all(len(ids) == 1 for ids in by_value.values())
+    # and the reports one QPoly per distinct value or gap
+    by_coeffs: dict[tuple[int, ...], set[int]] = {}
+    for r in result.reports:
+        for p in (r.value, r.dominance_gap):
+            by_coeffs.setdefault(p.coeffs, set()).add(id(p))
+    assert len(by_coeffs) == len(by_value)
     assert all(len(ids) == 1 for ids in by_coeffs.values())
 
 
@@ -885,10 +893,21 @@ def test_sweeps_at_other_digit_widths_decode_their_own_values():
     for coeffs in ([1, 1], [257], [1, 1]):
         m = _plain_matrix([[QPoly(coeffs)]])
         result = assert_sweep_matches_oracle(m, 1)
-        assert [value for _, value, _, _, _ in result.contents[0]] == [QPoly(coeffs)]
+        assert [r.value for r in result.reports] == [QPoly(coeffs)]
     narrow, wide = _class_sum_width([[QPoly([1, 1])]], 1), _class_sum_width([[QPoly([257])]], 1)
     assert narrow == 8 and wide == 16
     assert _pack((1, 1), narrow) == _pack((257,), wide) == 257
+
+
+def test_sweeps_at_other_digit_widths_take_their_own_verdicts():
+    # q - 1 packs to 255 at 8 bits, and 255 packs to 255 at 16: the same
+    # packed value is q-nonnegative at one width and not at the other.
+    for coeffs, ok in (([-1, 1], False), ([255], True), ([-1, 1], False)):
+        result = assert_sweep_matches_oracle(_plain_matrix([[QPoly(coeffs)]]), 1)
+        assert [(value, q) for _, value, q, _, _ in result.contents[0]] == [(255, ok)]
+        assert result.ok == ok
+    narrow, wide = _class_sum_width([[QPoly([-1, 1])]], 1), _class_sum_width([[QPoly([255])]], 1)
+    assert narrow == 8 and wide == 16
 
 
 def test_zero_contents_of_one_size_share_one_fields_tuple():
@@ -896,7 +915,7 @@ def test_zero_contents_of_one_size_share_one_fields_tuple():
     result = positivity_sweep(m, 4)
     zeros: dict[int, dict[tuple, int]] = {}  # size -> content -> position in contents
     for r, c, k in result.rows:
-        if all(value.is_zero() for _, value, _, _, _ in result.contents[k]):
+        if all(value == 0 for _, value, _, _, _ in result.contents[k]):
             rows, cols = result.row_sets[r], result.col_sets[c]
             content = tuple(m.entries[i][j] for i in rows for j in cols)
             zeros.setdefault(len(rows), {})[content] = k
@@ -909,7 +928,7 @@ def test_zero_contents_of_one_size_share_one_fields_tuple():
         # the one tuple of the size, held at one position
         assert sum(other is shapes for other in result.contents) == 1, size
         assert [lam for lam, _, _, _, _ in shapes] == list(partitions_of(size))
-        assert all(q and g and gap.is_zero() for _, _, q, gap, g in shapes)
+        assert all(q and g and gap == 0 for _, _, q, gap, g in shapes)
 
 
 # -- cubic inequalities ------------------------------------------------

@@ -7,7 +7,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from qcatalan.immanant import _class_sum_width, _inequality_sweep, immanant, inequality_332
-from qcatalan.qpoly import ZERO, QPoly, _convolve, _pack, _unpack, _width
+from qcatalan.qpoly import ZERO, QPoly, _convolve, _nonnegative, _pack, _unpack, _width
 from qcatalan.symchar import character, partitions_of
 
 from oracles import class_sums_by_permutation, class_sums_by_plan
@@ -54,6 +54,44 @@ def test_wide_digits_round_trip(bits, data):
     top_zeros = [0] * data.draw(st.integers(0, 3))
     for value in (coeffs, coeffs + top_zeros, []):
         assert _unpack(_pack(value, bits), bits).coeffs == QPoly(value).coeffs
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.data())
+def test_packed_verdict_matches_the_decoded_one(width, data):
+    # 8 to 512 bits: the packed verdict is the decoded polynomial's
+    bits = 8 * width
+    edge = (1 << (bits - 1)) - 1
+    digit = st.one_of(st.integers(-edge, edge), st.sampled_from([edge, -edge, 0, 1, -1]))
+    value = _pack(data.draw(st.lists(digit, max_size=40)), bits)
+    assert _nonnegative(value, bits) == _unpack(value, bits).is_q_nonnegative()
+
+
+@pytest.mark.parametrize("bits", [8, 16, 32, 64, 72, 128, 512])
+def test_packed_verdict_at_its_edges(bits):
+    edge = (1 << (bits - 1)) - 1
+    cases = {
+        (): True,
+        (-1, 0, 0, edge): False,  # a lone -1 under a large top digit
+        (0, 5, -3): False,  # a negative top digit
+        (edge,) * 5: True,
+        (-edge,) * 5: False,
+        (edge, -edge) * 3: False,
+        (-edge, edge) * 3: False,
+        (3, 0, 0, 0, 0, 0, 0, 0, 1): True,
+    }
+    for coeffs, want in cases.items():
+        value = _pack(coeffs, bits)
+        assert _nonnegative(value, bits) is want, coeffs
+        assert _unpack(value, bits).is_q_nonnegative() is want, coeffs
+    # the lone -1 leaves the value positive, the negative top digit makes it negative
+    assert _pack((0, 5, -3), bits) < 0 < _pack((-1, 0, 0, edge), bits)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.integers(max_value=-1))
+def test_every_negative_packed_value_is_not_q_nonnegative(width, value):
+    assert not _nonnegative(value, 8 * width)
 
 
 # bounds on both sides of 2**63, where decoding leaves machine integers

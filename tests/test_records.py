@@ -109,14 +109,14 @@ REPRS = [
         _sweep,
         "SweepResult(family='tiny', kind='pool', row_sets=((1,), (2,), (1, 2)), "
         "col_sets=((0,), (2,), (0, 2)), contents=("
-        "(((1,), QPoly([1]), True, QPoly([]), True),), "
-        "(((1,), QPoly([0, 1]), True, QPoly([]), True),), "
-        "(((1,), QPoly([]), True, QPoly([]), True),), "
-        "(((1,), QPoly([2, 1]), True, QPoly([]), True),), "
-        "(((2,), QPoly([2, 1]), True, QPoly([]), True), "
-        "((1, 1), QPoly([2, 1]), True, QPoly([]), True))), "
+        "(((1,), 1, True, 0, True),), "
+        "(((1,), 256, True, 0, True),), "
+        "(((1,), 0, True, 0, True),), "
+        "(((1,), 258, True, 0, True),), "
+        "(((2,), 258, True, 0, True), "
+        "((1, 1), 258, True, 0, True))), "
         "rows=((0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3), (2, 2, 4)), "
-        "exhaustive=True, seed=0, total_candidates=5)",
+        "exhaustive=True, seed=0, total_candidates=5, bits=8)",
     ),
     (
         lambda: _sweep().reports[0],
@@ -166,6 +166,7 @@ VALUES = {
             "exhaustive": False,
             "seed": 1,
             "total_candidates": 6,
+            "bits": 16,
         },
     ),
 }
@@ -233,7 +234,7 @@ def test_sweep_pickles_without_its_cached_reports():
     reports = result.reports
     assert result.reports is reports and result.failing is result.failing
     copy = pickle.loads(pickle.dumps(result))
-    assert "reports" not in vars(copy)
+    assert "reports" not in vars(copy) and "_decoded" not in vars(copy)
     assert copy.reports == reports and copy.failing == result.failing
     assert copy.ok and copy.violations() == ()
 
