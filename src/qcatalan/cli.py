@@ -1,15 +1,17 @@
 """Command-line driver for matrices, networks, sweeps, characters, inequalities.
 
 Exit codes: 0 success, 2 configuration error, 3 family error, 4 network
-check failure, 5 positivity violation. An error's class decides between 2
-and 3: a ``FamilyError`` exits 3; a ``ValueError`` (every other error in
-``qcatalan.errors``) or an ``OSError`` exits 2. Any other exception, such
-as an ``IndexError`` from a bug, propagates.
+check failure, 5 positivity violation, 141 (128 + SIGPIPE) with no
+message when stdout's reader has closed the pipe. An error's class decides
+between 2 and 3: a ``FamilyError`` exits 3; a ``ValueError`` (every other
+error in ``qcatalan.errors``) or any other ``OSError`` exits 2. Any other
+exception, such as an ``IndexError`` from a bug, propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from itertools import chain, repeat
@@ -36,7 +38,7 @@ from .network import (
     build_hankel_network,
     export_dot,
 )
-from .qpoly import QPoly, _Memo, _canonical, _str_bound, _unpack
+from .qpoly import QPoly, _Memo, _canonical, _str_bound
 from .symchar import character_table
 
 EXIT_OK = 0
@@ -44,6 +46,7 @@ EXIT_CONFIG = 2
 EXIT_FAMILY = 3
 EXIT_NETWORK = 4
 EXIT_POSITIVITY = 5
+_EXIT_PIPE = 141  # 128 + SIGPIPE
 
 MAX_CHARS_N = 12
 
@@ -198,13 +201,10 @@ def _write_json(doc) -> None:
 
     A ``_Reports`` stands for the list of its sweep's reports, each a
     report's JSON object with its ``"provenance"`` (family, kind, rows and
-    cols) last. Each shape of each content is rendered once, as a body, in
-    which each distinct polynomial and each lambda is rendered once
-    (``_Memo``), and each row set and column set once; a report is then
-    joined from its selection's body and the texts at the selection's
-    positions. Each piece is written into stdout's buffer as it is rendered,
-    so the whole text is never held (and a document that fails part way has
-    already written its first pieces).
+    cols) last, joined like a ``_sweep_csv`` line from texts rendered once:
+    a body per shape of each content, from ``SweepResult._walk``, and a
+    provenance text per row set and column set. Each report is written into
+    stdout's buffer as it is joined, so the whole text is never held.
     """
     write = sys.stdout.write
     uses: dict = {}  # keyed by id and indent: doc keeps every polynomial alive
@@ -228,21 +228,16 @@ def _write_json(doc) -> None:
         inner = nl + "  "
         deeper = inner + "  "
         field = deeper + "  "  # a provenance's fields
-        bits = result.bits
-        # each shape, and each packed value decoded only to render it
         shape = _Memo(lambda lam: _ints(lam, deeper)).__getitem__
-        lists = _Memo(lambda value: _ints(_unpack(value, bits).coeffs, deeper)).__getitem__
+
         # a report's object up to its provenance, the last field, left open
-        bodies = [
-            [
-                f'{{{deeper}"lambda": {shape(lam)},'
-                f'{deeper}"value": {lists(value)},{deeper}"q_nonnegative": {_FLAGS[q]},'
-                f'{deeper}"dominance_gap": {lists(gap)},'
+        def body(lam, value: str, q: bool, gap: str, g: bool) -> str:
+            return (
+                f'{{{deeper}"lambda": {shape(lam)},{deeper}"value": {value},'
+                f'{deeper}"q_nonnegative": {_FLAGS[q]},{deeper}"dominance_gap": {gap},'
                 f'{deeper}"gap_nonnegative": {_FLAGS[g]},{deeper}"provenance": '
-                for lam, value, q, gap, g in shapes
-            ]
-            for shapes in spec.contents
-        ]
+            )
+
         prefix = (
             f'{{{field}"family": {_quote(result.family)},'
             f'{field}"kind": {_quote(result.kind)},{field}"rows": '
@@ -251,9 +246,9 @@ def _write_json(doc) -> None:
         mid, close = "," + field + '"cols": ', deeper + "}" + inner + "}"
         col_texts = [mid + _ints(cols, field) + close for cols in result.col_sets]
         first = sep = "[" + inner
-        for r, c, k in result.rows:
+        for r, c, bodies in result._walk(spec.contents, lambda p: _ints(p.coeffs, deeper), body):
             head = row_texts[r] + col_texts[c]
-            for text in bodies[k]:
+            for text in bodies:
                 write(sep + text + head)
                 sep = "," + inner
         write("[]" if sep == first else nl + "]")
@@ -448,33 +443,46 @@ def _sweep_json(args, f: FamilySpec, result: SweepResult) -> dict:
 def _sweep_csv(result: SweepResult) -> None:
     """Write ``result`` to stdout as CSV, one line per report.
 
-    Each row set and column set is rendered once, and each shape of each
-    content once, as a body (lambda, value and gap with their flags), in
-    which each distinct polynomial and each lambda is rendered once
-    (``_Memo``); a line is its selection's head (family, kind, rows, cols),
-    joined from the texts at the selection's positions, then one of its
-    content's bodies.
+    A line is its selection's head (family, kind, rows, cols), joined from
+    texts rendered once per row set and column set, then one of its
+    content's bodies (lambda, value, gap and flags) from ``SweepResult._walk``.
     """
     write = sys.stdout.write
     write("family,kind,rows,cols,lambda,value,q_nonnegative,dominance_gap,gap_nonnegative\n")
     prefix = f"{result.family},{result.kind},"
     row_texts = [prefix + "|".join(map(str, rows)) + "," for rows in result.row_sets]
     col_texts = ["|".join(map(str, cols)) + "," for cols in result.col_sets]
-    bits = result.bits
-    # each shape, and each packed value decoded only to render it
-    render = _Memo(lambda value: str(_unpack(value, bits))).__getitem__
     shape = _Memo(lambda lam: "|".join(map(str, lam))).__getitem__
-    bodies = [
-        [
-            f"{shape(lam)},{render(value)},{_FLAGS[q]},"
-            f"{render(gap)},{_FLAGS[g]}\n"
-            for lam, value, q, gap, g in shapes
-        ]
-        for shapes in result.contents
-    ]
-    for r, c, k in result.rows:
+
+    def body(lam, value: str, q: bool, gap: str, g: bool) -> str:
+        return f"{shape(lam)},{value},{_FLAGS[q]},{gap},{_FLAGS[g]}\n"
+
+    for r, c, bodies in result._walk(result.contents, str, body):
         head = row_texts[r] + col_texts[c]
-        for line in bodies[k]:
+        for line in bodies:
+            write(head + line)
+
+
+def _sweep_text(result: SweepResult) -> None:
+    """Write ``result`` to stdout as text: a summary, then one line per violation."""
+    write = sys.stdout.write
+    mode = "exhaustive" if result.exhaustive else f"sampled (seed {result.seed})"
+    write(
+        f"swept {_report_count(result)} immanant reports over "
+        f"{result.total_candidates} candidate submatrices ({mode})\n"
+    )
+    if result.ok:
+        write("all immanants and dominance gaps are q-nonnegative\n")
+        return
+    row_texts = [f"violation: rows={list(rows)} " for rows in result.row_sets]
+    col_texts = [f"cols={list(cols)} " for cols in result.col_sets]
+
+    def body(lam, value: str, q: bool, gap: str, g: bool) -> str:
+        return f"lambda={list(lam)} value={value} gap={gap}\n"
+
+    for r, c, bodies in result._walk(result.failing, str, body):
+        head = row_texts[r] + col_texts[c]
+        for line in bodies:
             write(head + line)
 
 
@@ -487,23 +495,7 @@ def cmd_verify(args) -> int:
     elif args.format == "csv":
         _sweep_csv(result)
     else:
-        mode = "exhaustive" if result.exhaustive else f"sampled (seed {result.seed})"
-        print(
-            f"swept {_report_count(result)} immanant reports over "
-            f"{result.total_candidates} candidate submatrices ({mode})"
-        )
-        if result.ok:
-            print("all immanants and dominance gaps are q-nonnegative")
-        else:
-            bits = result.bits
-            render = _Memo(lambda value: str(_unpack(value, bits))).__getitem__
-            for r, c, k in result.rows:
-                for lam, value, _, gap, _ in result.failing[k]:
-                    print(
-                        f"violation: rows={list(result.row_sets[r])} "
-                        f"cols={list(result.col_sets[c])} "
-                        f"lambda={list(lam)} value={render(value)} gap={render(gap)}"
-                    )
+        _sweep_text(result)
     return EXIT_OK if result.ok else EXIT_POSITIVITY
 
 
@@ -702,6 +694,10 @@ def main(argv=None) -> int:
     except FamilyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAMILY
+    except BrokenPipeError:
+        # the reader has gone: what stdout still buffers goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

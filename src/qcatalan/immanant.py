@@ -32,9 +32,9 @@ the immanant's coefficients by sum |chi^lam(mu)| N_mu.  Each distinct
 packed value or gap of a sweep is checked for q-nonnegativity once, packed
 (``qpoly._nonnegative``, through a ``_Memo`` local to the sweep), and
 stays packed in the result, equal ones as one int object.  A value is
-decoded only where it is read: by ``SweepResult.reports`` and
-``violations()``, through one memo of the result, so that equal values and
-gaps share one ``QPoly``, or by a writer, into the text it renders.
+decoded only where it is read, by ``SweepResult._walk``, which ``reports``,
+``violations()`` and each ``verify`` writer call: once per walk, into the
+``QPoly`` of a report or into the text that a writer renders.
 
 A sweep computes each distinct submatrix once, up to transpose, since a
 submatrix and its transpose have the same reports (chi(sigma) =
@@ -370,9 +370,9 @@ class SweepResult(_Frozen):
     positions into those tables per selection, in sweep order; every content
     is some selection's.  The ``ImmanantReport`` objects, one per shape of
     each selection, are built when ``reports`` is first read, and
-    ``violations()`` builds those of the failing shapes only.  Both decode
-    each packed value once, through one memo, so that equal values share one
-    ``QPoly``.
+    ``violations()`` builds those of the failing shapes only.  Both, like the
+    ``verify`` writers, decode through ``_walk``, each distinct packed value
+    once a call, so that equal values of one call share one ``QPoly``.
     """
 
     _fields = (
@@ -416,26 +416,31 @@ class SweepResult(_Frozen):
     def violations(self) -> tuple[ImmanantReport, ...]:
         return self._build(self.failing)
 
-    @cached_property
-    def _decoded(self) -> _Memo:
-        bits = self.bits
-        return _Memo(lambda value: _unpack(value, bits))
-
     def _build(self, contents: tuple[tuple[Fields, ...], ...]) -> tuple[ImmanantReport, ...]:
         """The reports of each selection's fields in ``contents``, one provenance each."""
-        decoded = self._decoded
-        shapes = [
-            [(lam, decoded[v], q, decoded[gap], g) for lam, v, q, gap, g in fields]
-            for fields in contents
-        ]
         out = []
-        for r, c, k in self.rows:
-            if shapes[k]:
-                provenance = MatrixProvenance(
-                    self.family, self.kind, self.row_sets[r], self.col_sets[c]
-                )
-                out.extend(ImmanantReport(*fields, provenance) for fields in shapes[k])
+        # each value and gap as its QPoly, each shape as its fields
+        for r, c, shapes in self._walk(contents, lambda p: p, lambda *fields: fields):
+            rows, cols = self.row_sets[r], self.col_sets[c]
+            provenance = MatrixProvenance(self.family, self.kind, rows, cols)
+            out.extend(ImmanantReport(*fields, provenance) for fields in shapes)
         return tuple(out)
+
+    def _walk(self, contents: tuple[tuple[Fields, ...], ...], text, body):
+        """(r, c, bodies) per selection, in sweep order, whose content in ``contents`` has fields.
+
+        ``r`` and ``c`` are the positions of its row set and column set, and
+        ``bodies``, shared by the content's selections, holds ``body(lam,
+        text(value), q, text(gap), g)`` per shape; ``contents`` is the sweep's
+        or a cut at its positions.  A memo of this walk decodes each distinct
+        packed value and passes it to ``text`` once.
+        """
+        texts = _Memo(lambda value: text(_unpack(value, self.bits))).__getitem__
+        bodies = [
+            [body(lam, texts(value), q, texts(gap), g) for lam, value, q, gap, g in shapes]
+            for shapes in contents
+        ]
+        return ((r, c, bodies[k]) for r, c, k in self.rows if bodies[k])
 
 
 def _selections(
@@ -557,12 +562,8 @@ def positivity_sweep(
     by_content: dict[tuple[int, ...], int] = {}  # content key -> position in contents
     zeros: dict[int, int] = {}  # size -> position of its all-zero fields tuple
     plans: dict[tuple[bool, ...], Plan | None] = {}  # support -> its plan, None if dead
-
-    def verdict(value: int) -> tuple[int, bool]:
-        return value, _nonnegative(value, bits)
-
     # a packed value means a polynomial only at this sweep's width
-    verdicts = _Memo(verdict)
+    verdicts = _Memo(lambda value: (value, _nonnegative(value, bits)))
     out = []
     for r, c in pairs:
         rows, cols = row_sets[r], col_sets[c]

@@ -117,34 +117,45 @@ MUTANTS = [
         "replacement": "* packed[i + j]",
         "tests": ["tests/test_immanant.py::test_inequality_sweep_matches_332_on_every_triple"],
     },
-    # A body read at another table's position renders some other content's
-    # shapes, or runs off the end of the bodies.
+    # Every reader of a sweep (reports, violations(), and the CSV, JSON and
+    # text writers) walks it through SweepResult._walk.  Bodies read at
+    # another table's position render some other content's shapes, or run
+    # off the end of the bodies.
     {
-        "name": "JSON sweep body read at the column set's position, not the content's",
-        "file": "src/qcatalan/cli.py",
-        "snippet": "for text in bodies[k]:",
-        "replacement": "for text in bodies[c]:",
-        "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
+        "name": "sweep walk hands a selection the bodies at its column set's position",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "((r, c, bodies[k]) for",
+        "replacement": "((r, c, bodies[c]) for",
+        "tests": [
+            "tests/test_cli.py::test_every_sweep_reader_walks_each_selection_with_fields_once",
+            "tests/test_golden_json.py::test_json_command_bytes",
+            "tests/test_immanant.py::"
+            "test_sweep_matches_per_selection_oracle_on_colliding_contents",
+        ],
     },
     {
-        "name": "CSV sweep head not rebuilt when a new selection starts",
-        "file": "src/qcatalan/cli.py",
-        "snippet": "for r, c, k in result.rows:\n        head = row_texts[r]",
-        "replacement": (
-            "for _, _, k in result.rows:\n        r, c, _ = result.rows[0]\n"
-            "        head = row_texts[r]"
-        ),
-        "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
+        "name": "sweep walk hands over selections whose content has no fields",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": " for r, c, k in self.rows if bodies[k])",
+        "replacement": " for r, c, k in self.rows)",
+        "tests": [
+            "tests/test_cli.py::test_every_sweep_reader_walks_each_selection_with_fields_once"
+        ],
     },
+    # A packed value means a polynomial only at its sweep's width, and a
+    # text only in its writer's format.
     {
-        "name": "JSON sweep provenance not rebuilt when a new selection starts",
-        "file": "src/qcatalan/cli.py",
-        "snippet": "for r, c, k in result.rows:\n            head = row_texts[r]",
+        "name": "sweep walk decode memo kept across walks in a module-level dict",
+        "file": "src/qcatalan/immanant.py",
+        "snippet": "texts = _Memo(lambda value: text(_unpack(value, self.bits)))",
         "replacement": (
-            "for _, _, k in result.rows:\n            r, c, _ = result.rows[0]\n"
-            "            head = row_texts[r]"
+            'texts = globals().setdefault('
+            '"_TEXTS", _Memo(lambda value: text(_unpack(value, self.bits))))'
         ),
-        "tests": ["tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time"],
+        "tests": [
+            "tests/test_cli.py::test_sweep_renders_like_one_report_at_a_time",
+            "tests/test_immanant.py::test_sweeps_at_other_digit_widths_decode_their_own_values",
+        ],
     },
     # Every selection builds its reports from its content key and its
     # provenance, so a wrong key or a wrong provenance shows in every sweep.
@@ -604,8 +615,11 @@ MUTANTS = [
     {
         "name": "sweep decode memo kept across sweeps in a module-level dict",
         "file": "src/qcatalan/immanant.py",
-        "snippet": "verdicts = _Memo(verdict)",
-        "replacement": 'verdicts = globals().setdefault("_VERDICTS", _Memo(verdict))',
+        "snippet": "verdicts = _Memo(lambda value: (value, _nonnegative(value, bits)))",
+        "replacement": (
+            'verdicts = globals().setdefault('
+            '"_VERDICTS", _Memo(lambda value: (value, _nonnegative(value, bits))))'
+        ),
         "tests": [
             "tests/test_immanant.py::"
             "test_sweeps_at_other_digit_widths_take_their_own_verdicts"

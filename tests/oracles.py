@@ -735,6 +735,24 @@ def sweep_csv_by_report(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sweep_text_by_report(result: SweepResult) -> str:
+    """``verify --format text`` output, every violation line built from its own report."""
+    mode = "exhaustive" if result.exhaustive else f"sampled (seed {result.seed})"
+    lines = [
+        f"swept {len(result.reports)} immanant reports over "
+        f"{result.total_candidates} candidate submatrices ({mode})"
+    ]
+    if result.ok:
+        lines.append("all immanants and dominance gaps are q-nonnegative")
+    for r in result.violations():
+        p = r.provenance
+        lines.append(
+            f"violation: rows={list(p.rows)} cols={list(p.cols)} lambda={list(r.lam)} "
+            f"value={r.value} gap={r.dominance_gap}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def matrix_json(m: CSMatrix) -> dict:
     """``matrix --format json``'s document, each entry as its coefficient list."""
     return {

@@ -16,7 +16,7 @@ from qcatalan import cli, errors, qpoly
 from qcatalan.csmatrix import catalan_like, catalan_stieltjes, hankel
 from qcatalan.errors import MissingWitness, NegativeWeight, RequiresUnitGamma
 from qcatalan.families import BUILTIN_NAMES, WEIGHT_CASES, builtin, load_family
-from qcatalan.immanant import ImmanantReport, inequality_331, positivity_sweep
+from qcatalan.immanant import ImmanantReport, SweepResult, inequality_331, positivity_sweep
 from qcatalan.network import (
     Arc,
     PlanarNetwork,
@@ -32,6 +32,7 @@ from oracles import (
     stdout_of,
     sweep_csv_by_report,
     sweep_json_by_report,
+    sweep_text_by_report,
     weighted_path_poly,
 )
 
@@ -628,6 +629,41 @@ def test_sweep_renders_like_one_report_at_a_time(limit):
         assert bool(doc["violations"]) == (f is control)
         want = sweep_json_by_report(f.name, "C", 4, 3, result)
         assert stdout_of(cli._write_json, doc) == want
+        assert stdout_of(cli._sweep_text, result) == sweep_text_by_report(result)
+
+
+@pytest.mark.parametrize("family", ["narayana", "control"])
+def test_every_sweep_reader_walks_each_selection_with_fields_once(family, monkeypatch):
+    f = builtin(family) if family == "narayana" else load_family(CONTROL_FAMILY)
+    result = positivity_sweep(catalan_stieltjes(f, 4), 3, seed=3, exhaustive_limit=150)
+    assert not result.exhaustive and (family == "control") != result.ok
+    walks = []
+    walk = SweepResult._walk
+
+    def spy(self, contents, text, body):
+        rendered = []
+
+        def counted(*fields):
+            rendered.append(fields)
+            return body(*fields)
+
+        selections = list(walk(self, contents, text, counted))
+        walks.append((contents, selections, len(rendered)))
+        return iter(selections)
+
+    monkeypatch.setattr(SweepResult, "_walk", spy)
+    args = argparse.Namespace(matrix="C", n=4, max_size=3)
+    stdout_of(cli._sweep_csv, result)
+    stdout_of(cli._write_json, cli._sweep_json(args, f, result))
+    stdout_of(cli._sweep_text, result)
+    assert result.reports and bool(result.violations()) != result.ok
+    # CSV, JSON reports, reports, violations(); JSON and text violations when some fail
+    assert len(walks) == (4 if result.ok else 6)
+    for contents, selections, rendered in walks:
+        # each content's shapes rendered once, each selection with fields handed its own
+        assert rendered == sum(map(len, contents))
+        want = [(r, c, len(contents[k])) for r, c, k in result.rows if contents[k]]
+        assert [(r, c, len(bodies)) for r, c, bodies in selections] == want
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
@@ -655,7 +691,7 @@ def test_verify_builds_no_report_objects(family, fmt, tmp_path, capsys, monkeypa
 
 
 def _decodes(monkeypatch) -> list[int]:
-    """Every packed value that the CLI and ``SweepResult`` decode, in order."""
+    """Every packed value that ``SweepResult`` decodes (for itself or a writer), in order."""
     decoded = []
     unpack = qpoly._unpack
 
@@ -663,8 +699,7 @@ def _decodes(monkeypatch) -> list[int]:
         decoded.append(value)
         return unpack(value, bits)
 
-    for module in (cli, importlib.import_module("qcatalan.immanant")):
-        monkeypatch.setattr(module, "_unpack", spy)
+    monkeypatch.setattr(importlib.import_module("qcatalan.immanant"), "_unpack", spy)
     return decoded
 
 
@@ -1196,15 +1231,36 @@ def test_console_script_runs():
     assert proc.stdout == "1,0\nq,1\n"
 
 
-def test_module_invocation_runs():
-    # the child runs the package this suite imports, installed or not
+def _child_env() -> dict:
+    """An environment in which a child runs the package this suite imports, installed or not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_invocation_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qcatalan.cli", "chars", "--n", "2"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "shape\\class" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly_with_128_plus_sigpipe():
+    # several MB of text, far more than a pipe holds, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qcatalan.cli", "matrix", "--family", "eulerian", "--n", "60"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.split() == [b"1"] + [b"0"] * 60
+    assert err == b""

@@ -10,7 +10,7 @@ them at 96-bit digits and one sampled, that sampled sweep and the 7x7
 sweep as JSON, sampled sweeps whose draws take each branch of
 ``random.sample`` (a 25x25 matrix, and draws of six indices), violating
 and non-ASCII sweeps as CSV and text, a violating sweep whose selections mix passing and
-failing shapes as JSON and CSV, a layered, an induced and a factored
+failing shapes as JSON, CSV and text, a sampled violating sweep as text, a layered, an induced and a factored
 network as DOT, a network that mixes all five weight cases as JSON and
 DOT, zero-layer networks of all three constructions, the benchmark's two
 largest network JSON jobs, jobs on its affine and five-case families, and
@@ -224,6 +224,15 @@ CASES = {
     "verify-control-C4-s3-csv": [
         "verify", "--family", "@control", "--matrix", "C", "--n", "4",
         "--max-size", "3", "--format", "csv",
+    ],
+    "verify-control-C4-s3-text": [
+        "verify", "--family", "@control", "--matrix", "C", "--n", "4",
+        "--max-size", "3", "--format", "text",
+    ],
+    # 20000 draws over 13498 distinct selections, 282 of their fields failing
+    "verify-control-C17-s2-sampled-text": [
+        "verify", "--family", "@control", "--matrix", "C", "--n", "17",
+        "--max-size", "2", "--seed", "5", "--format", "text",
     ],
     # raw UTF-8 (no escapes) in the family field of every CSV line
     "verify-unicode-name-csv": [

@@ -16,7 +16,7 @@ from qcatalan.families import FamilySpec, builtin
 from qcatalan.immanant import positivity_sweep
 from qcatalan.qpoly import ONE, Q, ZERO, QPoly
 
-from oracles import stdout_of, sweep_csv_by_report, sweep_json_by_report
+from oracles import stdout_of, sweep_csv_by_report, sweep_json_by_report, sweep_text_by_report
 
 # every code point, lone surrogates and control characters included
 strings = st.text(st.characters(exclude_categories=()), max_size=12)
@@ -95,3 +95,4 @@ def test_sweep_writers_match_per_report_rendering(case):
     doc = cli._sweep_json(args, m.family, result)
     want = sweep_json_by_report(m.family.name, m.kind, m.nrows, max_size, result)
     assert stdout_of(cli._write_json, doc) == want
+    assert stdout_of(cli._sweep_text, result) == sweep_text_by_report(result)
